@@ -277,6 +277,13 @@ def subfaces_at(face: FaceDescriptor, hull: LocalHull, apex_id: int) -> list[Fac
     return out
 
 
+def _normal_matrix(normals: Sequence[np.ndarray]) -> np.ndarray:
+    W = np.asarray(normals, dtype=float)
+    if W.ndim != 2 or W.shape[0] == 0:
+        raise ValueError(f"need a nonempty 2-d array of normals, got shape {W.shape}")
+    return W
+
+
 def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
     """Maximize the smallest coordinate of a convex combination of normals.
 
@@ -289,9 +296,7 @@ def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
         weights are clipped to the simplex and t_star recomputed from them, so
         the certificate is always exactly feasible.
     """
-    W = np.asarray(normals, dtype=float)
-    if W.ndim != 2 or W.shape[0] == 0:
-        raise ValueError(f"need a nonempty 2-d array of normals, got shape {W.shape}")
+    W = _normal_matrix(normals)
     n, d = W.shape
     if n == 1:
         return LpCertificate(alpha=np.ones(1), t_star=float(W[0].min()))
@@ -319,6 +324,20 @@ def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
     return LpCertificate(alpha=alpha, t_star=t_star)
 
 
+def passes_sign_screen(normals: np.ndarray, eps_pos: float) -> bool:
+    """False when some objective has no normal entry above eps_pos.
+
+    Every convex combination of the normals is then at most eps_pos in that
+    objective, so the positivity LP optimum cannot exceed eps_pos and the face
+    fails without solving it. True means only that the LP has to decide.
+    """
+    return bool((normals.max(axis=0) > eps_pos).all())
+
+
 def is_pareto_face(normals: Sequence[np.ndarray], eps_pos: float = 1e-9) -> bool:
-    """True when the positivity LP over the normals has optimum above eps_pos."""
-    return pareto_lp(normals).t_star > eps_pos
+    """True when the positivity LP over the normals has optimum above eps_pos.
+
+    Normals that fail `passes_sign_screen` are rejected without the LP.
+    """
+    W = _normal_matrix(normals)
+    return passes_sign_screen(W, eps_pos) and pareto_lp(W).t_star > eps_pos

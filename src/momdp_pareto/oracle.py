@@ -7,6 +7,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -360,15 +361,29 @@ class VerifyReport:
     dominated_vertices: list[int] = field(default_factory=list)
 
 
+def _compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of `parts` non-negative ints summing to `total`, lexicographic."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for tail in _compositions(parts - 1, total - head):
+            yield (head, *tail)
+
+
 def _face_weights(k: int, total: int, rng: np.random.Generator) -> np.ndarray:
-    """Barycentric sample weights: a step-0.25 grid topped up with random draws."""
+    """Barycentric sample weights: a step-0.25 grid topped up with random draws.
+
+    The grid points come in lexicographic order and only the first `total`
+    are generated, so the cost does not grow as 5**k.
+    """
     grid = [
         np.array(c, dtype=float) / 4.0
-        for c in itertools.product(range(5), repeat=k)
-        if sum(c) == 4
+        for c in itertools.islice(_compositions(k, 4), total)
     ]
     if len(grid) >= total:
-        return np.array(grid[:total])
+        return np.array(grid)
     extra = rng.dirichlet(np.ones(k), size=total - len(grid))
     return np.vstack([np.array(grid), extra])
 

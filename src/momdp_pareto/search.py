@@ -24,6 +24,7 @@ from .geometry import (
     dominance,
     incident_facets,
     pareto_lp,
+    passes_sign_screen,
     pprune,
     subfaces_at,
 )
@@ -184,21 +185,6 @@ def _add_vertex(
     return vid
 
 
-def _canonical_face(
-    hull: LocalHull, vids: tuple[int, ...], apex_facets: Sequence[int]
-) -> FaceDescriptor:
-    """Rebuild a face descriptor with every apex facet that contains it.
-
-    The same geometric face can be reached along several descent paths; keying
-    it by its full set of containing facets makes the LP input, and therefore
-    the verdict, independent of the path taken.
-    """
-    vset = set(vids)
-    defining = tuple(fi for fi in apex_facets if vset <= set(hull.facets[fi].vertex_ids))
-    dim = affine_dimension(hull.points[list(vids)])
-    return FaceDescriptor(vertex_ids=tuple(sorted(vids)), defining_facets=defining, dim=dim)
-
-
 def select_pareto_faces(
     apex_id: int, hull: LocalHull, eps_pos: float = 1e-9
 ) -> tuple[list[tuple[FaceDescriptor, LpCertificate]], list[int]]:
@@ -206,31 +192,52 @@ def select_pareto_faces(
 
     Starts from the apex's facets and walks down: a face whose positivity LP
     optimum exceeds eps_pos is recorded, anything else is split into subfaces
-    one dimension lower until dimension 1.
+    one dimension lower until dimension 1. Faces that fail the sign screen
+    fail without an LP; their certificates would never be stored.
 
     Returns:
         The passing faces paired with their LP certificates, and the sorted
         ids of all hull vertices lying on at least one passing face.
     """
-    apex_facets = incident_facets(hull, apex_id)
-    queue: deque[FaceDescriptor] = deque(
-        _canonical_face(hull, hull.facets[fi].vertex_ids, apex_facets) for fi in apex_facets
-    )
-    tested: set[tuple[int, ...]] = set()
+    apex_facet_sets = {
+        fi: frozenset(hull.facets[fi].vertex_ids) for fi in incident_facets(hull, apex_id)
+    }
+    queue: deque[FaceDescriptor] = deque()
+    seen: set[tuple[int, ...]] = set()
+
+    def enqueue(vids: tuple[int, ...], dim: int) -> None:
+        """Queue the face on `vids` (affine dimension `dim`) once.
+
+        The same geometric face can be reached along several descent paths;
+        defining it by every apex facet that contains it makes the LP input,
+        and therefore the verdict, independent of the path taken. So the
+        descriptor depends on the vertex set alone and needs testing once.
+        """
+        vids = tuple(sorted(vids))
+        if vids in seen:
+            return
+        seen.add(vids)
+        vset = set(vids)
+        defining = tuple(fi for fi, fset in apex_facet_sets.items() if vset <= fset)
+        queue.append(FaceDescriptor(vertex_ids=vids, defining_facets=defining, dim=dim))
+
+    for fi in apex_facet_sets:
+        vids = hull.facets[fi].vertex_ids
+        enqueue(vids, affine_dimension(hull.points[list(vids)]))
     passing: list[tuple[FaceDescriptor, LpCertificate]] = []
     while queue:
         face = queue.popleft()
-        if face.vertex_ids in tested or face.dim < 1:
+        if face.dim < 1:
             continue
-        tested.add(face.vertex_ids)
         normals = np.array([hull.facets[fi].normal for fi in face.defining_facets])
-        cert = pareto_lp(normals)
-        if cert.t_star > eps_pos:
-            passing.append((face, cert))
-            continue
+        if passes_sign_screen(normals, eps_pos):
+            cert = pareto_lp(normals)
+            if cert.t_star > eps_pos:
+                passing.append((face, cert))
+                continue
         if face.dim > 1:
             for child in subfaces_at(face, hull, apex_id):
-                queue.append(_canonical_face(hull, child.vertex_ids, apex_facets))
+                enqueue(child.vertex_ids, child.dim)
     on_front = sorted({vid for fd, _ in passing for vid in fd.vertex_ids})
     return passing, on_front
 

@@ -8,10 +8,18 @@ agreement with the package is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 
-from momdp_pareto import Mdp
+from momdp_pareto import (
+    FaceDescriptor,
+    Mdp,
+    affine_dimension,
+    incident_facets,
+    pareto_lp,
+    subfaces_at,
+)
 
 
 def one_hot_policy(actions, num_actions: int) -> np.ndarray:
@@ -198,3 +206,53 @@ def ridge_points() -> np.ndarray:
             [-0.6, -1.0, -1.0],
         ]
     )
+
+
+def product_grid_weights(k: int, total: int, rng: np.random.Generator) -> np.ndarray:
+    """verify's face weights, built from every point of the 5**k product grid:
+    the compositions of 4 in product order, the first `total` of them, topped
+    up with Dirichlet draws."""
+    grid = [
+        np.array(c, dtype=float) / 4.0
+        for c in itertools.product(range(5), repeat=k)
+        if sum(c) == 4
+    ]
+    if len(grid) >= total:
+        return np.array(grid[:total])
+    extra = rng.dirichlet(np.ones(k), size=total - len(grid))
+    return np.vstack([np.array(grid), extra])
+
+
+def faces_by_lp_everywhere(apex_id: int, hull, eps_pos: float = 1e-9):
+    """The apex's Pareto faces by a descent that solves the positivity LP on
+    every face it tests and takes every face's dimension from its own SVD.
+
+    Returns the passing (face, certificate) pairs in discovery order and the
+    number of faces tested.
+    """
+    apex_facets = incident_facets(hull, apex_id)
+
+    def canonical(vids):
+        vset = set(vids)
+        defining = tuple(
+            fi for fi in apex_facets if vset <= set(hull.facets[fi].vertex_ids)
+        )
+        dim = affine_dimension(hull.points[list(vids)])
+        return FaceDescriptor(tuple(sorted(vids)), defining, dim)
+
+    queue = deque(canonical(hull.facets[fi].vertex_ids) for fi in apex_facets)
+    tested = set()
+    passing = []
+    while queue:
+        face = queue.popleft()
+        if face.vertex_ids in tested or face.dim < 1:
+            continue
+        tested.add(face.vertex_ids)
+        cert = pareto_lp(np.array([hull.facets[fi].normal for fi in face.defining_facets]))
+        if cert.t_star > eps_pos:
+            passing.append((face, cert))
+            continue
+        if face.dim > 1:
+            for child in subfaces_at(face, hull, apex_id):
+                queue.append(canonical(child.vertex_ids))
+    return passing, len(tested)

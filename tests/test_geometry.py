@@ -19,6 +19,7 @@ from momdp_pareto import (
     pprune,
     subfaces_at,
 )
+from momdp_pareto.geometry import passes_sign_screen
 
 from helpers import (
     barycentric_grid,
@@ -267,6 +268,30 @@ class TestParetoLp:
             pareto_lp(np.zeros((0, 2)))
 
 
+class TestSignScreen:
+    def test_nonpositive_column_bounds_lp_optimum(self):
+        eps_pos = 1e-9
+        rng = np.random.default_rng(11)
+        # The column's largest entry is negative, zero, inside (0, eps_pos)
+        # or exactly eps_pos.
+        tops = (None, 0.0, eps_pos / 2, eps_pos)
+        for trial in range(60):
+            n, d = int(rng.integers(1, 7)), int(rng.integers(2, 6))
+            W = rng.normal(size=(n, d))
+            j = int(rng.integers(d))
+            W[:, j] = -np.abs(W[:, j]) * 10.0 ** rng.integers(-12, 1)
+            if tops[trial % 4] is not None:
+                W[int(rng.integers(n)), j] = tops[trial % 4]
+            assert not passes_sign_screen(W, eps_pos)
+            assert pareto_lp(W).t_star <= eps_pos
+
+    def test_positive_entry_in_every_column_passes(self):
+        W = np.array([[1.0, -1.0, 2e-9], [-1.0, 1.0, -3.0]])
+        assert passes_sign_screen(W, 1e-9)
+        # Passing the screen leaves the verdict to the LP.
+        assert not is_pareto_face(W)
+
+
 class TestIsParetoFace:
     def test_positive_normal(self):
         assert is_pareto_face(np.array([[1.0, 1.0, 1.0]]))
@@ -276,6 +301,11 @@ class TestIsParetoFace:
 
     def test_axis_pair_combines_positive(self):
         assert is_pareto_face(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_malformed_normals_rejected(self):
+        for bad in (np.zeros((0, 2)), np.ones(3)):
+            with pytest.raises(ValueError):
+                is_pareto_face(bad)
 
 
 class TestFacetPositivityAgainstSampling:

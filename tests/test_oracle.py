@@ -15,9 +15,9 @@ from momdp_pareto import (
     search,
     verify_front,
 )
-from momdp_pareto.oracle import _all_policies
+from momdp_pareto.oracle import _all_policies, _face_weights
 
-from helpers import make_bandit
+from helpers import make_bandit, product_grid_weights
 
 
 class TestBruteForce:
@@ -149,6 +149,17 @@ class TestVerifyFront:
         report = verify_front(m, brute_force_front(m))
         assert report.passed
         assert report.face_checks == []
+
+
+def test_face_weights_match_product_grid():
+    for k in range(1, 10):
+        for total in (1, 25, 200):
+            rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+            got = _face_weights(k, total, rng)
+            ref = product_grid_weights(k, total, ref_rng)
+            assert got.shape == ref.shape == (total, k)
+            assert got.tobytes() == ref.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestBenchSuite:

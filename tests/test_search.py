@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,23 @@ from momdp_pareto import (
     brute_force_front,
     compare_fronts,
     consolidate_faces,
+    convex_hull,
+    dominance,
+    Dominance,
     enumerate_deterministic,
     gen_random_mdp,
     long_term_return,
     make_context,
+    neighbors_one,
     policies_on_face,
+    pprune,
     return_scale,
     search,
+    select_pareto_faces,
 )
 from momdp_pareto.search import _add_vertex
 
-from helpers import make_bandit
+from helpers import faces_by_lp_everywhere, make_bandit
 
 
 class TestBanditFront:
@@ -277,3 +285,61 @@ def test_search_config_defaults():
     assert cfg.thread_count == 1
     assert cfg.eps_equal == cfg.eps_geom == cfg.eps_pos == 1e-9
     assert cfg.initial_policy is None
+
+
+@pytest.fixture(scope="module")
+def local_hulls_d5():
+    """Local hulls around the first few front vertices of a D=5 instance: each
+    vertex's scaled return (point 0) and its incomparable, non-dominated
+    one-change neighbors, as `explore_vertex` builds them."""
+    m = gen_random_mdp(1, 4, 4, 5)
+    scale = return_scale(m)
+    front = search(m, SearchConfig(seed=0))
+    hulls = []
+    for v in front.vertices[:6]:
+        apex = v.ret * scale
+        near = [
+            long_term_return(m, p) * scale for p in neighbors_one(v.policy, 4)
+        ]
+        near = [
+            x for x in near if dominance(x, apex, 1e-9) is Dominance.INCOMPARABLE
+        ]
+        near = [near[i] for i in pprune(np.array(near))]
+        hulls.append(convex_hull(np.vstack([apex] + near), apex_id=0))
+    return hulls
+
+
+class TestFaceSelectionScreen:
+    def test_same_faces_as_an_lp_on_every_face(self, local_hulls_d5):
+        total_passing = 0
+        for hull in local_hulls_d5:
+            got, on_front = select_pareto_faces(0, hull)
+            ref, _ = faces_by_lp_everywhere(0, hull)
+            assert len(got) == len(ref)
+            for (fd, cert), (rfd, rcert) in zip(got, ref):
+                assert fd.vertex_ids == rfd.vertex_ids
+                assert fd.defining_facets == rfd.defining_facets
+                assert fd.dim == rfd.dim
+                assert cert.alpha.tobytes() == rcert.alpha.tobytes()
+                assert cert.t_star == rcert.t_star
+            assert on_front == sorted({v for fd, _ in ref for v in fd.vertex_ids})
+            total_passing += len(got)
+        assert total_passing > 0
+
+    def test_screen_skips_lps(self, local_hulls_d5, monkeypatch):
+        # The package rebinds the name `search` to the function, so the module
+        # is fetched by its import path.
+        search_module = importlib.import_module("momdp_pareto.search")
+        original = search_module.pareto_lp
+        calls = []
+
+        def counting(normals):
+            calls.append(1)
+            return original(normals)
+
+        monkeypatch.setattr(search_module, "pareto_lp", counting)
+        tested = 0
+        for hull in local_hulls_d5:
+            select_pareto_faces(0, hull)
+            tested += faces_by_lp_everywhere(0, hull)[1]
+        assert 0 < len(calls) < tested
