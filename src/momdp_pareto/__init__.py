@@ -1,49 +1,17 @@
-"""Exact Pareto fronts (all vertices and faces) for finite discounted MO-MDPs."""
+"""Exact Pareto fronts (all vertices and faces) for finite discounted MO-MDPs.
+
+The package exports what the README's Library section documents; everything
+else is reached through its module (`momdp_pareto.geometry`, `.mdp`,
+`.search`, `.oracle`, `.serialize`).
+"""
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    ApexNotVertexError,
-    DegenerateHullError,
-    Dominance,
-    FaceDescriptor,
-    Facet,
-    LocalHull,
-    LpCertificate,
-    affine_dimension,
-    convex_hull,
-    deterministic_jitter,
-    dominance,
-    incident_facets,
-    is_pareto_face,
-    pareto_lp,
-    pprune,
-    subfaces_at,
-)
-from .mdp import (
-    GridAction,
-    InvalidMdpError,
-    Mdp,
-    enumerate_deterministic,
-    evaluate_policy,
-    gen_gridworld,
-    gen_random_mdp,
-    hamming_distance,
-    induced_reward,
-    induced_transition,
-    long_term_return,
-    mix_policies,
-    neighbors_one,
-    solve_scalarized,
-    validate_mdp,
-)
+from .mdp import InvalidMdpError, Mdp, gen_gridworld, gen_random_mdp, long_term_return
 from .oracle import (
-    BenchRow,
     ComparisonReport,
     EnumerationCapError,
-    FaceCheck,
     VerifyReport,
-    bench_suite,
     brute_force_front,
     compare_fronts,
     verify_front,
@@ -53,72 +21,29 @@ from .search import (
     ParetoFront,
     SearchAbortError,
     SearchConfig,
-    SearchContext,
-    SearchStats,
     VertexRecord,
-    consolidate_faces,
-    explore_vertex,
-    make_context,
     policies_on_face,
-    return_scale,
     search,
-    select_pareto_faces,
 )
 
 __all__ = [
     "__version__",
-    "ApexNotVertexError",
-    "BenchRow",
     "ComparisonReport",
-    "DegenerateHullError",
-    "Dominance",
     "EnumerationCapError",
-    "FaceCheck",
-    "FaceDescriptor",
     "FaceRecord",
-    "Facet",
-    "GridAction",
     "InvalidMdpError",
-    "LocalHull",
-    "LpCertificate",
     "Mdp",
     "ParetoFront",
     "SearchAbortError",
     "SearchConfig",
-    "SearchContext",
-    "SearchStats",
     "VerifyReport",
     "VertexRecord",
-    "consolidate_faces",
-    "affine_dimension",
-    "bench_suite",
     "brute_force_front",
     "compare_fronts",
-    "convex_hull",
-    "deterministic_jitter",
-    "dominance",
-    "enumerate_deterministic",
-    "evaluate_policy",
-    "explore_vertex",
     "gen_gridworld",
     "gen_random_mdp",
-    "hamming_distance",
-    "incident_facets",
-    "induced_reward",
-    "induced_transition",
-    "is_pareto_face",
     "long_term_return",
-    "make_context",
-    "mix_policies",
-    "neighbors_one",
-    "pareto_lp",
     "policies_on_face",
-    "pprune",
-    "return_scale",
     "search",
-    "select_pareto_faces",
-    "solve_scalarized",
-    "subfaces_at",
-    "validate_mdp",
     "verify_front",
 ]

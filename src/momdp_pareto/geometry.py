@@ -1,8 +1,9 @@
-"""Objective-space geometry: dominance, pruning, convex hulls and the face LP."""
+"""Objective-space geometry: dominance, pruning, convex hulls and the face tests."""
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,8 +61,13 @@ class LocalHull:
 
 @dataclass(frozen=True)
 class LpCertificate:
-    """Optimal solution of the positivity LP over a set of facet normals."""
+    """Optimal solution of the positivity LP over a set of facet normals.
 
+    `normals` are the LP's input rows, `alpha` the optimal convex weights over
+    them and `t_star` the smallest coordinate of `alpha @ normals`.
+    """
+
+    normals: np.ndarray
     alpha: np.ndarray
     t_star: float
 
@@ -116,6 +122,24 @@ def pprune(points: np.ndarray, eps: float = 0.0) -> list[int]:
         alive[cand] = False
         kept.append(cand)
     return sorted(kept)
+
+
+def group_coincident(points: np.ndarray, eps: float) -> list[list[int]]:
+    """Group rows lying within eps (max-norm) of an earlier group's first row.
+
+    Each row joins the first group whose first row is within eps of it, or
+    opens a new group. Groups come in order of their first rows, and each
+    group lists its rows ascending; the first row represents the group.
+    """
+    groups: list[list[int]] = []
+    for i, p in enumerate(points):
+        for g in groups:
+            if np.abs(p - points[g[0]]).max() <= eps:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
 
 
 def affine_dimension(points: np.ndarray, tol: float = 1e-9) -> int:
@@ -299,7 +323,7 @@ def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
     W = _normal_matrix(normals)
     n, d = W.shape
     if n == 1:
-        return LpCertificate(alpha=np.ones(1), t_star=float(W[0].min()))
+        return LpCertificate(normals=W, alpha=np.ones(1), t_star=float(W[0].min()))
     # Variables x = (alpha_1..alpha_n, t); maximize t.
     cost = np.zeros(n + 1)
     cost[-1] = -1.0
@@ -321,7 +345,7 @@ def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
     alpha = np.maximum(res.x[:n], 0.0)
     alpha = alpha / alpha.sum()
     t_star = float((alpha @ W).min())
-    return LpCertificate(alpha=alpha, t_star=t_star)
+    return LpCertificate(normals=W, alpha=alpha, t_star=t_star)
 
 
 def passes_sign_screen(normals: np.ndarray, eps_pos: float) -> bool:
@@ -341,3 +365,83 @@ def is_pareto_face(normals: Sequence[np.ndarray], eps_pos: float = 1e-9) -> bool
     """
     W = _normal_matrix(normals)
     return passes_sign_screen(W, eps_pos) and pareto_lp(W).t_star > eps_pos
+
+
+def _support_lp(points: np.ndarray, vids: tuple[int, ...]) -> tuple[np.ndarray | None, float]:
+    """Best positive-leaning normal supporting the subset `vids` of `points`.
+
+    Maximizes the smallest coordinate of a normal w (normalized to sum 1) that
+    is constant on the subset and puts every other point weakly below it.
+    Returns (unit normal, min coordinate), or (None, -inf) when no supporting
+    normal exists.
+    """
+    n, d = points.shape
+    apex = points[vids[0]]
+    rows_eq = [np.append(points[k] - apex, 0.0) for k in vids[1:]]
+    rows_eq.append(np.append(np.ones(d), 0.0))
+    b_eq = np.zeros(len(rows_eq))
+    b_eq[-1] = 1.0
+    rows_ub = [np.append(points[m] - apex, 0.0) for m in range(n) if m not in vids]
+    for j in range(d):
+        row = np.zeros(d + 1)
+        row[j] = -1.0
+        row[-1] = 1.0
+        rows_ub.append(row)
+    cost = np.zeros(d + 1)
+    cost[-1] = -1.0
+    res = linprog(
+        cost,
+        A_ub=np.array(rows_ub),
+        b_ub=np.zeros(len(rows_ub)),
+        A_eq=np.array(rows_eq),
+        b_eq=b_eq,
+        bounds=[(None, None)] * (d + 1),
+        method="highs",
+    )
+    if not res.success:
+        return None, float("-inf")
+    w = res.x[:d]
+    norm = float(np.linalg.norm(w))
+    if norm <= 0.0:
+        return None, float("-inf")
+    w = w / norm
+    return w, float(w.min())
+
+
+def support_faces(
+    points: np.ndarray, apex: int, eps_pos: float
+) -> list[tuple[FaceDescriptor, LpCertificate]]:
+    """Pareto faces through the apex of a point set too flat for a hull.
+
+    Tests subsets containing the apex directly, descending from the full set
+    down to segments: a subset passes when some unit normal with every
+    coordinate above eps_pos is constant on it and puts every other point
+    weakly below it. A passing subset is not split further.
+
+    Returns:
+        One (face, certificate) pair per passing subset, in discovery order.
+        The face has no defining facets; the certificate holds the one
+        supporting normal with weight 1.
+    """
+    n = points.shape[0]
+    rest = tuple(m for m in range(n) if m != apex)
+    queue: deque[tuple[int, ...]] = deque([(apex, *rest)])
+    tested: set[tuple[int, ...]] = set()
+    out: list[tuple[FaceDescriptor, LpCertificate]] = []
+    while queue:
+        vids = queue.popleft()
+        if vids in tested:
+            continue
+        tested.add(vids)
+        dim = affine_dimension(points[list(vids)])
+        if dim >= 1:
+            w, t = _support_lp(points, vids)
+            if w is not None and t > eps_pos:
+                face = FaceDescriptor(tuple(sorted(vids)), defining_facets=(), dim=dim)
+                cert = LpCertificate(normals=w[None, :], alpha=np.ones(1), t_star=t)
+                out.append((face, cert))
+                continue
+        if len(vids) > 2:
+            for drop in vids[1:]:
+                queue.append(tuple(x for x in vids if x != drop))
+    return out

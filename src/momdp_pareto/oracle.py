@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -13,14 +12,20 @@ import numpy as np
 
 from .geometry import (
     DegenerateHullError,
+    FaceDescriptor,
+    LpCertificate,
     affine_dimension,
     convex_hull,
     deterministic_jitter,
+    group_coincident,
     pprune,
+    support_faces,
 )
 from .mdp import (
     InvalidMdpError,
     Mdp,
+    deterministic_returns,
+    enumerate_deterministic,
     gen_random_mdp,
     long_term_return,
     mix_policies,
@@ -32,7 +37,6 @@ from .search import (
     SearchConfig,
     SearchStats,
     VertexRecord,
-    _support_lp,
     consolidate_faces,
     return_scale,
     search,
@@ -47,50 +51,6 @@ class EnumerationCapError(RuntimeError):
         super().__init__(f"enumeration needs {count} policies, above the cap of {cap}")
         self.count = count
         self.cap = cap
-
-
-def _all_policies(num_states: int, num_actions: int) -> np.ndarray:
-    """All deterministic policies as an (A**S, S) array, lexicographic."""
-    n = num_actions**num_states
-    idx = np.arange(n)
-    cols = [
-        (idx // num_actions ** (num_states - 1 - s)) % num_actions
-        for s in range(num_states)
-    ]
-    return np.stack(cols, axis=1).astype(np.int64)
-
-
-def _block_returns(mdp: Mdp, block: np.ndarray) -> np.ndarray:
-    """Long-term returns of a block of deterministic policies, batched."""
-    S = mdp.num_states
-    idx = np.arange(S)
-    p_pi = mdp.P[idx[None, :], block]
-    r_pi = mdp.r[idx[None, :], block]
-    lhs = np.eye(S)[None, :, :] - mdp.gamma * p_pi
-    values = np.linalg.solve(lhs, r_pi)
-    return np.einsum("s,nsd->nd", mdp.mu, values)
-
-
-def _enumerate_returns(
-    mdp: Mdp, thread_count: int = 1, chunk: int = 4096
-) -> tuple[np.ndarray, np.ndarray]:
-    """Policies and returns for the full deterministic policy space."""
-    pols = _all_policies(mdp.num_states, mdp.num_actions)
-    n = pols.shape[0]
-    out = np.empty((n, mdp.num_objectives))
-    spans = [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
-
-    def run(span: tuple[int, int]) -> None:
-        a, b = span
-        out[a:b] = _block_returns(mdp, pols[a:b])
-
-    if thread_count > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=thread_count) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
-    return pols, out
 
 
 def _pprune_chunked(points: np.ndarray, chunk: int = 20000) -> list[int]:
@@ -109,36 +69,18 @@ def _pprune_chunked(points: np.ndarray, chunk: int = 20000) -> list[int]:
     return sorted(int(surv[i]) for i in pprune(points[surv]))
 
 
-def _oracle_degenerate_faces(pts: np.ndarray, eps_pos: float):
-    """Direct LP face tests for hull-degenerate non-dominated sets."""
+def _oracle_degenerate_faces(
+    pts: np.ndarray, eps_pos: float
+) -> list[tuple[FaceDescriptor, LpCertificate]]:
+    """Direct LP face tests for hull-degenerate non-dominated sets, from
+    every point in turn."""
     n = pts.shape[0]
     if n > 16:
         raise RuntimeError(
             f"degenerate-face fallback would enumerate subsets of {n} points; "
             "the non-dominated set is too large for direct testing"
         )
-    found: dict[tuple[int, ...], tuple[tuple[int, ...], np.ndarray, float, int]] = {}
-    for apex in range(n):
-        rest = [m for m in range(n) if m != apex]
-        queue: deque[tuple[int, ...]] = deque([(apex, *rest)])
-        tested: set[tuple[int, ...]] = set()
-        while queue:
-            vids = queue.popleft()
-            if vids in tested:
-                continue
-            tested.add(vids)
-            dim = affine_dimension(pts[list(vids)])
-            if dim >= 1:
-                w, t = _support_lp(pts, vids)
-                if w is not None and t > eps_pos:
-                    key = tuple(sorted(vids))
-                    if key not in found:
-                        found[key] = (key, w[None, :], t, dim)
-                    continue
-            if len(vids) > 2:
-                for drop in vids[1:]:
-                    queue.append(tuple(x for x in vids if x != drop))
-    return list(found.values())
+    return [pair for apex in range(n) for pair in support_faces(pts, apex, eps_pos)]
 
 
 def brute_force_front(
@@ -178,38 +120,30 @@ def brute_force_front(
     stats = SearchStats(policies_evaluated=count)
     scale = return_scale(mdp)
 
-    pols, raw = _enumerate_returns(mdp, thread_count=thread_count)
+    pols = enumerate_deterministic(mdp.num_states, mdp.num_actions)
+    raw = deterministic_returns(mdp, pols, thread_count)
     scaled = raw * scale
     nd = _pprune_chunked(scaled)
 
     # Collapse returns that coincide within eps_equal; the lexicographically
     # first policy of each group represents it, the rest become co-policies.
-    reps: list[int] = []
-    co: list[list[int]] = []
-    for i in nd:
-        for k, r in enumerate(reps):
-            if np.abs(scaled[i] - scaled[r]).max() <= eps_equal:
-                co[k].append(i)
-                break
-        else:
-            reps.append(i)
-            co.append([])
-
-    pts = scaled[reps]
+    groups = [[nd[i] for i in g] for g in group_coincident(scaled[nd], eps_equal)]
+    pts = scaled[[g[0] for g in groups]]
+    n = len(groups)
     dim = mdp.num_objectives
-    faces_local: list[tuple[tuple[int, ...], np.ndarray, np.ndarray, float, int]] = []
+    passing: list[tuple[FaceDescriptor, LpCertificate]] = []
 
-    if len(reps) > 1:
+    if n > 1:
         hull_pts = pts
         adim = affine_dimension(pts)
-        if adim < dim or len(reps) < dim + 1:
+        if adim < dim or n < dim + 1:
             stats.warnings.append(
-                f"non-dominated returns span dimension {adim} with {len(reps)} points; "
+                f"non-dominated returns span dimension {adim} with {n} points; "
                 "jitter applied before hull construction"
             )
             hull_pts = deterministic_jitter(pts)
         hull = None
-        if len(reps) >= dim + 1:
+        if n >= dim + 1:
             try:
                 hull = convex_hull(hull_pts, eps_geom=eps_geom)
             except DegenerateHullError:
@@ -218,52 +152,36 @@ def brute_force_front(
                     "testing faces directly instead"
                 )
         if hull is not None:
-            seen: set[tuple[int, ...]] = set()
             for apex in hull.vertex_ids:
-                passing, _ = select_pareto_faces(apex, hull, eps_pos)
-                for fd, cert in passing:
-                    if fd.vertex_ids in seen:
-                        continue
-                    seen.add(fd.vertex_ids)
-                    normals = np.array(
-                        [hull.facets[fi].normal for fi in fd.defining_facets]
-                    )
-                    faces_local.append(
-                        (fd.vertex_ids, normals, cert.alpha, cert.t_star, fd.dim)
-                    )
+                passing += select_pareto_faces(apex, hull, eps_pos)[0]
         else:
-            for key, normals, t, fdim in _oracle_degenerate_faces(pts, eps_pos):
-                faces_local.append((key, normals, np.ones(1), t, fdim))
+            passing = _oracle_degenerate_faces(pts, eps_pos)
+    # A face passes from each of its corners; keep its first record.
+    faces_local: dict[tuple[int, ...], FaceRecord] = {}
+    for pair in passing:
+        faces_local.setdefault(pair[0].vertex_ids, FaceRecord.from_lp(*pair))
 
     if faces_local:
-        used = sorted({lid for vids, *_ in faces_local for lid in vids})
+        used = sorted({lid for vids in faces_local for lid in vids})
     else:
         # No face passed (or a single point): the front is the single best
         # return under a uniform positive weighting, lowest index on ties.
         used = [int(np.argmax(pts.sum(axis=1)))]
 
     lid_to_gid = {lid: g for g, lid in enumerate(used)}
-    vertices = []
-    for lid in used:
-        src = reps[lid]
-        vertices.append(
-            VertexRecord(
-                id=lid_to_gid[lid],
-                policy=pols[src],
-                co_policies=[pols[j] for j in co[lid]],
-                ret=raw[src],
-            )
+    vertices = [
+        VertexRecord(
+            id=lid_to_gid[lid],
+            policy=pols[groups[lid][0]],
+            co_policies=[pols[j] for j in groups[lid][1:]],
+            ret=raw[groups[lid][0]],
         )
+        for lid in used
+    ]
     faces = consolidate_faces(
         [
-            FaceRecord(
-                vertex_ids=tuple(sorted(lid_to_gid[lid] for lid in vids)),
-                dim=fdim,
-                normals=normals,
-                alpha=alpha,
-                t_star=t_star,
-            )
-            for vids, normals, alpha, t_star, fdim in faces_local
+            dataclasses.replace(f, vertex_ids=tuple(lid_to_gid[lid] for lid in f.vertex_ids))
+            for f in faces_local.values()
         ],
         [pts[lid] for lid in used],
     )
@@ -411,8 +329,8 @@ def verify_front(
     if count > cap:
         raise EnumerationCapError(count, cap)
     scale = return_scale(mdp)
-    _, raw_all = _enumerate_returns(mdp, thread_count=thread_count)
-    cloud = raw_all * scale
+    pols = enumerate_deterministic(mdp.num_states, mdp.num_actions)
+    cloud = deterministic_returns(mdp, pols, thread_count) * scale
 
     def dominated(x: np.ndarray) -> bool:
         ge = (cloud >= x - tol).all(axis=1)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .geometry import (
     ApexNotVertexError,
@@ -22,15 +21,18 @@ from .geometry import (
     convex_hull,
     deterministic_jitter,
     dominance,
+    group_coincident,
     incident_facets,
     pareto_lp,
     passes_sign_screen,
     pprune,
     subfaces_at,
+    support_faces,
 )
 from .mdp import (
     InvalidMdpError,
     Mdp,
+    deterministic_returns,
     long_term_return,
     mix_policies,
     neighbors_one,
@@ -68,6 +70,17 @@ class FaceRecord:
     alpha: np.ndarray
     t_star: float
 
+    @classmethod
+    def from_lp(cls, face: FaceDescriptor, cert: LpCertificate) -> FaceRecord:
+        """The record of a face that passed its LP, in the face's own ids."""
+        return cls(
+            vertex_ids=face.vertex_ids,
+            dim=face.dim,
+            normals=cert.normals,
+            alpha=cert.alpha,
+            t_star=cert.t_star,
+        )
+
 
 @dataclass
 class SearchStats:
@@ -94,6 +107,9 @@ class SearchConfig:
 
     `initial_policy` overrides the scalarized planner start; it exists for
     testing pathological starts and is not exposed on the command line.
+    `thread_count` spreads policy evaluation over threads in blocks of 4096
+    policies; a vertex's S * (A - 1) neighbors rarely fill one block, so in
+    practice search evaluates on one thread. Results never depend on it.
     """
 
     seed: int = 0
@@ -111,16 +127,6 @@ def return_scale(mdp: Mdp) -> float:
 
 def _policy_key(policy: np.ndarray) -> tuple[int, ...]:
     return tuple(int(a) for a in policy)
-
-
-@dataclass(eq=False)
-class _Group:
-    """Coincident-return neighbors collapsed to one representative."""
-
-    policy: np.ndarray
-    raw: np.ndarray
-    scaled: np.ndarray
-    co: list[np.ndarray]
 
 
 @dataclass(eq=False)
@@ -145,16 +151,6 @@ class SearchContext:
 def make_context(mdp: Mdp, config: SearchConfig | None = None) -> SearchContext:
     config = config or SearchConfig()
     return SearchContext(mdp=mdp, config=config, scale=return_scale(mdp))
-
-
-def _evaluate_many(
-    mdp: Mdp, policies: Sequence[np.ndarray], thread_count: int
-) -> list[np.ndarray]:
-    """Long-term returns of several policies, in input order."""
-    if thread_count > 1 and len(policies) > 1:
-        with ThreadPoolExecutor(max_workers=thread_count) as pool:
-            return list(pool.map(lambda p: long_term_return(mdp, p), policies))
-    return [long_term_return(mdp, p) for p in policies]
 
 
 def _merge_co_policy(record: VertexRecord, policy: np.ndarray) -> None:
@@ -242,80 +238,9 @@ def select_pareto_faces(
     return passing, on_front
 
 
-def _support_lp(points: np.ndarray, vids: tuple[int, ...]) -> tuple[np.ndarray | None, float]:
-    """Best positive-leaning normal supporting the subset `vids` of `points`.
-
-    Maximizes the smallest coordinate of a normal w (normalized to sum 1) that
-    is constant on the subset and puts every other point weakly below it.
-    Returns (unit normal, min coordinate), or (None, -inf) when no supporting
-    normal exists.
-    """
-    n, d = points.shape
-    apex = points[vids[0]]
-    rows_eq = [np.append(points[k] - apex, 0.0) for k in vids[1:]]
-    rows_eq.append(np.append(np.ones(d), 0.0))
-    b_eq = np.zeros(len(rows_eq))
-    b_eq[-1] = 1.0
-    rows_ub = [np.append(points[m] - apex, 0.0) for m in range(n) if m not in vids]
-    for j in range(d):
-        row = np.zeros(d + 1)
-        row[j] = -1.0
-        row[-1] = 1.0
-        rows_ub.append(row)
-    cost = np.zeros(d + 1)
-    cost[-1] = -1.0
-    res = linprog(
-        cost,
-        A_ub=np.array(rows_ub),
-        b_ub=np.zeros(len(rows_ub)),
-        A_eq=np.array(rows_eq),
-        b_eq=b_eq,
-        bounds=[(None, None)] * (d + 1),
-        method="highs",
-    )
-    if not res.success:
-        return None, float("-inf")
-    w = res.x[:d]
-    norm = float(np.linalg.norm(w))
-    if norm <= 0.0:
-        return None, float("-inf")
-    w = w / norm
-    return w, float(w.min())
-
-
-_LocalFace = tuple[tuple[int, ...], np.ndarray, np.ndarray, float, int]
-
-
-def _support_faces(ctx: SearchContext, pts: np.ndarray) -> list[_LocalFace]:
-    """Face selection fallback when too few points exist to build a hull.
-
-    Tests subsets containing the apex (index 0) directly with the supporting
-    normal LP, descending from the full set down to segments.
-    """
-    n = pts.shape[0]
-    queue: deque[tuple[int, ...]] = deque([tuple(range(n))])
-    tested: set[tuple[int, ...]] = set()
-    out: list[_LocalFace] = []
-    while queue:
-        vids = queue.popleft()
-        if vids in tested:
-            continue
-        tested.add(vids)
-        dim = affine_dimension(pts[list(vids)])
-        if dim >= 1:
-            w, t = _support_lp(pts, vids)
-            if w is not None and t > ctx.config.eps_pos:
-                out.append((vids, w[None, :], np.ones(1), t, dim))
-                continue
-        if len(vids) > 2:
-            for drop in vids[1:]:
-                queue.append(tuple(x for x in vids if x != drop))
-    return out
-
-
 def _local_pareto_faces(
     ctx: SearchContext, vertex: VertexRecord, pts: np.ndarray
-) -> list[_LocalFace]:
+) -> list[tuple[FaceDescriptor, LpCertificate]]:
     """Pareto faces of the local point cloud (apex first) around one vertex."""
     n, D = pts.shape
     if n == 1:
@@ -325,7 +250,7 @@ def _local_pareto_faces(
             f"vertex {vertex.id}: only {n} local points in {D} objectives; "
             "testing faces directly instead of building a hull"
         )
-        return _support_faces(ctx, pts)
+        return support_faces(pts, 0, ctx.config.eps_pos)
     adim = affine_dimension(pts)
     hull_pts = pts
     if adim < D:
@@ -341,7 +266,7 @@ def _local_pareto_faces(
             f"vertex {vertex.id}: hull construction degenerate; "
             "testing faces directly instead"
         )
-        return _support_faces(ctx, pts)
+        return support_faces(pts, 0, ctx.config.eps_pos)
     try:
         passing, _ = select_pareto_faces(0, hull, ctx.config.eps_pos)
     except ApexNotVertexError as exc:
@@ -350,11 +275,7 @@ def _local_pareto_faces(
             "inside the hull of its one-change neighbors, so it is not a vertex "
             "of the achievable-return polytope"
         ) from exc
-    out: list[_LocalFace] = []
-    for fd, cert in passing:
-        normals = np.array([hull.facets[fi].normal for fi in fd.defining_facets])
-        out.append((fd.vertex_ids, normals, cert.alpha, cert.t_star, fd.dim))
-    return out
+    return passing
 
 
 def explore_vertex(
@@ -372,7 +293,7 @@ def explore_vertex(
     cfg = ctx.config
     nbrs = neighbors_one(vertex.policy, ctx.mdp.num_actions)
     fresh = [p for p in nbrs if _policy_key(p) not in ctx.z]
-    for p, j in zip(fresh, _evaluate_many(ctx.mdp, fresh, cfg.thread_count)):
+    for p, j in zip(fresh, deterministic_returns(ctx.mdp, fresh, cfg.thread_count)):
         ctx.z[_policy_key(p)] = j
     ctx.stats.policies_evaluated += len(fresh)
 
@@ -395,50 +316,43 @@ def explore_vertex(
     if not kept:
         return [], []
 
-    nd = pprune(np.array([x for _, x in kept]))
-    groups: list[_Group] = []
-    for i in nd:
-        pol, x = kept[i]
-        for g in groups:
-            if np.abs(g.scaled - x).max() <= cfg.eps_equal:
-                g.co.append(pol)
-                break
-        else:
-            groups.append(_Group(policy=pol, raw=ctx.z[_policy_key(pol)], scaled=x, co=[]))
-
-    pts = np.vstack([apex_scaled] + [g.scaled for g in groups])
-    local_faces = _local_pareto_faces(ctx, vertex, pts)
+    cand = np.array([x for _, x in kept])
+    nd = pprune(cand)
+    # Local point 0 is the apex; point k >= 1 is the first of groups[k - 1],
+    # the indices into `kept` of neighbors with coincident returns.
+    groups = [[nd[i] for i in g] for g in group_coincident(cand[nd], cfg.eps_equal)]
+    pts = np.vstack([apex_scaled, cand[[g[0] for g in groups]]])
+    local_faces = [FaceRecord.from_lp(*pair) for pair in _local_pareto_faces(ctx, vertex, pts)]
 
     new_faces: list[FaceRecord] = []
     new_vertices: list[VertexRecord] = []
     lid_to_gid = {0: vertex.id}
-    for vids, normals, alpha, t_star, dim in local_faces:
+    for local in local_faces:
         gids = []
-        for lid in vids:
+        for lid in local.vertex_ids:
             if lid not in lid_to_gid:
-                g = groups[lid - 1]
-                gid = _find_vertex(ctx, g.scaled)
+                members = [kept[i][0] for i in groups[lid - 1]]
+                gid = _find_vertex(ctx, pts[lid])
                 if gid is None:
-                    gid = _add_vertex(ctx, g.policy, g.raw, list(g.co))
+                    raw = ctx.z[_policy_key(members[0])]
+                    gid = _add_vertex(ctx, members[0], raw, members[1:])
                     new_vertices.append(ctx.vertices[gid])
                 else:
-                    rec = ctx.vertices[gid]
-                    _merge_co_policy(rec, g.policy)
-                    for p in g.co:
-                        _merge_co_policy(rec, p)
+                    for p in members:
+                        _merge_co_policy(ctx.vertices[gid], p)
                 lid_to_gid[lid] = gid
             gids.append(lid_to_gid[lid])
         key = tuple(sorted(set(gids)))
         if len(key) < len(gids):
             ctx.warn(
-                f"vertex {vertex.id}: face {vids} collapsed onto coincident "
+                f"vertex {vertex.id}: face {local.vertex_ids} collapsed onto coincident "
                 "global vertices; skipped"
             )
             continue
         if key in ctx.face_keys:
             continue
         ctx.face_keys.add(key)
-        rec = FaceRecord(vertex_ids=key, dim=dim, normals=normals, alpha=alpha, t_star=t_star)
+        rec = dataclasses.replace(local, vertex_ids=key)
         ctx.faces.append(rec)
         new_faces.append(rec)
     return new_faces, new_vertices
@@ -500,12 +414,8 @@ def consolidate_faces(
             merged[root] = f
         else:
             base = merged[root]
-            merged[root] = FaceRecord(
-                vertex_ids=tuple(sorted(set(base.vertex_ids) | set(f.vertex_ids))),
-                dim=base.dim,
-                normals=base.normals,
-                alpha=base.alpha,
-                t_star=base.t_star,
+            merged[root] = dataclasses.replace(
+                base, vertex_ids=tuple(sorted(set(base.vertex_ids) | set(f.vertex_ids)))
             )
     ordered = [merged[root] for root in sorted(merged)]
 

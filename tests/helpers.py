@@ -12,9 +12,9 @@ from collections import deque
 
 import numpy as np
 
-from momdp_pareto import (
+from momdp_pareto import Mdp
+from momdp_pareto.geometry import (
     FaceDescriptor,
-    Mdp,
     affine_dimension,
     incident_facets,
     pareto_lp,
@@ -193,6 +193,13 @@ def make_bandit(rewards, gamma: float = 0.0) -> Mdp:
         gamma=gamma,
         mu=np.array([1.0]),
     )
+
+
+def duplicate_action(mdp: Mdp, src: int = 1, dst: int = 2) -> Mdp:
+    """The MDP with action `dst` made an exact copy of action `src`."""
+    P, r = mdp.P.copy(), mdp.r.copy()
+    P[:, dst], r[:, dst] = P[:, src], r[:, src]
+    return Mdp(P=P, r=r, gamma=mdp.gamma, mu=mdp.mu)
 
 
 def ridge_points() -> np.ndarray:

@@ -15,18 +15,21 @@ import pytest
 from momdp_pareto import (
     Mdp,
     ParetoFront,
-    bench_suite,
-    convex_hull,
     gen_random_mdp,
-    hamming_distance,
-    incident_facets,
     long_term_return,
-    mix_policies,
     search,
-    select_pareto_faces,
     verify_front,
     SearchConfig,
 )
+from momdp_pareto.geometry import convex_hull, incident_facets
+from momdp_pareto.mdp import (
+    enumerate_deterministic,
+    hamming_distance,
+    mix_policies,
+    neighbors_one,
+)
+from momdp_pareto.oracle import bench_suite
+from momdp_pareto.search import select_pareto_faces
 from momdp_pareto.cli import main
 from momdp_pareto.serialize import front_from_dict, mdp_from_dict
 
@@ -192,8 +195,6 @@ def _hull_neighbor_keys(points, keys, apex_idx, min_shared=2):
 
 
 def test_c05_local_hull_neighbors_equal_global_hull_neighbors():
-    from momdp_pareto import enumerate_deterministic, neighbors_one
-
     vertices_checked = 0
     for seed in range(200, 220):
         mdp = gen_random_mdp(seed, 3, 3, 3)

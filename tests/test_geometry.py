@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from momdp_pareto import (
+from momdp_pareto import gen_random_mdp, long_term_return
+from momdp_pareto.geometry import (
     ApexNotVertexError,
     DegenerateHullError,
     Dominance,
@@ -10,16 +11,16 @@ from momdp_pareto import (
     convex_hull,
     deterministic_jitter,
     dominance,
-    gen_random_mdp,
+    group_coincident,
     incident_facets,
     is_pareto_face,
-    long_term_return,
-    enumerate_deterministic,
     pareto_lp,
+    passes_sign_screen,
     pprune,
     subfaces_at,
+    support_faces,
 )
-from momdp_pareto.geometry import passes_sign_screen
+from momdp_pareto.mdp import enumerate_deterministic
 
 from helpers import (
     barycentric_grid,
@@ -97,6 +98,61 @@ class TestAffineDimension:
             [[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]]
         )
         assert affine_dimension(pts) == 3
+
+
+class TestGroupCoincident:
+    def test_first_row_represents_its_group(self):
+        # Row 2 is exactly eps from row 0 and joins it; row 5 is within eps
+        # of row 2 but not of row 0, so it opens a group of its own.
+        pts = np.array(
+            [[0.0, 0.0], [1.0, 1.0], [0.5, 0.0], [1.0, 2.0], [0.0, 0.0], [0.75, 0.0]]
+        )
+        assert group_coincident(pts, 0.5) == [[0, 2, 4], [1], [3], [5]]
+
+    def test_zero_eps_groups_exact_duplicates(self):
+        pts = np.array([[1.0, 2.0], [1.0, 2.0 + 1e-12], [1.0, 2.0]])
+        assert group_coincident(pts, 0.0) == [[0, 2], [1]]
+
+
+def planar_cloud():
+    """Five points in the plane z = 0.5: the 2-d front (1,0)-(0.6,0.6)-(0,1),
+    a dominated point, and a point inside the hull that no single point
+    dominates."""
+    return np.array(
+        [[1.0, 0, 0.5], [0.0, 1, 0.5], [0.6, 0.6, 0.5], [0.2, 0.2, 0.5], [0.8, 0.1, 0.5]]
+    )
+
+
+class TestSupportFaces:
+    def test_normals_positive_and_supporting(self):
+        pts = planar_cloud()
+        for apex in range(len(pts)):
+            for face, cert in support_faces(pts, apex, 1e-9):
+                assert apex in face.vertex_ids
+                assert face.defining_facets == ()
+                assert cert.normals.shape == (1, 3)
+                assert cert.alpha.tolist() == [1.0]
+                w = cert.normals[0]
+                assert (w > 0).all()
+                assert cert.t_star == w.min()
+                values = pts @ w
+                on_face = values[list(face.vertex_ids)]
+                assert on_face.max() - on_face.min() <= 1e-9
+                assert values.max() <= on_face.min() + 1e-9
+
+    def test_faces_per_apex(self):
+        pts = planar_cloud()
+        got = {
+            apex: [(f.vertex_ids, f.dim) for f, _ in support_faces(pts, apex, 1e-9)]
+            for apex in range(len(pts))
+        }
+        assert got == {
+            0: [((0, 2), 1)],
+            1: [((1, 2), 1)],
+            2: [((1, 2), 1), ((0, 2), 1)],
+            3: [],
+            4: [],
+        }
 
 
 class TestJitter:

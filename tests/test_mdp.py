@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from momdp_pareto import (
-    GridAction,
     InvalidMdpError,
     Mdp,
-    enumerate_deterministic,
-    evaluate_policy,
     gen_gridworld,
     gen_random_mdp,
+    long_term_return,
+)
+from momdp_pareto.mdp import (
+    GridAction,
+    deterministic_returns,
+    enumerate_deterministic,
+    evaluate_policy,
     hamming_distance,
     induced_reward,
     induced_transition,
-    long_term_return,
     mix_policies,
     neighbors_one,
     solve_scalarized,
@@ -22,6 +25,7 @@ from momdp_pareto import (
 )
 
 from helpers import (
+    duplicate_action,
     iterative_eval,
     make_bandit,
     mc_return,
@@ -309,6 +313,48 @@ class TestEnumerate:
         got = [tuple(p.tolist()) for p in enumerate_deterministic(3, 2)]
         want = list(itertools.product(range(2), repeat=3))
         assert got == want
+
+    def test_array_shape(self):
+        pols = enumerate_deterministic(4, 3)
+        assert pols.shape == (3**4, 4)
+        assert pols.dtype == np.int64
+
+    def test_rejects_empty_spaces(self):
+        with pytest.raises(ValueError):
+            enumerate_deterministic(0, 2)
+
+
+class TestDeterministicReturns:
+    # dense, duplicated-action, gamma=0 and gridworld; the first has
+    # 4**7 = 16384 policies, so four evaluation blocks.
+    CASES = {
+        "dense": lambda: gen_random_mdp(3, 7, 4, 3),
+        "dupact": lambda: duplicate_action(gen_random_mdp(0, 6, 3, 3)),
+        "gamma0": lambda: gen_random_mdp(1, 5, 3, 4, gamma=0.0),
+        "grid": lambda: gen_gridworld(2, 2, 3, 3),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_bit_identical_to_long_term_return(self, kind):
+        m = self.CASES[kind]()
+        pols = enumerate_deterministic(m.num_states, m.num_actions)
+        got = deterministic_returns(m, pols)
+        assert got.shape == (len(pols), m.num_objectives)
+        for row, pol in zip(got, pols):
+            assert row.tobytes() == long_term_return(m, pol).tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_thread_count_does_not_change_results(self, kind):
+        m = self.CASES[kind]()
+        pols = enumerate_deterministic(m.num_states, m.num_actions)
+        one = deterministic_returns(m, pols, thread_count=1)
+        three = deterministic_returns(m, pols, thread_count=3)
+        assert one.tobytes() == three.tobytes()
+
+    def test_list_of_policies(self, mdp433):
+        pols = neighbors_one(np.zeros(4, dtype=np.int64), 3)
+        got = deterministic_returns(mdp433, pols)
+        assert got.tobytes() == np.array([long_term_return(mdp433, p) for p in pols]).tobytes()
 
 
 def test_grid_action_members():

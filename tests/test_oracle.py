@@ -7,7 +7,6 @@ from momdp_pareto import (
     EnumerationCapError,
     ParetoFront,
     SearchConfig,
-    bench_suite,
     brute_force_front,
     compare_fronts,
     gen_gridworld,
@@ -15,9 +14,10 @@ from momdp_pareto import (
     search,
     verify_front,
 )
-from momdp_pareto.oracle import _all_policies, _face_weights
+from momdp_pareto.mdp import enumerate_deterministic
+from momdp_pareto.oracle import _face_weights, bench_suite
 
-from helpers import make_bandit, product_grid_weights
+from helpers import duplicate_action, make_bandit, product_grid_weights
 
 
 class TestBruteForce:
@@ -62,8 +62,26 @@ class TestBruteForce:
         assert [f.vertex_ids for f in a.faces] == [f.vertex_ids for f in b.faces]
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_random_mdp(0, 4, 3, 3),
+        lambda: gen_gridworld(1, 2, 2, 3),
+        lambda: duplicate_action(gen_random_mdp(1, 4, 3, 3)),
+    ],
+    ids=["mdp433", "grid2x2", "dupact"],
+)
+def test_search_and_oracle_returns_agree_exactly(build):
+    # Both evaluate deterministic policies through the same code, so matched
+    # vertices carry bit-identical returns.
+    m = build()
+    rep = compare_fronts(search(m, SearchConfig(seed=0)), brute_force_front(m))
+    assert rep.vertex_match
+    assert rep.max_vertex_distance == 0.0
+
+
 def test_all_policies_lexicographic():
-    pols = _all_policies(3, 2)
+    pols = enumerate_deterministic(3, 2)
     assert pols.shape == (8, 3)
     assert [tuple(p) for p in pols[:3]] == [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
 

@@ -10,22 +10,21 @@ from momdp_pareto import (
     SearchConfig,
     brute_force_front,
     compare_fronts,
-    consolidate_faces,
-    convex_hull,
-    dominance,
-    Dominance,
-    enumerate_deterministic,
     gen_random_mdp,
     long_term_return,
-    make_context,
-    neighbors_one,
     policies_on_face,
-    pprune,
-    return_scale,
     search,
+)
+from momdp_pareto.geometry import convex_hull, dominance, Dominance, pprune
+from momdp_pareto.mdp import enumerate_deterministic, neighbors_one
+from momdp_pareto.search import (
+    _add_vertex,
+    consolidate_faces,
+    explore_vertex,
+    make_context,
+    return_scale,
     select_pareto_faces,
 )
-from momdp_pareto.search import _add_vertex
 
 from helpers import faces_by_lp_everywhere, make_bandit
 
@@ -149,8 +148,6 @@ class TestAborts:
 
 class TestVisitedCache:
     def test_reexploration_evaluates_nothing_new(self, bandit3):
-        from momdp_pareto import explore_vertex
-
         ctx = make_context(bandit3, SearchConfig(seed=0))
         pol = np.array([0], dtype=np.int64)
         ctx.z[tuple(pol.tolist())] = long_term_return(bandit3, pol)
