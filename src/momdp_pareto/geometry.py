@@ -93,35 +93,44 @@ def dominance(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> Dominance:
     return Dominance.INCOMPARABLE
 
 
-def pprune(points: np.ndarray, eps: float = 0.0) -> list[int]:
+# Rows per pprune block. On 15 625 and 65 536 returns, 256 to 1024 ran about
+# equally fast, while 64, 128 and 2048 were slower.
+_PPRUNE_BLOCK = 256
+
+
+def pprune(points: np.ndarray) -> list[int]:
     """Return the indices of the non-dominated points, ascending.
 
-    Sweep procedure: pick the first live point as candidate, upgrade the
-    candidate whenever a live point dominates it, then retire the candidate
-    together with everything it dominates and repeat. Points that are equal
-    to a kept point are not dominated by it, so duplicates all survive.
+    Sort-and-block sweep (Kung, Luccio and Preparata's maxima sweep): rows are
+    visited in descending lexicographic order, so a dominator always comes
+    before every row it dominates. Each block of rows first loses the rows
+    dominated by the rows kept so far, then the rows dominated within the
+    block. Dominance is transitive, so every dominated row is dominated by a
+    kept row and the result is exactly the non-dominated set. Points that are
+    equal to a kept point are not dominated by it, so duplicates all survive.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError(f"need a nonempty 2-d point array, got shape {pts.shape}")
-    n = pts.shape[0]
-    alive = np.ones(n, dtype=bool)
-    kept: list[int] = []
-    while alive.any():
-        cand = int(np.flatnonzero(alive)[0])
-        while True:
-            ge = (pts >= pts[cand] - eps).all(axis=1)
-            gt = (pts > pts[cand] + eps).any(axis=1)
-            dominators = np.flatnonzero(alive & ge & gt)
-            if dominators.size == 0:
-                break
-            cand = int(dominators[0])
-        le = (pts <= pts[cand] + eps).all(axis=1)
-        lt = (pts < pts[cand] - eps).any(axis=1)
-        alive[le & lt] = False
-        alive[cand] = False
-        kept.append(cand)
-    return sorted(kept)
+    order = np.lexsort(-pts.T[::-1])
+    kept = order[:0]
+    for start in range(0, len(order), _PPRUNE_BLOCK):
+        block = order[start : start + _PPRUNE_BLOCK]
+        if kept.size:
+            block = block[~_dominated_by(pts[kept], pts[block])]
+        block = block[~_dominated_by(pts[block], pts[block])]
+        kept = np.concatenate([kept, block])
+    return np.sort(kept).tolist()
+
+
+def _dominated_by(cands: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """For each row of pts, whether some row of cands strictly dominates it."""
+    ge = np.ones((pts.shape[0], cands.shape[0]), dtype=bool)
+    gt = np.zeros_like(ge)
+    for c, p in zip(cands.T, pts.T):
+        ge &= c >= p[:, None]
+        gt |= c > p[:, None]
+    return (ge & gt).any(axis=1)
 
 
 def group_coincident(points: np.ndarray, eps: float) -> list[list[int]]:

@@ -53,22 +53,6 @@ class EnumerationCapError(RuntimeError):
         self.cap = cap
 
 
-def _pprune_chunked(points: np.ndarray, chunk: int = 20000) -> list[int]:
-    """pprune for large arrays: prune chunks, then prune the survivors.
-
-    Non-domination within the union implies non-domination within each chunk,
-    so the two-level pass keeps exactly the same indices as a direct call.
-    """
-    n = points.shape[0]
-    if n <= chunk:
-        return pprune(points)
-    survivors: list[int] = []
-    for a in range(0, n, chunk):
-        survivors.extend(a + i for i in pprune(points[a : a + chunk]))
-    surv = np.array(survivors)
-    return sorted(int(surv[i]) for i in pprune(points[surv]))
-
-
 def _oracle_degenerate_faces(
     pts: np.ndarray, eps_pos: float
 ) -> list[tuple[FaceDescriptor, LpCertificate]]:
@@ -123,7 +107,7 @@ def brute_force_front(
     pols = enumerate_deterministic(mdp.num_states, mdp.num_actions)
     raw = deterministic_returns(mdp, pols, thread_count)
     scaled = raw * scale
-    nd = _pprune_chunked(scaled)
+    nd = pprune(scaled)
 
     # Collapse returns that coincide within eps_equal; the lexicographically
     # first policy of each group represents it, the rest become co-policies.
@@ -220,22 +204,22 @@ def compare_fronts(a: ParetoFront, b: ParetoFront, tol: float = 1e-8) -> Compari
     """
     pa = np.array([v.ret for v in a.vertices]) * a.return_scale
     pb = np.array([v.ret for v in b.vertices]) * b.return_scale
-    pairs = []
-    for i in range(len(pa)):
-        for j in range(len(pb)):
-            d = float(np.abs(pa[i] - pb[j]).max())
-            if d <= tol:
-                pairs.append((d, i, j))
-    pairs.sort()
     a_to_b: dict[int, int] = {}
     taken_b: set[int] = set()
     max_dist = 0.0
-    for d, i, j in pairs:
-        if i in a_to_b or j in taken_b:
-            continue
-        a_to_b[i] = j
-        taken_b.add(j)
-        max_dist = max(max_dist, d)
+    if len(pa) and len(pb):
+        # Greedy matching over the pairs within tol, closest first; ties go
+        # to the lower index in a, then in b.
+        dist = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2)
+        ii, jj = np.nonzero(dist <= tol)
+        dd = dist[ii, jj]
+        for k in np.lexsort((jj, ii, dd)):
+            i, j = int(ii[k]), int(jj[k])
+            if i in a_to_b or j in taken_b:
+                continue
+            a_to_b[i] = j
+            taken_b.add(j)
+            max_dist = max(max_dist, float(dd[k]))
     vertex_match = len(a_to_b) == len(pa) == len(pb)
     unmatched_a = [list(a.vertices[i].ret) for i in range(len(pa)) if i not in a_to_b]
     unmatched_b = [list(b.vertices[j].ret) for j in range(len(pb)) if j not in taken_b]
@@ -322,6 +306,11 @@ def verify_front(
     land on the face's affine hull within tol (scaled) and (ii) not be
     strictly dominated, beyond tol, by any deterministic policy's return.
 
+    The dominance scans run over the non-dominated returns only. This is
+    exact: a return that dominates x beyond tol is itself dominated by, or
+    equal to, a non-dominated return, and that return is at least as large
+    everywhere, so it dominates x beyond tol too.
+
     Raises:
         EnumerationCapError: when A**S exceeds the cap.
     """
@@ -331,6 +320,7 @@ def verify_front(
     scale = return_scale(mdp)
     pols = enumerate_deterministic(mdp.num_states, mdp.num_actions)
     cloud = deterministic_returns(mdp, pols, thread_count) * scale
+    cloud = cloud[pprune(cloud)]
 
     def dominated(x: np.ndarray) -> bool:
         ge = (cloud >= x - tol).all(axis=1)

@@ -20,6 +20,7 @@ from momdp_pareto.geometry import (
     pareto_lp,
     subfaces_at,
 )
+from momdp_pareto.oracle import ComparisonReport
 
 
 def one_hot_policy(actions, num_actions: int) -> np.ndarray:
@@ -112,6 +113,69 @@ def quadratic_pprune(points: np.ndarray, eps: float = 0.0) -> list[int]:
         ):
             keep.append(i)
     return keep
+
+
+def all_pairs_pprune(points: np.ndarray, chunk: int = 256) -> list[int]:
+    """Non-dominated rows by testing every row against every row, `chunk`
+    rows at a time, one coordinate at a time."""
+    points = np.asarray(points, dtype=float)
+    keep: list[int] = []
+    for a in range(0, points.shape[0], chunk):
+        rows = points[a : a + chunk]
+        ge = np.ones((rows.shape[0], points.shape[0]), dtype=bool)
+        gt = np.zeros_like(ge)
+        for d in range(points.shape[1]):
+            ge &= points[:, d] >= rows[:, d, None]
+            gt |= points[:, d] > rows[:, d, None]
+        keep.extend(a + int(i) for i in np.flatnonzero(~(ge & gt).any(axis=1)))
+    return keep
+
+
+def loop_compare_fronts(a, b, tol: float = 1e-8) -> ComparisonReport:
+    """compare_fronts with its vertex distances from a double loop over every
+    pair and the pairs ordered by sorting (distance, i, j) tuples."""
+    pa = np.array([v.ret for v in a.vertices]) * a.return_scale
+    pb = np.array([v.ret for v in b.vertices]) * b.return_scale
+    pairs = []
+    for i in range(len(pa)):
+        for j in range(len(pb)):
+            d = float(np.abs(pa[i] - pb[j]).max())
+            if d <= tol:
+                pairs.append((d, i, j))
+    pairs.sort()
+    a_to_b: dict[int, int] = {}
+    taken_b: set[int] = set()
+    max_dist = 0.0
+    for d, i, j in pairs:
+        if i in a_to_b or j in taken_b:
+            continue
+        a_to_b[i] = j
+        taken_b.add(j)
+        max_dist = max(max_dist, d)
+    vertex_match = len(a_to_b) == len(pa) == len(pb)
+    unmatched_a = [list(a.vertices[i].ret) for i in range(len(pa)) if i not in a_to_b]
+    unmatched_b = [list(b.vertices[j].ret) for j in range(len(pb)) if j not in taken_b]
+
+    faces_b = {tuple(sorted(f.vertex_ids)) for f in b.faces}
+    mapped: dict[tuple[int, ...], tuple[int, ...]] = {}
+    a_only: list[tuple[int, ...]] = []
+    for f in a.faces:
+        own = tuple(sorted(f.vertex_ids))
+        if all(v in a_to_b for v in f.vertex_ids):
+            mapped[tuple(sorted(a_to_b[v] for v in f.vertex_ids))] = own
+        else:
+            a_only.append(own)
+    a_only.extend(mapped[key] for key in sorted(set(mapped) - faces_b))
+    b_only = sorted(faces_b - set(mapped))
+    return ComparisonReport(
+        vertex_match=vertex_match,
+        face_match=vertex_match and not a_only and not b_only,
+        unmatched_a=unmatched_a,
+        unmatched_b=unmatched_b,
+        face_diffs={"a_only": a_only, "b_only": b_only},
+        max_vertex_distance=max_dist,
+        tol=tol,
+    )
 
 
 def supporting_hyperplane_facets(

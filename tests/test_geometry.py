@@ -23,6 +23,7 @@ from momdp_pareto.geometry import (
 from momdp_pareto.mdp import enumerate_deterministic
 
 from helpers import (
+    all_pairs_pprune,
     barycentric_grid,
     convex_cloud,
     dominated_in_cloud,
@@ -83,6 +84,52 @@ class TestPPrune:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pprune(np.zeros((0, 2)))
+
+
+class TestPPruneSweep:
+    """The sort-and-block sweep against all-pairs references."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_tie_heavy_integer_grids(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in (1, 2, 40, 255, 256, 257, 600):
+            pts = rng.integers(0, 3, size=(n, dim)).astype(float)
+            assert pprune(pts) == quadratic_pprune(pts)
+
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_exact_duplicates_all_survive(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        base = rng.normal(size=(60, dim))
+        pts = base[rng.integers(0, 60, size=600)]
+        kept = pprune(pts)
+        assert kept == quadratic_pprune(pts)
+        for i in kept:
+            assert all(j in kept for j in np.flatnonzero((pts == pts[i]).all(axis=1)))
+
+    def test_one_objective_keeps_every_maximum(self):
+        pts = np.array([[1.0], [3.0], [2.0], [3.0], [-1.0]])
+        assert pprune(pts) == [1, 3]
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_several_blocks_of_mostly_non_dominated_rows(self, dim):
+        # Rows near a plane tilted against every objective: at D=3 and D=5
+        # about half or more are non-dominated, so the kept set grows in
+        # every block.
+        rng = np.random.default_rng(20 + dim)
+        pts = rng.normal(size=(600, dim))
+        pts[:, -1] = -pts[:, :-1].sum(axis=1) + 0.3 * pts[:, -1]
+        assert pprune(pts) == quadratic_pprune(pts)
+
+    def test_large_cloud_matches_all_pairs(self):
+        rng = np.random.default_rng(3)
+        blob = rng.normal(size=(16_000, 3))
+        shell = rng.normal(size=(4_000, 3))
+        shell *= 5.0 / np.linalg.norm(shell, axis=1, keepdims=True)
+        pts = np.vstack([blob, shell, shell[:500]])
+        assert pts.shape[0] >= 20_000
+        kept = pprune(pts)
+        assert kept == all_pairs_pprune(pts)
+        assert 100 < len(kept) < pts.shape[0] // 2
 
 
 class TestAffineDimension:

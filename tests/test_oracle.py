@@ -14,10 +14,18 @@ from momdp_pareto import (
     search,
     verify_front,
 )
-from momdp_pareto.mdp import enumerate_deterministic
+from momdp_pareto import oracle
+from momdp_pareto.mdp import deterministic_returns, enumerate_deterministic
 from momdp_pareto.oracle import _face_weights, bench_suite
+from momdp_pareto.search import FaceRecord, SearchStats, VertexRecord
 
-from helpers import duplicate_action, make_bandit, product_grid_weights
+from helpers import (
+    dominated_in_cloud,
+    duplicate_action,
+    loop_compare_fronts,
+    make_bandit,
+    product_grid_weights,
+)
 
 
 class TestBruteForce:
@@ -135,6 +143,104 @@ class TestCompareFronts:
         )
         rep = compare_fronts(moved, front, tol=1e-8)
         assert not rep.vertex_match
+
+
+def front_of_returns(rets, faces=()) -> ParetoFront:
+    """A front over the given returns, with placeholder policies and
+    certificates, for tests that only read returns and face vertex ids."""
+    policy = np.zeros(1, dtype=np.int64)
+    vertices = [
+        VertexRecord(id=i, policy=policy, co_policies=[], ret=np.array(r, dtype=float))
+        for i, r in enumerate(rets)
+    ]
+    records = [
+        FaceRecord(
+            vertex_ids=tuple(f), dim=len(f) - 1, normals=np.eye(2), alpha=np.ones(2) / 2, t_star=0.5
+        )
+        for f in faces
+    ]
+    return ParetoFront(vertices=vertices, faces=records, stats=SearchStats(), return_scale=1.0)
+
+
+class TestCompareFrontsMatching:
+    """compare_fronts' vectorized matching against the double loop."""
+
+    def test_coincident_vertices_and_tied_distances(self):
+        a = front_of_returns(
+            [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 2.0], [5.0, 5.0]],
+            faces=[(0, 2), (1, 3), (2, 3)],
+        )
+        b = front_of_returns(
+            [[0.25, 0.0], [-0.25, 0.0], [0.0, 0.0], [1.0, 0.25], [2.0, 2.0], [0.0, 0.25]],
+            faces=[(0, 3), (2, 4), (3, 4)],
+        )
+        for tol in (0.0, 0.25, 0.3, 1.5, 10.0):
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert compare_fronts(x, y, tol) == loop_compare_fronts(x, y, tol)
+        rep = compare_fronts(a, b, 0.25)
+        assert rep.max_vertex_distance == 0.25
+        assert len(rep.unmatched_a) == 1 and len(rep.unmatched_b) == 2
+
+    def test_random_coarse_grids(self):
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            na, nb = rng.integers(1, 12, size=2)
+            a = front_of_returns(rng.integers(0, 3, size=(na, 3)) / 2.0, faces=[(0, na - 1)])
+            b = front_of_returns(rng.integers(0, 3, size=(nb, 3)) / 2.0, faces=[(0, nb - 1)])
+            for tol in (0.0, 0.5, 1.0):
+                assert compare_fronts(a, b, tol) == loop_compare_fronts(a, b, tol)
+
+    def test_search_against_oracle(self):
+        for m in (gen_random_mdp(2, 4, 3, 3), duplicate_action(gen_random_mdp(0, 4, 3, 3))):
+            s, o = search(m, SearchConfig(seed=0)), brute_force_front(m)
+            for tol in (1e-8, 0.05):
+                assert compare_fronts(s, o, tol) == loop_compare_fronts(s, o, tol)
+                assert compare_fronts(o, s, tol) == loop_compare_fronts(o, s, tol)
+
+
+def with_dominated_face(mdp, front: ParetoFront) -> ParetoFront:
+    """The front plus a dominated deterministic return as an extra vertex, on
+    an extra face with vertex 0; the face's samples at that vertex are
+    dominated."""
+    pols = enumerate_deterministic(mdp.num_states, mdp.num_actions)
+    rets = deterministic_returns(mdp, pols)
+    worst = int(np.argmin(rets.sum(axis=1)))
+    assert dominated_in_cloud(rets[worst] * front.return_scale, rets * front.return_scale, 1e-6)
+    vid = len(front.vertices)
+    extra = VertexRecord(id=vid, policy=pols[worst], co_policies=[], ret=rets[worst])
+    face = dataclasses.replace(front.faces[0], vertex_ids=(0, vid))
+    return dataclasses.replace(
+        front, vertices=front.vertices + [extra], faces=front.faces + [face]
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_random_mdp(3, 5, 4, 3),
+        lambda: duplicate_action(gen_random_mdp(0, 6, 3, 3)),
+        lambda: gen_gridworld(1, 2, 3, 3),
+    ],
+    ids=["dense", "dupact", "grid2x3"],
+)
+def test_verify_on_non_dominated_cloud_equals_full_scan(build, monkeypatch):
+    m = build()
+    front = search(m, SearchConfig(seed=0))
+    fronts = [front, with_dominated_face(m, front)]
+    pruned = [verify_front(m, f, samples_per_face=8) for f in fronts]
+    full_scans = []
+
+    def keep_every_row(points):
+        full_scans.append(len(points))
+        return list(range(len(points)))
+
+    monkeypatch.setattr(oracle, "pprune", keep_every_row)
+    full = [verify_front(m, f, samples_per_face=8) for f in fronts]
+    assert full_scans == [m.num_actions**m.num_states] * 2
+    assert pruned == full
+    assert pruned[0].passed
+    assert pruned[1].dominated_vertices == [len(front.vertices)]
+    assert pruned[1].face_checks[-1].n_dominated > 0
 
 
 class TestVerifyFront:
