@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 from scipy.spatial import ConvexHull, QhullError
 
 
@@ -51,12 +51,26 @@ class FaceDescriptor:
 
 @dataclass(frozen=True)
 class LocalHull:
-    """Convex hull of a point set with deduplicated facet hyperplanes."""
+    """Convex hull of a point set with deduplicated facet hyperplanes.
+
+    `dims` memoizes `dimension`: the face descent meets the same vertex set
+    along many paths, and each set needs its SVD once per hull.
+    """
 
     points: np.ndarray
     facets: tuple[Facet, ...]
     vertex_ids: tuple[int, ...]
     ambient_dim: int
+    dims: dict[tuple[int, ...], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def dimension(self, vids: tuple[int, ...]) -> int:
+        """Affine dimension of the points `vids` (a sorted id tuple)."""
+        dim = self.dims.get(vids)
+        if dim is None:
+            dim = self.dims[vids] = affine_dimension(self.points[list(vids)])
+        return dim
 
 
 @dataclass(frozen=True)
@@ -296,7 +310,7 @@ def subfaces_at(face: FaceDescriptor, hull: LocalHull, apex_id: int) -> list[Fac
         vids = tuple(sorted(inter))
         if vids in seen or vids == face.vertex_ids:
             continue
-        sub_dim = affine_dimension(hull.points[list(vids)])
+        sub_dim = hull.dimension(vids)
         if sub_dim != face.dim - 1:
             continue
         seen.add(vids)
@@ -317,6 +331,90 @@ def _normal_matrix(normals: Sequence[np.ndarray]) -> np.ndarray:
     return W
 
 
+# The options `scipy.optimize.linprog(method="highs")` sets for every LP; all
+# others keep HiGHS's defaults. Each solver copies them in `passOptions`.
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.highs_debug_level = 0
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.simplex_strategy = 1  # dual simplex
+_INF = _highs.kHighsInf
+# linprog's feasibility test of an optimal solution: sqrt(tol) * 10 at its
+# default tol of 1e-9.
+_LP_FEAS_TOL = np.sqrt(1e-9) * 10
+
+
+def _highs_lp(
+    cost: np.ndarray,
+    a_ub: np.ndarray,
+    a_eq: np.ndarray,
+    b_eq: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> tuple[np.ndarray | None, str | None]:
+    """Minimize cost @ x subject to a_ub @ x <= 0, a_eq @ x = b_eq and
+    lower <= x <= upper, exactly as `scipy.optimize.linprog(method="highs")`.
+
+    HiGHS gets linprog's model and options without linprog's per-call
+    parsing: the inequality rows, then the equality rows, in column-wise
+    sparse form with only the nonzeros, as `csc_array` stores them. Each LP
+    gets a fresh solver, because a reused one would start from the previous
+    basis. A solution counts only when HiGHS reports it optimal and it meets
+    the bounds, the inequalities and the equalities to within linprog's
+    tolerance.
+
+    Returns:
+        (x, None), or (None, why) where `why` gives HiGHS's model status and,
+        for an optimal solution that misses linprog's tolerance, that too.
+    """
+    m_ub = a_ub.shape[0]
+    a = np.vstack([a_ub, a_eq])
+    if not np.isfinite(a).all():
+        raise ValueError(f"LP matrix of shape {a.shape} has entries that are not finite")
+    m, n = a.shape
+    at = a.T
+    nz = at != 0
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(nz.sum(axis=1), out=start[1:])
+    lp = _highs.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = m
+    lp.col_cost_ = cost
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = np.concatenate([np.full(m_ub, -_INF), b_eq])
+    lp.row_upper_ = np.concatenate([np.zeros(m_ub), b_eq])
+    matrix = lp.a_matrix_
+    matrix.num_col_ = n
+    matrix.num_row_ = m
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.start_ = start
+    matrix.index_ = np.nonzero(nz)[1].astype(np.int32)
+    matrix.value_ = at[nz]
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    status = _highs.HighsModelStatus.kModelError
+    if highs.passModel(lp) != _highs.HighsStatus.kError:
+        highs.run()
+        status = highs.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        return None, f"HiGHS model status {highs.modelStatusToString(status)!r}"
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    row = np.array(solution.row_value)
+    tol = _LP_FEAS_TOL
+    # Written so that a NaN fails each test, as it fails linprog's.
+    if not (
+        (x >= lower - tol).all()
+        and (x <= upper + tol).all()
+        and (row[:m_ub] <= tol).all()
+        and (np.abs(b_eq - row[m_ub:]) <= tol).all()
+    ):
+        return None, f"HiGHS found an optimum off the constraints by more than {tol:.2e}"
+    return x, None
+
+
 def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
     """Maximize the smallest coordinate of a convex combination of normals.
 
@@ -328,6 +426,10 @@ def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
         Certificate with the optimal simplex weights and objective value; the
         weights are clipped to the simplex and t_star recomputed from them, so
         the certificate is always exactly feasible.
+
+    Raises:
+        RuntimeError: when HiGHS returns no acceptable optimum; the message
+            names the model status and the shape of the normals.
     """
     W = _normal_matrix(normals)
     n, d = W.shape
@@ -337,21 +439,14 @@ def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
     cost = np.zeros(n + 1)
     cost[-1] = -1.0
     a_ub = np.hstack([-W.T, np.ones((d, 1))])
-    b_ub = np.zeros(d)
     a_eq = np.ones((1, n + 1))
     a_eq[0, -1] = 0.0
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * n + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"positivity LP failed: {res.message}")
-    alpha = np.maximum(res.x[:n], 0.0)
+    lower = np.zeros(n + 1)
+    lower[-1] = -_INF
+    x, why = _highs_lp(cost, a_ub, a_eq, np.ones(1), lower, np.full(n + 1, _INF))
+    if x is None:
+        raise RuntimeError(f"positivity LP over normals of shape {W.shape} failed: {why}")
+    alpha = np.maximum(x[:n], 0.0)
     alpha = alpha / alpha.sum()
     t_star = float((alpha @ W).min())
     return LpCertificate(normals=W, alpha=alpha, t_star=t_star)
@@ -386,30 +481,27 @@ def _support_lp(points: np.ndarray, vids: tuple[int, ...]) -> tuple[np.ndarray |
     """
     n, d = points.shape
     apex = points[vids[0]]
-    rows_eq = [np.append(points[k] - apex, 0.0) for k in vids[1:]]
-    rows_eq.append(np.append(np.ones(d), 0.0))
-    b_eq = np.zeros(len(rows_eq))
-    b_eq[-1] = 1.0
-    rows_ub = [np.append(points[m] - apex, 0.0) for m in range(n) if m not in vids]
-    for j in range(d):
-        row = np.zeros(d + 1)
-        row[j] = -1.0
-        row[-1] = 1.0
-        rows_ub.append(row)
+    others = np.ones(n, dtype=bool)
+    others[list(vids)] = False
+    below = points[others] - apex
+    # Variables x = (w_1..w_d, t); maximize t. The first rows hold every other
+    # point weakly below the subset, the last d rows keep t <= w_j.
     cost = np.zeros(d + 1)
     cost[-1] = -1.0
-    res = linprog(
-        cost,
-        A_ub=np.array(rows_ub),
-        b_ub=np.zeros(len(rows_ub)),
-        A_eq=np.array(rows_eq),
-        b_eq=b_eq,
-        bounds=[(None, None)] * (d + 1),
-        method="highs",
-    )
-    if not res.success:
+    a_ub = np.zeros((len(below) + d, d + 1))
+    a_ub[: len(below), :d] = below
+    a_ub[len(below) :, :d] = -np.eye(d)
+    a_ub[len(below) :, d] = 1.0
+    a_eq = np.zeros((len(vids), d + 1))
+    a_eq[:-1, :d] = points[list(vids[1:])] - apex
+    a_eq[-1, :d] = 1.0
+    b_eq = np.zeros(len(vids))
+    b_eq[-1] = 1.0
+    free = np.full(d + 1, _INF)
+    x, _ = _highs_lp(cost, a_ub, a_eq, b_eq, -free, free)
+    if x is None:
         return None, float("-inf")
-    w = res.x[:d]
+    w = x[:d]
     norm = float(np.linalg.norm(w))
     if norm <= 0.0:
         return None, float("-inf")

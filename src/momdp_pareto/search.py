@@ -126,7 +126,7 @@ def return_scale(mdp: Mdp) -> float:
 
 
 def _policy_key(policy: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(a) for a in policy)
+    return tuple(np.asarray(policy).tolist())
 
 
 @dataclass(eq=False)
@@ -219,7 +219,7 @@ def select_pareto_faces(
 
     for fi in apex_facet_sets:
         vids = hull.facets[fi].vertex_ids
-        enqueue(vids, affine_dimension(hull.points[list(vids)]))
+        enqueue(vids, hull.dimension(vids))
     passing: list[tuple[FaceDescriptor, LpCertificate]] = []
     while queue:
         face = queue.popleft()

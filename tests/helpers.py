@@ -11,6 +11,7 @@ import itertools
 from collections import deque
 
 import numpy as np
+from scipy.optimize import linprog
 
 from momdp_pareto import Mdp
 from momdp_pareto.geometry import (
@@ -327,3 +328,68 @@ def faces_by_lp_everywhere(apex_id: int, hull, eps_pos: float = 1e-9):
             for child in subfaces_at(face, hull, apex_id):
                 queue.append(canonical(child.vertex_ids))
     return passing, len(tested)
+
+
+def linprog_pareto_lp(normals: np.ndarray):
+    """The positivity LP through `scipy.optimize.linprog(method="highs")`.
+
+    Returns `(alpha, t_star)` as `geometry.pareto_lp` derives them from the
+    solution, or None when linprog reports no success.
+    """
+    W = np.asarray(normals, dtype=float)
+    n, d = W.shape
+    cost = np.zeros(n + 1)
+    cost[-1] = -1.0
+    a_ub = np.hstack([-W.T, np.ones((d, 1))])
+    a_eq = np.ones((1, n + 1))
+    a_eq[0, -1] = 0.0
+    res = linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=np.zeros(d),
+        A_eq=a_eq,
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * n + [(None, None)],
+        method="highs",
+    )
+    if not res.success:
+        return None
+    alpha = np.maximum(res.x[:n], 0.0)
+    alpha = alpha / alpha.sum()
+    return alpha, float((alpha @ W).min())
+
+
+def linprog_support_lp(points: np.ndarray, vids: tuple[int, ...]):
+    """`geometry._support_lp` through `scipy.optimize.linprog(method="highs")`,
+    one constraint row at a time."""
+    n, d = points.shape
+    apex = points[vids[0]]
+    rows_eq = [np.append(points[k] - apex, 0.0) for k in vids[1:]]
+    rows_eq.append(np.append(np.ones(d), 0.0))
+    b_eq = np.zeros(len(rows_eq))
+    b_eq[-1] = 1.0
+    rows_ub = [np.append(points[m] - apex, 0.0) for m in range(n) if m not in vids]
+    for j in range(d):
+        row = np.zeros(d + 1)
+        row[j] = -1.0
+        row[-1] = 1.0
+        rows_ub.append(row)
+    cost = np.zeros(d + 1)
+    cost[-1] = -1.0
+    res = linprog(
+        cost,
+        A_ub=np.array(rows_ub),
+        b_ub=np.zeros(len(rows_ub)),
+        A_eq=np.array(rows_eq),
+        b_eq=b_eq,
+        bounds=[(None, None)] * (d + 1),
+        method="highs",
+    )
+    if not res.success:
+        return None, float("-inf")
+    w = res.x[:d]
+    norm = float(np.linalg.norm(w))
+    if norm <= 0.0:
+        return None, float("-inf")
+    w = w / norm
+    return w, float(w.min())

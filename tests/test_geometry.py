@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as _highs
 
-from momdp_pareto import gen_random_mdp, long_term_return
+from momdp_pareto import gen_random_mdp, geometry, long_term_return
 from momdp_pareto.geometry import (
     ApexNotVertexError,
     DegenerateHullError,
     Dominance,
     FaceDescriptor,
+    _support_lp,
     affine_dimension,
     convex_hull,
     deterministic_jitter,
@@ -27,6 +31,8 @@ from helpers import (
     barycentric_grid,
     convex_cloud,
     dominated_in_cloud,
+    linprog_pareto_lp,
+    linprog_support_lp,
     quadratic_pprune,
     supporting_hyperplane_facets,
 )
@@ -369,6 +375,75 @@ class TestParetoLp:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pareto_lp(np.zeros((0, 2)))
+
+
+class TestLpsMatchLinprog:
+    """Both LPs hand HiGHS the model and options of `scipy.optimize.linprog`
+    and accept its solution on linprog's terms, so certificates match a
+    linprog reference bit for bit. These tests fail when a scipy release
+    changes the HiGHS bindings under that contract."""
+
+    @staticmethod
+    def assert_same_certificate(W):
+        cert = pareto_lp(W)
+        alpha, t_star = linprog_pareto_lp(W)
+        assert cert.alpha.tobytes() == alpha.tobytes()
+        assert cert.t_star == t_star
+
+    @staticmethod
+    def assert_same_support(points, vids):
+        w, t = _support_lp(points, vids)
+        ref_w, ref_t = linprog_support_lp(points, vids)
+        assert t == ref_t
+        assert (w is None) == (ref_w is None)
+        if w is not None:
+            assert w.tobytes() == ref_w.tobytes()
+        return w is None
+
+    def test_random_normals(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 11):
+            for d in range(2, 7):
+                for _ in range(3):
+                    self.assert_same_certificate(rng.normal(size=(n, d)))
+
+    def test_duplicated_rows(self):
+        rng = np.random.default_rng(22)
+        for n, d in ((2, 3), (4, 5), (6, 4)):
+            W = rng.normal(size=(n, d))
+            self.assert_same_certificate(np.vstack([W, W[::2]]))
+            self.assert_same_certificate(np.repeat(W[:1], 3, axis=0))
+
+    def test_all_zero_column(self):
+        rng = np.random.default_rng(23)
+        for n, d in ((2, 2), (3, 4), (7, 6)):
+            W = rng.normal(size=(n, d))
+            W[:, d // 2] = 0.0
+            self.assert_same_certificate(W)
+
+    def test_support_subsets_with_and_without_a_normal(self):
+        rng = np.random.default_rng(24)
+        outcomes = set()
+        for n, d in ((3, 2), (4, 3), (5, 3), (6, 4)):
+            points = rng.random((n, d))
+            for size in range(2, n + 1):
+                for rest in itertools.combinations(range(1, n), size - 1):
+                    outcomes.add(self.assert_same_support(points, (0, *rest)))
+        # Both the supported path and the (None, -inf) path were compared.
+        assert outcomes == {True, False}
+
+    def test_failed_lp_names_status_and_shape(self, monkeypatch):
+        assert _support_lp(np.eye(3), (0, 1))[0] is not None
+        options = _highs.HighsOptions()
+        options.presolve = "off"
+        options.output_flag = False
+        options.log_to_console = False
+        options.simplex_iteration_limit = 0
+        monkeypatch.setattr(geometry, "_HIGHS_OPTIONS", options)
+        W = np.array([[1.0, -0.5, 0.2], [-0.5, 1.0, 0.3], [0.1, 0.1, -1.0], [0.3, 0.2, 0.1]])
+        with pytest.raises(RuntimeError, match=r"shape \(4, 3\).*Iteration limit reached"):
+            pareto_lp(W)
+        assert _support_lp(np.eye(3), (0, 1)) == (None, float("-inf"))
 
 
 class TestSignScreen:

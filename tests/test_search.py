@@ -15,10 +15,12 @@ from momdp_pareto import (
     policies_on_face,
     search,
 )
+from momdp_pareto import geometry
 from momdp_pareto.geometry import convex_hull, dominance, Dominance, pprune
 from momdp_pareto.mdp import enumerate_deterministic, neighbors_one
 from momdp_pareto.search import (
     _add_vertex,
+    _policy_key,
     consolidate_faces,
     explore_vertex,
     make_context,
@@ -340,3 +342,34 @@ class TestFaceSelectionScreen:
             select_pareto_faces(0, hull)
             tested += faces_by_lp_everywhere(0, hull)[1]
         assert 0 < len(calls) < tested
+
+    def test_each_vertex_set_measured_once(self, local_hulls_d5, monkeypatch):
+        original = geometry.affine_dimension
+        calls = []
+
+        def counting(points, *args, **kwargs):
+            calls.append(1)
+            return original(points, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "affine_dimension", counting)
+        measured = 0
+        for shared in local_hulls_d5:
+            # A fresh hull, so its memo starts empty.
+            hull = convex_hull(shared.points, apex_id=0)
+            calls.clear()
+            first, _ = select_pareto_faces(0, hull)
+            assert len(calls) == len(hull.dims)
+            for vids, dim in hull.dims.items():
+                assert dim == original(hull.points[list(vids)])
+            measured += len(hull.dims)
+            # A second descent on the same hull measures nothing again.
+            again, _ = select_pareto_faces(0, hull)
+            assert len(calls) == len(hull.dims)
+            assert [fd for fd, _ in again] == [fd for fd, _ in first]
+        assert measured > 0
+
+
+def test_policy_key_is_a_tuple_of_python_ints():
+    key = _policy_key(np.array([0, 3, 1], dtype=np.int64))
+    assert key == (0, 3, 1)
+    assert all(type(a) is int for a in key)
