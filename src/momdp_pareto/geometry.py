@@ -55,6 +55,10 @@ class LocalHull:
 
     `dims` memoizes `dimension`: the face descent meets the same vertex set
     along many paths, and each set needs its SVD once per hull.
+    `certificates` holds the positivity LP's certificate for each tuple of
+    defining facets tested on this hull: the oracle descends from every hull
+    vertex and meets each face from each of its corners, with the same LP
+    input every time.
     """
 
     points: np.ndarray
@@ -62,6 +66,9 @@ class LocalHull:
     vertex_ids: tuple[int, ...]
     ambient_dim: int
     dims: dict[tuple[int, ...], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    certificates: dict[tuple[int, ...], LpCertificate] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -165,7 +172,12 @@ def group_coincident(points: np.ndarray, eps: float) -> list[list[int]]:
     return groups
 
 
-def affine_dimension(points: np.ndarray, tol: float = 1e-9) -> int:
+# Singular values at or below this fraction of the largest count as zero in
+# `affine_dimension`.
+AFFINE_RANK_TOL = 1e-9
+
+
+def affine_dimension(points: np.ndarray, tol: float = AFFINE_RANK_TOL) -> int:
     """Dimension of the affine hull of a point set.
 
     Singular values of the centered difference matrix below tol times the
@@ -181,6 +193,51 @@ def affine_dimension(points: np.ndarray, tol: float = 1e-9) -> int:
     if sv.size == 0 or sv[0] <= 0.0:
         return 0
     return int(np.count_nonzero(sv > tol * sv[0]))
+
+
+@dataclass(frozen=True)
+class AffineBasis:
+    """A point set's approximate affine hull of a given dimension k.
+
+    `origin` is the set's first point, `basis` holds as rows the top k right
+    singular vectors of the differences to it, `sv_k` is the k-th singular
+    value (0.0 when there are fewer), `radius` the largest distance of a
+    point from the origin and `count` the number of points.
+    """
+
+    origin: np.ndarray
+    basis: np.ndarray
+    sv_k: float
+    radius: float
+    count: int
+
+    def distances(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's distance from the flat origin + span(basis), and from
+        the origin."""
+        diffs = np.asarray(points, dtype=float) - self.origin
+        off = diffs - (diffs @ self.basis.T) @ self.basis
+        return (
+            np.sqrt(np.einsum("ij,ij->i", off, off)),
+            np.sqrt(np.einsum("ij,ij->i", diffs, diffs)),
+        )
+
+
+def affine_basis(points: np.ndarray, k: int) -> AffineBasis:
+    """The `AffineBasis` of dimension k of a nonempty point set, by one SVD."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError(f"need a nonempty 2-d point array, got shape {pts.shape}")
+    if pts.shape[0] == 1:
+        return AffineBasis(pts[0], np.zeros((0, pts.shape[1])), 0.0, 0.0, 1)
+    diffs = pts[1:] - pts[0]
+    _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
+    return AffineBasis(
+        origin=pts[0],
+        basis=vt[:k],
+        sv_k=float(sv[k - 1]) if 0 < k <= sv.size else 0.0,
+        radius=float(np.sqrt(np.einsum("ij,ij->i", diffs, diffs).max())),
+        count=pts.shape[0],
+    )
 
 
 def deterministic_jitter(points: np.ndarray, magnitude: float = 1e-7) -> np.ndarray:
@@ -203,10 +260,14 @@ def convex_hull(
 ) -> LocalHull:
     """Build the convex hull of a full-dimensional point set.
 
-    Facet hyperplanes reported by the underlying solver are deduplicated so
-    each geometric facet appears once even when it was triangulated, and all
-    normals are oriented outward (checked against the centroid, with the apex
-    breaking ties when the centroid lies on the plane).
+    Qhull triangulates non-simplicial facets, so it reports one plane per
+    triangle. Each plane is normalized with its own `np.linalg.norm` call,
+    and one (F, F) mask marks the pairs of planes whose unit normals agree to
+    1e-9 per coordinate and whose offsets agree to 1e-9 times the points'
+    scale. Planes are then kept greedily in Qhull's order, each unless it is
+    close to a plane kept before it, so each geometric facet appears once.
+    All normals are oriented outward (checked against the centroid, with the
+    apex breaking ties when the centroid lies on the plane).
 
     Args:
         points: (n, D) array with n >= D + 1 spanning all D dimensions.
@@ -236,25 +297,26 @@ def convex_hull(
     centroid = pts.mean(axis=0)
     hull_vertices = set(int(v) for v in hull.vertices)
 
-    planes: list[tuple[np.ndarray, float]] = []
-    for eq in hull.equations:
-        w = eq[:-1].astype(float)
-        c = -float(eq[-1])
-        norm = float(np.linalg.norm(w))
-        w = w / norm
-        c = c / norm
-        dup = False
-        for w2, c2 in planes:
-            if np.abs(w - w2).max() <= 1e-9 and abs(c - c2) <= 1e-9 * scale:
-                dup = True
-                break
-        if not dup:
-            planes.append((w, c))
+    eqs = hull.equations
+    norms = np.array([np.linalg.norm(row) for row in eqs[:, :-1]])
+    normals = eqs[:, :-1] / norms[:, None]
+    offsets = -eqs[:, -1] / norms
+    close = np.abs(offsets[:, None] - offsets[None, :]) <= 1e-9 * scale
+    for col in normals.T:
+        close &= np.abs(col[:, None] - col[None, :]) <= 1e-9
+    kept: list[int] = []
+    taken = np.zeros(len(eqs), dtype=bool)
+    for k in range(len(eqs)):
+        if not taken[k]:
+            kept.append(k)
+            taken |= close[k]
 
+    hull_ids = np.array(sorted(hull_vertices))
     facets = []
-    for w, c in planes:
+    for k in kept:
+        w, c = normals[k], float(offsets[k])
         margin = c - pts @ w
-        if margin[list(hull_vertices)].min() < -1e-7 * scale:
+        if margin[hull_ids].min() < -1e-7 * scale:
             # Should not happen for solver-reported planes; guards orientation.
             w, c = -w, -c
             margin = -margin

@@ -11,12 +11,15 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
+    AFFINE_RANK_TOL,
+    AffineBasis,
     ApexNotVertexError,
     DegenerateHullError,
     Dominance,
     FaceDescriptor,
     LocalHull,
     LpCertificate,
+    affine_basis,
     affine_dimension,
     convex_hull,
     deterministic_jitter,
@@ -184,12 +187,24 @@ def _add_vertex(
 def select_pareto_faces(
     apex_id: int, hull: LocalHull, eps_pos: float = 1e-9
 ) -> tuple[list[tuple[FaceDescriptor, LpCertificate]], list[int]]:
-    """Find the Pareto faces of the hull that are incident to the apex.
+    """Find the maximal Pareto faces of the hull that are incident to the apex.
 
     Starts from the apex's facets and walks down: a face whose positivity LP
     optimum exceeds eps_pos is recorded, anything else is split into subfaces
     one dimension lower until dimension 1. Faces that fail the sign screen
-    fail without an LP; their certificates would never be stored.
+    fail without an LP; their certificates would never be stored. Each LP's
+    certificate is kept on the hull under its defining facets, so another
+    descent on the same hull (the oracle's, from another corner) reuses it.
+
+    A dequeued face whose vertex set lies strictly inside a face that already
+    passed is dropped: no LP, no record, no descent. This loses nothing. A
+    face of a Pareto face is Pareto but never maximal, so `consolidate_faces`
+    would drop it anyway (Ziegler, *Lectures on Polytopes*, ch. 2); its
+    subfaces lie inside the same passing face, and its vertices already lie
+    on one. The facets enter the queue first and each subface is one
+    dimension below its parent, so faces leave the queue in order of falling
+    dimension and every face that could contain a dequeued face has been
+    decided before it.
 
     Returns:
         The passing faces paired with their LP certificates, and the sorted
@@ -221,15 +236,22 @@ def select_pareto_faces(
         vids = hull.facets[fi].vertex_ids
         enqueue(vids, hull.dimension(vids))
     passing: list[tuple[FaceDescriptor, LpCertificate]] = []
+    passed_sets: list[frozenset[int]] = []
     while queue:
         face = queue.popleft()
         if face.dim < 1:
             continue
+        vset = frozenset(face.vertex_ids)
+        if any(vset < p for p in passed_sets):
+            continue
         normals = np.array([hull.facets[fi].normal for fi in face.defining_facets])
         if passes_sign_screen(normals, eps_pos):
-            cert = pareto_lp(normals)
+            cert = hull.certificates.get(face.defining_facets)
+            if cert is None:
+                cert = hull.certificates[face.defining_facets] = pareto_lp(normals)
             if cert.t_star > eps_pos:
                 passing.append((face, cert))
+                passed_sets.append(vset)
                 continue
         if face.dim > 1:
             for child in subfaces_at(face, hull, apex_id):
@@ -358,6 +380,18 @@ def explore_vertex(
     return new_faces, new_vertices
 
 
+def _coplanar_cut(basis: AffineBasis, sizes: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """The cut above which a face lies clearly off `basis`'s face, for
+    partners with `sizes` vertices whose union with it lies within `reach`
+    of its first vertex; see `consolidate_faces` for why the cut is safe."""
+    if basis.sv_k <= 0.0:
+        return np.full(len(sizes), np.inf)
+    eps = 2.0 * AFFINE_RANK_TOL
+    union_rows = basis.count + sizes - 2
+    tilt = np.sqrt(basis.count - 1) * reach / basis.sv_k
+    return 4.0 * eps * np.sqrt(union_rows) * reach * (1.0 + tilt)
+
+
 def consolidate_faces(
     faces: list[FaceRecord], scaled_returns: Sequence[np.ndarray]
 ) -> list[FaceRecord]:
@@ -371,7 +405,31 @@ def consolidate_faces(
     faces can never share an affine hull. Merging is therefore exact, not a
     heuristic. Afterwards, faces whose vertex sets sit strictly inside another
     face (subfaces picked up while descending past failing siblings) are
-    dropped, leaving one record per maximal face.
+    dropped, leaving one record per maximal face. A by-vertex index finds the
+    faces that hold all of a face's vertices.
+
+    Each vertex-sharing pair of faces of one dimension k is tested once, and
+    not at all once the two are joined through other pairs. The union's
+    `affine_dimension` decides the pair, unless a screen settles it first:
+    with the `affine_basis` of the pair's first face a (one SVD per face),
+    the pair is apart when some vertex of the second face lies farther than
+    a cut tau from a's flat. The cut never rejects a pair that the union
+    would merge. Let M be the union's difference matrix, eps the relative
+    cut of `affine_dimension`, m the rows of M, n_a and s_k a's vertex count
+    and k-th singular value, and R the largest distance of a union vertex
+    from a's first vertex, so that 2R bounds the union's diameter.
+    - A merge needs sigma_{k+1}(M) <= eps sigma_1(M). Each row of M is then
+      within sigma_{k+1}(M) of the span of M's top k right singular vectors,
+      so every union vertex is within delta = eps sigma_1(M) <= 2 eps
+      sqrt(m) R of one k-flat Phi.
+    - a's differences are then a matrix of rank k in Phi's direction plus an
+      error E with ||E|| <= 2 delta sqrt(n_a - 1). By Wedin's sin-theta
+      theorem a's basis is tilted from Phi by at most ||E|| / s_k.
+    - So every union vertex p is within 2 delta + ||E|| |p - a_0| / s_k
+      <= 2 delta (1 + sqrt(n_a - 1) R / s_k) of a's flat.
+    tau is that bound with eps doubled. The doubling absorbs the rounding of
+    the two SVDs and of the distances, which is of relative order 1e-16,
+    while the cut only falls below R where s_k exceeds about eps R.
 
     Args:
         faces: recorded faces, in discovery order.
@@ -381,6 +439,8 @@ def consolidate_faces(
         Consolidated face records, ordered by first discovery.
     """
     n = len(faces)
+    if n == 0:
+        return []
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -393,19 +453,34 @@ def consolidate_faces(
     for i, f in enumerate(faces):
         for v in f.vertex_ids:
             by_vertex.setdefault(v, []).append(i)
+    pieces_at = {v: np.array(ids) for v, ids in by_vertex.items()}
+    points = np.asarray(scaled_returns, dtype=float)
+    dims = np.array([f.dim for f in faces])
+    sizes = np.array([len(f.vertex_ids) for f in faces])
+    # Vertex ids of each face, padded with an id one past the last vertex,
+    # whose distances below are -inf.
+    padded = np.full((n, sizes.max()), len(points))
+    for i, f in enumerate(faces):
+        padded[i, : sizes[i]] = f.vertex_ids
     # Pieces of one face always chain through shared vertices, so testing
     # vertex-sharing pairs plus union-find transitivity merges whole faces.
-    for shared in by_vertex.values():
-        for a_pos in range(len(shared)):
-            i = shared[a_pos]
-            for j in shared[a_pos + 1 :]:
-                ri, rj = find(i), find(j)
-                if ri == rj or faces[i].dim != faces[j].dim:
-                    continue
-                union = sorted(set(faces[i].vertex_ids) | set(faces[j].vertex_ids))
-                pts = np.array([scaled_returns[v] for v in union])
-                if affine_dimension(pts) == faces[i].dim:
-                    parent[max(ri, rj)] = min(ri, rj)
+    for i, f in enumerate(faces):
+        near = np.unique(np.concatenate([pieces_at[v] for v in f.vertex_ids]))
+        partners = near[(near > i) & (dims[near] == f.dim)]
+        if partners.size == 0:
+            continue
+        basis = affine_basis(points[list(f.vertex_ids)], f.dim)
+        off, dist = (np.append(x, -np.inf) for x in basis.distances(points))
+        rows = padded[partners]
+        reach = np.maximum(dist[rows].max(axis=1), basis.radius)
+        cut = _coplanar_cut(basis, sizes[partners], reach)
+        for j in partners[off[rows].max(axis=1) <= cut].tolist():
+            ri, rj = find(i), find(j)
+            if ri == rj:
+                continue
+            union = sorted(set(f.vertex_ids) | set(faces[j].vertex_ids))
+            if affine_dimension(points[union]) == f.dim:
+                parent[max(ri, rj)] = min(ri, rj)
 
     merged: dict[int, FaceRecord] = {}
     for i, f in enumerate(faces):
@@ -419,13 +494,17 @@ def consolidate_faces(
             )
     ordered = [merged[root] for root in sorted(merged)]
 
+    faces_at: dict[int, set[int]] = {}
+    for pos, f in enumerate(ordered):
+        for v in f.vertex_ids:
+            faces_at.setdefault(v, set()).add(pos)
     keep: list[FaceRecord] = []
     seen: set[tuple[int, ...]] = set()
     for f in ordered:
-        vset = set(f.vertex_ids)
         if f.vertex_ids in seen:
             continue
-        if any(vset < set(g.vertex_ids) for g in ordered if g is not f):
+        around = set.intersection(*(faces_at[v] for v in f.vertex_ids))
+        if any(len(ordered[g].vertex_ids) > len(f.vertex_ids) for g in around):
             continue
         seen.add(f.vertex_ids)
         keep.append(f)

@@ -7,14 +7,17 @@ agreement with the package is meaningful evidence rather than a tautology.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import deque
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from momdp_pareto import Mdp
 from momdp_pareto.geometry import (
+    Facet,
     FaceDescriptor,
     affine_dimension,
     incident_facets,
@@ -393,3 +396,90 @@ def linprog_support_lp(points: np.ndarray, vids: tuple[int, ...]):
         return None, float("-inf")
     w = w / norm
     return w, float(w.min())
+
+
+def loop_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e-9):
+    """`convex_hull`'s facets with its planes deduplicated one plane at a
+    time: each Qhull plane is normalized, compared with every plane kept so
+    far, and kept unless one is within 1e-9 per normal coordinate and 1e-9
+    times the points' scale in offset."""
+    pts = np.asarray(points, dtype=float)
+    hull = ConvexHull(pts)
+    scale = max(1.0, float(np.abs(pts).max()))
+    centroid = pts.mean(axis=0)
+    hull_vertices = set(int(v) for v in hull.vertices)
+    planes = []
+    for eq in hull.equations:
+        w = eq[:-1].astype(float)
+        c = -float(eq[-1])
+        norm = float(np.linalg.norm(w))
+        w = w / norm
+        c = c / norm
+        if not any(
+            np.abs(w - w2).max() <= 1e-9 and abs(c - c2) <= 1e-9 * scale
+            for w2, c2 in planes
+        ):
+            planes.append((w, c))
+    facets = []
+    for w, c in planes:
+        margin = c - pts @ w
+        if margin[list(hull_vertices)].min() < -1e-7 * scale:
+            w, c = -w, -c
+        side = float(w @ centroid - c)
+        if side > eps_geom * scale:
+            w, c = -w, -c
+        elif abs(side) <= eps_geom * scale and apex_id is not None:
+            if float(w @ pts[apex_id] - c) > eps_geom * scale:
+                w, c = -w, -c
+        on = np.flatnonzero(np.abs(pts @ w - c) <= eps_geom * scale)
+        vids = tuple(sorted(int(i) for i in on if int(i) in hull_vertices))
+        facets.append(Facet(normal=w, offset=float(c), vertex_ids=vids))
+    return tuple(facets)
+
+
+def pairwise_consolidate_faces(faces, scaled_returns):
+    """`consolidate_faces` with the union SVD run on every vertex-sharing
+    pair of equal dimension, once per shared vertex, and nesting found by
+    comparing every face with every other."""
+    n = len(faces)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    by_vertex = {}
+    for i, f in enumerate(faces):
+        for v in f.vertex_ids:
+            by_vertex.setdefault(v, []).append(i)
+    for shared in by_vertex.values():
+        for pos, i in enumerate(shared):
+            for j in shared[pos + 1 :]:
+                ri, rj = find(i), find(j)
+                if ri == rj or faces[i].dim != faces[j].dim:
+                    continue
+                union = sorted(set(faces[i].vertex_ids) | set(faces[j].vertex_ids))
+                pts = np.array([scaled_returns[v] for v in union])
+                if affine_dimension(pts) == faces[i].dim:
+                    parent[max(ri, rj)] = min(ri, rj)
+    merged = {}
+    for i, f in enumerate(faces):
+        root = find(i)
+        if root not in merged:
+            merged[root] = f
+        else:
+            base = merged[root]
+            merged[root] = dataclasses.replace(
+                base, vertex_ids=tuple(sorted(set(base.vertex_ids) | set(f.vertex_ids)))
+            )
+    ordered = [merged[root] for root in sorted(merged)]
+    keep, seen = [], set()
+    for f in ordered:
+        if f.vertex_ids in seen:
+            continue
+        if any(set(f.vertex_ids) < set(g.vertex_ids) for g in ordered if g is not f):
+            continue
+        seen.add(f.vertex_ids)
+        keep.append(f)
+    return keep

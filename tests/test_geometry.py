@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.optimize._highspy import _core as _highs
 
-from momdp_pareto import gen_random_mdp, geometry, long_term_return
+from momdp_pareto import gen_gridworld, gen_random_mdp, geometry, long_term_return
 from momdp_pareto.geometry import (
+    AffineBasis,
     ApexNotVertexError,
     DegenerateHullError,
     Dominance,
     FaceDescriptor,
     _support_lp,
+    affine_basis,
     affine_dimension,
     convex_hull,
     deterministic_jitter,
@@ -33,6 +35,7 @@ from helpers import (
     dominated_in_cloud,
     linprog_pareto_lp,
     linprog_support_lp,
+    loop_hull_facets,
     quadratic_pprune,
     supporting_hyperplane_facets,
 )
@@ -282,6 +285,79 @@ class TestConvexHull:
     def test_coincident_points_raise(self):
         with pytest.raises(DegenerateHullError):
             convex_hull(np.ones((3, 2)))
+
+
+def cube_with_face_centres():
+    corners = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
+    centres = [[0.5, 0.5, z] for z in (0.0, 1.0)]
+    centres += [[0.5, y, 0.5] for y in (0.0, 1.0)]
+    centres += [[x, 0.5, 0.5] for x in (0.0, 1.0)]
+    return np.array(corners + centres)
+
+
+def grid_returns():
+    """Scaled returns of every policy of a 2x3 gridworld: many coincident
+    points and coplanar facets."""
+    m = gen_gridworld(1, 2, 3, 3)
+    pols = enumerate_deterministic(m.num_states, m.num_actions)
+    return np.unique(np.array([long_term_return(m, p) for p in pols]), axis=0)
+
+
+def lattice_cloud(seed: int, dim: int):
+    """Integer points, so that many facets are triangulated coplanar planes."""
+    return np.random.default_rng(seed).integers(0, 3, size=(12 * dim, dim)).astype(float)
+
+
+class TestFacetDedupe:
+    """`convex_hull`'s one-mask dedupe against the plane-by-plane loop."""
+
+    CLOUDS = {
+        "cube-centres": cube_with_face_centres,
+        "grid-2x3": grid_returns,
+        **{
+            f"normal-D{d}": (lambda d=d: np.random.default_rng(d).normal(size=(10 * d, d)))
+            for d in (3, 4, 5)
+        },
+        **{f"lattice-D{d}": (lambda d=d: lattice_cloud(d, d)) for d in (3, 4, 5)},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    @pytest.mark.parametrize("apex_id", [None, 0])
+    def test_same_facets_as_the_loop(self, name, apex_id):
+        pts = self.CLOUDS[name]()
+        got = convex_hull(pts, apex_id=apex_id).facets
+        want = loop_hull_facets(pts, apex_id=apex_id)
+        assert len(got) == len(want)
+        for f, g in zip(got, want):
+            assert f.normal.tobytes() == g.normal.tobytes()
+            assert f.offset == g.offset
+            assert f.vertex_ids == g.vertex_ids
+
+    @pytest.mark.parametrize("name", ["cube-centres", "grid-2x3", "lattice-D3", "lattice-D4"])
+    def test_clouds_have_triangulated_facets(self, name):
+        """Qhull reports more planes than there are facets, so the dedupe
+        has work to do on these clouds."""
+        from scipy.spatial import ConvexHull
+
+        pts = self.CLOUDS[name]()
+        assert len(ConvexHull(pts).equations) > len(convex_hull(pts).facets)
+
+
+class TestAffineBasis:
+    def test_triangle_in_space(self):
+        pts = np.array([[1.0, 0, 0], [3.0, 0, 0], [1.0, 4, 0]])
+        basis = affine_basis(pts, 2)
+        assert isinstance(basis, AffineBasis)
+        assert basis.count == 3 and basis.radius == 4.0
+        assert basis.sv_k == pytest.approx(2.0)
+        off, dist = basis.distances(np.array([[2.0, 1, 0.5], [1.0, 0, -3]]))
+        np.testing.assert_allclose(off, [0.5, 3.0])
+        np.testing.assert_allclose(dist, [1.5, 3.0])
+
+    def test_too_few_points_for_the_dimension(self):
+        basis = affine_basis(np.array([[0.0, 0], [1.0, 1]]), 2)
+        assert basis.sv_k == 0.0
+        assert affine_basis(np.array([[0.0, 1.0]]), 1).sv_k == 0.0
 
 
 class TestIncidentFacets:

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -86,6 +87,30 @@ def test_search_and_oracle_returns_agree_exactly(build):
     rep = compare_fronts(search(m, SearchConfig(seed=0)), brute_force_front(m))
     assert rep.vertex_match
     assert rep.max_vertex_distance == 0.0
+
+
+def test_oracle_solves_each_face_lp_once(monkeypatch):
+    """The oracle descends from every hull vertex but solves the positivity
+    LP once per distinct set of defining facets."""
+    # The package rebinds the name `search` to the function, so the module
+    # is fetched by its import path.
+    search_module = importlib.import_module("momdp_pareto.search")
+    solve, build = search_module.pareto_lp, oracle.convex_hull
+    inputs, hulls = [], []
+
+    def counting_lp(normals):
+        inputs.append(np.asarray(normals).tobytes())
+        return solve(normals)
+
+    def keeping_hull(*args, **kwargs):
+        hulls.append(build(*args, **kwargs))
+        return hulls[-1]
+
+    monkeypatch.setattr(search_module, "pareto_lp", counting_lp)
+    monkeypatch.setattr(oracle, "convex_hull", keeping_hull)
+    brute_force_front(gen_random_mdp(0, 8, 4, 3))
+    assert len(hulls) == 1
+    assert 0 < len(inputs) == len(hulls[0].certificates) == len(set(inputs))
 
 
 def test_all_policies_lexicographic():

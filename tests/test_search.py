@@ -6,6 +6,7 @@ import pytest
 from momdp_pareto import (
     FaceRecord,
     Mdp,
+    gen_gridworld,
     SearchAbortError,
     SearchConfig,
     brute_force_front,
@@ -16,10 +17,11 @@ from momdp_pareto import (
     search,
 )
 from momdp_pareto import geometry
-from momdp_pareto.geometry import convex_hull, dominance, Dominance, pprune
+from momdp_pareto.geometry import affine_basis, convex_hull, dominance, Dominance, pprune
 from momdp_pareto.mdp import enumerate_deterministic, neighbors_one
 from momdp_pareto.search import (
     _add_vertex,
+    _coplanar_cut,
     _policy_key,
     consolidate_faces,
     explore_vertex,
@@ -28,7 +30,12 @@ from momdp_pareto.search import (
     select_pareto_faces,
 )
 
-from helpers import faces_by_lp_everywhere, make_bandit
+from helpers import (
+    duplicate_action,
+    faces_by_lp_everywhere,
+    make_bandit,
+    pairwise_consolidate_faces,
+)
 
 
 class TestBanditFront:
@@ -278,6 +285,179 @@ class TestConsolidateFaces:
         assert {f.vertex_ids for f in out} == {(0, 1), (2, 3)}
 
 
+def _depobj(seed):
+    m = gen_random_mdp(seed, 5, 3, 4)
+    r = m.r.copy()
+    r[:, :, -1] = r[:, :, :2].mean(axis=2)
+    return Mdp(P=m.P, r=r, gamma=m.gamma, mu=m.mu)
+
+
+RAW_FACE_SOURCES = {
+    "dense-D3": lambda: gen_random_mdp(0, 6, 4, 3),
+    "dense-D4": lambda: gen_random_mdp(2, 4, 3, 4),
+    "dense-D5": lambda: gen_random_mdp(1, 4, 4, 5),
+    "dupact": lambda: duplicate_action(gen_random_mdp(3, 4, 3, 3)),
+    "gamma0": lambda: gen_random_mdp(1, 4, 3, 4, gamma=0.0),
+    "depobj": lambda: _depobj(1),
+    "grid-2x2": lambda: gen_gridworld(2, 2, 2, 3),
+}
+
+
+def _search_module():
+    # The package rebinds the name `search` to the function, so the module is
+    # fetched by its import path.
+    return importlib.import_module("momdp_pareto.search")
+
+
+@pytest.fixture(scope="module")
+def raw_face_lists():
+    """The face lists `search` hands to `consolidate_faces`, per instance."""
+    module = _search_module()
+    original = module.consolidate_faces
+    lists = {}
+    for name, build in RAW_FACE_SOURCES.items():
+        captured = []
+
+        def capture(faces, scaled):
+            captured.append((list(faces), list(scaled)))
+            return original(faces, scaled)
+
+        module.consolidate_faces = capture
+        try:
+            search(build(), SearchConfig(seed=0))
+        finally:
+            module.consolidate_faces = original
+        lists[name] = captured[0]
+    return lists
+
+
+def _same_pairs(faces):
+    """Distinct pairs of faces that share a vertex and a dimension."""
+    return {
+        (i, j)
+        for i, f in enumerate(faces)
+        for j in range(i + 1, len(faces))
+        if f.dim == faces[j].dim and set(f.vertex_ids) & set(faces[j].vertex_ids)
+    }
+
+
+class TestConsolidationScreen:
+    """`consolidate_faces`' screen and by-vertex nesting index against the
+    union SVD on every pair and the all-pairs nesting scan."""
+
+    @staticmethod
+    def counting_svds(monkeypatch):
+        module = _search_module()
+        calls = {"union": 0, "basis": 0}
+        union, basis = module.affine_dimension, module.affine_basis
+
+        def count_union(points, *args, **kwargs):
+            calls["union"] += 1
+            return union(points, *args, **kwargs)
+
+        def count_basis(points, k):
+            calls["basis"] += 1
+            return basis(points, k)
+
+        monkeypatch.setattr(module, "affine_dimension", count_union)
+        monkeypatch.setattr(module, "affine_basis", count_basis)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(RAW_FACE_SOURCES))
+    def test_same_output_as_union_svd_on_every_pair(self, raw_face_lists, name, monkeypatch):
+        faces, scaled = raw_face_lists[name]
+        want = pairwise_consolidate_faces(faces, scaled)
+        calls = self.counting_svds(monkeypatch)
+        got = consolidate_faces(faces, scaled)
+        assert [f.vertex_ids for f in got] == [f.vertex_ids for f in want]
+        assert all(f is g or f.normals is g.normals for f, g in zip(got, want))
+        # One basis per face at most, and at most one union SVD per pair.
+        assert calls["basis"] <= len(faces)
+        assert calls["union"] <= len(_same_pairs(faces))
+
+    def test_each_pair_tested_once(self, monkeypatch):
+        """Four triangles share vertex 0, two of them coplanar; two pairs
+        also share a second vertex."""
+        pts = [
+            np.array([0.0, 0.0, 0.0]),
+            np.array([1.0, 0.0, 0.0]),
+            np.array([0.0, 1.0, 0.0]),
+            np.array([-1.0, 0.0, 0.0]),
+            np.array([0.0, 0.0, 1.0]),
+            np.array([0.0, -1.0, 1.0]),
+        ]
+        dummy = dict(normals=np.ones((1, 3)), alpha=np.ones(1), t_star=1.0)
+        faces = [
+            FaceRecord(vertex_ids=(0, 1, 2), dim=2, **dummy),
+            FaceRecord(vertex_ids=(0, 2, 3), dim=2, **dummy),
+            FaceRecord(vertex_ids=(0, 1, 4), dim=2, **dummy),
+            FaceRecord(vertex_ids=(0, 4, 5), dim=2, **dummy),
+        ]
+        helpers = importlib.import_module("helpers")
+        reference_calls = []
+        union = helpers.affine_dimension
+
+        def count_reference(points, *args, **kwargs):
+            reference_calls.append(1)
+            return union(points, *args, **kwargs)
+
+        monkeypatch.setattr(helpers, "affine_dimension", count_reference)
+        want = pairwise_consolidate_faces(faces, pts)
+        calls = self.counting_svds(monkeypatch)
+        got = consolidate_faces(faces, pts)
+        assert [f.vertex_ids for f in got] == [(0, 1, 2, 3), (0, 1, 4), (0, 4, 5)]
+        assert [f.vertex_ids for f in got] == [f.vertex_ids for f in want]
+        # The reference runs the union SVD on each of the six pairs, and again
+        # on the two pairs that share a second vertex. Only the coplanar pair
+        # reaches it here; the screen settles the other five.
+        assert len(reference_calls) == 8
+        assert calls["union"] == 1
+
+    @staticmethod
+    def tilted_pair(height):
+        """Two triangles sharing the edge 1-2; the second's far corner sits
+        `height` above the first's plane."""
+        pts = [
+            np.array([0.0, 0.0, 0.0]),
+            np.array([1.0, 0.0, 0.0]),
+            np.array([0.0, 1.0, 0.0]),
+            np.array([1.0, 1.0, height]),
+        ]
+        dummy = dict(normals=np.ones((1, 3)), alpha=np.ones(1), t_star=1.0)
+        faces = [
+            FaceRecord(vertex_ids=(0, 1, 2), dim=2, **dummy),
+            FaceRecord(vertex_ids=(1, 2, 3), dim=2, **dummy),
+        ]
+        basis = affine_basis(np.array(pts[:3]), 2)
+        off, dist = basis.distances(np.array(pts[1:]))
+        reach = max(dist.max(), basis.radius)
+        cut = _coplanar_cut(basis, np.array([3]), np.array([reach]))[0]
+        return faces, pts, off.max(), cut
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_pair_either_side_of_the_cut(self, side, monkeypatch):
+        _, _, _, cut = self.tilted_pair(0.0)
+        faces, pts, residual, new_cut = self.tilted_pair(cut * (1.5 if side == "above" else 0.5))
+        assert (residual > new_cut) == (side == "above")
+        calls = self.counting_svds(monkeypatch)
+        got = consolidate_faces(faces, pts)
+        # Above the cut the screen settles the pair; below it the union SVD
+        # does. Either way the corner is far above the 1e-9 relative cut of
+        # `affine_dimension`, so the pair stays apart.
+        assert calls["union"] == (0 if side == "above" else 1)
+        assert [f.vertex_ids for f in got] == [(0, 1, 2), (1, 2, 3)]
+        assert [f.vertex_ids for f in got] == [
+            f.vertex_ids for f in pairwise_consolidate_faces(faces, pts)
+        ]
+
+    @pytest.mark.parametrize("height", [0.0, 1e-13, 1e-11, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7, 1e-6])
+    def test_heights_around_both_cuts_match_the_union_svd(self, height):
+        faces, pts, _, _ = self.tilted_pair(height)
+        got = consolidate_faces(faces, pts)
+        want = pairwise_consolidate_faces(faces, pts)
+        assert [f.vertex_ids for f in got] == [f.vertex_ids for f in want]
+
+
 def test_search_config_defaults():
     cfg = SearchConfig()
     assert cfg.seed == 0
@@ -310,20 +490,32 @@ def local_hulls_d5():
 
 class TestFaceSelectionScreen:
     def test_same_faces_as_an_lp_on_every_face(self, local_hulls_d5):
-        total_passing = 0
+        """The reference solves the LP on every face it meets and then keeps
+        the passing faces that lie strictly inside no other passing face.
+        The descent must return exactly those, with bit-identical
+        certificates, and every passing face it skipped must lie strictly
+        inside one it returned."""
+        total_passing = total_dropped = 0
         for hull in local_hulls_d5:
             got, on_front = select_pareto_faces(0, hull)
             ref, _ = faces_by_lp_everywhere(0, hull)
-            assert len(got) == len(ref)
-            for (fd, cert), (rfd, rcert) in zip(got, ref):
+            sets = [set(fd.vertex_ids) for fd, _ in ref]
+            kept = [pair for pair, s in zip(ref, sets) if not any(s < t for t in sets)]
+            assert len(got) == len(kept)
+            for (fd, cert), (rfd, rcert) in zip(got, kept):
                 assert fd.vertex_ids == rfd.vertex_ids
                 assert fd.defining_facets == rfd.defining_facets
                 assert fd.dim == rfd.dim
                 assert cert.alpha.tobytes() == rcert.alpha.tobytes()
                 assert cert.t_star == rcert.t_star
+            returned = {fd.vertex_ids for fd, _ in got}
+            dropped = [fd for fd, _ in ref if fd.vertex_ids not in returned]
+            for fd in dropped:
+                assert any(set(fd.vertex_ids) < set(g.vertex_ids) for g, _ in got)
             assert on_front == sorted({v for fd, _ in ref for v in fd.vertex_ids})
             total_passing += len(got)
-        assert total_passing > 0
+            total_dropped += len(dropped)
+        assert total_passing > 0 and total_dropped > 0
 
     def test_screen_skips_lps(self, local_hulls_d5, monkeypatch):
         # The package rebinds the name `search` to the function, so the module
@@ -338,7 +530,9 @@ class TestFaceSelectionScreen:
 
         monkeypatch.setattr(search_module, "pareto_lp", counting)
         tested = 0
-        for hull in local_hulls_d5:
+        for shared in local_hulls_d5:
+            # A fresh hull, so no certificate is memoized on it yet.
+            hull = convex_hull(shared.points, apex_id=0)
             select_pareto_faces(0, hull)
             tested += faces_by_lp_everywhere(0, hull)[1]
         assert 0 < len(calls) < tested
