@@ -58,7 +58,8 @@ class LocalHull:
     `certificates` holds the positivity LP's certificate for each tuple of
     defining facets tested on this hull: the oracle descends from every hull
     vertex and meets each face from each of its corners, with the same LP
-    input every time.
+    input every time. `incident` memoizes `incident_facets` per hull
+    vertex: one descent asks for its apex's facets at every subface step.
     """
 
     points: np.ndarray
@@ -69,6 +70,9 @@ class LocalHull:
         default_factory=dict, init=False, repr=False, compare=False
     )
     certificates: dict[tuple[int, ...], LpCertificate] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    incident: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -93,30 +97,44 @@ class LpCertificate:
     t_star: float
 
 
-def dominance(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> Dominance:
-    """Compare two points under Pareto dominance with slack eps.
+# `dominance`'s relations by the code its array test gives them.
+_DOMINANCE_CODES = (
+    Dominance.EQUAL,
+    Dominance.DOMINATES,
+    Dominance.DOMINATED_BY,
+    Dominance.INCOMPARABLE,
+)
+
+
+def dominance(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> Dominance | list[Dominance]:
+    """Compare points under Pareto dominance with slack eps.
 
     Points within eps per coordinate are Equal; otherwise u dominates v when
     it is at least as good everywhere (up to eps) and better than eps
-    somewhere.
+    somewhere. `u` is one (D,) point, giving one `Dominance`, or an (n, D)
+    stack of points, giving one `Dominance` per row, each compared with the
+    (D,) point `v`.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
+    if u.ndim not in (1, 2) or v.ndim != 1 or u.shape[-1] != v.shape[0]:
         raise ValueError(f"points have different shapes: {u.shape} vs {v.shape}")
-    diff = u - v
-    if np.abs(diff).max() <= eps:
-        return Dominance.EQUAL
-    if diff.min() >= -eps and diff.max() > eps:
-        return Dominance.DOMINATES
-    if diff.max() <= eps and diff.min() < -eps:
-        return Dominance.DOMINATED_BY
-    return Dominance.INCOMPARABLE
+    diff = np.atleast_2d(u - v)
+    lo = diff.min(axis=1)
+    hi = diff.max(axis=1)
+    codes = np.select(
+        [np.abs(diff).max(axis=1) <= eps, (lo >= -eps) & (hi > eps), (hi <= eps) & (lo < -eps)],
+        [0, 1, 2],
+        3,
+    )
+    rels = [_DOMINANCE_CODES[c] for c in codes.tolist()]
+    return rels if u.ndim == 2 else rels[0]
 
 
-# Rows per pprune block. On 15 625 and 65 536 returns, 256 to 1024 ran about
-# equally fast, while 64, 128 and 2048 were slower.
-_PPRUNE_BLOCK = 256
+# Rows per block of the pairwise masks in `pprune` and `group_coincident`. On
+# 15 625 and 65 536 returns, pprune ran about equally fast with 256 to 1024,
+# while 64, 128 and 2048 were slower.
+_BLOCK_ROWS = 256
 
 
 def pprune(points: np.ndarray) -> list[int]:
@@ -135,8 +153,8 @@ def pprune(points: np.ndarray) -> list[int]:
         raise ValueError(f"need a nonempty 2-d point array, got shape {pts.shape}")
     order = np.lexsort(-pts.T[::-1])
     kept = order[:0]
-    for start in range(0, len(order), _PPRUNE_BLOCK):
-        block = order[start : start + _PPRUNE_BLOCK]
+    for start in range(0, len(order), _BLOCK_ROWS):
+        block = order[start : start + _BLOCK_ROWS]
         if kept.size:
             block = block[~_dominated_by(pts[kept], pts[block])]
         block = block[~_dominated_by(pts[block], pts[block])]
@@ -160,16 +178,36 @@ def group_coincident(points: np.ndarray, eps: float) -> list[list[int]]:
     Each row joins the first group whose first row is within eps of it, or
     opens a new group. Groups come in order of their first rows, and each
     group lists its rows ascending; the first row represents the group.
+
+    Rows are visited in order, and a row not yet in a group opens one and
+    takes every unplaced row close to it: an earlier first row close to such
+    a row would have taken it already, so this is the first group it can
+    join. The close pairs come from a (rows, n) mask per block of rows, built
+    one coordinate at a time; a row close to no other row is a group of its
+    own, so only rows with a close partner are visited one by one.
     """
-    groups: list[list[int]] = []
-    for i, p in enumerate(points):
-        for g in groups:
-            if np.abs(p - points[g[0]]).max() <= eps:
-                g.append(i)
-                break
-        else:
-            groups.append([i])
-    return groups
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    first = np.arange(n)
+    free = np.ones(n, dtype=bool)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = pts[start : start + _BLOCK_ROWS]
+        close = np.ones((len(rows), n), dtype=bool)
+        for r, col in zip(rows.T, pts.T):
+            close &= np.abs(r[:, None] - col) <= eps
+        own = np.arange(len(rows))
+        close[own, start + own] = False
+        for k in np.flatnonzero(close.any(axis=1)).tolist():
+            i = start + k
+            if free[i]:
+                free[i] = False
+                members = np.flatnonzero(close[k] & free)
+                free[members] = False
+                first[members] = i
+    groups: dict[int, list[int]] = {}
+    for i, f in enumerate(first.tolist()):
+        groups.setdefault(f, []).append(i)
+    return list(groups.values())
 
 
 # Singular values at or below this fraction of the largest count as zero in
@@ -294,11 +332,13 @@ def convex_hull(
         raise DegenerateHullError(f"hull construction failed: {exc}", adim) from exc
 
     scale = max(1.0, float(np.abs(pts).max()))
-    centroid = pts.mean(axis=0)
-    hull_vertices = set(int(v) for v in hull.vertices)
+    tol = eps_geom * scale
+    is_vertex = np.zeros(n, dtype=bool)
+    is_vertex[hull.vertices] = True
 
     eqs = hull.equations
-    norms = np.array([np.linalg.norm(row) for row in eqs[:, :-1]])
+    # What `np.linalg.norm(row)` computes, without its per-call dispatch.
+    norms = np.sqrt([row.dot(row) for row in eqs[:, :-1]])
     normals = eqs[:, :-1] / norms[:, None]
     offsets = -eqs[:, -1] / norms
     close = np.abs(offsets[:, None] - offsets[None, :]) <= 1e-9 * scale
@@ -311,38 +351,57 @@ def convex_hull(
             kept.append(k)
             taken |= close[k]
 
-    hull_ids = np.array(sorted(hull_vertices))
-    facets = []
-    for k in kept:
-        w, c = normals[k], float(offsets[k])
-        margin = c - pts @ w
-        if margin[hull_ids].min() < -1e-7 * scale:
-            # Should not happen for solver-reported planes; guards orientation.
-            w, c = -w, -c
-            margin = -margin
-        side = float(w @ centroid - c)
-        if side > eps_geom * scale:
-            w, c = -w, -c
-        elif abs(side) <= eps_geom * scale and apex_id is not None:
-            if float(w @ pts[apex_id] - c) > eps_geom * scale:
-                w, c = -w, -c
-        on = np.flatnonzero(np.abs(pts @ w - c) <= eps_geom * scale)
-        vids = tuple(sorted(int(i) for i in on if int(i) in hull_vertices))
-        facets.append(Facet(normal=w, offset=float(c), vertex_ids=vids))
-
+    # Row k of `height` holds every point's height over kept plane k, from
+    # one matrix-vector product per plane, and `side` the centroid's, from
+    # one dot product per plane; a single matrix product would round
+    # differently. Negating w and c negates every height exactly, so the
+    # orientation flips only change signs, and the incidence test
+    # |pts @ w - c| <= tol does not depend on them.
+    w0 = normals[kept]
+    c0 = offsets[kept]
+    centroid = pts.mean(axis=0)
+    height = np.stack([pts @ w for w in w0]) - c0[:, None]
+    side = np.array([w @ centroid for w in w0]) - c0
+    # Should not happen for solver-reported planes; guards orientation.
+    sign = np.where(height[:, is_vertex].max(axis=1) > 1e-7 * scale, -1.0, 1.0)
+    side *= sign
+    outward = side > tol
+    if apex_id is not None:
+        # The apex breaks ties where the centroid lies on the plane.
+        for k in np.flatnonzero(np.abs(side) <= tol):
+            outward[k] = sign[k] * (w0[k] @ pts[apex_id] - c0[k]) > tol
+    sign[outward] *= -1.0
+    on = (np.abs(height) <= tol) & is_vertex
+    ends = np.cumsum(on.sum(axis=1)).tolist()
+    on_ids = np.nonzero(on)[1].tolist()
+    facets = tuple(
+        Facet(normal=w, offset=c, vertex_ids=tuple(on_ids[start:end]))
+        for w, c, start, end in zip(
+            sign[:, None] * w0, (sign * c0).tolist(), [0, *ends], ends
+        )
+    )
     return LocalHull(
         points=pts,
-        facets=tuple(facets),
-        vertex_ids=tuple(sorted(hull_vertices)),
+        facets=facets,
+        vertex_ids=tuple(np.flatnonzero(is_vertex).tolist()),
         ambient_dim=dim,
     )
 
 
-def incident_facets(hull: LocalHull, point_id: int) -> list[int]:
-    """Indices of the hull facets containing a given hull vertex."""
-    if point_id not in hull.vertex_ids:
-        raise ApexNotVertexError(f"point {point_id} is not a vertex of the hull")
-    return [i for i, f in enumerate(hull.facets) if point_id in f.vertex_ids]
+def incident_facets(hull: LocalHull, point_id: int) -> tuple[int, ...]:
+    """Indices of the hull facets containing a given hull vertex, ascending.
+
+    The facets are scanned once per hull and vertex; later calls return the
+    tuple memoized on the hull.
+    """
+    found = hull.incident.get(point_id)
+    if found is None:
+        if point_id not in hull.vertex_ids:
+            raise ApexNotVertexError(f"point {point_id} is not a vertex of the hull")
+        found = hull.incident[point_id] = tuple(
+            i for i, f in enumerate(hull.facets) if point_id in f.vertex_ids
+        )
+    return found
 
 
 def subfaces_at(face: FaceDescriptor, hull: LocalHull, apex_id: int) -> list[FaceDescriptor]:

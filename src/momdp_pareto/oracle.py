@@ -306,6 +306,17 @@ def verify_front(
     land on the face's affine hull within tol (scaled) and (ii) not be
     strictly dominated, beyond tol, by any deterministic policy's return.
 
+    A scaled point x counts as dominated by a return c when c exceeds x by
+    more than tol in some objective and is at least x - 1e-12 in every
+    objective. The 1e-12 absorbs evaluation rounding only, so that a genuine
+    trade-off of any size above it is never read as dominance. Scaled
+    returns lie in [-1, 1], and each comes from an LU solve of
+    (I - gamma P) V = r, whose relative error is about
+    cond(I - gamma P) S 2**-53 <= (1 + gamma) / (1 - gamma) S 1.1e-16, or
+    2.5e-14 at gamma = 0.9 and S = 12; x and c come from different solves,
+    so they differ from the exact returns by two such errors. Where that
+    bound passes 1e-12, a dominance within rounding of a tie goes unflagged.
+
     The dominance scans run over the non-dominated returns only. This is
     exact: a return that dominates x beyond tol is itself dominated by, or
     equal to, a non-dominated return, and that return is at least as large
@@ -323,7 +334,7 @@ def verify_front(
     cloud = cloud[pprune(cloud)]
 
     def dominated(x: np.ndarray) -> bool:
-        ge = (cloud >= x - tol).all(axis=1)
+        ge = (cloud >= x - 1e-12).all(axis=1)
         gt = (cloud > x + tol).any(axis=1)
         return bool((ge & gt).any())
 

@@ -134,14 +134,17 @@ def _policy_key(policy: np.ndarray) -> tuple[int, ...]:
 
 @dataclass(eq=False)
 class SearchContext:
-    """Mutable state shared across vertex explorations of one search run."""
+    """Mutable state shared across vertex explorations of one search run.
+
+    `scaled` holds the scaled return of vertex i as row i.
+    """
 
     mdp: Mdp
     config: SearchConfig
     scale: float
+    scaled: np.ndarray
     z: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
     vertices: list[VertexRecord] = field(default_factory=list)
-    scaled: list[np.ndarray] = field(default_factory=list)
     faces: list[FaceRecord] = field(default_factory=list)
     face_keys: set[tuple[int, ...]] = field(default_factory=set)
     queue: deque[int] = field(default_factory=deque)
@@ -153,11 +156,17 @@ class SearchContext:
 
 def make_context(mdp: Mdp, config: SearchConfig | None = None) -> SearchContext:
     config = config or SearchConfig()
-    return SearchContext(mdp=mdp, config=config, scale=return_scale(mdp))
+    return SearchContext(
+        mdp=mdp,
+        config=config,
+        scale=return_scale(mdp),
+        scaled=np.empty((0, mdp.num_objectives)),
+    )
 
 
-def _merge_co_policy(record: VertexRecord, policy: np.ndarray) -> None:
-    key = _policy_key(policy)
+def _merge_co_policy(record: VertexRecord, policy: np.ndarray, key: tuple[int, ...]) -> None:
+    """Record `policy`, whose `_policy_key` is `key`, as achieving `record`'s
+    return, unless it is already listed."""
     if key == _policy_key(record.policy):
         return
     if any(key == _policy_key(p) for p in record.co_policies):
@@ -166,10 +175,10 @@ def _merge_co_policy(record: VertexRecord, policy: np.ndarray) -> None:
 
 
 def _find_vertex(ctx: SearchContext, scaled_point: np.ndarray) -> int | None:
-    for vid, s in enumerate(ctx.scaled):
-        if np.abs(s - scaled_point).max() <= ctx.config.eps_equal:
-            return vid
-    return None
+    """The smallest vertex id whose scaled return lies within eps_equal
+    (max-norm) of `scaled_point`, or None."""
+    near = np.abs(ctx.scaled - scaled_point).max(axis=1) <= ctx.config.eps_equal
+    return int(near.argmax()) if near.any() else None
 
 
 def _add_vertex(
@@ -179,7 +188,7 @@ def _add_vertex(
     ctx.vertices.append(
         VertexRecord(id=vid, policy=np.asarray(policy, dtype=np.int64), co_policies=co, ret=raw)
     )
-    ctx.scaled.append(raw * ctx.scale)
+    ctx.scaled = np.vstack([ctx.scaled, raw * ctx.scale])
     ctx.queue.append(vid)
     return vid
 
@@ -314,36 +323,36 @@ def explore_vertex(
     """
     cfg = ctx.config
     nbrs = neighbors_one(vertex.policy, ctx.mdp.num_actions)
-    fresh = [p for p in nbrs if _policy_key(p) not in ctx.z]
-    for p, j in zip(fresh, deterministic_returns(ctx.mdp, fresh, cfg.thread_count)):
-        ctx.z[_policy_key(p)] = j
+    keys = [_policy_key(p) for p in nbrs]
+    fresh = [i for i, key in enumerate(keys) if key not in ctx.z]
+    returns = deterministic_returns(ctx.mdp, [nbrs[i] for i in fresh], cfg.thread_count)
+    for i, j in zip(fresh, returns):
+        ctx.z[keys[i]] = j
     ctx.stats.policies_evaluated += len(fresh)
 
     apex_scaled = ctx.scaled[vertex.id]
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
-    for p in nbrs:
-        raw = ctx.z[_policy_key(p)]
-        x = raw * ctx.scale
-        rel = dominance(x, apex_scaled, cfg.eps_equal)
+    x = np.reshape([ctx.z[key] for key in keys], (-1, ctx.mdp.num_objectives)) * ctx.scale
+    kept: list[int] = []
+    for i, rel in enumerate(dominance(x, apex_scaled, cfg.eps_equal)):
         if rel is Dominance.EQUAL:
-            _merge_co_policy(vertex, p)
+            _merge_co_policy(vertex, nbrs[i], keys[i])
         elif rel is Dominance.DOMINATES:
             raise SearchAbortError(
                 f"vertex {vertex.id} (actions {vertex.policy.tolist()}) is strictly "
-                f"dominated by its neighbor with actions {p.tolist()}; "
+                f"dominated by its neighbor with actions {nbrs[i].tolist()}; "
                 "its return is not on the Pareto front"
             )
         elif rel is Dominance.INCOMPARABLE:
-            kept.append((p, x))
+            kept.append(i)
     if not kept:
         return [], []
 
-    cand = np.array([x for _, x in kept])
+    cand = x[kept]
     nd = pprune(cand)
     # Local point 0 is the apex; point k >= 1 is the first of groups[k - 1],
-    # the indices into `kept` of neighbors with coincident returns.
-    groups = [[nd[i] for i in g] for g in group_coincident(cand[nd], cfg.eps_equal)]
-    pts = np.vstack([apex_scaled, cand[[g[0] for g in groups]]])
+    # the neighbor indices of the kept neighbors with coincident returns.
+    groups = [[kept[nd[i]] for i in g] for g in group_coincident(cand[nd], cfg.eps_equal)]
+    pts = np.vstack([apex_scaled, x[[g[0] for g in groups]]])
     local_faces = [FaceRecord.from_lp(*pair) for pair in _local_pareto_faces(ctx, vertex, pts)]
 
     new_faces: list[FaceRecord] = []
@@ -353,15 +362,17 @@ def explore_vertex(
         gids = []
         for lid in local.vertex_ids:
             if lid not in lid_to_gid:
-                members = [kept[i][0] for i in groups[lid - 1]]
+                members = groups[lid - 1]
                 gid = _find_vertex(ctx, pts[lid])
                 if gid is None:
-                    raw = ctx.z[_policy_key(members[0])]
-                    gid = _add_vertex(ctx, members[0], raw, members[1:])
+                    first = members[0]
+                    gid = _add_vertex(
+                        ctx, nbrs[first], ctx.z[keys[first]], [nbrs[i] for i in members[1:]]
+                    )
                     new_vertices.append(ctx.vertices[gid])
                 else:
-                    for p in members:
-                        _merge_co_policy(ctx.vertices[gid], p)
+                    for i in members:
+                        _merge_co_policy(ctx.vertices[gid], nbrs[i], keys[i])
                 lid_to_gid[lid] = gid
             gids.append(lid_to_gid[lid])
         key = tuple(sorted(set(gids)))

@@ -17,6 +17,7 @@ from scipy.spatial import ConvexHull
 
 from momdp_pareto import Mdp
 from momdp_pareto.geometry import (
+    Dominance,
     Facet,
     FaceDescriptor,
     affine_dimension,
@@ -103,6 +104,42 @@ def mc_return(
 
 def strictly_dominates(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> bool:
     return bool(np.all(u >= v - eps) and np.any(u > v + eps))
+
+
+def loop_dominance(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> Dominance:
+    """Pareto dominance of one point u over one point v with slack eps, from
+    the differences' smallest, largest and largest absolute entry."""
+    diff = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
+    if np.abs(diff).max() <= eps:
+        return Dominance.EQUAL
+    if diff.min() >= -eps and diff.max() > eps:
+        return Dominance.DOMINATES
+    if diff.max() <= eps and diff.min() < -eps:
+        return Dominance.DOMINATED_BY
+    return Dominance.INCOMPARABLE
+
+
+def loop_group_coincident(points: np.ndarray, eps: float) -> list[list[int]]:
+    """`group_coincident` by comparing each row with the first row of every
+    group opened so far, in order."""
+    groups: list[list[int]] = []
+    for i, p in enumerate(points):
+        for g in groups:
+            if np.abs(p - points[g[0]]).max() <= eps:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
+def loop_find_vertex(scaled: np.ndarray, point: np.ndarray, eps: float):
+    """The first row of `scaled` within eps (max-norm) of `point`, or None,
+    by visiting the rows in order."""
+    for vid, s in enumerate(scaled):
+        if np.abs(s - point).max() <= eps:
+            return vid
+    return None
 
 
 def quadratic_pprune(points: np.ndarray, eps: float = 0.0) -> list[int]:
@@ -402,7 +439,8 @@ def loop_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e-9):
     """`convex_hull`'s facets with its planes deduplicated one plane at a
     time: each Qhull plane is normalized, compared with every plane kept so
     far, and kept unless one is within 1e-9 per normal coordinate and 1e-9
-    times the points' scale in offset."""
+    times the points' scale in offset. Each kept plane is then oriented and
+    its vertices listed on its own, with fresh products after every flip."""
     pts = np.asarray(points, dtype=float)
     hull = ConvexHull(pts)
     scale = max(1.0, float(np.abs(pts).max()))

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import itertools
 
 import numpy as np
@@ -35,6 +37,8 @@ from helpers import (
     dominated_in_cloud,
     linprog_pareto_lp,
     linprog_support_lp,
+    loop_dominance,
+    loop_group_coincident,
     loop_hull_facets,
     quadratic_pprune,
     supporting_hyperplane_facets,
@@ -62,6 +66,31 @@ class TestDominance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             dominance(np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError):
+            dominance(np.zeros((4, 2)), np.zeros(3))
+        with pytest.raises(ValueError):
+            dominance(np.zeros((4, 3)), np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.5])
+    def test_stack_matches_row_by_row(self, eps):
+        """Half-step offsets and sub-eps nudges give every relation, and
+        rows sitting exactly eps away."""
+        rng = np.random.default_rng(7)
+        v = rng.integers(0, 3, size=4) * 0.5
+        u = v + np.vstack(
+            [
+                rng.integers(-2, 3, size=(200, 4)) * 0.5,
+                rng.integers(-1, 2, size=(50, 4)) * 1e-10,
+                np.zeros((1, 4)),
+            ]
+        )
+        want = [loop_dominance(row, v, eps) for row in u]
+        assert set(want) == set(Dominance)
+        assert dominance(u, v, eps) == want
+        assert [dominance(row, v, eps) for row in u] == want
+
+    def test_empty_stack(self):
+        assert dominance(np.zeros((0, 3)), np.zeros(3)) == []
 
 
 class TestPPrune:
@@ -168,6 +197,30 @@ class TestGroupCoincident:
     def test_zero_eps_groups_exact_duplicates(self):
         pts = np.array([[1.0, 2.0], [1.0, 2.0 + 1e-12], [1.0, 2.0]])
         assert group_coincident(pts, 0.0) == [[0, 2], [1]]
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.5, 1.0])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_tie_heavy_grid_matches_the_loop(self, eps, dim):
+        """600 rows on a half-step grid: many exact ties, and at eps >= 0.5
+        rows close to a row that is itself in another group."""
+        pts = np.random.default_rng(dim).integers(0, 4, size=(600, dim)) * 0.5
+        assert group_coincident(pts, eps) == loop_group_coincident(pts, eps)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chains_within_eps_match_the_loop(self, seed):
+        """Each row is within eps of the next, so groups end where a row
+        leaves its first row's reach, whatever the row order."""
+        eps = 1e-9
+        rng = np.random.default_rng(seed)
+        chain = np.arange(40)[:, None] * 0.6 * eps * np.ones(3)
+        pts = np.vstack([chain, chain + 1.0])[rng.permutation(80)]
+        got = group_coincident(pts, eps)
+        assert got == loop_group_coincident(pts, eps)
+        assert 2 < len(got) < 80
+
+    def test_nan_rows_stay_alone(self):
+        pts = np.array([[0.0, np.nan], [0.0, 0.0], [0.0, np.nan], [0.0, 0.0]])
+        assert group_coincident(pts, 1.0) == loop_group_coincident(pts, 1.0)
 
 
 def planar_cloud():
@@ -308,12 +361,29 @@ def lattice_cloud(seed: int, dim: int):
     return np.random.default_rng(seed).integers(0, 3, size=(12 * dim, dim)).astype(float)
 
 
+def flat_apex_cloud():
+    """A 4x5 grid in the plane z = 0 and, first, an apex 1e-8 above it. The
+    centroid lies within 1e-9 of the base plane, so the apex decides which
+    way that facet's normal points."""
+    base = np.array([[x, y, 0.0] for x in range(4) for y in range(5)]) / 4
+    return np.vstack([[0.4, 0.5, 1e-8], base])
+
+
 class TestFacetDedupe:
-    """`convex_hull`'s one-mask dedupe against the plane-by-plane loop."""
+    """`convex_hull`'s one-mask dedupe, orientation and incidence against
+    the plane-by-plane loop."""
 
     CLOUDS = {
         "cube-centres": cube_with_face_centres,
         "grid-2x3": grid_returns,
+        "flat-apex": flat_apex_cloud,
+        **{
+            f"uniform-D{d}-s{seed}": (
+                lambda d=d, seed=seed: np.random.default_rng(seed).uniform(size=(6 * d, d))
+            )
+            for d in (3, 4, 5)
+            for seed in range(3)
+        },
         **{
             f"normal-D{d}": (lambda d=d: np.random.default_rng(d).normal(size=(10 * d, d)))
             for d in (3, 4, 5)
@@ -332,6 +402,17 @@ class TestFacetDedupe:
             assert f.normal.tobytes() == g.normal.tobytes()
             assert f.offset == g.offset
             assert f.vertex_ids == g.vertex_ids
+
+    def test_flat_apex_cloud_takes_the_apex_tie_break(self):
+        pts = flat_apex_cloud()
+        hull = convex_hull(pts, apex_id=0)
+        base = [
+            f for f in hull.facets
+            if abs(f.normal @ pts.mean(axis=0) - f.offset) <= 1e-9
+        ]
+        assert len(base) == 1
+        np.testing.assert_allclose(base[0].normal, [0.0, 0.0, -1.0], atol=1e-12)
+        assert base[0].vertex_ids == (1, 5, 16, 20)
 
     @pytest.mark.parametrize("name", ["cube-centres", "grid-2x3", "lattice-D3", "lattice-D4"])
     def test_clouds_have_triangulated_facets(self, name):
@@ -380,6 +461,37 @@ class TestIncidentFacets:
         hull = convex_hull(pts)
         with pytest.raises(ApexNotVertexError):
             incident_facets(hull, 4)
+
+    def test_facets_scanned_once_per_apex(self, monkeypatch):
+        """A D=5 descent asks for its apex's facets at every subface step;
+        the hull lists them once per apex."""
+
+        class CountingFacets(tuple):
+            scans = 0
+
+            def __iter__(self):
+                CountingFacets.scans += 1
+                return super().__iter__()
+
+        search_module = importlib.import_module("momdp_pareto.search")
+        subface_calls = []
+
+        def counted_subfaces_at(face, hull, apex_id):
+            subface_calls.append(apex_id)
+            return subfaces_at(face, hull, apex_id)
+
+        monkeypatch.setattr(search_module, "subfaces_at", counted_subfaces_at)
+        built = convex_hull(np.random.default_rng(0).normal(size=(30, 5)))
+        hull = dataclasses.replace(built, facets=CountingFacets(built.facets))
+        apexes = hull.vertex_ids[:3]
+        for apex in apexes:
+            search_module.select_pareto_faces(apex, hull)
+        assert len(subface_calls) > 3 * len(apexes)
+        assert CountingFacets.scans == len(apexes)
+        assert [incident_facets(hull, a) for a in apexes] == [
+            incident_facets(built, a) for a in apexes
+        ]
+        assert CountingFacets.scans == len(apexes)
 
 
 class TestSubfaces:

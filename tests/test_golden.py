@@ -3,7 +3,9 @@
 `tests/data/golden_fronts.json` holds, for each instance below, the front that
 `search` and `brute_force_front` returned (or the repr of the exception they
 raised) before the face layer skipped nested faces and screened consolidation
-pairs. Those changes are exact, so the fronts must not move: the same vertex
+pairs; `dense-S12-A5-D3-s0`, the first instance with over 100 vertices, was
+added before per-vertex bookkeeping moved into array operations. Those
+changes are exact, so the fronts must not move: the same vertex
 policies and co-policies, the same face vertex-id tuples in the same order,
 and returns, normals, `alpha` and `t_star` within 1e-12.
 
@@ -40,6 +42,7 @@ INSTANCES = {
     "dense-S4-A3-D4-s2": lambda: gen_random_mdp(2, 4, 3, 4),
     "dense-S3-A3-D5-s0": lambda: gen_random_mdp(0, 3, 3, 5),
     "dense-S4-A3-D5-s1": lambda: gen_random_mdp(1, 4, 3, 5),
+    "dense-S12-A5-D3-s0": lambda: gen_random_mdp(0, 12, 5, 3),
     "dupact-S4-A3-D3-s1": lambda: _dupact(1, 4, 3, 3),
     "dupact-S4-A3-D3-s3": lambda: _dupact(3, 4, 3, 3),
     "gamma0-S4-A3-D3-s0": lambda: gen_random_mdp(0, 4, 3, 3, gamma=0.0),

@@ -1,11 +1,14 @@
 """Module boundaries of the package, checked on its source."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "momdp_pareto"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "momdp_pareto"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -41,3 +44,17 @@ def test_no_private_names_from_sibling_modules(path):
 def test_only_geometry_imports_scipy(path):
     uses_scipy = any(m.split(".")[0] == "scipy" for m, _ in imports(path))
     assert uses_scipy == (path.name == "geometry.py")
+
+
+def test_traced_bindings_resolve():
+    """Every (module, attribute) the benchmark's tracer wraps exists, so a
+    refactor that drops a traced name fails here rather than in a traced run."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.BINDINGS
+    for module, attribute, _ in tracing.BINDINGS:
+        # `momdp_pareto.search` names the function once the package is
+        # imported, so each module is fetched by its import path.
+        found = importlib.import_module(f"momdp_pareto.{module}")
+        assert callable(getattr(found, attribute, None)), (module, attribute)

@@ -293,6 +293,19 @@ class TestVerifyFront:
         assert not report.passed
         assert 0 in report.dominated_vertices
 
+    def test_trade_off_on_an_edge_is_not_dominance(self):
+        """Seed 703078820 draws a sample on face 18 of the 2x3 gridworld's
+        front (vertices 21 and 27) with weight 3.7e-6 on vertex 27. It leads
+        vertex 21 by 6.1e-9 in objective 0 and trails it by 3.0e-7 in
+        objective 1: a trade-off, which a tol-sized slack on the "at least
+        as good" side would read as dominance."""
+        m = gen_gridworld(1, 2, 3, 3)
+        front = search(m)
+        assert front.faces[18].vertex_ids == (21, 27)
+        report = verify_front(m, front, seed=703078820)
+        assert report.face_checks[18].n_dominated == 0
+        assert report.passed
+
     def test_single_vertex_front_vacuous(self):
         m = gen_random_mdp(1, 4, 3, 1)
         report = verify_front(m, brute_force_front(m))

@@ -22,6 +22,7 @@ from momdp_pareto.mdp import enumerate_deterministic, neighbors_one
 from momdp_pareto.search import (
     _add_vertex,
     _coplanar_cut,
+    _find_vertex,
     _policy_key,
     consolidate_faces,
     explore_vertex,
@@ -33,6 +34,7 @@ from momdp_pareto.search import (
 from helpers import (
     duplicate_action,
     faces_by_lp_everywhere,
+    loop_find_vertex,
     make_bandit,
     pairwise_consolidate_faces,
 )
@@ -167,6 +169,42 @@ class TestVisitedCache:
         faces, verts = explore_vertex(ctx, ctx.vertices[0])
         assert ctx.stats.policies_evaluated == count
         assert faces == [] and verts == []
+
+
+class TestFindVertex:
+    def test_first_of_two_matches(self, bandit3):
+        """Vertices 1 and 2 both lie within eps_equal of the probe; the
+        lookup names the smaller id, as the row-by-row scan does."""
+        ctx = make_context(bandit3, SearchConfig(seed=0))
+        eps = ctx.config.eps_equal
+        probe = np.array([0.5, 0.25])
+        ctx.scaled = np.array(
+            [probe + [2 * eps, 0.0], probe + [0.0, -eps], probe + [0.5 * eps, 0.5 * eps]]
+        )
+        assert _find_vertex(ctx, probe) == loop_find_vertex(ctx.scaled, probe, eps) == 1
+        ctx.scaled = ctx.scaled[[0, 2, 1]]
+        assert _find_vertex(ctx, probe) == 1
+        ctx.scaled = ctx.scaled[[0]]
+        assert _find_vertex(ctx, probe) is None
+
+    def test_random_probes_match_the_scan(self, bandit3):
+        ctx = make_context(bandit3, SearchConfig(seed=0))
+        rng = np.random.default_rng(3)
+        ctx.scaled = rng.integers(0, 3, size=(80, 2)) * 1e-9
+        for probe in rng.integers(0, 5, size=(200, 2)) * 0.5e-9:
+            want = loop_find_vertex(ctx.scaled, probe, ctx.config.eps_equal)
+            assert _find_vertex(ctx, probe) == want
+
+    def test_added_vertices_are_found(self, bandit3):
+        ctx = make_context(bandit3, SearchConfig(seed=0))
+        assert ctx.scaled.shape == (0, 2)
+        assert _find_vertex(ctx, np.zeros(2)) is None
+        for a in range(3):
+            pol = np.array([a], dtype=np.int64)
+            _add_vertex(ctx, pol, long_term_return(bandit3, pol), [])
+        assert ctx.scaled.shape == (3, 2)
+        for vid, v in enumerate(ctx.vertices):
+            assert _find_vertex(ctx, v.ret * ctx.scale) == vid
 
 
 class TestCoPolicies:
