@@ -243,6 +243,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if args.json:
         print(json.dumps(dataclasses.asdict(report), indent=2))
     else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -131,9 +132,9 @@ def dominance(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> Dominance | lis
     return rels if u.ndim == 2 else rels[0]
 
 
-# Rows per block of the pairwise masks in `pprune` and `group_coincident`. On
-# 15 625 and 65 536 returns, pprune ran about equally fast with 256 to 1024,
-# while 64, 128 and 2048 were slower.
+# Rows per block of the pairwise masks in `pprune`, `dominated_by` and
+# `group_coincident`. On 15 625 and 65 536 returns, pprune ran about equally
+# fast with 256 to 1024, while 64, 128 and 2048 were slower.
 _BLOCK_ROWS = 256
 
 
@@ -156,20 +157,36 @@ def pprune(points: np.ndarray) -> list[int]:
     for start in range(0, len(order), _BLOCK_ROWS):
         block = order[start : start + _BLOCK_ROWS]
         if kept.size:
-            block = block[~_dominated_by(pts[kept], pts[block])]
-        block = block[~_dominated_by(pts[block], pts[block])]
+            block = block[~dominated_by(pts[block], pts[kept])]
+        block = block[~dominated_by(pts[block], pts[block])]
         kept = np.concatenate([kept, block])
     return np.sort(kept).tolist()
 
 
-def _dominated_by(cands: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """For each row of pts, whether some row of cands strictly dominates it."""
-    ge = np.ones((pts.shape[0], cands.shape[0]), dtype=bool)
-    gt = np.zeros_like(ge)
-    for c, p in zip(cands.T, pts.T):
-        ge &= c >= p[:, None]
-        gt |= c > p[:, None]
-    return (ge & gt).any(axis=1)
+def dominated_by(
+    points: np.ndarray, cloud: np.ndarray, tol: float = 0.0, slack: float = 0.0
+) -> np.ndarray:
+    """For each row x of points, whether some row c of cloud dominates it:
+    c >= x - slack in every objective and c > x + tol in some objective.
+
+    With tol and slack 0 this is strict Pareto dominance. The (rows, cloud)
+    masks are built one coordinate at a time per block of rows, so their
+    memory stays bounded as in `pprune`.
+    """
+    pts = np.asarray(points, dtype=float)
+    cands = np.asarray(cloud, dtype=float)
+    if pts.ndim != 2 or cands.ndim != 2 or pts.shape[1] != cands.shape[1]:
+        raise ValueError(f"point arrays have different shapes: {pts.shape} vs {cands.shape}")
+    out = np.zeros(len(pts), dtype=bool)
+    for start in range(0, len(pts), _BLOCK_ROWS):
+        rows = pts[start : start + _BLOCK_ROWS]
+        ge = np.ones((len(rows), len(cands)), dtype=bool)
+        gt = np.zeros_like(ge)
+        for c, lo, hi in zip(cands.T, (rows - slack).T, (rows + tol).T):
+            ge &= c >= lo[:, None]
+            gt |= c > hi[:, None]
+        out[start : start + len(rows)] = (ge & gt).any(axis=1)
+    return out
 
 
 def group_coincident(points: np.ndarray, eps: float) -> list[list[int]]:
@@ -464,6 +481,19 @@ _INF = _highs.kHighsInf
 # linprog's feasibility test of an optimal solution: sqrt(tol) * 10 at its
 # default tol of 1e-9.
 _LP_FEAS_TOL = np.sqrt(1e-9) * 10
+# One HiGHS solver per thread. `_solver` builds a new one when
+# `_HIGHS_OPTIONS` has been rebound since, so new options take effect.
+_SOLVERS = threading.local()
+
+
+def _solver() -> _highs._Highs:
+    """This thread's HiGHS solver, holding `_HIGHS_OPTIONS`, with no model."""
+    if getattr(_SOLVERS, "options", None) is not _HIGHS_OPTIONS:
+        _SOLVERS.highs = _highs._Highs()
+        _SOLVERS.highs.passOptions(_HIGHS_OPTIONS)
+        _SOLVERS.options = _HIGHS_OPTIONS
+    _SOLVERS.highs.clearModel()
+    return _SOLVERS.highs
 
 
 def _highs_lp(
@@ -479,11 +509,12 @@ def _highs_lp(
 
     HiGHS gets linprog's model and options without linprog's per-call
     parsing: the inequality rows, then the equality rows, in column-wise
-    sparse form with only the nonzeros, as `csc_array` stores them. Each LP
-    gets a fresh solver, because a reused one would start from the previous
-    basis. A solution counts only when HiGHS reports it optimal and it meets
-    the bounds, the inequalities and the equalities to within linprog's
-    tolerance.
+    sparse form with only the nonzeros, as `csc_array` stores them. Each
+    thread reuses one solver, whose options are set once; `clearModel` drops
+    the previous model and solver state before each LP, so no LP starts from
+    the previous basis. A solution counts only when HiGHS reports it optimal
+    and it meets the bounds, the inequalities and the equalities to within
+    linprog's tolerance.
 
     Returns:
         (x, None), or (None, why) where `why` gives HiGHS's model status and,
@@ -513,8 +544,7 @@ def _highs_lp(
     matrix.start_ = start
     matrix.index_ = np.nonzero(nz)[1].astype(np.int32)
     matrix.value_ = at[nz]
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs = _solver()
     status = _highs.HighsModelStatus.kModelError
     if highs.passModel(lp) != _highs.HighsStatus.kError:
         highs.run()

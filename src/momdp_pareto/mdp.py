@@ -391,3 +391,37 @@ def deterministic_returns(
         for start in starts:
             run(start)
     return out
+
+
+def stochastic_returns(mdp: Mdp, policies: np.ndarray) -> np.ndarray:
+    """Long-term returns of stochastic policies, one (D,) row per policy.
+
+    Forms P_pi and r_pi of a block of at most 4096 policies by one einsum
+    each, solves the stacked Bellman systems in one call and contracts with
+    mu exactly as `long_term_return` does, so every row equals that
+    function's result bit for bit.
+
+    Args:
+        mdp: the MDP.
+        policies: an (n, S, A) stack of row-stochastic matrices; n may be 0.
+
+    Raises:
+        ValueError: when the stack has the wrong shape or a row is not a
+            distribution over actions.
+    """
+    S, A = mdp.num_states, mdp.num_actions
+    mats = np.asarray(policies, dtype=float)
+    if mats.ndim != 3 or mats.shape[1:] != (S, A):
+        raise ValueError(f"stochastic policies must have shape (n, {S}, {A}), got {mats.shape}")
+    out = np.empty((len(mats), mdp.num_objectives))
+    if not len(mats):
+        return out
+    if mats.min() < -1e-12 or np.abs(mats.sum(axis=2) - 1.0).max() > 1e-9:
+        raise ValueError("stochastic policy rows must be distributions over actions")
+    eye = np.eye(S)
+    for start in range(0, len(mats), _EVAL_BLOCK):
+        block = mats[start : start + _EVAL_BLOCK]
+        p_pi = np.einsum("nsa,sat->nst", block, mdp.P)
+        r_pi = np.einsum("nsa,sad->nsd", block, mdp.r)
+        out[start : start + len(block)] = mdp.mu @ np.linalg.solve(eye - mdp.gamma * p_pi, r_pi)
+    return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from .geometry import (
     affine_dimension,
     convex_hull,
     deterministic_jitter,
+    dominated_by,
     group_coincident,
     pprune,
     support_faces,
@@ -27,8 +29,10 @@ from .mdp import (
     deterministic_returns,
     enumerate_deterministic,
     gen_random_mdp,
+    # Not called here since verify evaluates samples in stacked blocks; the
+    # benchmark's tracer still binds it on this module.
     long_term_return,
-    mix_policies,
+    stochastic_returns,
     validate_mdp,
 )
 from .search import (
@@ -274,20 +278,32 @@ def _compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (head, *tail)
 
 
-def _face_weights(k: int, total: int, rng: np.random.Generator) -> np.ndarray:
-    """Barycentric sample weights: a step-0.25 grid topped up with random draws.
+@functools.lru_cache(maxsize=128)
+def _weight_grid(k: int, total: int) -> np.ndarray:
+    """The first `total` points of the step-0.25 grid on the k-simplex, in
+    lexicographic order, as a read-only (rows, k) array. Only those points
+    are generated, so the cost does not grow as 5**k."""
+    grid = np.array(list(itertools.islice(_compositions(k, 4), total)), dtype=float)
+    grid = grid.reshape(-1, k) / 4.0
+    grid.flags.writeable = False
+    return grid
 
-    The grid points come in lexicographic order and only the first `total`
-    are generated, so the cost does not grow as 5**k.
-    """
-    grid = [
-        np.array(c, dtype=float) / 4.0
-        for c in itertools.islice(_compositions(k, 4), total)
-    ]
+
+def _face_weights(k: int, total: int, rng: np.random.Generator) -> np.ndarray:
+    """Barycentric sample weights: a step-0.25 grid topped up with random draws."""
+    grid = _weight_grid(k, total)
     if len(grid) >= total:
-        return np.array(grid)
+        return grid
     extra = rng.dirichlet(np.ones(k), size=total - len(grid))
-    return np.vstack([np.array(grid), extra])
+    return np.vstack([grid, extra])
+
+
+# Slack on the "at least as good" side of verify's dominance test; see
+# `verify_front`.
+_ROUNDING_SLACK = 1e-12
+# Face samples whose mixtures verify builds and evaluates at once, the size
+# of one `stochastic_returns` block.
+_SAMPLE_BLOCK = 4096
 
 
 def verify_front(
@@ -305,6 +321,13 @@ def verify_front(
     barycentric mixtures of its vertex policies are evaluated and must (i)
     land on the face's affine hull within tol (scaled) and (ii) not be
     strictly dominated, beyond tol, by any deterministic policy's return.
+    With `samples_per_face` 0 only the vertices are checked.
+
+    The samples of all faces are evaluated in stacked blocks by
+    `stochastic_returns`, bit for bit as `long_term_return` evaluates each.
+    Each face's residuals come from one least-squares solve with its samples
+    as right-hand sides, and one blocked mask tests all samples for
+    dominance, as another tests all vertices.
 
     A scaled point x counts as dominated by a return c when c exceeds x by
     more than tol in some objective and is at least x - 1e-12 in every
@@ -323,48 +346,70 @@ def verify_front(
     everywhere, so it dominates x beyond tol too.
 
     Raises:
+        ValueError: when samples_per_face is negative, or a vertex policy is
+            not one action in range per state.
         EnumerationCapError: when A**S exceeds the cap.
     """
-    count = mdp.num_actions**mdp.num_states
+    if samples_per_face < 0:
+        raise ValueError(f"samples_per_face must be >= 0, got {samples_per_face}")
+    S, A, D = mdp.num_states, mdp.num_actions, mdp.num_objectives
+    for v in front.vertices:
+        pol = np.asarray(v.policy)
+        if pol.shape != (S,) or pol.min() < 0 or pol.max() >= A:
+            raise ValueError(
+                f"vertex {v.id}: policy {pol.tolist()} is not {S} actions in [0, {A})"
+            )
+    count = A**S
     if count > cap:
         raise EnumerationCapError(count, cap)
     scale = return_scale(mdp)
-    pols = enumerate_deterministic(mdp.num_states, mdp.num_actions)
+    pols = enumerate_deterministic(S, A)
     cloud = deterministic_returns(mdp, pols, thread_count) * scale
     cloud = cloud[pprune(cloud)]
 
-    def dominated(x: np.ndarray) -> bool:
-        ge = (cloud >= x - 1e-12).all(axis=1)
-        gt = (cloud > x + tol).any(axis=1)
-        return bool((ge & gt).any())
+    rets = np.array([v.ret for v in front.vertices]).reshape(-1, D) * scale
+    bad = dominated_by(rets, cloud, tol, _ROUNDING_SLACK)
+    report = VerifyReport(
+        passed=not bad.any(),
+        dominated_vertices=[v.id for v, b in zip(front.vertices, bad.tolist()) if b],
+    )
 
-    report = VerifyReport(passed=True)
-    for v in front.vertices:
-        if dominated(v.ret * scale):
-            report.dominated_vertices.append(v.id)
-            report.passed = False
-
+    # Each face's mixtures add its vertices' weight columns in face-vertex
+    # order, as `mix_policies` adds them. They are built and evaluated for
+    # runs of faces of at most _SAMPLE_BLOCK samples (or one face), so the
+    # (rows, S, A) stack does not grow with the number of faces.
     rng = np.random.default_rng(seed)
-    for fid, face in enumerate(front.faces):
-        vrecs = [front.vertices[v] for v in face.vertex_ids]
-        V = np.array([vr.ret for vr in vrecs]) * scale
-        basis = (V[1:] - V[0]).T
-        weights = _face_weights(len(vrecs), samples_per_face, rng)
+    weights = [_face_weights(len(f.vertex_ids), samples_per_face, rng) for f in front.faces]
+    states = np.arange(S)
+    samples = np.empty((len(front.faces), samples_per_face, D))
+    step = max(1, _SAMPLE_BLOCK // max(1, samples_per_face))
+    for start in range(0, len(front.faces), step):
+        faces = front.faces[start : start + step]
+        mixed = np.zeros((len(faces), samples_per_face, S, A))
+        for mats, face, w in zip(mixed, faces, weights[start:]):
+            for vid, col in zip(face.vertex_ids, w.T):
+                mats[:, states, front.vertices[vid].policy] += col[:, None]
+        returns = stochastic_returns(mdp, mixed.reshape(-1, S, A)) * scale
+        samples[start : start + len(faces)] = returns.reshape(len(faces), samples_per_face, D)
+    n_dominated = (
+        dominated_by(samples.reshape(-1, D), cloud, tol, _ROUNDING_SLACK)
+        .reshape(len(front.faces), samples_per_face)
+        .sum(axis=1)
+    )
+
+    for fid, (face, xs, n_dom) in enumerate(zip(front.faces, samples, n_dominated.tolist())):
         max_resid = 0.0
-        n_dom = 0
-        for w in weights:
-            mixed = mix_policies([vr.policy for vr in vrecs], w, mdp.num_actions)
-            x = long_term_return(mdp, mixed) * scale
-            coef, *_ = np.linalg.lstsq(basis, x - V[0], rcond=None)
-            resid = float(np.abs(x - V[0] - basis @ coef).max())
-            max_resid = max(max_resid, resid)
-            if dominated(x):
-                n_dom += 1
+        if samples_per_face:
+            V = rets[list(face.vertex_ids)]
+            basis = (V[1:] - V[0]).T
+            offsets = (xs - V[0]).T
+            coef, *_ = np.linalg.lstsq(basis, offsets, rcond=None)
+            max_resid = float(np.abs(offsets - basis @ coef).max())
         ok = max_resid <= tol and n_dom == 0
         report.face_checks.append(
             FaceCheck(
                 face_id=fid,
-                n_samples=len(weights),
+                n_samples=samples_per_face,
                 max_affine_residual=max_resid,
                 n_dominated=n_dom,
                 passed=ok,

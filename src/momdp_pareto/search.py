@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from collections import deque
@@ -282,17 +283,22 @@ def _local_pareto_faces(
             "testing faces directly instead of building a hull"
         )
         return support_faces(pts, 0, ctx.config.eps_pos)
-    adim = affine_dimension(pts)
-    hull_pts = pts
-    if adim < D:
-        ctx.warn(
-            f"vertex {vertex.id}: local returns span dimension {adim} < {D}; "
-            "jitter applied before hull construction"
-        )
-        hull_pts = deterministic_jitter(pts)
+    hull = None
     try:
-        hull = convex_hull(hull_pts, apex_id=0, eps_geom=ctx.config.eps_geom)
-    except DegenerateHullError:
+        hull = convex_hull(pts, apex_id=0, eps_geom=ctx.config.eps_geom)
+    except DegenerateHullError as exc:
+        # A flat set is jittered and tried once more; a set spanning all D
+        # dimensions that Qhull refused goes straight to the direct tests.
+        if exc.affine_dim < D:
+            ctx.warn(
+                f"vertex {vertex.id}: local returns span dimension {exc.affine_dim} < {D}; "
+                "jitter applied before hull construction"
+            )
+            with contextlib.suppress(DegenerateHullError):
+                hull = convex_hull(
+                    deterministic_jitter(pts), apex_id=0, eps_geom=ctx.config.eps_geom
+                )
+    if hull is None:
         ctx.warn(
             f"vertex {vertex.id}: hull construction degenerate; "
             "testing faces directly instead"

@@ -16,6 +16,12 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from momdp_pareto import Mdp
+from momdp_pareto.mdp import (
+    deterministic_returns,
+    enumerate_deterministic,
+    long_term_return,
+    mix_policies,
+)
 from momdp_pareto.geometry import (
     Dominance,
     Facet,
@@ -23,9 +29,11 @@ from momdp_pareto.geometry import (
     affine_dimension,
     incident_facets,
     pareto_lp,
+    pprune,
     subfaces_at,
 )
-from momdp_pareto.oracle import ComparisonReport
+from momdp_pareto.oracle import ComparisonReport, FaceCheck, VerifyReport, _face_weights
+from momdp_pareto.search import return_scale
 
 
 def one_hot_policy(actions, num_actions: int) -> np.ndarray:
@@ -521,3 +529,53 @@ def pairwise_consolidate_faces(faces, scaled_returns):
         seen.add(f.vertex_ids)
         keep.append(f)
     return keep
+
+
+def loop_verify_front(mdp, front, samples_per_face=25, tol=1e-8, seed=0):
+    """`verify_front` one sample at a time: each mixture is built by
+    `mix_policies`, evaluated by `long_term_return`, projected by its own
+    least-squares solve and scanned for dominance on its own."""
+    scale = return_scale(mdp)
+    pols = enumerate_deterministic(mdp.num_states, mdp.num_actions)
+    cloud = deterministic_returns(mdp, pols) * scale
+    cloud = cloud[pprune(cloud)]
+
+    def dominated(x):
+        ge = (cloud >= x - 1e-12).all(axis=1)
+        gt = (cloud > x + tol).any(axis=1)
+        return bool((ge & gt).any())
+
+    report = VerifyReport(passed=True)
+    for v in front.vertices:
+        if dominated(v.ret * scale):
+            report.dominated_vertices.append(v.id)
+            report.passed = False
+
+    rng = np.random.default_rng(seed)
+    for fid, face in enumerate(front.faces):
+        vrecs = [front.vertices[v] for v in face.vertex_ids]
+        V = np.array([vr.ret for vr in vrecs]) * scale
+        basis = (V[1:] - V[0]).T
+        weights = _face_weights(len(vrecs), samples_per_face, rng)
+        max_resid = 0.0
+        n_dom = 0
+        for w in weights:
+            mixed = mix_policies([vr.policy for vr in vrecs], w, mdp.num_actions)
+            x = long_term_return(mdp, mixed) * scale
+            coef, *_ = np.linalg.lstsq(basis, x - V[0], rcond=None)
+            resid = float(np.abs(x - V[0] - basis @ coef).max())
+            max_resid = max(max_resid, resid)
+            if dominated(x):
+                n_dom += 1
+        ok = max_resid <= tol and n_dom == 0
+        report.face_checks.append(
+            FaceCheck(
+                face_id=fid,
+                n_samples=len(weights),
+                max_affine_residual=max_resid,
+                n_dominated=n_dom,
+                passed=ok,
+            )
+        )
+        report.passed = report.passed and ok
+    return report

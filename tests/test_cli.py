@@ -156,6 +156,35 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
 
+    def test_negative_samples_is_invalid_input(self, mdp_file, tmp_path, capsys):
+        front = tmp_path / "front.json"
+        run("solve", str(mdp_file), "-o", str(front))
+        capsys.readouterr()
+        assert run("verify", str(mdp_file), str(front), "--samples", "-3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "samples_per_face" in err and "-3" in err
+
+    def test_out_of_range_action_is_invalid_input(self, mdp_file, tmp_path, capsys):
+        front = tmp_path / "front.json"
+        run("solve", str(mdp_file), "-o", str(front))
+        data = json.loads(front.read_text())
+        data["vertices"][1]["actions"][0] = 9
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("verify", str(mdp_file), str(bad)) == 2
+        assert capsys.readouterr().err.startswith("error: vertex 1: policy [9,")
+
+    def test_zero_samples_checks_vertices_only(self, mdp_file, tmp_path, capsys):
+        front = tmp_path / "front.json"
+        run("solve", str(mdp_file), "-o", str(front))
+        capsys.readouterr()
+        assert run("verify", str(mdp_file), str(front), "--samples", "0", "--json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["face_checks"]
+        assert {c["n_samples"] for c in report["face_checks"]} == {0}
+
 
 class TestBench:
     def test_csv_shape(self, tmp_path):

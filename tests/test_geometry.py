@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from momdp_pareto.geometry import (
     convex_hull,
     deterministic_jitter,
     dominance,
+    dominated_by,
     group_coincident,
     incident_facets,
     is_pareto_face,
@@ -168,6 +171,41 @@ class TestPPruneSweep:
         kept = pprune(pts)
         assert kept == all_pairs_pprune(pts)
         assert 100 < len(kept) < pts.shape[0] // 2
+
+
+class TestDominatedBy:
+    """The blocked mask against one scan of the cloud per row."""
+
+    @staticmethod
+    def loop(points, cloud, tol, slack):
+        return [
+            bool(((cloud >= x - slack).all(axis=1) & (cloud > x + tol).any(axis=1)).any())
+            for x in points
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+    def test_tie_heavy_grids(self, n):
+        rng = np.random.default_rng(n)
+        points = rng.integers(0, 4, size=(n, 3)) / 4.0
+        cloud = rng.integers(0, 4, size=(50, 3)) / 4.0
+        for tol, slack in ((0.0, 0.0), (0.25, 0.0), (0.0, 0.25), (0.1, 1e-12), (0.3, 0.3)):
+            got = dominated_by(points, cloud, tol, slack)
+            assert got.dtype == bool and got.shape == (n,)
+            assert got.tolist() == self.loop(points, cloud, tol, slack)
+
+    def test_slack_and_tol_sides(self):
+        cloud = np.array([[1.0, 1.0]])
+        # Beats the point by 0.5 in one objective, trails it by 1e-13 in
+        # the other: dominance within a 1e-12 slack only.
+        point = np.array([[0.5, 1.0 + 1e-13]])
+        assert dominated_by(point, cloud, 1e-8, 1e-12).tolist() == [True]
+        assert dominated_by(point, cloud, 1e-8, 0.0).tolist() == [False]
+        # A lead of 1e-9 does not count beyond tol 1e-8.
+        assert dominated_by(cloud - 1e-9, cloud, 1e-8, 0.0).tolist() == [False]
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            dominated_by(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 class TestAffineDimension:
@@ -632,6 +670,74 @@ class TestLpsMatchLinprog:
         with pytest.raises(RuntimeError, match=r"shape \(4, 3\).*Iteration limit reached"):
             pareto_lp(W)
         assert _support_lp(np.eye(3), (0, 1)) == (None, float("-inf"))
+
+
+def in_new_thread(fn, *args):
+    """fn(*args) run in a thread of its own, so on a HiGHS solver of its own."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return out[0]
+
+
+class TestSharedHighsSolver:
+    """Each thread reuses one HiGHS solver; `clearModel` before every LP
+    must leave no trace of the previous LP's basis."""
+
+    @staticmethod
+    def certificate_bytes(W):
+        cert = pareto_lp(W)
+        return cert.alpha.tobytes(), cert.t_star
+
+    def test_alternating_bases_match_fresh_solvers(self):
+        rng = np.random.default_rng(31)
+        changed = 0
+        for n, d in ((3, 3), (4, 3), (5, 4), (6, 5)):
+            for _ in range(6):
+                pair = [rng.normal(size=(n, d)), rng.normal(size=(n, d))]
+                fresh = [in_new_thread(self.certificate_bytes, W) for W in pair]
+                supports = [tuple(np.flatnonzero(pareto_lp(W).alpha > 0)) for W in pair]
+                changed += supports[0] != supports[1]
+                for W, ref in zip(pair * 2, fresh * 2):
+                    assert self.certificate_bytes(W) == ref
+        # The back-to-back LPs really had different optimal bases.
+        assert changed >= 10
+
+    def test_threads(self):
+        """Four threads, more than the cores, solve the same LPs in different
+        orders with frequent switches; each uses its own solver and every
+        certificate matches the serial one."""
+        rng = np.random.default_rng(32)
+        inputs = [rng.normal(size=(int(rng.integers(2, 8)), int(rng.integers(2, 6))))
+                  for _ in range(40)]
+        serial = [self.certificate_bytes(W) for W in inputs]
+        start = threading.Barrier(4, timeout=60)
+        results, solvers = {}, {}
+
+        def work(name, order):
+            start.wait()
+            solvers[name] = geometry._solver()
+            results[name] = [(i, self.certificate_bytes(inputs[i])) for i in order * 3]
+
+        orders = [list(range(40)), list(range(40))[::-1], list(range(0, 40, 2)) * 2,
+                  list(range(1, 40, 2)) * 2]
+        workers = [threading.Thread(target=work, args=(k, order)) for k, order in enumerate(orders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len({id(solver) for solver in solvers.values()}) == 4
+        for k, got in results.items():
+            assert len(got) == 3 * len(orders[k])
+            assert all(cert == serial[i] for i, cert in got)
 
 
 class TestSignScreen:

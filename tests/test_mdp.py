@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import momdp_pareto.mdp as mdp_module
+
 from momdp_pareto import (
     InvalidMdpError,
     Mdp,
@@ -21,6 +23,7 @@ from momdp_pareto.mdp import (
     mix_policies,
     neighbors_one,
     solve_scalarized,
+    stochastic_returns,
     validate_mdp,
 )
 
@@ -355,6 +358,48 @@ class TestDeterministicReturns:
         pols = neighbors_one(np.zeros(4, dtype=np.int64), 3)
         got = deterministic_returns(mdp433, pols)
         assert got.tobytes() == np.array([long_term_return(mdp433, p) for p in pols]).tobytes()
+
+
+class TestStochasticReturns:
+    CASES = TestDeterministicReturns.CASES
+
+    @staticmethod
+    def policies(m, n, seed):
+        """n stochastic policies: Dirichlet rows, one-hot rows, and mixtures
+        of three deterministic policies built by `mix_policies`."""
+        rng = np.random.default_rng(seed)
+        S, A = m.num_states, m.num_actions
+        dirichlet = rng.dirichlet(np.ones(A), size=(n, S))
+        one_hot = np.array([one_hot_policy(p, A) for p in rng.integers(0, A, size=(n, S))])
+        corners = list(rng.integers(0, A, size=(3, S)))
+        mixed = np.array([mix_policies(corners, w, A) for w in rng.dirichlet(np.ones(3), n)])
+        return np.concatenate([dirichlet, one_hot, mixed])
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_bit_identical_to_long_term_return(self, kind):
+        m = self.CASES[kind]()
+        mats = self.policies(m, 40, seed=len(kind))
+        got = stochastic_returns(m, mats)
+        assert got.shape == (len(mats), m.num_objectives)
+        for row, mat in zip(got, mats):
+            assert row.tobytes() == long_term_return(m, mat).tobytes()
+
+    def test_blocks_do_not_change_results(self, mdp433, monkeypatch):
+        mats = self.policies(mdp433, 11, seed=5)
+        whole = stochastic_returns(mdp433, mats)
+        monkeypatch.setattr(mdp_module, "_EVAL_BLOCK", 4)
+        assert stochastic_returns(mdp433, mats).tobytes() == whole.tobytes()
+
+    def test_empty_stack(self, mdp433):
+        assert stochastic_returns(mdp433, np.zeros((0, 4, 3))).shape == (0, 3)
+
+    def test_rejects_bad_policies(self, mdp433):
+        with pytest.raises(ValueError, match=r"shape \(n, 4, 3\)"):
+            stochastic_returns(mdp433, np.full((4, 3), 1 / 3))
+        bad = np.full((2, 4, 3), 1 / 3)
+        bad[1, 2] = [0.5, 0.5, 0.5]
+        with pytest.raises(ValueError, match="distributions"):
+            stochastic_returns(mdp433, bad)
 
 
 def test_grid_action_members():

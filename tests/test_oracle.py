@@ -1,5 +1,8 @@
 import dataclasses
 import importlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +18,8 @@ from momdp_pareto import (
     search,
     verify_front,
 )
-from momdp_pareto import oracle
-from momdp_pareto.mdp import deterministic_returns, enumerate_deterministic
+from momdp_pareto import geometry, oracle
+from momdp_pareto.mdp import deterministic_returns, enumerate_deterministic, mix_policies
 from momdp_pareto.oracle import _face_weights, bench_suite
 from momdp_pareto.search import FaceRecord, SearchStats, VertexRecord
 
@@ -24,6 +27,7 @@ from helpers import (
     dominated_in_cloud,
     duplicate_action,
     loop_compare_fronts,
+    loop_verify_front,
     make_bandit,
     product_grid_weights,
 )
@@ -311,6 +315,144 @@ class TestVerifyFront:
         report = verify_front(m, brute_force_front(m))
         assert report.passed
         assert report.face_checks == []
+
+
+def assert_same_report(got, ref):
+    """Every field equal, except that each face's max_affine_residual may
+    differ by 1e-15: one least-squares solve over all of a face's samples
+    rounds differently from one solve per sample."""
+    assert dataclasses.replace(got, face_checks=[]) == dataclasses.replace(ref, face_checks=[])
+    assert len(got.face_checks) == len(ref.face_checks)
+    for g, r in zip(got.face_checks, ref.face_checks):
+        assert abs(g.max_affine_residual - r.max_affine_residual) <= 1e-15
+        assert dataclasses.replace(g, max_affine_residual=0.0) == dataclasses.replace(
+            r, max_affine_residual=0.0
+        )
+
+
+def benchmark_verify_instances():
+    """(name, MDP) of every instance the benchmark verifies."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return [
+        (inst.name, inst.build)
+        for insts in workloads.WORKLOADS.values()
+        for inst in insts
+        if "verify" in inst.ops
+    ]
+
+
+BENCHMARK_VERIFY = benchmark_verify_instances()
+FAMILIES = [
+    (f"{family}-s{seed}", build)
+    for seed in range(5)
+    for family, build in (
+        ("dupact", lambda seed=seed: duplicate_action(gen_random_mdp(seed, 4, 3, 3))),
+        ("gamma0", lambda seed=seed: gen_random_mdp(seed, 4, 3, 3, gamma=0.0)),
+        ("grid2x2", lambda seed=seed: gen_gridworld(seed, 2, 2, 3)),
+    )
+]
+
+
+class TestStackedVerifyMatchesLoop:
+    """verify_front's stacked evaluation, residuals and dominance masks
+    against the one-sample-at-a-time loop."""
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in BENCHMARK_VERIFY], ids=[n for n, _ in BENCHMARK_VERIFY]
+    )
+    def test_benchmark_instances(self, build):
+        m = build()
+        front = search(m)
+        for seed in (0, 1):
+            assert_same_report(verify_front(m, front, seed=seed), loop_verify_front(m, front, seed=seed))
+
+    @pytest.mark.parametrize("build", [b for _, b in FAMILIES], ids=[n for n, _ in FAMILIES])
+    def test_degenerate_families(self, build):
+        m = build()
+        front = search(m)
+        assert_same_report(verify_front(m, front, seed=3), loop_verify_front(m, front, seed=3))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_random_mdp(3, 5, 4, 3),
+            lambda: duplicate_action(gen_random_mdp(0, 6, 3, 3)),
+            lambda: gen_gridworld(1, 2, 3, 3),
+        ],
+        ids=["dense", "dupact", "grid2x3"],
+    )
+    def test_injected_dominance(self, build):
+        m = build()
+        front = with_dominated_face(m, search(m, SearchConfig(seed=0)))
+        report = verify_front(m, front, samples_per_face=8)
+        assert_same_report(report, loop_verify_front(m, front, samples_per_face=8))
+        assert report.dominated_vertices == [len(front.vertices) - 1]
+        assert report.face_checks[-1].n_dominated > 0
+
+    @pytest.mark.parametrize("sample_block", [40, 5])
+    def test_samples_crossing_block_edges(self, monkeypatch, sample_block):
+        """Runs of 4 faces (or of one face, when a face has more samples
+        than the run allows), blocks of 7 evaluations and blocks of 5 mask
+        rows split the samples and the vertices, with a short last block."""
+        m = gen_gridworld(1, 2, 3, 3)
+        front = with_dominated_face(m, search(m))
+        ref = loop_verify_front(m, front, samples_per_face=9, seed=4)
+        mdp_module = importlib.import_module("momdp_pareto.mdp")
+        monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", sample_block)
+        monkeypatch.setattr(mdp_module, "_EVAL_BLOCK", 7)
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", 5)
+        assert len(front.faces) % 4 and (4 * 9) % 7 and len(front.vertices) % 5
+        assert_same_report(verify_front(m, front, samples_per_face=9, seed=4), ref)
+        assert ref.face_checks[-1].n_dominated > 0
+
+    def test_mixtures_are_mix_policies_bit_for_bit(self, monkeypatch):
+        m = gen_gridworld(1, 2, 3, 3)
+        front = search(m)
+        assert max(len(f.vertex_ids) for f in front.faces) >= 3
+        stacks = []
+        evaluate = oracle.stochastic_returns
+
+        def keeping_stack(mdp, mats):
+            stacks.append(np.array(mats))
+            return evaluate(mdp, mats)
+
+        monkeypatch.setattr(oracle, "stochastic_returns", keeping_stack)
+        verify_front(m, front, samples_per_face=30, seed=5)
+        rng = np.random.default_rng(5)
+        want = [
+            mix_policies([front.vertices[v].policy for v in f.vertex_ids], w, m.num_actions)
+            for f in front.faces
+            for w in _face_weights(len(f.vertex_ids), 30, rng)
+        ]
+        assert len(stacks) == 1
+        assert stacks[0].tobytes() == np.array(want).tobytes()
+
+    def test_zero_samples_checks_vertices_only(self, mdp433):
+        front = with_dominated_face(mdp433, search(mdp433))
+        report = verify_front(mdp433, front, samples_per_face=0)
+        assert_same_report(report, loop_verify_front(mdp433, front, samples_per_face=0))
+        assert report.dominated_vertices == [len(front.vertices) - 1]
+        assert [c.n_samples for c in report.face_checks] == [0] * len(front.faces)
+        assert all(c.passed and c.max_affine_residual == 0.0 for c in report.face_checks)
+
+    def test_bad_vertex_policy_named_in_error(self, mdp433):
+        front = search(mdp433)
+        for bad in ([0, 1, 3, 0], [0, -1, 0, 0], [0, 1, 2]):
+            vertices = list(front.vertices)
+            vertices[1] = dataclasses.replace(vertices[1], policy=np.array(bad))
+            broken = dataclasses.replace(front, vertices=vertices)
+            with pytest.raises(ValueError, match=r"vertex 1: policy .* is not 4 actions in \[0, 3\)"):
+                verify_front(mdp433, broken)
+
+    def test_negative_samples_named_in_error(self, mdp433):
+        front = search(mdp433)
+        with pytest.raises(ValueError, match=r"samples_per_face must be >= 0, got -3"):
+            verify_front(mdp433, front, samples_per_face=-3)
 
 
 def test_face_weights_match_product_grid():

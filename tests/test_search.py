@@ -9,6 +9,7 @@ from momdp_pareto import (
     gen_gridworld,
     SearchAbortError,
     SearchConfig,
+    VertexRecord,
     brute_force_front,
     compare_fronts,
     gen_random_mdp,
@@ -605,3 +606,75 @@ def test_policy_key_is_a_tuple_of_python_ints():
     key = _policy_key(np.array([0, 3, 1], dtype=np.int64))
     assert key == (0, 3, 1)
     assert all(type(a) is int for a in key)
+
+
+class TestLocalHullFallbacks:
+    """`_local_pareto_faces` builds the hull first and reads the affine
+    dimension from a failure: a flat set is jittered and tried again, a
+    full-dimensional set that Qhull refused goes straight to direct tests."""
+
+    JITTER = (
+        "vertex 7: local returns span dimension {} < 3; jitter applied before hull construction"
+    )
+    DIRECT = "vertex 7: hull construction degenerate; testing faces directly instead"
+
+    def run(self, monkeypatch, failures):
+        """Call `_local_pareto_faces` on five points in D=3 with its first
+        hull builds raising `DegenerateHullError` with the given affine
+        dimensions; returns the warnings, the points each hull build got and
+        the points the direct tests got."""
+        module = _search_module()
+        build, direct = module.convex_hull, module.support_faces
+        built, tested = [], []
+
+        def scripted_hull(points, **kwargs):
+            built.append(points)
+            if len(built) <= len(failures):
+                raise geometry.DegenerateHullError("scripted", failures[len(built) - 1])
+            return build(points, **kwargs)
+
+        def recording_direct(points, apex, eps_pos):
+            tested.append(points)
+            return direct(points, apex, eps_pos)
+
+        monkeypatch.setattr(module, "convex_hull", scripted_hull)
+        monkeypatch.setattr(module, "support_faces", recording_direct)
+        ctx = make_context(gen_random_mdp(0, 4, 3, 3))
+        vertex = VertexRecord(
+            id=7, policy=np.zeros(4, dtype=np.int64), co_policies=[], ret=np.zeros(3)
+        )
+        pts = np.array(
+            [[1.0, 1.0, 1.0], [0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0], [0.2, 0.2, 0.2]]
+        )
+        module._local_pareto_faces(ctx, vertex, pts)
+        return ctx.stats.warnings, built, tested, pts
+
+    def test_qhull_failure_on_full_dimensional_set(self, monkeypatch):
+        warnings, built, tested, pts = self.run(monkeypatch, [3])
+        assert warnings == [self.DIRECT]
+        assert len(built) == 1 and tested[0] is pts
+
+    def test_flat_set_jittered_hull(self, monkeypatch):
+        warnings, built, tested, pts = self.run(monkeypatch, [2])
+        assert warnings == [self.JITTER.format(2)]
+        assert built[0] is pts
+        assert built[1].tobytes() == geometry.deterministic_jitter(pts).tobytes()
+        assert tested == []
+
+    def test_flat_set_jitter_fails_too(self, monkeypatch):
+        warnings, built, tested, pts = self.run(monkeypatch, [0, 0])
+        assert warnings == [self.JITTER.format(0), self.DIRECT]
+        assert len(built) == 2 and tested[0] is pts
+
+    def test_dependent_objectives_warn_in_pairs(self):
+        """Every vertex of this front has flat local returns whose jittered
+        hull fails as well, so its warnings come in pairs, in vertex order."""
+        front = search(_depobj(1))
+        want = []
+        for vid in range(11):
+            want += [
+                f"vertex {vid}: local returns span dimension 3 < 4; "
+                "jitter applied before hull construction",
+                f"vertex {vid}: hull construction degenerate; testing faces directly instead",
+            ]
+        assert front.stats.warnings == want
