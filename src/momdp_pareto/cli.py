@@ -153,6 +153,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except SearchAbortError as exc:
         print(f"search aborted: {exc}", file=sys.stderr)
         return EXIT_ABORT
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     write_json(args.output, front_to_dict(front), _meta(config, blob))
     _print_stats_line(front)
     return EXIT_OK
@@ -191,6 +194,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     write_json(args.output, front_to_dict(front), _meta(config, blob))
     _print_stats_line(front)
     return EXIT_OK
@@ -203,7 +209,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    report = compare_fronts(front_a, front_b, tol=args.tol)
+    try:
+        report = compare_fronts(front_a, front_b, tol=args.tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if args.json:
         print(json.dumps(dataclasses.asdict(report), indent=2))
     else:

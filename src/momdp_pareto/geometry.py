@@ -50,38 +50,113 @@ class FaceDescriptor:
     dim: int
 
 
+# Margin of the dual screen. A face is ruled out when some pooled y gives
+# max_i (W y)_i <= eps_pos - _DUAL_SLACK; the margin makes sure that the
+# LP, had it been solved, would have failed the face too. Let W hold the
+# face's n unit normals (so |W_ij| <= 1) in D objectives and u = 2**-53.
+# For a and y' on the simplex, weak duality gives
+# min_j (a W)_j <= a W y' <= max_i (W y')_i. The LP's t_star is
+# min_j (alpha W)_j in floating point, with alpha scaled to sum 1 in
+# floating point; against a = alpha / sum(alpha) it is off by at most n u
+# from the products and (n + 1) u from the scaling. The screen's value,
+# max_i (W y)_i with y scaled likewise, is off from y' = y / sum(y) by at
+# most D u and (D + 1) u. So t_star <= value + (n + D + 1) 2**-52, which is
+# below 1e-12 while n + D < 4400 (the rounding of eps_pos - 1e-12 adds at
+# most u eps_pos). n is at most the number of facets through one vertex.
+_DUAL_SLACK = 1e-12
+
+
+@dataclass(eq=False)
+class DualPool:
+    """Weights y on the simplex over the objectives, one from each failed
+    positivity LP of a hull, stacked as the rows of `ys`.
+
+    Any y on the simplex bounds the LP over any normals W by weak duality:
+    for alpha on the simplex, min_j (alpha W)_j <= alpha W y <= max_i (W y)_i.
+    So a face whose normals give max_i (W y)_i <= eps_pos - _DUAL_SLACK for
+    some pooled y fails without an LP; see `_DUAL_SLACK` for the margin.
+    A failed LP's own dual attains its optimum, and faces met later on the
+    same hull share normals with it. `ruled_out` counts the faces this pool
+    has ruled out.
+    """
+
+    ys: np.ndarray | None = None
+    ruled_out: int = 0
+
+    def add(self, y: np.ndarray) -> None:
+        """Pool y, clipped at zero and scaled to sum 1; a y with no positive
+        entry is not pooled."""
+        y = np.maximum(np.asarray(y, dtype=float), 0.0)
+        total = y.sum()
+        if total > 0.0:
+            y = (y / total)[None, :]
+            self.ys = y if self.ys is None else np.vstack([self.ys, y])
+
+    def rules_out(self, normals: np.ndarray, eps_pos: float) -> bool:
+        """True, and counted, when some pooled y proves that the positivity
+        LP over `normals` has optimum at most eps_pos."""
+        if self.ys is None:
+            return False
+        # Written so that a NaN rules nothing out.
+        if not (normals @ self.ys.T).max(axis=0).min() <= eps_pos - _DUAL_SLACK:
+            return False
+        self.ruled_out += 1
+        return True
+
+
+def mask_ids(mask: int) -> list[int]:
+    """The ids of the set bits of a vertex bitmask, ascending."""
+    return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
 @dataclass(frozen=True)
 class LocalHull:
     """Convex hull of a point set with deduplicated facet hyperplanes.
 
-    `dims` memoizes `dimension`: the face descent meets the same vertex set
-    along many paths, and each set needs its SVD once per hull.
+    The face descent handles vertex sets as bitmasks, bit i standing for
+    point i: `facet_masks[k]` holds facet k's vertices and row k of
+    `normals` its outward unit normal, both built once by `convex_hull`, so
+    intersections, containment and the defining-facet lookup are integer
+    operations and a face's normals are one row selection.
+
+    `dims` memoizes `dimension` by mask: the descent meets the same vertex
+    set along many paths, and each set needs its SVD once per hull.
     `certificates` holds the positivity LP's certificate for each tuple of
     defining facets tested on this hull: the oracle descends from every hull
     vertex and meets each face from each of its corners, with the same LP
     input every time. `incident` memoizes `incident_facets` per hull
     vertex: one descent asks for its apex's facets at every subface step.
+    `duals` pools the dual weights of this hull's failed LPs, which rule
+    out later faces without an LP (see `DualPool`).
     """
 
     points: np.ndarray
     facets: tuple[Facet, ...]
     vertex_ids: tuple[int, ...]
     ambient_dim: int
-    dims: dict[tuple[int, ...], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    facet_masks: tuple[int, ...]
+    normals: np.ndarray
+    dims: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     certificates: dict[tuple[int, ...], LpCertificate] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     incident: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    duals: DualPool = field(default_factory=DualPool, init=False, repr=False, compare=False)
 
-    def dimension(self, vids: tuple[int, ...]) -> int:
-        """Affine dimension of the points `vids` (a sorted id tuple)."""
-        dim = self.dims.get(vids)
+    def dimension(self, mask: int) -> int:
+        """Affine dimension of the hull vertices in the bitmask `mask`.
+
+        Hull vertices are distinct points, so one point has dimension 0 and
+        two have dimension 1 with no SVD; larger sets are measured once.
+        """
+        count = mask.bit_count()
+        if count <= 2:
+            return count - 1
+        dim = self.dims.get(mask)
         if dim is None:
-            dim = self.dims[vids] = affine_dimension(self.points[list(vids)])
+            dim = self.dims[mask] = affine_dimension(self.points[mask_ids(mask)])
         return dim
 
 
@@ -90,12 +165,17 @@ class LpCertificate:
     """Optimal solution of the positivity LP over a set of facet normals.
 
     `normals` are the LP's input rows, `alpha` the optimal convex weights over
-    them and `t_star` the smallest coordinate of `alpha @ normals`.
+    them and `t_star` the smallest coordinate of `alpha @ normals`. `dual`
+    holds the LP's optimal weights y over the objectives, minus HiGHS's
+    duals of the rows `t <= (alpha @ normals)_j`: they lie on the simplex
+    and max_i (normals @ y)_i is the optimum, both to solver tolerance.
+    It is None where no LP was solved.
     """
 
     normals: np.ndarray
     alpha: np.ndarray
     t_star: float
+    dual: np.ndarray | None = None
 
 
 # `dominance`'s relations by the code its array test gives them.
@@ -391,17 +471,20 @@ def convex_hull(
     on = (np.abs(height) <= tol) & is_vertex
     ends = np.cumsum(on.sum(axis=1)).tolist()
     on_ids = np.nonzero(on)[1].tolist()
+    normals = sign[:, None] * w0
     facets = tuple(
         Facet(normal=w, offset=c, vertex_ids=tuple(on_ids[start:end]))
-        for w, c, start, end in zip(
-            sign[:, None] * w0, (sign * c0).tolist(), [0, *ends], ends
-        )
+        for w, c, start, end in zip(normals, (sign * c0).tolist(), [0, *ends], ends)
     )
+    # Bit i of a facet's mask is byte i // 8, bit i % 8 of its packed row.
+    packed = np.packbits(on, axis=1, bitorder="little")
     return LocalHull(
         points=pts,
         facets=facets,
         vertex_ids=tuple(np.flatnonzero(is_vertex).tolist()),
         ambient_dim=dim,
+        facet_masks=tuple(int.from_bytes(row.tobytes(), "little") for row in packed),
+        normals=normals,
     )
 
 
@@ -421,44 +504,35 @@ def incident_facets(hull: LocalHull, point_id: int) -> tuple[int, ...]:
     return found
 
 
-def subfaces_at(face: FaceDescriptor, hull: LocalHull, apex_id: int) -> list[FaceDescriptor]:
-    """Faces one dimension below `face` that still contain the apex.
+def subfaces_at(mask: int, hull: LocalHull, apex_id: int) -> list[int]:
+    """Vertex masks of the faces one dimension below the face `mask` that
+    still contain the apex.
 
-    Each candidate is the intersection of the face with one additional
-    apex-incident facet; candidates whose affine dimension is not exactly
-    face.dim - 1 are discarded and duplicates (by vertex set) are merged.
-    Faces of dimension 1 have no usable subfaces, so they yield an empty list.
+    Each candidate is the intersection of the face with one apex-incident
+    facet that does not contain the whole face; candidates whose affine
+    dimension is not exactly one below the face's are discarded, and each
+    vertex set is listed once, in facet order. A candidate with fewer
+    vertices than the face's dimension d spans at most d - 2 dimensions, so
+    it is discarded without an SVD. Faces of dimension 1 have no usable
+    subfaces, so they yield an empty list.
     """
-    if face.dim < 1:
-        raise ValueError(f"face dimension must be >= 1, got {face.dim}")
-    if apex_id not in face.vertex_ids:
+    if not mask >> apex_id & 1:
         raise ValueError(f"apex {apex_id} does not lie on the face")
-    if face.dim == 1:
-        return []
-    out: list[FaceDescriptor] = []
-    seen: set[tuple[int, ...]] = set()
-    face_set = set(face.vertex_ids)
-    defining = set(face.defining_facets)
+    dim = hull.dimension(mask)
+    if dim < 1:
+        raise ValueError(f"face dimension must be >= 1, got {dim}")
+    out: list[int] = []
+    if dim == 1:
+        return out
     for fi in incident_facets(hull, apex_id):
-        if fi in defining:
-            continue
-        inter = face_set & set(hull.facets[fi].vertex_ids)
-        if apex_id not in inter or len(inter) < 2:
-            continue
-        vids = tuple(sorted(inter))
-        if vids in seen or vids == face.vertex_ids:
-            continue
-        sub_dim = hull.dimension(vids)
-        if sub_dim != face.dim - 1:
-            continue
-        seen.add(vids)
-        out.append(
-            FaceDescriptor(
-                vertex_ids=vids,
-                defining_facets=tuple(sorted(defining | {fi})),
-                dim=sub_dim,
-            )
-        )
+        inter = mask & hull.facet_masks[fi]
+        if (
+            inter != mask
+            and inter.bit_count() >= dim
+            and inter not in out
+            and hull.dimension(inter) == dim - 1
+        ):
+            out.append(inter)
     return out
 
 
@@ -503,7 +577,7 @@ def _highs_lp(
     b_eq: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-) -> tuple[np.ndarray | None, str | None]:
+) -> tuple[np.ndarray | None, np.ndarray | None, str | None]:
     """Minimize cost @ x subject to a_ub @ x <= 0, a_eq @ x = b_eq and
     lower <= x <= upper, exactly as `scipy.optimize.linprog(method="highs")`.
 
@@ -517,8 +591,9 @@ def _highs_lp(
     linprog's tolerance.
 
     Returns:
-        (x, None), or (None, why) where `why` gives HiGHS's model status and,
-        for an optimal solution that misses linprog's tolerance, that too.
+        (x, row duals, None), or (None, None, why) where `why` gives HiGHS's
+        model status and, for an optimal solution that misses linprog's
+        tolerance, that too.
     """
     m_ub = a_ub.shape[0]
     a = np.vstack([a_ub, a_eq])
@@ -550,7 +625,7 @@ def _highs_lp(
         highs.run()
         status = highs.getModelStatus()
     if status != _highs.HighsModelStatus.kOptimal:
-        return None, f"HiGHS model status {highs.modelStatusToString(status)!r}"
+        return None, None, f"HiGHS model status {highs.modelStatusToString(status)!r}"
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     row = np.array(solution.row_value)
@@ -562,8 +637,8 @@ def _highs_lp(
         and (row[:m_ub] <= tol).all()
         and (np.abs(b_eq - row[m_ub:]) <= tol).all()
     ):
-        return None, f"HiGHS found an optimum off the constraints by more than {tol:.2e}"
-    return x, None
+        return None, None, f"HiGHS found an optimum off the constraints by more than {tol:.2e}"
+    return x, np.array(solution.row_dual), None
 
 
 def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
@@ -576,7 +651,9 @@ def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
     Returns:
         Certificate with the optimal simplex weights and objective value; the
         weights are clipped to the simplex and t_star recomputed from them, so
-        the certificate is always exactly feasible.
+        the certificate is always exactly feasible. Its `dual` holds the
+        LP's dual weights over the objectives, None for a single normal,
+        which needs no LP.
 
     Raises:
         RuntimeError: when HiGHS returns no acceptable optimum; the message
@@ -594,13 +671,13 @@ def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
     a_eq[0, -1] = 0.0
     lower = np.zeros(n + 1)
     lower[-1] = -_INF
-    x, why = _highs_lp(cost, a_ub, a_eq, np.ones(1), lower, np.full(n + 1, _INF))
+    x, row_dual, why = _highs_lp(cost, a_ub, a_eq, np.ones(1), lower, np.full(n + 1, _INF))
     if x is None:
         raise RuntimeError(f"positivity LP over normals of shape {W.shape} failed: {why}")
     alpha = np.maximum(x[:n], 0.0)
     alpha = alpha / alpha.sum()
     t_star = float((alpha @ W).min())
-    return LpCertificate(normals=W, alpha=alpha, t_star=t_star)
+    return LpCertificate(normals=W, alpha=alpha, t_star=t_star, dual=-row_dual[:d])
 
 
 def passes_sign_screen(normals: np.ndarray, eps_pos: float) -> bool:
@@ -649,7 +726,7 @@ def _support_lp(points: np.ndarray, vids: tuple[int, ...]) -> tuple[np.ndarray |
     b_eq = np.zeros(len(vids))
     b_eq[-1] = 1.0
     free = np.full(d + 1, _INF)
-    x, _ = _highs_lp(cost, a_ub, a_eq, b_eq, -free, free)
+    x, _, _ = _highs_lp(cost, a_ub, a_eq, b_eq, -free, free)
     if x is None:
         return None, float("-inf")
     w = x[:d]

@@ -41,6 +41,7 @@ from .search import (
     SearchConfig,
     SearchStats,
     VertexRecord,
+    check_tolerance,
     consolidate_faces,
     return_scale,
     search,
@@ -95,9 +96,13 @@ def brute_force_front(
         eps_pos: positivity threshold of the face LP.
 
     Raises:
+        ValueError: when a tolerance is NaN, infinite or negative; the
+            message names it.
         InvalidMdpError: when validation fails.
         EnumerationCapError: when A**S exceeds the cap.
     """
+    for name, value in (("eps_equal", eps_equal), ("eps_geom", eps_geom), ("eps_pos", eps_pos)):
+        check_tolerance(name, value)
     violations = validate_mdp(mdp)
     if violations:
         raise InvalidMdpError(violations)
@@ -142,6 +147,7 @@ def brute_force_front(
         if hull is not None:
             for apex in hull.vertex_ids:
                 passing += select_pareto_faces(apex, hull, eps_pos)[0]
+            stats.count_face_work(hull)
         else:
             passing = _oracle_degenerate_faces(pts, eps_pos)
     # A face passes from each of its corners; keep its first record.
@@ -205,7 +211,11 @@ def compare_fronts(a: ParetoFront, b: ParetoFront, tol: float = 1e-8) -> Compari
     Args:
         a, b: fronts over the same MDP (same return scaling).
         tol: max-norm tolerance in scaled return space.
+
+    Raises:
+        ValueError: when tol is NaN, infinite or negative.
     """
+    check_tolerance("tol", tol)
     pa = np.array([v.ret for v in a.vertices]) * a.return_scale
     pb = np.array([v.ret for v in b.vertices]) * b.return_scale
     a_to_b: dict[int, int] = {}
@@ -346,10 +356,12 @@ def verify_front(
     everywhere, so it dominates x beyond tol too.
 
     Raises:
-        ValueError: when samples_per_face is negative, or a vertex policy is
-            not one action in range per state.
+        ValueError: when samples_per_face is negative, tol is NaN, infinite
+            or negative, or a vertex policy is not one action in range per
+            state.
         EnumerationCapError: when A**S exceeds the cap.
     """
+    check_tolerance("tol", tol)
     if samples_per_face < 0:
         raise ValueError(f"samples_per_face must be >= 0, got {samples_per_face}")
     S, A, D = mdp.num_states, mdp.num_actions, mdp.num_objectives

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,6 +29,7 @@ from .geometry import (
     dominance,
     group_coincident,
     incident_facets,
+    mask_ids,
     pareto_lp,
     passes_sign_screen,
     pprune,
@@ -88,11 +91,28 @@ class FaceRecord:
 
 @dataclass
 class SearchStats:
+    """Work counts and timings of one `search` or `brute_force_front` run.
+
+    `lps_solved`, `lps_screened` and `svds` count the face descents' work:
+    `pareto_lp` calls, faces the pooled LP duals ruled out without one, and
+    vertex sets whose affine dimension took an SVD. Like `wall_time`, they
+    stay out of the front file.
+    """
+
     iterations: int = 0
     policies_evaluated: int = 0
     planner_calls: int = 0
+    lps_solved: int = 0
+    lps_screened: int = 0
+    svds: int = 0
     warnings: list[str] = field(default_factory=list)
     wall_time: dict[str, float] = field(default_factory=dict)
+
+    def count_face_work(self, hull: LocalHull) -> None:
+        """Add the LPs, screened faces and SVDs of the descents on `hull`."""
+        self.lps_solved += len(hull.certificates)
+        self.lps_screened += hull.duals.ruled_out
+        self.svds += len(hull.dims)
 
 
 @dataclass(eq=False)
@@ -122,6 +142,20 @@ class SearchConfig:
     eps_geom: float = 1e-9
     eps_pos: float = 1e-9
     initial_policy: Sequence[int] | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("eps_equal", "eps_geom", "eps_pos"):
+            check_tolerance(name, getattr(self, name))
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Raise a ValueError naming `name` unless value is a finite number >= 0.
+
+    A NaN tolerance makes every comparison false, and a negative one makes
+    points differ from themselves, so neither describes a tolerance.
+    """
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def return_scale(mdp: Mdp) -> float:
@@ -201,10 +235,17 @@ def select_pareto_faces(
 
     Starts from the apex's facets and walks down: a face whose positivity LP
     optimum exceeds eps_pos is recorded, anything else is split into subfaces
-    one dimension lower until dimension 1. Faces that fail the sign screen
-    fail without an LP; their certificates would never be stored. Each LP's
-    certificate is kept on the hull under its defining facets, so another
-    descent on the same hull (the oracle's, from another corner) reuses it.
+    one dimension lower until dimension 1. Faces that fail the sign screen,
+    or that the dual weights of the hull's failed LPs rule out
+    (`LocalHull.duals`), fail without an LP; their certificates would never
+    be stored. Each LP's certificate is kept on the hull under its defining
+    facets, so another descent on the same hull (the oracle's, from another
+    corner) reuses it.
+
+    Faces travel through the descent as vertex bitmasks. The same
+    geometric face can be reached along several descent paths; it is queued
+    once, and defined by every apex facet that contains it, so the LP
+    input, and therefore the verdict, depends on the vertex set alone.
 
     A dequeued face whose vertex set lies strictly inside a face that already
     passed is dropped: no LP, no record, no descent. This loses nothing. A
@@ -220,54 +261,39 @@ def select_pareto_faces(
         The passing faces paired with their LP certificates, and the sorted
         ids of all hull vertices lying on at least one passing face.
     """
-    apex_facet_sets = {
-        fi: frozenset(hull.facets[fi].vertex_ids) for fi in incident_facets(hull, apex_id)
-    }
-    queue: deque[FaceDescriptor] = deque()
-    seen: set[tuple[int, ...]] = set()
-
-    def enqueue(vids: tuple[int, ...], dim: int) -> None:
-        """Queue the face on `vids` (affine dimension `dim`) once.
-
-        The same geometric face can be reached along several descent paths;
-        defining it by every apex facet that contains it makes the LP input,
-        and therefore the verdict, independent of the path taken. So the
-        descriptor depends on the vertex set alone and needs testing once.
-        """
-        vids = tuple(sorted(vids))
-        if vids in seen:
-            return
-        seen.add(vids)
-        vset = set(vids)
-        defining = tuple(fi for fi, fset in apex_facet_sets.items() if vset <= fset)
-        queue.append(FaceDescriptor(vertex_ids=vids, defining_facets=defining, dim=dim))
-
-    for fi in apex_facet_sets:
-        vids = hull.facets[fi].vertex_ids
-        enqueue(vids, hull.dimension(vids))
+    apex_facets = [(fi, hull.facet_masks[fi]) for fi in incident_facets(hull, apex_id)]
+    queue = deque(dict.fromkeys(m for _, m in apex_facets))
+    seen = set(queue)
     passing: list[tuple[FaceDescriptor, LpCertificate]] = []
-    passed_sets: list[frozenset[int]] = []
+    passed: list[int] = []
+    on_front = 0
     while queue:
-        face = queue.popleft()
-        if face.dim < 1:
+        mask = queue.popleft()
+        dim = hull.dimension(mask)
+        # Each mask is queued once, so a passed face holding all of this
+        # one's vertices holds it strictly.
+        if dim < 1 or any(mask & p == mask for p in passed):
             continue
-        vset = frozenset(face.vertex_ids)
-        if any(vset < p for p in passed_sets):
-            continue
-        normals = np.array([hull.facets[fi].normal for fi in face.defining_facets])
+        defining = tuple(fi for fi, m in apex_facets if mask & m == mask)
+        normals = hull.normals[list(defining)]
         if passes_sign_screen(normals, eps_pos):
-            cert = hull.certificates.get(face.defining_facets)
-            if cert is None:
-                cert = hull.certificates[face.defining_facets] = pareto_lp(normals)
-            if cert.t_star > eps_pos:
+            cert = hull.certificates.get(defining)
+            if cert is None and not hull.duals.rules_out(normals, eps_pos):
+                cert = hull.certificates[defining] = pareto_lp(normals)
+                if cert.t_star <= eps_pos and cert.dual is not None:
+                    hull.duals.add(cert.dual)
+            if cert is not None and cert.t_star > eps_pos:
+                face = FaceDescriptor(tuple(mask_ids(mask)), defining, dim)
                 passing.append((face, cert))
-                passed_sets.append(vset)
+                passed.append(mask)
+                on_front |= mask
                 continue
-        if face.dim > 1:
-            for child in subfaces_at(face, hull, apex_id):
-                enqueue(child.vertex_ids, child.dim)
-    on_front = sorted({vid for fd, _ in passing for vid in fd.vertex_ids})
-    return passing, on_front
+        if dim > 1:
+            for child in subfaces_at(mask, hull, apex_id):
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child)
+    return passing, mask_ids(on_front)
 
 
 def _local_pareto_faces(
@@ -312,6 +338,7 @@ def _local_pareto_faces(
             "inside the hull of its one-change neighbors, so it is not a vertex "
             "of the achievable-return polytope"
         ) from exc
+    ctx.stats.count_face_work(hull)
     return passing
 
 

@@ -28,6 +28,7 @@ from momdp_pareto.geometry import (
     FaceDescriptor,
     affine_dimension,
     incident_facets,
+    mask_ids,
     pareto_lp,
     pprune,
     subfaces_at,
@@ -373,8 +374,9 @@ def faces_by_lp_everywhere(apex_id: int, hull, eps_pos: float = 1e-9):
             passing.append((face, cert))
             continue
         if face.dim > 1:
-            for child in subfaces_at(face, hull, apex_id):
-                queue.append(canonical(child.vertex_ids))
+            mask = sum(1 << v for v in face.vertex_ids)
+            for child in subfaces_at(mask, hull, apex_id):
+                queue.append(canonical(mask_ids(child)))
     return passing, len(tested)
 
 

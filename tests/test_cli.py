@@ -13,6 +13,7 @@ from momdp_pareto import (
 )
 from momdp_pareto.cli import _default_threads, main
 from momdp_pareto.serialize import (
+    dump_json,
     front_from_dict,
     front_to_csv,
     front_to_dict,
@@ -260,10 +261,47 @@ class TestSerializeRoundTrips:
         assert again.return_scale == front.return_scale
         assert again.stats.warnings == front.stats.warnings
 
+    def test_face_work_counts_not_serialized(self, mdp433):
+        front = search(mdp433, SearchConfig(seed=0))
+        assert front.stats.lps_solved > 0 and front.stats.svds > 0
+        text = dump_json(front_to_dict(front))
+        for name in ("lps_solved", "lps_screened", "svds"):
+            assert name not in text
+            setattr(front.stats, name, getattr(front.stats, name) + 7)
+        assert dump_json(front_to_dict(front)) == text
+        again = front_from_dict(json.loads(text)).stats
+        assert (again.lps_solved, again.lps_screened, again.svds) == (0, 0, 0)
+
     def test_wall_time_not_serialized(self, mdp433):
         front = search(mdp433, SearchConfig(seed=0))
         payload = front_to_dict(front)
         assert "wall_time" not in json.dumps(payload)
+
+
+class TestBadTolerances:
+    @pytest.mark.parametrize(
+        "command,flag,value,name",
+        [
+            ("solve", "--eps-equal", "nan", "eps_equal"),
+            ("solve", "--eps-pos", "-0.5", "eps_pos"),
+            ("oracle", "--eps-geom", "inf", "eps_geom"),
+            ("oracle", "--eps-pos", "nan", "eps_pos"),
+        ],
+    )
+    def test_solve_and_oracle_exit_2(self, mdp_file, tmp_path, capsys, command, flag, value, name):
+        out = tmp_path / "front.json"
+        assert run(command, str(mdp_file), "-o", str(out), flag, value) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be a finite number >= 0")
+        assert not out.exists()
+
+    def test_compare_and_verify_exit_2(self, mdp_file, tmp_path, capsys):
+        front = tmp_path / "front.json"
+        run("solve", str(mdp_file), "-o", str(front))
+        capsys.readouterr()
+        assert run("compare", str(front), str(front), "--tol", "nan") == 2
+        assert capsys.readouterr().err.startswith("error: tol must be a finite number >= 0")
+        assert run("verify", str(mdp_file), str(front), "--tol", "-1") == 2
+        assert capsys.readouterr().err.startswith("error: tol must be a finite number >= 0")
 
 
 class TestOffFormat:

@@ -14,7 +14,7 @@ from momdp_pareto.geometry import (
     ApexNotVertexError,
     DegenerateHullError,
     Dominance,
-    FaceDescriptor,
+    DualPool,
     _support_lp,
     affine_basis,
     affine_dimension,
@@ -25,6 +25,7 @@ from momdp_pareto.geometry import (
     group_coincident,
     incident_facets,
     is_pareto_face,
+    mask_ids,
     pareto_lp,
     passes_sign_screen,
     pprune,
@@ -367,6 +368,22 @@ class TestConvexHull:
         got = {frozenset(f.vertex_ids) for f in hull.facets}
         assert got == supporting_hyperplane_facets(pts)
 
+    def test_facet_masks_and_normals_match_the_facets(self):
+        """Points on a sphere are all hull vertices, so the masks reach past
+        bit 64."""
+        for seed, dim, n in ((3, 3, 80), (21, 4, 70), (0, 5, 40)):
+            pts = np.random.default_rng(seed).normal(size=(n, dim))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            hull = convex_hull(pts)
+            assert hull.facet_masks == tuple(
+                sum(1 << v for v in f.vertex_ids) for f in hull.facets
+            )
+            assert [mask_ids(m) for m in hull.facet_masks] == [
+                list(f.vertex_ids) for f in hull.facets
+            ]
+            assert hull.normals.tobytes() == np.array([f.normal for f in hull.facets]).tobytes()
+            assert max(hull.vertex_ids) >= 39
+
     def test_flat_cloud_raises(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0]])
         with pytest.raises(DegenerateHullError) as err:
@@ -537,22 +554,22 @@ class TestSubfaces:
         hull = convex_hull(unit_simplex_3d())
         apex = 0
         fid = incident_facets(hull, apex)[0]
-        facet = hull.facets[fid]
-        face = FaceDescriptor(
-            vertex_ids=facet.vertex_ids, defining_facets=(fid,), dim=2
-        )
-        subs = subfaces_at(face, hull, apex)
+        subs = subfaces_at(hull.facet_masks[fid], hull, apex)
         assert len(subs) == 2
         for sub in subs:
-            assert sub.dim == 1
-            assert apex in sub.vertex_ids
-            assert len(sub.vertex_ids) == 2
-            assert fid in sub.defining_facets and len(sub.defining_facets) >= 2
+            ids = mask_ids(sub)
+            assert affine_dimension(hull.points[ids]) == 1
+            assert apex in ids
+            assert len(ids) == 2
+            # The apex facets holding every vertex of the edge.
+            defining = [
+                fi for fi in incident_facets(hull, apex) if sub & hull.facet_masks[fi] == sub
+            ]
+            assert fid in defining and len(defining) >= 2
 
     def test_edge_has_no_subfaces(self):
         hull = convex_hull(unit_simplex_3d())
-        face = FaceDescriptor(vertex_ids=(0, 1), defining_facets=(0, 1), dim=1)
-        assert subfaces_at(face, hull, 0) == []
+        assert subfaces_at(0b11, hull, 0) == []
 
     def test_cube_square_facet_yields_two_edges(self):
         corners = np.array(
@@ -561,13 +578,18 @@ class TestSubfaces:
         hull = convex_hull(corners)
         apex = 0
         fid = incident_facets(hull, apex)[0]
-        facet = hull.facets[fid]
-        face = FaceDescriptor(
-            vertex_ids=facet.vertex_ids, defining_facets=(fid,), dim=2
-        )
-        subs = subfaces_at(face, hull, apex)
+        subs = subfaces_at(hull.facet_masks[fid], hull, apex)
         assert len(subs) == 2
-        assert all(s.dim == 1 and len(s.vertex_ids) == 2 for s in subs)
+        for sub in subs:
+            ids = mask_ids(sub)
+            assert len(ids) == 2 and affine_dimension(hull.points[ids]) == 1
+
+    def test_rejects_faces_off_the_apex_or_of_dimension_zero(self):
+        hull = convex_hull(unit_simplex_3d())
+        with pytest.raises(ValueError, match="apex 0 does not lie on the face"):
+            subfaces_at(0b110, hull, 0)
+        with pytest.raises(ValueError, match="face dimension must be >= 1, got 0"):
+            subfaces_at(0b1, hull, 0)
 
 
 class TestParetoLp:
@@ -762,6 +784,127 @@ class TestSignScreen:
         assert passes_sign_screen(W, 1e-9)
         # Passing the screen leaves the verdict to the LP.
         assert not is_pareto_face(W)
+
+
+def unit_normal_stacks(seed: int, count: int):
+    """Random stacks of 2-12 unit normals in 3-6 objectives, shifted so that
+    both passing and failing positivity LPs occur."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d, n = int(rng.integers(3, 7)), int(rng.integers(2, 13))
+        W = rng.normal(size=(n, d)) + rng.uniform(-0.5, 1.0)
+        yield rng, W / np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
+
+
+def screen_value(pool: DualPool, W: np.ndarray) -> float:
+    """The smallest max_i (W y)_i over the pool, computed as the screen does."""
+    return float((W @ pool.ys.T).max(axis=0).min())
+
+
+class TestDualScreen:
+    def test_dual_lies_on_the_simplex_and_attains_the_optimum(self):
+        for _, W in unit_normal_stacks(1, 200):
+            cert = pareto_lp(W)
+            assert cert.dual.min() >= -1e-12
+            assert abs(cert.dual.sum() - 1.0) <= 1e-12
+            assert abs((W @ cert.dual).max() - cert.t_star) <= 1e-12
+
+    def test_single_normal_has_no_dual(self):
+        assert pareto_lp(np.array([[0.6, -0.8, 0.0]])).dual is None
+
+    def test_rules_out_only_what_the_lp_fails(self):
+        """For each stack, pool its LP's dual (as given, scaled and mixed
+        with random weights) and move eps_pos in single ulps across the
+        screen's cut at max_i (W y)_i + _DUAL_SLACK. Whenever the screen
+        rules the face out, the LP must fail it; the screen must rule out
+        exactly when its value is at most eps_pos - _DUAL_SLACK, and the cut
+        must be met exactly at least once."""
+        ruled = kept = exact = passing = 0
+        for rng, W in unit_normal_stacks(2, 150):
+            cert = pareto_lp(W)
+            passing += cert.t_star > 0
+            mixed = 0.8 * cert.dual + 0.2 * rng.dirichlet(np.ones(W.shape[1]))
+            for y in (cert.dual, 0.5 * cert.dual, 3.0 * cert.dual, mixed):
+                pool = DualPool()
+                pool.add(y)
+                value = screen_value(pool, W)
+                eps = value + geometry._DUAL_SLACK
+                for _ in range(4):
+                    eps = np.nextafter(eps, -np.inf)
+                outs = []
+                for _ in range(9):
+                    outs.append(pool.rules_out(W, eps))
+                    assert outs[-1] == (value <= eps - geometry._DUAL_SLACK)
+                    exact += value == eps - geometry._DUAL_SLACK
+                    if outs[-1]:
+                        assert not cert.t_star > eps
+                    eps = np.nextafter(eps, np.inf)
+                assert pool.ruled_out == sum(outs)
+                ruled += sum(outs)
+                kept += len(outs) - sum(outs)
+        assert ruled > 0 and kept > 0 and exact > 0 and passing > 0
+
+    def test_duals_straddling_the_cut_at_the_default_threshold(self):
+        """At eps_pos = 1e-9, weights y bisected between a failing LP's dual
+        and a simplex point far above the cut land on either side of
+        eps_pos - _DUAL_SLACK, as close as the products resolve; the screen
+        follows its value, and every face it rules out fails its LP."""
+        eps_pos = 1e-9
+        cut = eps_pos - geometry._DUAL_SLACK
+        straddled = 0
+        for rng, W in unit_normal_stacks(3, 300):
+            cert = pareto_lp(W)
+            far = np.eye(W.shape[1])[int(np.argmax(W.max(axis=0)))]
+            lo, hi = cert.dual, far
+            pool_lo, pool_hi = DualPool(), DualPool()
+            pool_lo.add(lo)
+            pool_hi.add(hi)
+            if not screen_value(pool_lo, W) <= cut < screen_value(pool_hi, W):
+                continue
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                pool = DualPool()
+                pool.add(mid)
+                if screen_value(pool, W) <= cut:
+                    lo = mid
+                else:
+                    hi = mid
+            for y in (lo, hi):
+                pool = DualPool()
+                pool.add(y)
+                value = screen_value(pool, W)
+                assert abs(value - cut) <= 1e-15
+                assert pool.rules_out(W, eps_pos) == (value <= cut)
+                if pool.rules_out(W, eps_pos):
+                    assert not cert.t_star > eps_pos
+            straddled += 1
+        assert straddled >= 20
+
+    def test_add_normalizes_and_skips_weights_with_no_positive_entry(self):
+        pool = DualPool()
+        pool.add(np.zeros(3))
+        pool.add(np.array([-1.0, 0.0, -2.0]))
+        assert pool.ys is None
+        assert not pool.rules_out(-np.eye(3), 1e-9)
+        pool.add(np.array([2.0, -1.0, 6.0]))
+        assert pool.ys.tolist() == [[0.25, 0.0, 0.75]]
+        # max_i (W y)_i is 0.75 - 0.25 = 0.5 for W = [[-1, 0, 1], ...].
+        W = np.array([[-1.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
+        assert pool.rules_out(W, 0.5 + geometry._DUAL_SLACK)
+        assert not pool.rules_out(W, 0.5)
+        assert pool.ruled_out == 1
+
+    def test_each_hull_keeps_its_own_pool(self):
+        search_module = importlib.import_module("momdp_pareto.search")
+        rng = np.random.default_rng(0)
+        first = convex_hull(rng.normal(size=(30, 5)))
+        second = convex_hull(rng.normal(size=(30, 5)))
+        assert first.duals is not second.duals
+        assert first.duals.ys is None and second.duals.ys is None
+        for apex in first.vertex_ids:
+            search_module.select_pareto_faces(apex, first)
+        assert first.duals.ys is not None and first.duals.ruled_out > 0
+        assert second.duals.ys is None and second.duals.ruled_out == 0
 
 
 class TestIsParetoFace:

@@ -113,6 +113,15 @@ def test_front_matches_fixture(golden, name, solver):
             np.testing.assert_allclose(gf[key], wf[key], rtol=0, atol=FLOAT_TOL)
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_dual_screen_fires_on_a_pinned_instance(solver):
+    """The pooled LP duals rule faces out on this instance, so the fixture
+    comparison above covers fronts reached through the screen."""
+    stats = SOLVERS[solver](INSTANCES["dense-S4-A3-D5-s1"]()).stats
+    assert stats.lps_screened > 0
+    assert stats.lps_solved > 0
+
+
 if __name__ == "__main__":
     FIXTURES.parent.mkdir(exist_ok=True)
     fixtures = {

@@ -117,6 +117,25 @@ def test_oracle_solves_each_face_lp_once(monkeypatch):
     assert 0 < len(inputs) == len(hulls[0].certificates) == len(set(inputs))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+@pytest.mark.parametrize("name", ["eps_equal", "eps_geom", "eps_pos"])
+def test_oracle_rejects_bad_tolerances(name, value):
+    """eps_pos = -0.5 used to return 6 vertices where the front has 4, and
+    NaN or infinite eps_pos a single vertex."""
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got "):
+        brute_force_front(gen_random_mdp(0, 4, 3, 3), **{name: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+def test_verify_and_compare_reject_bad_tolerances(value):
+    m = gen_random_mdp(0, 3, 2, 2)
+    front = search(m)
+    with pytest.raises(ValueError, match="^tol must be a finite number >= 0, got "):
+        verify_front(m, front, tol=value)
+    with pytest.raises(ValueError, match="^tol must be a finite number >= 0, got "):
+        compare_fronts(front, front, tol=value)
+
+
 def test_all_policies_lexicographic():
     pols = enumerate_deterministic(3, 2)
     assert pols.shape == (8, 3)

@@ -18,7 +18,7 @@ from momdp_pareto import (
     search,
 )
 from momdp_pareto import geometry
-from momdp_pareto.geometry import affine_basis, convex_hull, dominance, Dominance, pprune
+from momdp_pareto.geometry import affine_basis, convex_hull, dominance, Dominance, mask_ids, pprune
 from momdp_pareto.mdp import enumerate_deterministic, neighbors_one
 from momdp_pareto.search import (
     _add_vertex,
@@ -505,6 +505,55 @@ def test_search_config_defaults():
     assert cfg.initial_policy is None
 
 
+BAD_TOLERANCES = [float("nan"), float("inf"), -float("inf"), -0.5, -1e-300, "1e-9", None]
+
+
+@pytest.mark.parametrize("value", BAD_TOLERANCES)
+@pytest.mark.parametrize("name", ["eps_equal", "eps_geom", "eps_pos"])
+def test_search_config_rejects_bad_tolerances(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got "):
+        SearchConfig(**{name: value})
+
+
+def test_search_config_accepts_zero_tolerances():
+    cfg = SearchConfig(eps_equal=0.0, eps_geom=0, eps_pos=np.float64(0.0))
+    assert cfg.eps_equal == cfg.eps_geom == cfg.eps_pos == 0.0
+
+
+def test_nan_eps_equal_is_refused_before_searching():
+    """A NaN eps_equal matches no vertex, so search kept adding the same
+    returns as new vertices without end; the config now refuses it."""
+    with pytest.raises(ValueError, match="eps_equal"):
+        search(gen_random_mdp(0, 4, 3, 3), SearchConfig(eps_equal=float("nan")))
+
+
+@pytest.mark.parametrize("solver", ["search", "oracle"])
+def test_face_work_counts_match_the_calls(solver, monkeypatch):
+    """`lps_solved` counts `pareto_lp` calls and `svds` the SVDs of the face
+    descents: every `geometry.affine_dimension` call except the one each
+    `convex_hull` makes."""
+    search_module = importlib.import_module("momdp_pareto.search")
+    oracle_module = importlib.import_module("momdp_pareto.oracle")
+    calls = {"lp": 0, "svd": 0, "hull": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(search_module, "pareto_lp", counted("lp", search_module.pareto_lp))
+    monkeypatch.setattr(geometry, "affine_dimension", counted("svd", geometry.affine_dimension))
+    for module in (search_module, oracle_module):
+        monkeypatch.setattr(module, "convex_hull", counted("hull", module.convex_hull))
+    run = search if solver == "search" else oracle_module.brute_force_front
+    stats = run(gen_random_mdp(1, 4, 3, 5)).stats
+    assert not stats.warnings
+    assert stats.lps_solved == calls["lp"] > 0
+    assert stats.svds == calls["svd"] - calls["hull"] > 0
+
+
 @pytest.fixture(scope="module")
 def local_hulls_d5():
     """Local hulls around the first few front vertices of a D=5 instance: each
@@ -577,29 +626,38 @@ class TestFaceSelectionScreen:
         assert 0 < len(calls) < tested
 
     def test_each_vertex_set_measured_once(self, local_hulls_d5, monkeypatch):
+        """The descent measures each vertex set of three or more points by
+        one SVD, memoized under its bitmask; a pair takes none, since two
+        distinct hull vertices span a line."""
         original = geometry.affine_dimension
         calls = []
 
         def counting(points, *args, **kwargs):
-            calls.append(1)
+            calls.append(np.asarray(points).tobytes())
             return original(points, *args, **kwargs)
 
         monkeypatch.setattr(geometry, "affine_dimension", counting)
-        measured = 0
+        measured = pairs = 0
         for shared in local_hulls_d5:
             # A fresh hull, so its memo starts empty.
             hull = convex_hull(shared.points, apex_id=0)
             calls.clear()
             first, _ = select_pareto_faces(0, hull)
-            assert len(calls) == len(hull.dims)
-            for vids, dim in hull.dims.items():
-                assert dim == original(hull.points[list(vids)])
+            assert len(calls) == len(set(calls)) == len(hull.dims)
+            for mask, dim in hull.dims.items():
+                ids = mask_ids(mask)
+                assert len(ids) > 2
+                assert hull.points[ids].tobytes() in calls
+                assert dim == original(hull.points[ids])
+            for fd, _ in first:
+                assert fd.dim == original(hull.points[list(fd.vertex_ids)])
+                pairs += len(fd.vertex_ids) == 2
             measured += len(hull.dims)
             # A second descent on the same hull measures nothing again.
             again, _ = select_pareto_faces(0, hull)
             assert len(calls) == len(hull.dims)
             assert [fd for fd, _ in again] == [fd for fd, _ in first]
-        assert measured > 0
+        assert measured > 0 and pairs > 0
 
 
 def test_policy_key_is_a_tuple_of_python_ints():
