@@ -151,13 +151,14 @@ def loop_find_vertex(scaled: np.ndarray, point: np.ndarray, eps: float):
     return None
 
 
-def quadratic_pprune(points: np.ndarray, eps: float = 0.0) -> list[int]:
-    """All-pairs non-domination filter, O(n^2)."""
+def quadratic_pprune(points: np.ndarray, eps: float = 0.0, margin: float = 0.0) -> list[int]:
+    """All-pairs non-domination filter, O(n^2). With a margin, a point x is
+    dropped when some point dominates x + margin."""
     points = np.asarray(points, dtype=float)
     keep = []
     for i in range(points.shape[0]):
         if not any(
-            strictly_dominates(points[j], points[i], eps)
+            strictly_dominates(points[j], points[i] + margin, eps)
             for j in range(points.shape[0])
             if j != i
         ):
@@ -165,18 +166,20 @@ def quadratic_pprune(points: np.ndarray, eps: float = 0.0) -> list[int]:
     return keep
 
 
-def all_pairs_pprune(points: np.ndarray, chunk: int = 256) -> list[int]:
-    """Non-dominated rows by testing every row against every row, `chunk`
-    rows at a time, one coordinate at a time."""
+def all_pairs_pprune(points: np.ndarray, chunk: int = 256, cloud=None) -> list[int]:
+    """Non-dominated rows by testing every row against every row of `cloud`
+    (the points themselves by default), `chunk` rows at a time, one
+    coordinate at a time."""
     points = np.asarray(points, dtype=float)
+    cloud = points if cloud is None else np.asarray(cloud, dtype=float)
     keep: list[int] = []
     for a in range(0, points.shape[0], chunk):
         rows = points[a : a + chunk]
-        ge = np.ones((rows.shape[0], points.shape[0]), dtype=bool)
+        ge = np.ones((rows.shape[0], cloud.shape[0]), dtype=bool)
         gt = np.zeros_like(ge)
         for d in range(points.shape[1]):
-            ge &= points[:, d] >= rows[:, d, None]
-            gt |= points[:, d] > rows[:, d, None]
+            ge &= cloud[:, d] >= rows[:, d, None]
+            gt |= cloud[:, d] > rows[:, d, None]
         keep.extend(a + int(i) for i in np.flatnonzero(~(ge & gt).any(axis=1)))
     return keep
 
@@ -314,6 +317,13 @@ def duplicate_action(mdp: Mdp, src: int = 1, dst: int = 2) -> Mdp:
     P, r = mdp.P.copy(), mdp.r.copy()
     P[:, dst], r[:, dst] = P[:, src], r[:, src]
     return Mdp(P=P, r=r, gamma=mdp.gamma, mu=mdp.mu)
+
+
+def dependent_objective(mdp: Mdp) -> Mdp:
+    """The MDP with its last objective replaced by the mean of the first two."""
+    r = mdp.r.copy()
+    r[:, :, -1] = r[:, :, :2].mean(axis=2)
+    return Mdp(P=mdp.P, r=r, gamma=mdp.gamma, mu=mdp.mu)
 
 
 def ridge_points() -> np.ndarray:
@@ -454,8 +464,6 @@ def loop_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e-9):
     pts = np.asarray(points, dtype=float)
     hull = ConvexHull(pts)
     scale = max(1.0, float(np.abs(pts).max()))
-    centroid = pts.mean(axis=0)
-    hull_vertices = set(int(v) for v in hull.vertices)
     planes = []
     for eq in hull.equations:
         w = eq[:-1].astype(float)
@@ -468,6 +476,38 @@ def loop_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e-9):
             for w2, c2 in planes
         ):
             planes.append((w, c))
+    return _oriented_facets(pts, hull, planes, apex_id, eps_geom)
+
+
+def unblocked_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e-9):
+    """`convex_hull`'s facets with its planes deduplicated from one (F, F)
+    closeness mask over all F Qhull planes at once, kept greedily in Qhull's
+    order; orientation and incidence as in `loop_hull_facets`."""
+    pts = np.asarray(points, dtype=float)
+    hull = ConvexHull(pts)
+    scale = max(1.0, float(np.abs(pts).max()))
+    eqs = hull.equations
+    norms = np.array([np.linalg.norm(row) for row in eqs[:, :-1]])
+    normals = eqs[:, :-1] / norms[:, None]
+    offsets = -eqs[:, -1] / norms
+    close = np.abs(offsets[:, None] - offsets[None, :]) <= 1e-9 * scale
+    for col in normals.T:
+        close &= np.abs(col[:, None] - col[None, :]) <= 1e-9
+    planes = []
+    taken = np.zeros(len(eqs), dtype=bool)
+    for k in range(len(eqs)):
+        if not taken[k]:
+            planes.append((normals[k], float(offsets[k])))
+            taken |= close[k]
+    return _oriented_facets(pts, hull, planes, apex_id, eps_geom)
+
+
+def _oriented_facets(pts, hull, planes, apex_id, eps_geom):
+    """Orient each (unit normal, offset) plane outward and list the hull
+    vertices on it, one plane at a time."""
+    scale = max(1.0, float(np.abs(pts).max()))
+    centroid = pts.mean(axis=0)
+    hull_vertices = set(int(v) for v in hull.vertices)
     facets = []
     for w, c in planes:
         margin = c - pts @ w

@@ -46,6 +46,7 @@ from helpers import (
     loop_hull_facets,
     quadratic_pprune,
     supporting_hyperplane_facets,
+    unblocked_hull_facets,
 )
 
 
@@ -172,6 +173,56 @@ class TestPPruneSweep:
         kept = pprune(pts)
         assert kept == all_pairs_pprune(pts)
         assert 100 < len(kept) < pts.shape[0] // 2
+
+
+class TestPPruneMargin:
+    """`pprune(points, margin)` drops a point only when some point
+    dominates it shifted up by the margin, as the quadratic filter does."""
+
+    MARGINS = [0.0, 1e-12, 0.1, 0.5, 1.0]
+
+    @pytest.mark.parametrize("margin", MARGINS)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_matches_quadratic_filter(self, dim, margin, monkeypatch):
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", 16)
+        rng = np.random.default_rng(30 + dim)
+        for pts in (
+            rng.integers(0, 4, size=(120, dim)).astype(float) * 0.5,
+            rng.normal(size=(120, dim)),
+            # Pairs 1e-13 apart: inside the smallest positive margin.
+            np.repeat(rng.normal(size=(60, dim)), 2, axis=0)
+            + np.tile([0.0, 1e-13], 60)[:, None],
+        ):
+            assert pprune(pts, margin) == quadratic_pprune(pts, margin=margin)
+
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_blocks_do_not_change_the_result(self, margin, monkeypatch):
+        pts = np.random.default_rng(5).integers(0, 5, size=(600, 3)).astype(float) * 0.25
+        whole = pprune(pts, margin)
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", 7)
+        assert pprune(pts, margin) == whole == all_pairs_pprune(pts + margin, cloud=pts)
+
+    def test_keeps_a_superset_of_the_non_dominated_points(self):
+        pts = np.random.default_rng(8).normal(size=(500, 3))
+        exact = pprune(pts)
+        kept = [set(pprune(pts, m)) for m in (0.0, 0.01, 0.1, 1.0)]
+        assert kept[0] == set(exact)
+        assert all(a <= b for a, b in zip(kept, kept[1:]))
+        assert len(kept[-1]) > len(exact)
+
+    def test_needs_the_margin_in_every_objective(self):
+        pts = np.array([[1.0, 1.0], [1.5, 1.5], [1.2, 3.0], [1.7, 1.6]])
+        # Row 0 is 0.5 below row 1 in both objectives; row 3 beats row 0 by
+        # 0.7 and 0.6 but row 1 by only 0.2 and 0.1; row 2 is only 0.2
+        # above row 0 in the first objective.
+        assert pprune(pts, 0.3) == [1, 2, 3]
+        assert pprune(pts, 0.05) == [2, 3]
+        assert pprune(pts, 0.7) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("margin", [-1e-12, float("nan"), float("inf")])
+    def test_rejects_bad_margins(self, margin):
+        with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
+            pprune(np.eye(2), margin)
 
 
 class TestDominatedBy:
@@ -477,6 +528,40 @@ class TestFacetDedupe:
 
         pts = self.CLOUDS[name]()
         assert len(ConvexHull(pts).equations) > len(convex_hull(pts).facets)
+
+
+class TestBlockedPlaneDedupe:
+    """`convex_hull` builds its plane-dedupe mask `_BLOCK_ROWS` planes at a
+    time; the facets must not depend on the block size."""
+
+    @staticmethod
+    def cloud():
+        """81 lattice points in D=5: 538 Qhull planes, 51 facets."""
+        pts = np.random.default_rng(0).integers(0, 3, size=(100, 5)).astype(float)
+        return np.unique(pts, axis=0)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 256])
+    def test_facets_equal_the_unblocked_mask(self, block, monkeypatch):
+        from scipy.spatial import ConvexHull
+
+        pts = self.cloud()
+        planes = len(ConvexHull(pts).equations)
+        assert planes > 256
+        want = unblocked_hull_facets(pts, apex_id=0)
+        assert len(want) < planes
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block)
+        got = convex_hull(pts, apex_id=0).facets
+        assert len(got) == len(want)
+        for f, g in zip(got, want):
+            assert f.normal.tobytes() == g.normal.tobytes()
+            assert f.offset == g.offset
+            assert f.vertex_ids == g.vertex_ids
+
+    def test_unblocked_reference_equals_the_plane_loop(self):
+        pts = self.cloud()
+        for f, g in zip(unblocked_hull_facets(pts), loop_hull_facets(pts), strict=True):
+            assert f.normal.tobytes() == g.normal.tobytes()
+            assert (f.offset, f.vertex_ids) == (g.offset, g.vertex_ids)
 
 
 class TestAffineBasis:

@@ -24,10 +24,15 @@ from momdp_pareto.mdp import (
     neighbors_one,
     solve_scalarized,
     stochastic_returns,
+    tree_depth,
+    tree_returns,
     validate_mdp,
 )
+from momdp_pareto.oracle import _tree_margin
+from momdp_pareto.search import return_scale
 
 from helpers import (
+    dependent_objective,
     duplicate_action,
     iterative_eval,
     make_bandit,
@@ -326,6 +331,16 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_deterministic(0, 2)
 
+    def test_decodes_indices(self):
+        pols = enumerate_deterministic(4, 3)
+        idx = [80, 0, 7, 7, 41]
+        got = enumerate_deterministic(4, 3, idx)
+        assert got.tobytes() == pols[idx].tobytes()
+        assert enumerate_deterministic(4, 3, []).shape == (0, 4)
+        assert enumerate_deterministic(3, 1, [0]).tolist() == [[0, 0, 0]]
+        with pytest.raises(OverflowError):
+            enumerate_deterministic(65, 2, [1])
+
 
 class TestDeterministicReturns:
     # dense, duplicated-action, gamma=0 and gridworld; the first has
@@ -358,6 +373,79 @@ class TestDeterministicReturns:
         pols = neighbors_one(np.zeros(4, dtype=np.int64), 3)
         got = deterministic_returns(mdp433, pols)
         assert got.tobytes() == np.array([long_term_return(mdp433, p) for p in pols]).tobytes()
+
+
+class TestTreeReturns:
+    """The rank-one policy tree against `deterministic_returns`, in scaled
+    space, within a hundredth of the screen's margin."""
+
+    FAMILIES = {
+        "dense": lambda g: gen_random_mdp(0, 5, 3, 3, g),
+        "dupact": lambda g: duplicate_action(gen_random_mdp(1, 5, 3, 3, g)),
+        "depobj": lambda g: dependent_objective(gen_random_mdp(2, 5, 3, 4, g)),
+        "grid": lambda g: gen_gridworld(3, 2, 3, 3, g),
+    }
+
+    @staticmethod
+    def assert_close_to_lu(m, depth, thread_count=1):
+        pols = enumerate_deterministic(m.num_states, m.num_actions)
+        want = deterministic_returns(m, pols)
+        got = tree_returns(m, depth, thread_count)
+        assert got.shape == want.shape
+        err = np.abs(got - want).max() * return_scale(m)
+        assert err <= _tree_margin(m) / 100, (depth, err)
+        return got
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 0.99, 0.9999])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_within_a_hundredth_of_the_margin(self, family, gamma):
+        m = self.FAMILIES[family](gamma)
+        for depth in range(1, m.num_states + 1):
+            self.assert_close_to_lu(m, depth)
+
+    def test_one_state(self):
+        m = gen_random_mdp(4, 1, 5, 3)
+        self.assert_close_to_lu(m, 1)
+
+    def test_one_action(self):
+        m = gen_random_mdp(5, 4, 1, 3)
+        got = self.assert_close_to_lu(m, 2)
+        assert got.shape == (1, 3)
+
+    def test_depth_beyond_the_states_expands_them_all(self):
+        m = gen_random_mdp(6, 4, 3, 3)
+        deep = self.assert_close_to_lu(m, 9)
+        assert deep.tobytes() == tree_returns(m, 4).tobytes()
+
+    def test_depth_zero_is_the_base_solve(self):
+        m = gen_random_mdp(7, 3, 3, 2)
+        self.assert_close_to_lu(m, 0)
+
+    # 729 policies in blocks of 27 (one head each) or of 54 (two heads).
+    @pytest.mark.parametrize("block", [27, 60])
+    def test_threads_do_not_change_results(self, block, monkeypatch):
+        m = gen_random_mdp(3, 6, 3, 3)
+        monkeypatch.setattr(mdp_module, "_EVAL_BLOCK", block)
+        one = self.assert_close_to_lu(m, 3)
+        assert tree_returns(m, 3, thread_count=3).tobytes() == one.tobytes()
+
+    def test_depth_for_a_full_sweep(self, monkeypatch):
+        assert tree_depth(5, 2) == 0
+        assert tree_depth(9, 2) == 0
+        assert tree_depth(10, 2) == 10
+        assert tree_depth(5, 3) == 0
+        assert tree_depth(6, 4) == 6
+        assert tree_depth(7, 4) == 6
+        assert tree_depth(8, 4) == 6
+        assert tree_depth(6, 5) == 5
+        assert tree_depth(1, 4097) == 0
+        assert tree_depth(2, 4097) == 0
+        monkeypatch.setattr(mdp_module, "_EVAL_BLOCK", 9)
+        monkeypatch.setattr(mdp_module, "_TREE_MIN_POLICIES", 8)
+        assert tree_depth(1, 8) == 0
+        assert tree_depth(2, 3) == 2
+        assert tree_depth(3, 3) == 2
+        assert tree_depth(5, 2) == 3
 
 
 class TestStochasticReturns:

@@ -18,12 +18,14 @@ from momdp_pareto import (
     search,
     verify_front,
 )
-from momdp_pareto import geometry, oracle
+from momdp_pareto import Mdp, geometry, oracle
+from momdp_pareto import mdp as mdp_module
 from momdp_pareto.mdp import deterministic_returns, enumerate_deterministic, mix_policies
 from momdp_pareto.oracle import _face_weights, bench_suite
-from momdp_pareto.search import FaceRecord, SearchStats, VertexRecord
+from momdp_pareto.search import FaceRecord, SearchStats, VertexRecord, return_scale
 
 from helpers import (
+    dependent_objective,
     dominated_in_cloud,
     duplicate_action,
     loop_compare_fronts,
@@ -134,6 +136,97 @@ def test_verify_and_compare_reject_bad_tolerances(value):
         verify_front(m, front, tol=value)
     with pytest.raises(ValueError, match="^tol must be a finite number >= 0, got "):
         compare_fronts(front, front, tol=value)
+
+
+def integer_rewards(seed: int, gamma: float, objectives: int) -> Mdp:
+    """A dense S=5, A=3 MDP with rewards in {0, 1, 2}: many returns tie in
+    some objective up to rounding, and the policy tree rounds them
+    differently from the LU solves."""
+    m = gen_random_mdp(seed, 5, 3, objectives, gamma)
+    r = np.random.default_rng(seed).integers(0, 3, size=m.r.shape).astype(float)
+    return Mdp(P=m.P, r=r, gamma=gamma, mu=m.mu)
+
+
+def full_sweep(m: Mdp):
+    """Every policy evaluated by `deterministic_returns` and pruned by `pprune`."""
+    pols = enumerate_deterministic(m.num_states, m.num_actions)
+    raw = deterministic_returns(m, pols)
+    nd = geometry.pprune(raw * return_scale(m))
+    return pols[nd], raw[nd]
+
+
+class TestNondominatedPolicies:
+    """The oracle's and verify's sweep, screened by the policy tree, against
+    evaluating and pruning every policy."""
+
+    CASES = {
+        "dense": lambda: gen_random_mdp(0, 5, 3, 3),
+        "dupact": lambda: duplicate_action(gen_random_mdp(1, 5, 3, 3)),
+        "depobj": lambda: dependent_objective(gen_random_mdp(2, 5, 3, 4)),
+        "grid": lambda: gen_gridworld(3, 2, 2, 3),
+        "gamma0": lambda: gen_random_mdp(4, 5, 3, 3, 0.0),
+        "gamma9999": lambda: gen_random_mdp(5, 5, 3, 3, 0.9999),
+    }
+
+    @staticmethod
+    def assert_bit_identical(m, thread_count=1):
+        pols, raw = oracle._nondominated_policies(m, thread_count)
+        want_pols, want_raw = full_sweep(m)
+        assert pols.dtype == np.int64
+        assert pols.tobytes() == want_pols.tobytes()
+        assert raw.tobytes() == want_raw.tobytes()
+
+    @staticmethod
+    def use_tree(monkeypatch, block=16):
+        """Screen sweeps of more than 8 policies, in blocks of `block`."""
+        monkeypatch.setattr(mdp_module, "_TREE_MIN_POLICIES", 8)
+        monkeypatch.setattr(mdp_module, "_EVAL_BLOCK", block)
+
+    # The tree in blocks of 16 or 4096 policies, and no tree (these
+    # instances have at most 243 policies).
+    @pytest.mark.parametrize("block", [16, 4096, None])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_the_full_sweep(self, case, block, monkeypatch):
+        if block:
+            self.use_tree(monkeypatch, block)
+        m = self.CASES[case]()
+        self.assert_bit_identical(m)
+        self.assert_bit_identical(m, thread_count=3)
+
+    @pytest.mark.parametrize("objectives", [2, 3])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+    def test_ties_up_to_rounding(self, gamma, objectives, monkeypatch):
+        self.use_tree(monkeypatch)
+        for seed in range(20):
+            self.assert_bit_identical(integer_rewards(seed, gamma, objectives))
+
+    def test_benchmark_size(self):
+        """A**S = 65536: the tree at its own depth, in 16 blocks."""
+        self.assert_bit_identical(gen_random_mdp(0, 8, 4, 3), thread_count=2)
+
+    def test_evaluates_only_the_screened_policies(self, monkeypatch):
+        m = gen_random_mdp(0, 7, 4, 3)
+        calls, evaluated = [], []
+        prune, evaluate = oracle.pprune, oracle.deterministic_returns
+
+        def recording_prune(points, margin=0.0):
+            calls.append((len(points), margin))
+            return prune(points, margin)
+
+        def recording_eval(mdp, policies, thread_count=1):
+            evaluated.append(len(policies))
+            return evaluate(mdp, policies, thread_count)
+
+        monkeypatch.setattr(oracle, "pprune", recording_prune)
+        monkeypatch.setattr(oracle, "deterministic_returns", recording_eval)
+        pols, _ = oracle._nondominated_policies(m)
+        margin = oracle._tree_margin(m)
+        assert 0.0 < margin < 1e-10
+        assert calls == [(4**7, margin), (evaluated[0], 0.0)]
+        assert len(pols) <= evaluated[0] < 4**7 // 10
+        calls.clear()
+        oracle._nondominated_policies(gen_random_mdp(0, 4, 4, 3))
+        assert calls == [(4**4, 0.0)]
 
 
 def test_all_policies_lexicographic():
@@ -278,11 +371,12 @@ def test_verify_on_non_dominated_cloud_equals_full_scan(build, monkeypatch):
     pruned = [verify_front(m, f, samples_per_face=8) for f in fronts]
     full_scans = []
 
-    def keep_every_row(points):
-        full_scans.append(len(points))
-        return list(range(len(points)))
+    def every_policy(mdp, thread_count=1):
+        pols = enumerate_deterministic(mdp.num_states, mdp.num_actions)
+        full_scans.append(len(pols))
+        return pols, deterministic_returns(mdp, pols, thread_count)
 
-    monkeypatch.setattr(oracle, "pprune", keep_every_row)
+    monkeypatch.setattr(oracle, "_nondominated_policies", every_policy)
     full = [verify_front(m, f, samples_per_face=8) for f in fronts]
     assert full_scans == [m.num_actions**m.num_states] * 2
     assert pruned == full
