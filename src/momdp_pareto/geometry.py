@@ -33,15 +33,6 @@ class ApexNotVertexError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Facet:
-    """One hull facet: outward unit normal, offset, and the vertices on it."""
-
-    normal: np.ndarray
-    offset: float
-    vertex_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class FaceDescriptor:
     """A face of a hull, identified by its vertices and defining facets."""
 
@@ -113,14 +104,13 @@ def mask_ids(mask: int) -> list[int]:
 class LocalHull:
     """Convex hull of a point set with deduplicated facet hyperplanes.
 
-    The face descent handles vertex sets as bitmasks, bit i standing for
-    point i: `facet_masks[k]` holds facet k's vertices and row k of
-    `normals` its outward unit normal, both built once by `convex_hull`, so
-    intersections, containment and the defining-facet lookup are integer
-    operations and a face's normals are one row selection.
+    Facet k is the plane {x : normals[k] @ x = offsets[k]}, with an outward
+    unit normal, and the vertex bitmask `facet_masks[k]`, bit i standing for
+    point i; all three are built once by `convex_hull`. The face descent
+    handles vertex sets as such bitmasks, so intersections, containment and
+    the defining-facet lookup are integer operations and a face's normals
+    are one row selection.
 
-    `dims` memoizes `dimension` by mask: the descent meets the same vertex
-    set along many paths, and each set needs its SVD once per hull.
     `certificates` holds the positivity LP's certificate for each tuple of
     defining facets tested on this hull: the oracle descends from every hull
     vertex and meets each face from each of its corners, with the same LP
@@ -131,12 +121,11 @@ class LocalHull:
     """
 
     points: np.ndarray
-    facets: tuple[Facet, ...]
     vertex_ids: tuple[int, ...]
     ambient_dim: int
     facet_masks: tuple[int, ...]
     normals: np.ndarray
-    dims: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    offsets: np.ndarray
     certificates: dict[tuple[int, ...], LpCertificate] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -144,20 +133,6 @@ class LocalHull:
         default_factory=dict, init=False, repr=False, compare=False
     )
     duals: DualPool = field(default_factory=DualPool, init=False, repr=False, compare=False)
-
-    def dimension(self, mask: int) -> int:
-        """Affine dimension of the hull vertices in the bitmask `mask`.
-
-        Hull vertices are distinct points, so one point has dimension 0 and
-        two have dimension 1 with no SVD; larger sets are measured once.
-        """
-        count = mask.bit_count()
-        if count <= 2:
-            return count - 1
-        dim = self.dims.get(mask)
-        if dim is None:
-            dim = self.dims[mask] = affine_dimension(self.points[mask_ids(mask)])
-        return dim
 
 
 @dataclass(frozen=True)
@@ -409,17 +384,18 @@ def convex_hull(
     Qhull triangulates non-simplicial facets, so it reports one plane per
     triangle. Each plane is normalized with its own `np.linalg.norm` call,
     and a closeness mask, built for `_BLOCK_ROWS` planes against all F at a
-    time, marks the pairs of planes whose unit normals agree to 1e-9 per
-    coordinate and whose offsets agree to 1e-9 times the points' scale.
-    Planes are kept greedily in Qhull's order, each unless it is close to a
-    plane kept before it, so each geometric facet appears once.
+    time, marks the pairs of planes whose unit normals agree to eps_geom per
+    coordinate and whose offsets agree to eps_geom times the points' scale,
+    the tolerance of the incidence test. Planes are kept greedily in Qhull's
+    order, each unless it is close to a plane kept before it, so each
+    geometric facet appears once.
     All normals are oriented outward (checked against the centroid, with the
     apex breaking ties when the centroid lies on the plane).
 
     Args:
         points: (n, D) array with n >= D + 1 spanning all D dimensions.
         apex_id: optional index used only for orientation tie-breaks.
-        eps_geom: tolerance for vertex-on-facet incidence tests.
+        eps_geom: tolerance for plane dedupe and vertex-on-facet incidence.
 
     Raises:
         DegenerateHullError: when the points span fewer than D dimensions.
@@ -454,9 +430,9 @@ def convex_hull(
     taken = np.zeros(len(eqs), dtype=bool)
     for start in range(0, len(eqs), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        close = np.abs(offsets[rows, None] - offsets) <= 1e-9 * scale
+        close = np.abs(offsets[rows, None] - offsets) <= tol
         for col in normals.T:
-            close &= np.abs(col[rows, None] - col) <= 1e-9
+            close &= np.abs(col[rows, None] - col) <= eps_geom
         for k, row in enumerate(close, start):
             if not taken[k]:
                 kept.append(k)
@@ -483,71 +459,57 @@ def convex_hull(
             outward[k] = sign[k] * (w0[k] @ pts[apex_id] - c0[k]) > tol
     sign[outward] *= -1.0
     on = (np.abs(height) <= tol) & is_vertex
-    ends = np.cumsum(on.sum(axis=1)).tolist()
-    on_ids = np.nonzero(on)[1].tolist()
-    normals = sign[:, None] * w0
-    facets = tuple(
-        Facet(normal=w, offset=c, vertex_ids=tuple(on_ids[start:end]))
-        for w, c, start, end in zip(normals, (sign * c0).tolist(), [0, *ends], ends)
-    )
     # Bit i of a facet's mask is byte i // 8, bit i % 8 of its packed row.
     packed = np.packbits(on, axis=1, bitorder="little")
     return LocalHull(
         points=pts,
-        facets=facets,
         vertex_ids=tuple(np.flatnonzero(is_vertex).tolist()),
         ambient_dim=dim,
         facet_masks=tuple(int.from_bytes(row.tobytes(), "little") for row in packed),
-        normals=normals,
+        normals=sign[:, None] * w0,
+        offsets=sign * c0,
     )
 
 
 def incident_facets(hull: LocalHull, point_id: int) -> tuple[int, ...]:
     """Indices of the hull facets containing a given hull vertex, ascending.
 
-    The facets are scanned once per hull and vertex; later calls return the
-    tuple memoized on the hull.
+    The facet masks are scanned once per hull and vertex; later calls return
+    the tuple memoized on the hull.
     """
     found = hull.incident.get(point_id)
     if found is None:
         if point_id not in hull.vertex_ids:
             raise ApexNotVertexError(f"point {point_id} is not a vertex of the hull")
         found = hull.incident[point_id] = tuple(
-            i for i, f in enumerate(hull.facets) if point_id in f.vertex_ids
+            i for i, m in enumerate(hull.facet_masks) if m >> point_id & 1
         )
     return found
 
 
-def subfaces_at(mask: int, hull: LocalHull, apex_id: int) -> list[int]:
-    """Vertex masks of the faces one dimension below the face `mask` that
-    still contain the apex.
+def subfaces_at(mask: int, dim: int, hull: LocalHull, apex_id: int) -> list[int]:
+    """Vertex masks of the facets through the apex of the face `mask`,
+    whose dimension is `dim`, in facet order.
 
-    Each candidate is the intersection of the face with one apex-incident
-    facet that does not contain the whole face; candidates whose affine
-    dimension is not exactly one below the face's are discarded, and each
-    vertex set is listed once, in facet order. A candidate with fewer
-    vertices than the face's dimension d spans at most d - 2 dimensions, so
-    it is discarded without an SVD. Faces of dimension 1 have no usable
-    subfaces, so they yield an empty list.
+    On a polytope, the facets of a face F are exactly the inclusion-maximal
+    proper intersections of F with the hull's facets (Kaibel and Pfetsch,
+    *Computing the face lattice of a polytope from its vertex-facet
+    incidences*, Comput. Geom. 23, 2002). A facet of F through the apex lies
+    on apex-incident facets only, so the maximal sets among F's proper
+    intersections with the apex-incident facets are F's facets through the
+    apex, each of dimension dim - 1, and each is listed once. No point set
+    is measured. Faces of dimension 1 have no usable subfaces, so they
+    yield an empty list.
     """
     if not mask >> apex_id & 1:
         raise ValueError(f"apex {apex_id} does not lie on the face")
-    dim = hull.dimension(mask)
     if dim < 1:
         raise ValueError(f"face dimension must be >= 1, got {dim}")
-    out: list[int] = []
     if dim == 1:
-        return out
-    for fi in incident_facets(hull, apex_id):
-        inter = mask & hull.facet_masks[fi]
-        if (
-            inter != mask
-            and inter.bit_count() >= dim
-            and inter not in out
-            and hull.dimension(inter) == dim - 1
-        ):
-            out.append(inter)
-    return out
+        return []
+    cands = dict.fromkeys(mask & hull.facet_masks[fi] for fi in incident_facets(hull, apex_id))
+    cands.pop(mask, None)
+    return [c for c in cands if not any(c != o and c & o == c for o in cands)]
 
 
 def _normal_matrix(normals: Sequence[np.ndarray]) -> np.ndarray:

@@ -93,10 +93,9 @@ class FaceRecord:
 class SearchStats:
     """Work counts and timings of one `search` or `brute_force_front` run.
 
-    `lps_solved`, `lps_screened` and `svds` count the face descents' work:
-    `pareto_lp` calls, faces the pooled LP duals ruled out without one, and
-    vertex sets whose affine dimension took an SVD. Like `wall_time`, they
-    stay out of the front file.
+    `lps_solved` and `lps_screened` count the face descents' work:
+    `pareto_lp` calls, and faces the pooled LP duals ruled out without one.
+    Like `wall_time`, they stay out of the front file.
     """
 
     iterations: int = 0
@@ -104,15 +103,13 @@ class SearchStats:
     planner_calls: int = 0
     lps_solved: int = 0
     lps_screened: int = 0
-    svds: int = 0
     warnings: list[str] = field(default_factory=list)
     wall_time: dict[str, float] = field(default_factory=dict)
 
     def count_face_work(self, hull: LocalHull) -> None:
-        """Add the LPs, screened faces and SVDs of the descents on `hull`."""
+        """Add the LPs and screened faces of the descents on `hull`."""
         self.lps_solved += len(hull.certificates)
         self.lps_screened += hull.duals.ruled_out
-        self.svds += len(hull.dims)
 
 
 @dataclass(eq=False)
@@ -242,10 +239,13 @@ def select_pareto_faces(
     facets, so another descent on the same hull (the oracle's, from another
     corner) reuses it.
 
-    Faces travel through the descent as vertex bitmasks. The same
-    geometric face can be reached along several descent paths; it is queued
-    once, and defined by every apex facet that contains it, so the LP
-    input, and therefore the verdict, depends on the vertex set alone.
+    Faces travel through the descent as vertex bitmasks, and the face
+    lattice is read from the facet masks alone (`subfaces_at`): each apex
+    facet has dimension `ambient_dim - 1` and each subface its parent's
+    dimension minus one, so no point set is measured. The same geometric
+    face can be reached along several descent paths; it is queued once,
+    and defined by every apex facet that contains it, so the LP input, and
+    therefore the verdict, depends on the vertex set alone.
 
     A dequeued face whose vertex set lies strictly inside a face that already
     passed is dropped: no LP, no record, no descent. This loses nothing. A
@@ -262,14 +262,15 @@ def select_pareto_faces(
         ids of all hull vertices lying on at least one passing face.
     """
     apex_facets = [(fi, hull.facet_masks[fi]) for fi in incident_facets(hull, apex_id)]
-    queue = deque(dict.fromkeys(m for _, m in apex_facets))
-    seen = set(queue)
+    # The dimension of every mask queued so far.
+    dims = dict.fromkeys((m for _, m in apex_facets), hull.ambient_dim - 1)
+    queue = deque(dims)
     passing: list[tuple[FaceDescriptor, LpCertificate]] = []
     passed: list[int] = []
     on_front = 0
     while queue:
         mask = queue.popleft()
-        dim = hull.dimension(mask)
+        dim = dims[mask]
         # Each mask is queued once, so a passed face holding all of this
         # one's vertices holds it strictly.
         if dim < 1 or any(mask & p == mask for p in passed):
@@ -289,9 +290,9 @@ def select_pareto_faces(
                 on_front |= mask
                 continue
         if dim > 1:
-            for child in subfaces_at(mask, hull, apex_id):
-                if child not in seen:
-                    seen.add(child)
+            for child in subfaces_at(mask, dim, hull, apex_id):
+                if child not in dims:
+                    dims[child] = dim - 1
                     queue.append(child)
     return passing, mask_ids(on_front)
 

@@ -8,8 +8,11 @@ agreement with the package is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import itertools
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
@@ -24,17 +27,26 @@ from momdp_pareto.mdp import (
 )
 from momdp_pareto.geometry import (
     Dominance,
-    Facet,
     FaceDescriptor,
     affine_dimension,
-    incident_facets,
     mask_ids,
     pareto_lp,
     pprune,
-    subfaces_at,
 )
 from momdp_pareto.oracle import ComparisonReport, FaceCheck, VerifyReport, _face_weights
 from momdp_pareto.search import return_scale
+
+
+def benchmark_instances() -> list:
+    """Every instance of the benchmark's workloads, in workload order, from
+    `perfbench/workloads.py`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return [inst for insts in workloads.WORKLOADS.values() for inst in insts]
 
 
 def one_hot_policy(actions, num_actions: int) -> np.ndarray:
@@ -354,24 +366,49 @@ def product_grid_weights(k: int, total: int, rng: np.random.Generator) -> np.nda
     return np.vstack([np.array(grid), extra])
 
 
+def apex_facet_ids(hull, apex_id: int) -> list[int]:
+    """Indices of the hull facets whose masks hold the apex, by testing
+    every mask's bit."""
+    return [fi for fi, m in enumerate(hull.facet_masks) if m >> apex_id & 1]
+
+
+def svd_subfaces_at(mask: int, hull, apex_id: int) -> list[int]:
+    """The faces one dimension below the face `mask` that contain the apex,
+    by measuring point sets: each intersection of the face with an
+    apex-incident facet that does not hold the whole face is kept when its
+    SVD gives dimension one below the face's own SVD, each vertex set once,
+    in facet order. A face of dimension 1 or less yields none."""
+
+    def dimension(m):
+        return affine_dimension(hull.points[mask_ids(m)])
+
+    dim = dimension(mask)
+    out: list[int] = []
+    if dim <= 1:
+        return out
+    for fi in apex_facet_ids(hull, apex_id):
+        inter = mask & hull.facet_masks[fi]
+        if inter != mask and inter not in out and dimension(inter) == dim - 1:
+            out.append(inter)
+    return out
+
+
 def faces_by_lp_everywhere(apex_id: int, hull, eps_pos: float = 1e-9):
     """The apex's Pareto faces by a descent that solves the positivity LP on
-    every face it tests and takes every face's dimension from its own SVD.
+    every face it tests, splits failing faces by `svd_subfaces_at` and takes
+    every face's dimension from its own SVD.
 
     Returns the passing (face, certificate) pairs in discovery order and the
     number of faces tested.
     """
-    apex_facets = incident_facets(hull, apex_id)
+    apex_facets = apex_facet_ids(hull, apex_id)
 
-    def canonical(vids):
-        vset = set(vids)
-        defining = tuple(
-            fi for fi in apex_facets if vset <= set(hull.facets[fi].vertex_ids)
-        )
-        dim = affine_dimension(hull.points[list(vids)])
-        return FaceDescriptor(tuple(sorted(vids)), defining, dim)
+    def canonical(mask):
+        defining = tuple(fi for fi in apex_facets if mask & hull.facet_masks[fi] == mask)
+        dim = affine_dimension(hull.points[mask_ids(mask)])
+        return FaceDescriptor(tuple(mask_ids(mask)), defining, dim)
 
-    queue = deque(canonical(hull.facets[fi].vertex_ids) for fi in apex_facets)
+    queue = deque(canonical(hull.facet_masks[fi]) for fi in apex_facets)
     tested = set()
     passing = []
     while queue:
@@ -379,14 +416,14 @@ def faces_by_lp_everywhere(apex_id: int, hull, eps_pos: float = 1e-9):
         if face.vertex_ids in tested or face.dim < 1:
             continue
         tested.add(face.vertex_ids)
-        cert = pareto_lp(np.array([hull.facets[fi].normal for fi in face.defining_facets]))
+        cert = pareto_lp(hull.normals[list(face.defining_facets)])
         if cert.t_star > eps_pos:
             passing.append((face, cert))
             continue
         if face.dim > 1:
             mask = sum(1 << v for v in face.vertex_ids)
-            for child in subfaces_at(mask, hull, apex_id):
-                queue.append(canonical(mask_ids(child)))
+            for child in svd_subfaces_at(mask, hull, apex_id):
+                queue.append(canonical(child))
     return passing, len(tested)
 
 
@@ -456,11 +493,12 @@ def linprog_support_lp(points: np.ndarray, vids: tuple[int, ...]):
 
 
 def loop_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e-9):
-    """`convex_hull`'s facets with its planes deduplicated one plane at a
-    time: each Qhull plane is normalized, compared with every plane kept so
-    far, and kept unless one is within 1e-9 per normal coordinate and 1e-9
-    times the points' scale in offset. Each kept plane is then oriented and
-    its vertices listed on its own, with fresh products after every flip."""
+    """`convex_hull`'s facets as (unit normal, offset, vertex ids) triples,
+    with its planes deduplicated one plane at a time: each Qhull plane is
+    normalized, compared with every plane kept so far, and kept unless one
+    is within eps_geom per normal coordinate and eps_geom times the points'
+    scale in offset. Each kept plane is then oriented and its vertices
+    listed on its own, with fresh products after every flip."""
     pts = np.asarray(points, dtype=float)
     hull = ConvexHull(pts)
     scale = max(1.0, float(np.abs(pts).max()))
@@ -472,7 +510,7 @@ def loop_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e-9):
         w = w / norm
         c = c / norm
         if not any(
-            np.abs(w - w2).max() <= 1e-9 and abs(c - c2) <= 1e-9 * scale
+            np.abs(w - w2).max() <= eps_geom and abs(c - c2) <= eps_geom * scale
             for w2, c2 in planes
         ):
             planes.append((w, c))
@@ -482,7 +520,8 @@ def loop_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e-9):
 def unblocked_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e-9):
     """`convex_hull`'s facets with its planes deduplicated from one (F, F)
     closeness mask over all F Qhull planes at once, kept greedily in Qhull's
-    order; orientation and incidence as in `loop_hull_facets`."""
+    order; tolerances, orientation, incidence and output as in
+    `loop_hull_facets`."""
     pts = np.asarray(points, dtype=float)
     hull = ConvexHull(pts)
     scale = max(1.0, float(np.abs(pts).max()))
@@ -490,9 +529,9 @@ def unblocked_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e
     norms = np.array([np.linalg.norm(row) for row in eqs[:, :-1]])
     normals = eqs[:, :-1] / norms[:, None]
     offsets = -eqs[:, -1] / norms
-    close = np.abs(offsets[:, None] - offsets[None, :]) <= 1e-9 * scale
+    close = np.abs(offsets[:, None] - offsets[None, :]) <= eps_geom * scale
     for col in normals.T:
-        close &= np.abs(col[:, None] - col[None, :]) <= 1e-9
+        close &= np.abs(col[:, None] - col[None, :]) <= eps_geom
     planes = []
     taken = np.zeros(len(eqs), dtype=bool)
     for k in range(len(eqs)):
@@ -504,7 +543,7 @@ def unblocked_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e
 
 def _oriented_facets(pts, hull, planes, apex_id, eps_geom):
     """Orient each (unit normal, offset) plane outward and list the hull
-    vertices on it, one plane at a time."""
+    vertices on it, one plane at a time, as (normal, offset, vertex ids)."""
     scale = max(1.0, float(np.abs(pts).max()))
     centroid = pts.mean(axis=0)
     hull_vertices = set(int(v) for v in hull.vertices)
@@ -521,8 +560,8 @@ def _oriented_facets(pts, hull, planes, apex_id, eps_geom):
                 w, c = -w, -c
         on = np.flatnonzero(np.abs(pts @ w - c) <= eps_geom * scale)
         vids = tuple(sorted(int(i) for i in on if int(i) in hull_vertices))
-        facets.append(Facet(normal=w, offset=float(c), vertex_ids=vids))
-    return tuple(facets)
+        facets.append((w, float(c), vids))
+    return facets
 
 
 def pairwise_consolidate_faces(faces, scaled_returns):

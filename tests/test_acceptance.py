@@ -6,6 +6,7 @@ exit codes and reports are exactly what a user would see.
 """
 
 import dataclasses
+import importlib
 import json
 import time
 
@@ -21,7 +22,7 @@ from momdp_pareto import (
     verify_front,
     SearchConfig,
 )
-from momdp_pareto.geometry import convex_hull, incident_facets
+from momdp_pareto.geometry import convex_hull, incident_facets, mask_ids
 from momdp_pareto.mdp import (
     enumerate_deterministic,
     hamming_distance,
@@ -188,7 +189,7 @@ def _hull_neighbor_keys(points, keys, apex_idx, min_shared=2):
     for v in hull.vertex_ids:
         if v == apex_idx:
             continue
-        shared = sum(1 for fi in inc if v in hull.facets[fi].vertex_ids)
+        shared = sum(1 for fi in inc if hull.facet_masks[fi] >> v & 1)
         if shared >= min_shared:
             out.add(keys[v])
     return out
@@ -238,9 +239,37 @@ def test_c07_one_planner_call_one_iteration_per_vertex(corpus):
           f"{len(instances)} runs")
 
 
-def test_c08_oracle_cost_blows_up_with_actions_while_search_stays_flat():
+def test_c08_oracle_cost_blows_up_with_actions_while_search_stays_flat(monkeypatch):
     bench_suite([3], [3], 3, [0])  # warm-up so first-call costs stay out of row 1
+    # The stats of every run in the timed suite, for the timing-free check.
+    oracle_module = importlib.import_module("momdp_pareto.oracle")
+    runs = []
+
+    def recorded(solver, name):
+        def run(mdp, *args, **kwargs):
+            front = solver(mdp, *args, **kwargs)
+            runs.append((name, mdp.num_states, mdp.num_actions, front.stats))
+            return front
+
+        return run
+
+    monkeypatch.setattr(oracle_module, "search", recorded(oracle_module.search, "solve"))
+    monkeypatch.setattr(
+        oracle_module, "brute_force_front", recorded(oracle_module.brute_force_front, "oracle")
+    )
     rows = bench_suite([5], [5, 6, 7], 3, [0, 1, 2])
+    monkeypatch.undo()
+    # The same shape without a clock: the oracle sweeps all A**S policies,
+    # while search evaluates at most the S * (A - 1) one-change neighbors
+    # of each vertex it explores, plus its start policy.
+    assert sorted((name, A) for name, _, A, _ in runs) == sorted(
+        (r.solver, r.actions) for r in rows
+    )
+    for name, S, A, stats in runs:
+        if name == "oracle":
+            assert stats.policies_evaluated == A**S
+        else:
+            assert stats.policies_evaluated <= 1 + stats.iterations * S * (A - 1)
     oracle_t = {
         A: np.mean([r.seconds for r in rows if r.solver == "oracle" and r.actions == A])
         for A in (5, 6, 7)
@@ -282,10 +311,10 @@ def test_c09_ridge_fixture_yields_exactly_the_edge():
         assert not dominated_in_cloud(p, cloud, eps=1e-9)
     n_rejected = 0
     for fi in incident_facets(hull, 0):
-        facet = hull.facets[fi]
-        if len(facet.vertex_ids) < 3:
+        facet = mask_ids(hull.facet_masks[fi])
+        if len(facet) < 3:
             continue
-        centroid = pts[list(facet.vertex_ids)].mean(axis=0)
+        centroid = pts[facet].mean(axis=0)
         assert dominated_in_cloud(centroid, cloud, eps=1e-9)
         n_rejected += 1
     assert n_rejected >= 2

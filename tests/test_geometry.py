@@ -46,6 +46,7 @@ from helpers import (
     loop_hull_facets,
     quadratic_pprune,
     supporting_hyperplane_facets,
+    svd_subfaces_at,
     unblocked_hull_facets,
 )
 
@@ -372,16 +373,30 @@ def unit_simplex_3d():
     )
 
 
+def assert_same_facets(hull, want):
+    """The hull's normals, offsets and facet masks equal a reference's
+    (normal, offset, vertex ids) triples bit for bit, in order."""
+    assert len(hull.facet_masks) == len(hull.offsets) == len(hull.normals) == len(want)
+    for k, (w, c, vids) in enumerate(want):
+        assert hull.normals[k].tobytes() == w.tobytes()
+        assert hull.offsets[k] == c
+        assert mask_ids(hull.facet_masks[k]) == list(vids)
+
+
+def facet_vertex_sets(hull):
+    return {frozenset(mask_ids(m)) for m in hull.facet_masks}
+
+
 class TestConvexHull:
     def test_simplex_has_four_facets(self):
         hull = convex_hull(unit_simplex_3d())
-        assert len(hull.facets) == 4
+        assert len(hull.facet_masks) == len(hull.normals) == len(hull.offsets) == 4
         assert hull.vertex_ids == (0, 1, 2, 3)
 
     def test_square_with_center(self):
         pts = np.array([[0.0, 0], [1.0, 0], [1.0, 1], [0.0, 1], [0.5, 0.5]])
         hull = convex_hull(pts)
-        assert len(hull.facets) == 4
+        assert len(hull.facet_masks) == len(hull.normals) == len(hull.offsets) == 4
         assert 4 not in hull.vertex_ids
 
     def test_cube_merges_coplanar_facets(self):
@@ -389,51 +404,76 @@ class TestConvexHull:
             [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
         )
         hull = convex_hull(corners)
-        assert len(hull.facets) == 6
-        assert all(len(f.vertex_ids) == 4 for f in hull.facets)
+        assert len(hull.facet_masks) == len(hull.normals) == len(hull.offsets) == 6
+        assert all(m.bit_count() == 4 for m in hull.facet_masks)
+
+    @staticmethod
+    def lifted_cube():
+        """The unit cube with corner (1, 1, 1) lifted by 1e-8 in z: the top
+        square folds into two triangles whose planes differ by about 1e-8."""
+        corners = np.array(
+            [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
+        )
+        corners[7, 2] += 1e-8
+        return corners
+
+    def test_lifted_cube_keeps_the_fold_at_the_default_tolerance(self):
+        hull = convex_hull(self.lifted_cube())
+        assert len(hull.facet_masks) == 7
+        assert len(set(hull.facet_masks)) == 7
+        assert sorted(m.bit_count() for m in hull.facet_masks) == [3, 3, 4, 4, 4, 4, 4]
+        assert_same_facets(hull, loop_hull_facets(self.lifted_cube()))
+
+    def test_plane_dedupe_uses_the_incidence_tolerance(self):
+        """At eps_geom=1e-6 all four top corners lie on both fold planes.
+        The dedupe compared planes to a fixed 1e-9, so it kept both and
+        listed the top square twice; with eps_geom it keeps one."""
+        hull = convex_hull(self.lifted_cube(), eps_geom=1e-6)
+        assert len(hull.facet_masks) == len(hull.normals) == len(hull.offsets) == 6
+        assert len(set(hull.facet_masks)) == 6
+        assert all(m.bit_count() == 4 for m in hull.facet_masks)
+        want = loop_hull_facets(self.lifted_cube(), eps_geom=1e-6)
+        assert_same_facets(hull, want)
+        assert_same_facets(hull, unblocked_hull_facets(self.lifted_cube(), eps_geom=1e-6))
 
     def test_all_points_inside_every_facet(self):
         pts = np.random.default_rng(3).normal(size=(30, 3))
         hull = convex_hull(pts)
         scale = max(1.0, np.abs(pts).max())
-        for f in hull.facets:
-            assert (pts @ f.normal - f.offset).max() <= 1e-9 * scale
-            assert abs(np.linalg.norm(f.normal) - 1.0) <= 1e-12
+        for w, c in zip(hull.normals, hull.offsets):
+            assert (pts @ w - c).max() <= 1e-9 * scale
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
 
     def test_facets_oriented_outward(self):
         pts = np.random.default_rng(4).normal(size=(15, 3))
         hull = convex_hull(pts)
         centroid = pts.mean(axis=0)
-        for f in hull.facets:
-            assert f.normal @ centroid < f.offset
+        for w, c in zip(hull.normals, hull.offsets):
+            assert w @ centroid < c
 
     def test_matches_hyperplane_enumeration_3d(self):
         pts = np.random.default_rng(12).random((20, 3))
         hull = convex_hull(pts)
-        got = {frozenset(f.vertex_ids) for f in hull.facets}
-        assert got == supporting_hyperplane_facets(pts)
+        assert facet_vertex_sets(hull) == supporting_hyperplane_facets(pts)
 
     def test_matches_hyperplane_enumeration_4d(self):
         pts = np.random.default_rng(21).normal(size=(10, 4))
         hull = convex_hull(pts)
-        got = {frozenset(f.vertex_ids) for f in hull.facets}
-        assert got == supporting_hyperplane_facets(pts)
+        assert facet_vertex_sets(hull) == supporting_hyperplane_facets(pts)
 
-    def test_facet_masks_and_normals_match_the_facets(self):
+    def test_facet_masks_past_bit_64_match_the_plane_loop(self):
         """Points on a sphere are all hull vertices, so the masks reach past
         bit 64."""
+        top_bits = []
         for seed, dim, n in ((3, 3, 80), (21, 4, 70), (0, 5, 40)):
             pts = np.random.default_rng(seed).normal(size=(n, dim))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             hull = convex_hull(pts)
-            assert hull.facet_masks == tuple(
-                sum(1 << v for v in f.vertex_ids) for f in hull.facets
-            )
-            assert [mask_ids(m) for m in hull.facet_masks] == [
-                list(f.vertex_ids) for f in hull.facets
-            ]
-            assert hull.normals.tobytes() == np.array([f.normal for f in hull.facets]).tobytes()
-            assert max(hull.vertex_ids) >= 39
+            assert_same_facets(hull, loop_hull_facets(pts))
+            top = max(m.bit_length() for m in hull.facet_masks) - 1
+            assert top == max(hull.vertex_ids) >= 39
+            top_bits.append(top)
+        assert max(top_bits) > 64
 
     def test_flat_cloud_raises(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0]])
@@ -501,24 +541,18 @@ class TestFacetDedupe:
     @pytest.mark.parametrize("apex_id", [None, 0])
     def test_same_facets_as_the_loop(self, name, apex_id):
         pts = self.CLOUDS[name]()
-        got = convex_hull(pts, apex_id=apex_id).facets
-        want = loop_hull_facets(pts, apex_id=apex_id)
-        assert len(got) == len(want)
-        for f, g in zip(got, want):
-            assert f.normal.tobytes() == g.normal.tobytes()
-            assert f.offset == g.offset
-            assert f.vertex_ids == g.vertex_ids
+        assert_same_facets(convex_hull(pts, apex_id=apex_id), loop_hull_facets(pts, apex_id=apex_id))
 
     def test_flat_apex_cloud_takes_the_apex_tie_break(self):
         pts = flat_apex_cloud()
         hull = convex_hull(pts, apex_id=0)
         base = [
-            f for f in hull.facets
-            if abs(f.normal @ pts.mean(axis=0) - f.offset) <= 1e-9
+            k for k, (w, c) in enumerate(zip(hull.normals, hull.offsets))
+            if abs(w @ pts.mean(axis=0) - c) <= 1e-9
         ]
         assert len(base) == 1
-        np.testing.assert_allclose(base[0].normal, [0.0, 0.0, -1.0], atol=1e-12)
-        assert base[0].vertex_ids == (1, 5, 16, 20)
+        np.testing.assert_allclose(hull.normals[base[0]], [0.0, 0.0, -1.0], atol=1e-12)
+        assert mask_ids(hull.facet_masks[base[0]]) == [1, 5, 16, 20]
 
     @pytest.mark.parametrize("name", ["cube-centres", "grid-2x3", "lattice-D3", "lattice-D4"])
     def test_clouds_have_triangulated_facets(self, name):
@@ -527,7 +561,7 @@ class TestFacetDedupe:
         from scipy.spatial import ConvexHull
 
         pts = self.CLOUDS[name]()
-        assert len(ConvexHull(pts).equations) > len(convex_hull(pts).facets)
+        assert len(ConvexHull(pts).equations) > len(convex_hull(pts).facet_masks)
 
 
 class TestBlockedPlaneDedupe:
@@ -550,18 +584,13 @@ class TestBlockedPlaneDedupe:
         want = unblocked_hull_facets(pts, apex_id=0)
         assert len(want) < planes
         monkeypatch.setattr(geometry, "_BLOCK_ROWS", block)
-        got = convex_hull(pts, apex_id=0).facets
-        assert len(got) == len(want)
-        for f, g in zip(got, want):
-            assert f.normal.tobytes() == g.normal.tobytes()
-            assert f.offset == g.offset
-            assert f.vertex_ids == g.vertex_ids
+        assert_same_facets(convex_hull(pts, apex_id=0), want)
 
     def test_unblocked_reference_equals_the_plane_loop(self):
         pts = self.cloud()
         for f, g in zip(unblocked_hull_facets(pts), loop_hull_facets(pts), strict=True):
-            assert f.normal.tobytes() == g.normal.tobytes()
-            assert (f.offset, f.vertex_ids) == (g.offset, g.vertex_ids)
+            assert f[0].tobytes() == g[0].tobytes()
+            assert f[1:] == g[1:]
 
 
 class TestAffineBasis:
@@ -604,34 +633,34 @@ class TestIncidentFacets:
 
     def test_facets_scanned_once_per_apex(self, monkeypatch):
         """A D=5 descent asks for its apex's facets at every subface step;
-        the hull lists them once per apex."""
+        the hull scans its facet masks for them once per apex."""
 
-        class CountingFacets(tuple):
+        class CountingMasks(tuple):
             scans = 0
 
             def __iter__(self):
-                CountingFacets.scans += 1
+                CountingMasks.scans += 1
                 return super().__iter__()
 
         search_module = importlib.import_module("momdp_pareto.search")
         subface_calls = []
 
-        def counted_subfaces_at(face, hull, apex_id):
+        def counted_subfaces_at(face, dim, hull, apex_id):
             subface_calls.append(apex_id)
-            return subfaces_at(face, hull, apex_id)
+            return subfaces_at(face, dim, hull, apex_id)
 
         monkeypatch.setattr(search_module, "subfaces_at", counted_subfaces_at)
         built = convex_hull(np.random.default_rng(0).normal(size=(30, 5)))
-        hull = dataclasses.replace(built, facets=CountingFacets(built.facets))
+        hull = dataclasses.replace(built, facet_masks=CountingMasks(built.facet_masks))
         apexes = hull.vertex_ids[:3]
         for apex in apexes:
             search_module.select_pareto_faces(apex, hull)
         assert len(subface_calls) > 3 * len(apexes)
-        assert CountingFacets.scans == len(apexes)
+        assert CountingMasks.scans == len(apexes)
         assert [incident_facets(hull, a) for a in apexes] == [
             incident_facets(built, a) for a in apexes
         ]
-        assert CountingFacets.scans == len(apexes)
+        assert CountingMasks.scans == len(apexes)
 
 
 class TestSubfaces:
@@ -639,11 +668,10 @@ class TestSubfaces:
         hull = convex_hull(unit_simplex_3d())
         apex = 0
         fid = incident_facets(hull, apex)[0]
-        subs = subfaces_at(hull.facet_masks[fid], hull, apex)
+        subs = subfaces_at(hull.facet_masks[fid], 2, hull, apex)
         assert len(subs) == 2
         for sub in subs:
             ids = mask_ids(sub)
-            assert affine_dimension(hull.points[ids]) == 1
             assert apex in ids
             assert len(ids) == 2
             # The apex facets holding every vertex of the edge.
@@ -654,7 +682,7 @@ class TestSubfaces:
 
     def test_edge_has_no_subfaces(self):
         hull = convex_hull(unit_simplex_3d())
-        assert subfaces_at(0b11, hull, 0) == []
+        assert subfaces_at(0b11, 1, hull, 0) == []
 
     def test_cube_square_facet_yields_two_edges(self):
         corners = np.array(
@@ -663,18 +691,33 @@ class TestSubfaces:
         hull = convex_hull(corners)
         apex = 0
         fid = incident_facets(hull, apex)[0]
-        subs = subfaces_at(hull.facet_masks[fid], hull, apex)
+        subs = subfaces_at(hull.facet_masks[fid], 2, hull, apex)
         assert len(subs) == 2
         for sub in subs:
-            ids = mask_ids(sub)
-            assert len(ids) == 2 and affine_dimension(hull.points[ids]) == 1
+            assert len(mask_ids(sub)) == 2
+
+    def test_pyramid_apex_drops_the_corner_nested_in_both_edges(self):
+        """Four triangles meet at a square pyramid's apex. One of them meets
+        its two neighbours in edges and the opposite triangle in the apex
+        alone, which lies inside both edges, so only the edges are kept."""
+        pts = np.array(
+            [[1.0, 1, 0], [1.0, -1, 0], [-1.0, -1, 0], [-1.0, 1, 0], [0.0, 0, 1]]
+        )
+        hull = convex_hull(pts)
+        apex = 4
+        face, *others = (hull.facet_masks[fi] for fi in incident_facets(hull, apex))
+        assert [face & m for m in others].count(1 << apex) == 1
+        subs = subfaces_at(face, 2, hull, apex)
+        assert len(subs) == 2
+        assert all(s.bit_count() == 2 and s >> apex & 1 for s in subs)
+        assert subs == svd_subfaces_at(face, hull, apex)
 
     def test_rejects_faces_off_the_apex_or_of_dimension_zero(self):
         hull = convex_hull(unit_simplex_3d())
         with pytest.raises(ValueError, match="apex 0 does not lie on the face"):
-            subfaces_at(0b110, hull, 0)
+            subfaces_at(0b110, 2, hull, 0)
         with pytest.raises(ValueError, match="face dimension must be >= 1, got 0"):
-            subfaces_at(0b1, hull, 0)
+            subfaces_at(0b1, 0, hull, 0)
 
 
 class TestParetoLp:
@@ -1028,9 +1071,9 @@ class TestFacetPositivityAgainstSampling:
             scale = max(1.0, np.abs(pts).max())
             hull = convex_hull(pts)
             cloud = convex_cloud(pts, n_random=3000, seed=seed)
-            for f in hull.facets:
-                t = float(f.normal.min())
-                sub = pts[list(f.vertex_ids)]
+            for w, m in zip(hull.normals, hull.facet_masks):
+                t = float(w.min())
+                sub = pts[mask_ids(m)]
                 samples = barycentric_grid(sub.shape[0], steps=3) @ sub
                 if t > 1e-6:
                     checked_pos += 1
@@ -1038,15 +1081,15 @@ class TestFacetPositivityAgainstSampling:
                         assert not dominated_in_cloud(p, cloud, eps=1e-9 * scale)
                 elif t < -1e-6:
                     checked_neg += 1
-                    j = int(f.normal.argmin())
+                    j = int(w.argmin())
                     centroid = sub.mean(axis=0)
                     inside = False
                     for delta in (1e-4, 1e-6, 1e-8):
                         witness = centroid.copy()
                         witness[j] += delta * scale
                         inside = all(
-                            g.normal @ witness <= g.offset + 1e-9 * scale
-                            for g in hull.facets
+                            g @ witness <= c + 1e-9 * scale
+                            for g, c in zip(hull.normals, hull.offsets)
                         )
                         if inside:
                             break

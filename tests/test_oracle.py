@@ -1,8 +1,5 @@
 import dataclasses
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +16,14 @@ from momdp_pareto import (
     verify_front,
 )
 from momdp_pareto import Mdp, geometry, oracle
+from momdp_pareto.geometry import affine_dimension
 from momdp_pareto import mdp as mdp_module
 from momdp_pareto.mdp import deterministic_returns, enumerate_deterministic, mix_policies
 from momdp_pareto.oracle import _face_weights, bench_suite
 from momdp_pareto.search import FaceRecord, SearchStats, VertexRecord, return_scale
 
 from helpers import (
+    benchmark_instances,
     dependent_objective,
     dominated_in_cloud,
     duplicate_action,
@@ -93,6 +92,28 @@ def test_search_and_oracle_returns_agree_exactly(build):
     rep = compare_fronts(search(m, SearchConfig(seed=0)), brute_force_front(m))
     assert rep.vertex_match
     assert rep.max_vertex_distance == 0.0
+
+
+def test_oracle_face_dims_on_a_jittered_hull_equal_search():
+    """With action 2 copied from action 1, this instance's non-dominated
+    returns span 4 of 5 dimensions, so the oracle builds its hull on
+    jittered points. It measured face dimensions on those points and
+    reported dimension 3 for a 4-vertex face whose returns span 2; the
+    face lattice gives 2, as search does."""
+    mdp = duplicate_action(gen_random_mdp(5, 4, 3, 5))
+    got, want = brute_force_front(mdp), search(mdp)
+    assert any("jitter applied" in w for w in got.stats.warnings)
+    assert compare_fronts(got, want).match
+    got_pts, want_pts = (
+        np.array([v.ret for v in f.vertices]) * f.return_scale for f in (got, want)
+    )
+    for front, pts in ((got, got_pts), (want, want_pts)):
+        for face in front.faces:
+            assert face.dim == affine_dimension(pts[list(face.vertex_ids)])
+    to_want = [int(np.abs(want_pts - p).max(axis=1).argmin()) for p in got_pts]
+    mapped = [(tuple(sorted(to_want[v] for v in f.vertex_ids)), f.dim) for f in got.faces]
+    assert sorted(mapped) == sorted((f.vertex_ids, f.dim) for f in want.faces)
+    assert max(f.dim for f in got.faces) == 2
 
 
 def test_oracle_solves_each_face_lp_once(monkeypatch):
@@ -443,23 +464,9 @@ def assert_same_report(got, ref):
         )
 
 
-def benchmark_verify_instances():
-    """(name, MDP) of every instance the benchmark verifies."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up in sys.modules.
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
-    return [
-        (inst.name, inst.build)
-        for insts in workloads.WORKLOADS.values()
-        for inst in insts
-        if "verify" in inst.ops
-    ]
-
-
-BENCHMARK_VERIFY = benchmark_verify_instances()
+BENCHMARK_VERIFY = [
+    (inst.name, inst.build) for inst in benchmark_instances() if "verify" in inst.ops
+]
 FAMILIES = [
     (f"{family}-s{seed}", build)
     for seed in range(5)

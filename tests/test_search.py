@@ -18,7 +18,15 @@ from momdp_pareto import (
     search,
 )
 from momdp_pareto import geometry
-from momdp_pareto.geometry import affine_basis, convex_hull, dominance, Dominance, mask_ids, pprune
+from momdp_pareto.geometry import (
+    Dominance,
+    affine_basis,
+    affine_dimension,
+    convex_hull,
+    dominance,
+    mask_ids,
+    pprune,
+)
 from momdp_pareto.mdp import enumerate_deterministic, neighbors_one
 from momdp_pareto.search import (
     _add_vertex,
@@ -33,12 +41,15 @@ from momdp_pareto.search import (
 )
 
 from helpers import (
+    benchmark_instances,
     duplicate_action,
     faces_by_lp_everywhere,
     loop_find_vertex,
     make_bandit,
     pairwise_consolidate_faces,
+    svd_subfaces_at,
 )
+from test_golden import INSTANCES as GOLDEN_INSTANCES
 
 
 class TestBanditFront:
@@ -529,8 +540,8 @@ def test_nan_eps_equal_is_refused_before_searching():
 
 @pytest.mark.parametrize("solver", ["search", "oracle"])
 def test_face_work_counts_match_the_calls(solver, monkeypatch):
-    """`lps_solved` counts `pareto_lp` calls and `svds` the SVDs of the face
-    descents: every `geometry.affine_dimension` call except the one each
+    """`lps_solved` counts `pareto_lp` calls. The face descents take no
+    SVD: every `geometry.affine_dimension` call is the one each
     `convex_hull` makes."""
     search_module = importlib.import_module("momdp_pareto.search")
     oracle_module = importlib.import_module("momdp_pareto.oracle")
@@ -551,7 +562,7 @@ def test_face_work_counts_match_the_calls(solver, monkeypatch):
     stats = run(gen_random_mdp(1, 4, 3, 5)).stats
     assert not stats.warnings
     assert stats.lps_solved == calls["lp"] > 0
-    assert stats.svds == calls["svd"] - calls["hull"] > 0
+    assert calls["svd"] == calls["hull"] > 0
 
 
 @pytest.fixture(scope="module")
@@ -625,39 +636,56 @@ class TestFaceSelectionScreen:
             tested += faces_by_lp_everywhere(0, hull)[1]
         assert 0 < len(calls) < tested
 
-    def test_each_vertex_set_measured_once(self, local_hulls_d5, monkeypatch):
-        """The descent measures each vertex set of three or more points by
-        one SVD, memoized under its bitmask; a pair takes none, since two
-        distinct hull vertices span a line."""
-        original = geometry.affine_dimension
-        calls = []
 
-        def counting(points, *args, **kwargs):
-            calls.append(np.asarray(points).tobytes())
-            return original(points, *args, **kwargs)
+def subface_instances():
+    """(MDP builder, solvers) by name for every golden instance and every
+    benchmark instance. The oracle runs on the golden instances within its
+    default cap, and on the benchmark instances the benchmark runs it on,
+    except where it is known to raise before building a hull."""
+    out = {}
+    for name, build in GOLDEN_INSTANCES.items():
+        mdp = build()
+        within_cap = mdp.num_actions**mdp.num_states <= 1_000_000
+        out[f"golden-{name}"] = (build, (search, brute_force_front) if within_cap else (search,))
+    for inst in benchmark_instances():
+        raises = (inst.known_oracle_defect or "").startswith("raised")
+        runs_oracle = "oracle" in inst.ops and not raises
+        out[f"bench-{inst.name}"] = (
+            inst.build, (search, brute_force_front) if runs_oracle else (search,)
+        )
+    return out
 
-        monkeypatch.setattr(geometry, "affine_dimension", counting)
-        measured = pairs = 0
-        for shared in local_hulls_d5:
-            # A fresh hull, so its memo starts empty.
-            hull = convex_hull(shared.points, apex_id=0)
-            calls.clear()
-            first, _ = select_pareto_faces(0, hull)
-            assert len(calls) == len(set(calls)) == len(hull.dims)
-            for mask, dim in hull.dims.items():
-                ids = mask_ids(mask)
-                assert len(ids) > 2
-                assert hull.points[ids].tobytes() in calls
-                assert dim == original(hull.points[ids])
-            for fd, _ in first:
-                assert fd.dim == original(hull.points[list(fd.vertex_ids)])
-                pairs += len(fd.vertex_ids) == 2
-            measured += len(hull.dims)
-            # A second descent on the same hull measures nothing again.
-            again, _ = select_pareto_faces(0, hull)
-            assert len(calls) == len(hull.dims)
-            assert [fd for fd, _ in again] == [fd for fd, _ in first]
-        assert measured > 0 and pairs > 0
+
+SUBFACE_INSTANCES = subface_instances()
+# Every local return set of this instance is too flat for a hull, even
+# jittered, and its oracle raises, so no descent runs on it.
+NO_DESCENT = {"bench-depobj-S5-A3-D4-s1"}
+
+
+@pytest.mark.parametrize("name", sorted(SUBFACE_INSTANCES))
+def test_lattice_subfaces_equal_the_svd_rule(name, monkeypatch):
+    """At every call of the descent, on every local hull of search and on
+    the oracle's hull, `subfaces_at` returns the children the SVD rule
+    returns, in the same order; the dimension handed to each call is its
+    face's affine dimension, and each child's is one less."""
+    module = _search_module()
+    lattice = module.subfaces_at
+    children = []
+
+    def checked(mask, dim, hull, apex_id):
+        got = lattice(mask, dim, hull, apex_id)
+        assert got == svd_subfaces_at(mask, hull, apex_id)
+        assert affine_dimension(hull.points[mask_ids(mask)]) == dim
+        for child in got:
+            assert affine_dimension(hull.points[mask_ids(child)]) == dim - 1
+        children.extend(got)
+        return got
+
+    monkeypatch.setattr(module, "subfaces_at", checked)
+    build, solvers = SUBFACE_INSTANCES[name]
+    for solver in solvers:
+        solver(build())
+    assert children or name in NO_DESCENT
 
 
 def test_policy_key_is_a_tuple_of_python_ints():
