@@ -46,6 +46,17 @@ def _default_threads() -> int:
         return 1
 
 
+def _threads(args: argparse.Namespace) -> int | None:
+    """--threads, else MOPF_THREADS or 1; None, with the error printed,
+    when --threads is below 1."""
+    if args.threads is None:
+        return _default_threads()
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return None
+    return args.threads
+
+
 def _meta(config: dict[str, Any], input_bytes: bytes | None) -> dict[str, Any]:
     return {
         "tool": "momdp-pareto",
@@ -119,7 +130,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
+    threads = _threads(args)
+    if threads is None:
+        return EXIT_INVALID
     config = {
         "command": "solve",
         "input": args.mdp,
@@ -162,7 +175,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
+    threads = _threads(args)
+    if threads is None:
+        return EXIT_INVALID
     config = {
         "command": "oracle",
         "input": args.mdp,
@@ -233,7 +248,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
+    threads = _threads(args)
+    if threads is None:
+        return EXIT_INVALID
     try:
         mdp, _ = _load_mdp(args.mdp)
         front, _ = _load_front(args.front)
@@ -291,9 +308,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    rows = bench_suite(
-        states, actions, args.objectives, list(range(args.seeds)), gamma=args.gamma, cap=args.cap
-    )
+    try:
+        rows = bench_suite(
+            states, actions, args.objectives, list(range(args.seeds)), gamma=args.gamma, cap=args.cap
+        )
+    except EnumerationCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     text = bench_rows_to_csv(rows, _meta_comments(_meta(config, None)))
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -292,6 +292,13 @@ _GRID_MOVES = {
 }
 
 
+def _check_sizes(**sizes: int) -> None:
+    """Raise a ValueError naming the first size below 1."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def gen_random_mdp(
     seed: int, num_states: int, num_actions: int, num_objectives: int, gamma: float = 0.9
 ) -> Mdp:
@@ -308,8 +315,7 @@ def gen_random_mdp(
         num_objectives: D >= 1.
         gamma: discount factor in [0, 1).
     """
-    if num_states < 1 or num_actions < 1 or num_objectives < 1:
-        raise ValueError("num_states, num_actions and num_objectives must be >= 1")
+    _check_sizes(num_states=num_states, num_actions=num_actions, num_objectives=num_objectives)
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     rng = np.random.default_rng(seed)
@@ -329,8 +335,7 @@ def gen_gridworld(
     Rewards are uniform [0, 1] per state-action-objective and the initial
     distribution is uniform over cells.
     """
-    if rows < 1 or cols < 1 or num_objectives < 1:
-        raise ValueError("rows, cols and num_objectives must be >= 1")
+    _check_sizes(rows=rows, cols=cols, num_objectives=num_objectives)
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     rng = np.random.default_rng(seed)

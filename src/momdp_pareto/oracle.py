@@ -43,6 +43,7 @@ from .search import (
     SearchConfig,
     SearchStats,
     VertexRecord,
+    check_thread_count,
     check_tolerance,
     consolidate_faces,
     return_scale,
@@ -151,13 +152,14 @@ def brute_force_front(
         eps_pos: positivity threshold of the face LP.
 
     Raises:
-        ValueError: when a tolerance is NaN, infinite or negative; the
-            message names it.
+        ValueError: when a tolerance is NaN, infinite or negative, or
+            thread_count is not an int >= 1; the message names it.
         InvalidMdpError: when validation fails.
         EnumerationCapError: when A**S exceeds the cap.
     """
     for name, value in (("eps_equal", eps_equal), ("eps_geom", eps_geom), ("eps_pos", eps_pos)):
         check_tolerance(name, value)
+    check_thread_count(thread_count)
     violations = validate_mdp(mdp)
     if violations:
         raise InvalidMdpError(violations)
@@ -411,11 +413,12 @@ def verify_front(
 
     Raises:
         ValueError: when samples_per_face is negative, tol is NaN, infinite
-            or negative, or a vertex policy is not one action in range per
-            state.
+            or negative, thread_count is not an int >= 1, or a vertex policy
+            is not one action in range per state.
         EnumerationCapError: when A**S exceeds the cap.
     """
     check_tolerance("tol", tol)
+    check_thread_count(thread_count)
     if samples_per_face < 0:
         raise ValueError(f"samples_per_face must be >= 0, got {samples_per_face}")
     S, A, D = mdp.num_states, mdp.num_actions, mdp.num_objectives

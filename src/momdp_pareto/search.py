@@ -143,6 +143,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         for name in ("eps_equal", "eps_geom", "eps_pos"):
             check_tolerance(name, getattr(self, name))
+        check_thread_count(self.thread_count)
 
 
 def check_tolerance(name: str, value: float) -> None:
@@ -153,6 +154,12 @@ def check_tolerance(name: str, value: float) -> None:
     """
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def check_thread_count(value: int) -> None:
+    """Raise a ValueError naming thread_count unless value is an int >= 1."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"thread_count must be an int >= 1, got {value!r}")
 
 
 def return_scale(mdp: Mdp) -> float:

@@ -178,6 +178,31 @@ def quadratic_pprune(points: np.ndarray, eps: float = 0.0, margin: float = 0.0) 
     return keep
 
 
+def sweep_pprune(points: np.ndarray, margin: float = 0.0, block: int = 256) -> list[int]:
+    """`pprune` as a bare maxima sweep, without its extreme-row pre-pass:
+    every row in descending lexicographic order, `block` rows at a time,
+    each block tested against the rows kept so far and then against itself,
+    with a (rows, cloud) mask built one coordinate at a time."""
+    pts = np.asarray(points, dtype=float)
+
+    def dominated(rows: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+        ge = np.ones((len(rows), len(cloud)), dtype=bool)
+        gt = np.zeros_like(ge)
+        for d in range(pts.shape[1]):
+            ge &= cloud[:, d] >= rows[:, d, None] + margin
+            gt |= cloud[:, d] > rows[:, d, None] + margin
+        return (ge & gt).any(axis=1)
+
+    order = np.lexsort(-pts.T[::-1])
+    kept = order[:0]
+    for start in range(0, len(order), block):
+        rows = order[start : start + block]
+        rows = rows[~dominated(pts[rows], pts[kept])]
+        rows = rows[~dominated(pts[rows], pts[rows])]
+        kept = np.concatenate([kept, rows])
+    return np.sort(kept).tolist()
+
+
 def all_pairs_pprune(points: np.ndarray, chunk: int = 256, cloud=None) -> list[int]:
     """Non-dominated rows by testing every row against every row of `cloud`
     (the points themselves by default), `chunk` rows at a time, one

@@ -196,6 +196,30 @@ class TestBench:
         assert lines[0] == "states,actions,objectives,seed,solver,vertices,faces,seconds"
         assert len(lines) == 1 + 4
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--states", "0"], "error: num_states must be >= 1, got 0"),
+            (["--actions", "2,0"], "error: num_actions must be >= 1, got 0"),
+            (["--gamma", "1.5"], "error: gamma must lie in [0, 1), got 1.5"),
+        ],
+    )
+    def test_bad_instance_exits_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "bench.csv"
+        argv = ["--states", "3", "--actions", "2", "--objectives", "2", "--seeds", "1"]
+        assert run("bench", *argv, *flags, "-o", str(out)) == 2
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
+    def test_cap_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--states", "3", "--actions", "2", "--objectives", "2",
+                   "--seeds", "1", "--cap", "4", "-o", str(out)) == 4
+        assert capsys.readouterr().err.strip() == (
+            "error: enumeration needs 8 policies, above the cap of 4"
+        )
+        assert not out.exists()
+
 
 class TestExport:
     def test_csv_and_off(self, mdp_file, tmp_path):
@@ -226,6 +250,19 @@ class TestThreadDefaults:
         assert _default_threads() == 4
         monkeypatch.setenv("MOPF_THREADS", "junk")
         assert _default_threads() == 1
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+    def test_below_one_exits_2(self, mdp_file, tmp_path, capsys, command, value):
+        """These used to run on one thread."""
+        front = tmp_path / "front.json"
+        assert run("solve", str(mdp_file), "-o", str(front)) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = [str(front)] if command == "verify" else ["-o", str(out)]
+        assert run(command, str(mdp_file), *argv, "--threads", value) == 2
+        assert capsys.readouterr().err == f"error: --threads must be >= 1, got {value}\n"
+        assert not out.exists()
 
     def test_env_recorded_in_output(self, mdp_file, tmp_path, monkeypatch):
         monkeypatch.setenv("MOPF_THREADS", "2")

@@ -3,12 +3,13 @@ import importlib
 import itertools
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize._highspy import _core as _highs
 
-from momdp_pareto import gen_gridworld, gen_random_mdp, geometry, long_term_return
+from momdp_pareto import gen_gridworld, gen_random_mdp, geometry, long_term_return, oracle
 from momdp_pareto.geometry import (
     AffineBasis,
     ApexNotVertexError,
@@ -32,7 +33,8 @@ from momdp_pareto.geometry import (
     subfaces_at,
     support_faces,
 )
-from momdp_pareto.mdp import enumerate_deterministic
+from momdp_pareto.mdp import enumerate_deterministic, tree_depth, tree_returns
+from momdp_pareto.search import return_scale
 
 from helpers import (
     all_pairs_pprune,
@@ -47,6 +49,7 @@ from helpers import (
     quadratic_pprune,
     supporting_hyperplane_facets,
     svd_subfaces_at,
+    sweep_pprune,
     unblocked_hull_facets,
 )
 
@@ -226,6 +229,124 @@ class TestPPruneMargin:
             pprune(np.eye(2), margin)
 
 
+class TestPPrunePrePass:
+    """Above `_BLOCK_ROWS` rows, `pprune` first drops the rows that the
+    coordinate-sum and per-coordinate maxima dominate. The index lists must
+    equal the bare sweep's and the all-pairs filter's whichever rows these
+    anchors are."""
+
+    MARGINS = [0.0, 1e-12, 0.5]
+
+    @staticmethod
+    def filler(seed: int, n: int = 300, dim: int = 3) -> np.ndarray:
+        """Tie-heavy rows in [0, 1]^dim, enough to take the pre-pass."""
+        return np.random.default_rng(seed).integers(0, 5, size=(n, dim)) / 4.0
+
+    @staticmethod
+    def anchor_ids(pts: np.ndarray) -> list[int]:
+        return np.unique([pts.sum(axis=1).argmax(), *pts.argmax(axis=0)]).tolist()
+
+    def check(self, pts: np.ndarray, margin: float) -> list[int]:
+        assert len(pts) > geometry._BLOCK_ROWS
+        kept = pprune(pts, margin)
+        assert kept == sweep_pprune(pts, margin)
+        assert kept == quadratic_pprune(pts, margin=margin)
+        return kept
+
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_anchors_that_are_themselves_dominated(self, margin):
+        # For each objective k, row a_k reaches the maximum 10 in k first and
+        # row b_k ties it there and beats it by 0.75 elsewhere, so argmax
+        # takes the dominated a_k.
+        pts = self.filler(1)
+        for k in range(3):
+            a = np.zeros(3)
+            a[k] = 10.0
+            pts = np.vstack([pts, a, a + 0.75 * (np.arange(3) != k)])
+        n = len(pts)
+        assert self.anchor_ids(pts) == [n - 6, n - 5, n - 4, n - 2]
+        kept = self.check(pts, margin)
+        if margin == 0.0:
+            assert not {n - 6, n - 4, n - 2} & set(kept)
+
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_duplicates_of_an_anchor_all_survive(self, margin):
+        pts = self.filler(2)
+        top = np.array([2.0, 2.0, 2.0])
+        ids = [5, 77, 140, 299]
+        pts[ids] = top
+        assert self.anchor_ids(pts) == [5]
+        kept = self.check(pts, margin)
+        assert set(ids) <= set(kept)
+
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_chain_through_a_row_an_anchor_drops(self, margin):
+        # x < y < a, each step the margin, rounded, plus one ulp in every
+        # objective: y dominates x past the margin and a dominates y, so a
+        # dominates x by transitivity after rounding.
+        pts = self.filler(3)
+        x = np.array([3.0, 3.1, 3.2])
+
+        def up(p):
+            return np.nextafter(p + margin, np.inf)
+
+        y = up(x)
+        a = up(y)
+        pts = np.vstack([pts[:100], x, pts[100:200], y, pts[200:], a])
+        ix, iy, ia = 100, 201, len(pts) - 1
+        # At margin 0 the sums of y and a may round alike, making y an anchor.
+        assert ia in self.anchor_ids(pts) and ix not in self.anchor_ids(pts)
+        # Only y and a dominate x past the margin.
+        assert ix in quadratic_pprune(np.delete(pts, [iy, ia], axis=0), margin=margin)
+        kept = self.check(pts, margin)
+        assert ix not in kept and iy not in kept and ia in kept
+
+    @pytest.mark.parametrize("margin", MARGINS)
+    @pytest.mark.parametrize(
+        "special",
+        [
+            [[np.nan, 0.5, 0.5]],
+            [[np.nan, np.nan, np.nan], [0.5, np.nan, 3.0]],
+            [[np.inf, 0.0, 0.0], [np.inf, 0.25, 0.0]],
+            [[-np.inf, 5.0, 5.0], [0.5, 0.5, -np.inf]],
+            [[np.inf, -np.inf, 0.0], [np.nan, np.inf, 0.5]],
+        ],
+    )
+    def test_nan_and_inf_rows_as_in_the_bare_sweep(self, special, margin):
+        pts = self.filler(4)
+        pts = np.vstack([pts[:150], special, pts[150:], special])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check(pts, margin)
+
+    def test_few_check3_tree_rows_reach_the_sweep(self, monkeypatch):
+        """Clock-free: on the 65 536 tree rows of `gen_random_mdp(0, 8, 4, 3)`,
+        the pre-pass is the only scan of every row, at most 5 000 rows reach
+        the sweep, and the sweep's scans take each of them at most twice
+        (against the rows kept so far, then within its block). The bare
+        sweep scans all 65 536."""
+        mdp = gen_random_mdp(0, 8, 4, 3)
+        rows = tree_returns(mdp, tree_depth(8, 4)) * return_scale(mdp)
+        margin = oracle._tree_margin(mdp)
+        assert rows.shape == (65_536, 3)
+        calls = []
+        scan = geometry.dominated_by
+
+        def counting(points, cloud, tol=0.0, slack=0.0):
+            out = scan(points, cloud, tol, slack)
+            calls.append((len(points), int(out.sum())))
+            return out
+
+        monkeypatch.setattr(geometry, "dominated_by", counting)
+        kept = pprune(rows, margin)
+        monkeypatch.undo()
+        assert kept == sweep_pprune(rows, margin)
+        (n, dropped), *sweep = calls
+        assert n == len(rows) and all(m <= geometry._BLOCK_ROWS for m, _ in sweep)
+        assert n - dropped <= 5_000
+        assert sum(m for m, _ in sweep) <= 2 * (n - dropped)
+
+
 class TestDominatedBy:
     """The blocked mask against one scan of the cloud per row."""
 
@@ -245,6 +366,31 @@ class TestDominatedBy:
             got = dominated_by(points, cloud, tol, slack)
             assert got.dtype == bool and got.shape == (n,)
             assert got.tolist() == self.loop(points, cloud, tol, slack)
+
+    @pytest.mark.parametrize("m", [0, 1, 4, 256, 257])
+    def test_cell_sized_blocks(self, m, monkeypatch):
+        """Blocks hold max(1, _BLOCK_ROWS**2 // m) rows against an m-row
+        cloud: with _BLOCK_ROWS 16 that is 256, 256, 64, 1 and 1 rows, so
+        the 600 points span several blocks for every m."""
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", 16)
+        rng = np.random.default_rng(40 + m)
+        points = rng.integers(0, 4, size=(600, 3)) / 4.0
+        cloud = rng.integers(0, 4, size=(m, 3)) / 4.0
+        assert len(points) > 2 * max(1, 16 * 16 // max(1, m))
+        for tol, slack in ((0.0, 0.0), (0.25, 0.0), (0.0, 0.25), (0.1, 1e-12), (0.3, 0.3)):
+            got = dominated_by(points, cloud, tol, slack)
+            assert got.dtype == bool and got.shape == (600,)
+            assert got.tolist() == self.loop(points, cloud, tol, slack)
+
+    def test_cloud_larger_than_a_block_takes_one_row_per_block(self, monkeypatch):
+        # 17 cloud rows exceed _BLOCK_ROWS**2 = 16 cells: one row per block.
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(17)
+        points = rng.integers(0, 3, size=(40, 2)) / 2.0
+        cloud = rng.integers(0, 3, size=(17, 2)) / 2.0
+        got = dominated_by(points, cloud)
+        assert got.tolist() == self.loop(points, cloud, 0.0, 0.0)
+        assert 0 < got.sum() < len(points)
 
     def test_slack_and_tol_sides(self):
         cloud = np.array([[1.0, 1.0]])

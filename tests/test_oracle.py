@@ -159,6 +159,18 @@ def test_verify_and_compare_reject_bad_tolerances(value):
         compare_fronts(front, front, tol=value)
 
 
+@pytest.mark.parametrize("value", [0, -2])
+def test_oracle_and_verify_reject_thread_counts_below_one(value):
+    """Both used to run on one thread when given 0 or a negative count."""
+    m = gen_random_mdp(0, 3, 2, 2)
+    front = search(m)
+    match = f"^thread_count must be an int >= 1, got {value}$"
+    with pytest.raises(ValueError, match=match):
+        brute_force_front(m, thread_count=value)
+    with pytest.raises(ValueError, match=match):
+        verify_front(m, front, thread_count=value)
+
+
 def integer_rewards(seed: int, gamma: float, objectives: int) -> Mdp:
     """A dense S=5, A=3 MDP with rewards in {0, 1, 2}: many returns tie in
     some objective up to rounding, and the policy tree rounds them

@@ -526,6 +526,12 @@ def test_search_config_rejects_bad_tolerances(name, value):
         SearchConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [0, -2])
+def test_search_config_rejects_thread_counts_below_one(value):
+    with pytest.raises(ValueError, match=f"^thread_count must be an int >= 1, got {value}$"):
+        SearchConfig(thread_count=value)
+
+
 def test_search_config_accepts_zero_tolerances():
     cfg = SearchConfig(eps_equal=0.0, eps_geom=0, eps_pos=np.float64(0.0))
     assert cfg.eps_equal == cfg.eps_geom == cfg.eps_pos == 0.0
