@@ -7,7 +7,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .mdp import InvalidMdpError, gen_gridworld, gen_random_mdp
@@ -40,20 +40,21 @@ EXIT_CAP = 4
 
 
 def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MOPF_THREADS", "1")))
-    except ValueError:
-        return 1
+    """MOPF_THREADS, or 1 when it is unset; a ValueError naming it when it
+    is not an int >= 1."""
+    value = os.environ.get("MOPF_THREADS", "1")
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"MOPF_THREADS must be an int >= 1, got {value!r}")
+    return int(value)
 
 
-def _threads(args: argparse.Namespace) -> int | None:
-    """--threads, else MOPF_THREADS or 1; None, with the error printed,
-    when --threads is below 1."""
+def _threads(args: argparse.Namespace) -> int:
+    """--threads, else MOPF_THREADS or 1; a ValueError naming --threads when
+    it is below 1."""
     if args.threads is None:
         return _default_threads()
     if args.threads < 1:
-        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return None
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     return args.threads
 
 
@@ -74,19 +75,11 @@ def _meta_comments(meta: dict[str, Any]) -> list[str]:
     ]
 
 
-def _read_bytes(path: str) -> bytes:
+def _load(path: str, from_dict: Callable[[dict[str, Any]], Any]):
+    """The object from_dict builds from a JSON file, and the file's bytes."""
     with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _load_mdp(path: str):
-    blob = _read_bytes(path)
-    return mdp_from_dict(json.loads(blob.decode("utf-8"))), blob
-
-
-def _load_front(path: str):
-    blob = _read_bytes(path)
-    return front_from_dict(json.loads(blob.decode("utf-8"))), blob
+        blob = fh.read()
+    return from_dict(json.loads(blob.decode("utf-8"))), blob
 
 
 def _print_stats_line(front) -> None:
@@ -111,16 +104,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
         "objectives": args.objectives,
         "output": args.output,
     }
-    try:
-        if args.kind == "random":
-            config.update({"states": args.states, "actions": args.actions})
-            mdp = gen_random_mdp(args.seed, args.states, args.actions, args.objectives, args.gamma)
-        else:
-            config.update({"rows": args.rows, "cols": args.cols})
-            mdp = gen_gridworld(args.seed, args.rows, args.cols, args.objectives, args.gamma)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.kind == "random":
+        config.update({"states": args.states, "actions": args.actions})
+        mdp = gen_random_mdp(args.seed, args.states, args.actions, args.objectives, args.gamma)
+    else:
+        config.update({"rows": args.rows, "cols": args.cols})
+        mdp = gen_gridworld(args.seed, args.rows, args.cols, args.objectives, args.gamma)
     write_json(args.output, mdp_to_dict(mdp), _meta(config, None))
     print(
         f"wrote {args.output}: states={mdp.num_states} actions={mdp.num_actions} "
@@ -131,8 +120,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     threads = _threads(args)
-    if threads is None:
-        return EXIT_INVALID
     config = {
         "command": "solve",
         "input": args.mdp,
@@ -143,32 +130,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "eps_geom": args.eps_geom,
         "eps_pos": args.eps_pos,
     }
-    try:
-        mdp, blob = _load_mdp(args.mdp)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        front = search(
-            mdp,
-            SearchConfig(
-                seed=args.seed,
-                thread_count=threads,
-                eps_equal=args.eps_equal,
-                eps_geom=args.eps_geom,
-                eps_pos=args.eps_pos,
-            ),
-        )
-    except InvalidMdpError as exc:
-        for line in exc.violations:
-            print(f"invalid: {line}", file=sys.stderr)
-        return EXIT_INVALID
-    except SearchAbortError as exc:
-        print(f"search aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    mdp, blob = _load(args.mdp, mdp_from_dict)
+    front = search(
+        mdp,
+        SearchConfig(
+            seed=args.seed,
+            thread_count=threads,
+            eps_equal=args.eps_equal,
+            eps_geom=args.eps_geom,
+            eps_pos=args.eps_pos,
+        ),
+    )
     write_json(args.output, front_to_dict(front), _meta(config, blob))
     _print_stats_line(front)
     return EXIT_OK
@@ -176,8 +148,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     threads = _threads(args)
-    if threads is None:
-        return EXIT_INVALID
     config = {
         "command": "oracle",
         "input": args.mdp,
@@ -188,47 +158,24 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "eps_geom": args.eps_geom,
         "eps_pos": args.eps_pos,
     }
-    try:
-        mdp, blob = _load_mdp(args.mdp)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        front = brute_force_front(
-            mdp,
-            cap=args.cap,
-            thread_count=threads,
-            eps_equal=args.eps_equal,
-            eps_geom=args.eps_geom,
-            eps_pos=args.eps_pos,
-        )
-    except InvalidMdpError as exc:
-        for line in exc.violations:
-            print(f"invalid: {line}", file=sys.stderr)
-        return EXIT_INVALID
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    mdp, blob = _load(args.mdp, mdp_from_dict)
+    front = brute_force_front(
+        mdp,
+        cap=args.cap,
+        thread_count=threads,
+        eps_equal=args.eps_equal,
+        eps_geom=args.eps_geom,
+        eps_pos=args.eps_pos,
+    )
     write_json(args.output, front_to_dict(front), _meta(config, blob))
     _print_stats_line(front)
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        front_a, _ = _load_front(args.front_a)
-        front_b, _ = _load_front(args.front_b)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        report = compare_fronts(front_a, front_b, tol=args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    front_a, _ = _load(args.front_a, front_from_dict)
+    front_b, _ = _load(args.front_b, front_from_dict)
+    report = compare_fronts(front_a, front_b, tol=args.tol)
     if args.json:
         print(json.dumps(dataclasses.asdict(report), indent=2))
     else:
@@ -249,30 +196,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     threads = _threads(args)
-    if threads is None:
-        return EXIT_INVALID
-    try:
-        mdp, _ = _load_mdp(args.mdp)
-        front, _ = _load_front(args.front)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        report = verify_front(
-            mdp,
-            front,
-            samples_per_face=args.samples,
-            tol=args.tol,
-            seed=args.seed,
-            cap=args.cap,
-            thread_count=threads,
-        )
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    mdp, _ = _load(args.mdp, mdp_from_dict)
+    front, _ = _load(args.front, front_from_dict)
+    report = verify_front(
+        mdp,
+        front,
+        samples_per_face=args.samples,
+        tol=args.tol,
+        seed=args.seed,
+        cap=args.cap,
+        thread_count=threads,
+    )
     if args.json:
         print(json.dumps(dataclasses.asdict(report), indent=2))
     else:
@@ -302,22 +236,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "cap": args.cap,
         "output": args.output,
     }
-    try:
-        states = [int(x) for x in args.states.split(",")]
-        actions = [int(x) for x in args.actions.split(",")]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        rows = bench_suite(
-            states, actions, args.objectives, list(range(args.seeds)), gamma=args.gamma, cap=args.cap
-        )
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    states = [int(x) for x in args.states.split(",")]
+    actions = [int(x) for x in args.actions.split(",")]
+    rows = bench_suite(
+        states, actions, args.objectives, list(range(args.seeds)), gamma=args.gamma, cap=args.cap
+    )
     text = bench_rows_to_csv(rows, _meta_comments(_meta(config, None)))
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -332,22 +255,14 @@ def cmd_export(args: argparse.Namespace) -> int:
         "format": args.format,
         "output": args.output,
     }
-    try:
-        front, blob = _load_front(args.front)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    front, blob = _load(args.front, front_from_dict)
     meta = _meta(config, blob)
-    try:
-        if args.format == "off":
-            text = front_to_off(front, _meta_comments(meta))
-        elif args.format == "csv":
-            text = front_to_csv(front, _meta_comments(meta))
-        else:
-            text = dump_json(front_to_dict(front), meta)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.format == "off":
+        text = front_to_off(front, _meta_comments(meta))
+    elif args.format == "csv":
+        text = front_to_csv(front, _meta_comments(meta))
+    else:
+        text = dump_json(front_to_dict(front), meta)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     print(f"wrote {args.output}")
@@ -431,8 +346,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its errors become one stderr line each and an exit
+    code, never a traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidMdpError as exc:
+        for line in exc.violations:
+            print(f"invalid: {line}", file=sys.stderr)
+        return EXIT_INVALID
+    except SearchAbortError as exc:
+        print(f"search aborted: {exc}", file=sys.stderr)
+        return EXIT_ABORT
+    except EnumerationCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 def entrypoint() -> None:

@@ -123,54 +123,30 @@ def validate_mdp(mdp: Mdp, atol: float = 1e-12) -> list[str]:
     return violations
 
 
-def _as_policy_matrix(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
-    """Normalize a deterministic or stochastic policy to an (S, A) matrix."""
+def long_term_return(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
+    """Return the (D,) expected discounted return from the initial distribution.
+
+    An (S,) policy of action indices is evaluated by `deterministic_returns`,
+    an (S, A) row-stochastic matrix by `stochastic_returns`.
+
+    Raises:
+        ValueError: when the policy has neither shape, a stochastic row is
+            not a distribution, or an action is not an integer in [0, A);
+            the message names that state and action.
+    """
     pol = np.asarray(policy)
     S, A = mdp.num_states, mdp.num_actions
-    if pol.ndim == 1:
-        if pol.shape != (S,):
-            raise ValueError(f"deterministic policy must have shape ({S},), got {pol.shape}")
-        if pol.min() < 0 or pol.max() >= A:
-            raise ValueError("policy contains an out-of-range action index")
-        mat = np.zeros((S, A))
-        mat[np.arange(S), pol.astype(np.int64)] = 1.0
-        return mat
-    if pol.shape != (S, A):
-        raise ValueError(f"stochastic policy must have shape ({S}, {A}), got {pol.shape}")
-    pol = pol.astype(float)
-    if pol.min() < -1e-12 or np.abs(pol.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValueError("stochastic policy rows must be distributions over actions")
-    return pol
-
-
-def induced_transition(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
-    """Return the (S, S) state transition matrix of the Markov chain under policy."""
-    mat = _as_policy_matrix(mdp, policy)
-    # P_pi[s, t] = sum_a pi(a|s) P[s, a, t]
-    return np.einsum("sa,sat->st", mat, mdp.P)
-
-
-def induced_reward(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
-    """Return the (S, D) expected one-step reward under policy."""
-    mat = _as_policy_matrix(mdp, policy)
-    return np.einsum("sa,sad->sd", mat, mdp.r)
-
-
-def evaluate_policy(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
-    """Compute the exact (S, D) discounted value function of a policy.
-
-    Solves the linear system (I - gamma * P_pi) V = r_pi objective by
-    objective with a dense direct solver; no iterative approximation.
-    """
-    p_pi = induced_transition(mdp, policy)
-    r_pi = induced_reward(mdp, policy)
-    lhs = np.eye(mdp.num_states) - mdp.gamma * p_pi
-    return np.linalg.solve(lhs, r_pi)
-
-
-def long_term_return(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
-    """Return the (D,) expected discounted return from the initial distribution."""
-    return mdp.mu @ evaluate_policy(mdp, policy)
+    if pol.ndim != 1:
+        if pol.shape != (S, A):
+            raise ValueError(f"stochastic policy must have shape ({S}, {A}), got {pol.shape}")
+        return stochastic_returns(mdp, pol[None])[0]
+    if pol.shape != (S,):
+        raise ValueError(f"deterministic policy must have shape ({S},), got {pol.shape}")
+    bad = np.flatnonzero(~((pol >= 0) & (pol < A) & (pol == np.floor(pol))))
+    if len(bad):
+        s = bad[0]
+        raise ValueError(f"action {pol.tolist()[s]!r} at state {s} is not an integer in [0, {A})")
+    return deterministic_returns(mdp, pol[None])[0]
 
 
 def _greedy(q: np.ndarray, tie_tol: float) -> np.ndarray:
@@ -381,10 +357,10 @@ def deterministic_returns(
     """Long-term returns of deterministic policies, one (D,) row per policy.
 
     Gathers each policy's transition and reward rows, solves the stacked
-    Bellman systems in one call and contracts with mu exactly as
-    `long_term_return` does, so every row equals that function's result bit
-    for bit. Blocks of 4096 policies are spread over `thread_count` threads;
-    the result does not depend on the thread count.
+    Bellman systems in one call and contracts with mu, so every row equals
+    `long_term_return` of its policy bit for bit. Blocks of 4096 policies
+    are spread over `thread_count` threads; the result does not depend on
+    the thread count.
 
     Args:
         mdp: the MDP.
@@ -423,8 +399,8 @@ def stochastic_returns(mdp: Mdp, policies: np.ndarray) -> np.ndarray:
 
     Forms P_pi and r_pi of a block of at most 4096 policies by one einsum
     each, solves the stacked Bellman systems in one call and contracts with
-    mu exactly as `long_term_return` does, so every row equals that
-    function's result bit for bit.
+    mu, so every row equals `long_term_return` of its policy bit for bit,
+    whatever the block.
 
     Args:
         mdp: the MDP.

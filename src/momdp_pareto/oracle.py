@@ -506,22 +506,28 @@ def bench_suite(
     gamma: float = 0.9,
     cap: int = 1_000_000,
 ) -> list[BenchRow]:
-    """Time `search` against `brute_force_front` over a grid of instances."""
+    """Time `search` against `brute_force_front` over a grid of instances.
+
+    A size below 1 or a gamma outside [0, 1) (ValueError) and an instance
+    over the cap (EnumerationCapError) are found before the first solve.
+    """
+    grid = [(S, A, seed) for S in states for A in actions for seed in seeds]
+    mdps = [gen_random_mdp(seed, S, A, objectives, gamma) for S, A, seed in grid]
+    for S, A, _ in grid:
+        if A**S > cap:
+            raise EnumerationCapError(A**S, cap)
     rows: list[BenchRow] = []
-    for S in states:
-        for A in actions:
-            for seed in seeds:
-                mdp = gen_random_mdp(seed, S, A, objectives, gamma)
-                t0 = time.perf_counter()
-                front = search(mdp, SearchConfig(seed=seed))
-                dt = time.perf_counter() - t0
-                rows.append(
-                    BenchRow(S, A, objectives, seed, "solve", len(front.vertices), len(front.faces), dt)
-                )
-                t0 = time.perf_counter()
-                oracle = brute_force_front(mdp, cap=cap)
-                dt = time.perf_counter() - t0
-                rows.append(
-                    BenchRow(S, A, objectives, seed, "oracle", len(oracle.vertices), len(oracle.faces), dt)
-                )
+    for (S, A, seed), mdp in zip(grid, mdps):
+        t0 = time.perf_counter()
+        front = search(mdp, SearchConfig(seed=seed))
+        dt = time.perf_counter() - t0
+        rows.append(
+            BenchRow(S, A, objectives, seed, "solve", len(front.vertices), len(front.faces), dt)
+        )
+        t0 = time.perf_counter()
+        oracle = brute_force_front(mdp, cap=cap)
+        dt = time.perf_counter() - t0
+        rows.append(
+            BenchRow(S, A, objectives, seed, "oracle", len(oracle.vertices), len(oracle.faces), dt)
+        )
     return rows

@@ -144,6 +144,9 @@ class SearchConfig:
         for name in ("eps_equal", "eps_geom", "eps_pos"):
             check_tolerance(name, getattr(self, name))
         check_thread_count(self.thread_count)
+        if self.initial_policy is not None and np.ndim(self.initial_policy) != 1:
+            shape = np.shape(self.initial_policy)
+            raise ValueError(f"initial_policy must be one action per state, got shape {shape}")
 
 
 def check_tolerance(name: str, value: float) -> None:
@@ -593,13 +596,15 @@ def search(mdp: Mdp, config: SearchConfig | None = None) -> ParetoFront:
     # space are broken generically while every objective keeps real weight.
     w0 = 1.0 + rng.uniform(1e-6, 1e-2, mdp.num_objectives)
     if config.initial_policy is not None:
-        pol0 = np.asarray(config.initial_policy, dtype=np.int64)
+        pol0 = np.asarray(config.initial_policy)
     else:
         pol0 = solve_scalarized(mdp, w0)
         ctx.stats.planner_calls += 1
     t1 = time.perf_counter()
     ctx.stats.wall_time["planner"] = t1 - t0
+    # Unconverted, so that long_term_return checks a given start's actions.
     j0 = long_term_return(mdp, pol0)
+    pol0 = pol0.astype(np.int64)
     ctx.z[_policy_key(pol0)] = j0
     ctx.stats.policies_evaluated += 1
     _add_vertex(ctx, pol0, j0, [])

@@ -132,11 +132,6 @@ def write_json(path: str, payload: dict[str, Any], meta: dict[str, Any] | None =
         fh.write(dump_json(payload, meta))
 
 
-def read_json(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _fan_triangles(points: np.ndarray, vertex_ids: list[int]) -> list[tuple[int, int, int]]:
     """Triangulate one planar polygon by ordering its vertices angularly."""
     pts = points[vertex_ids]

@@ -57,6 +57,19 @@ def one_hot_policy(actions, num_actions: int) -> np.ndarray:
     return out
 
 
+def einsum_return(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
+    """Long-term return of one policy by the one-hot einsum formula: an (S,)
+    policy becomes a one-hot (S, A) matrix, P_pi and r_pi are one einsum
+    each, and one (S, S) solve gives V. The stacked evaluators, and so
+    `long_term_return`, must match it bit for bit."""
+    mat = np.asarray(policy, dtype=float)
+    if mat.ndim == 1:
+        mat = one_hot_policy(policy, mdp.num_actions)
+    p_pi = np.einsum("sa,sat->st", mat, mdp.P)
+    r_pi = np.einsum("sa,sad->sd", mat, mdp.r)
+    return mdp.mu @ np.linalg.solve(np.eye(mdp.num_states) - mdp.gamma * p_pi, r_pi)
+
+
 def naive_induced(mdp: Mdp, policy_matrix: np.ndarray):
     """Policy-averaged transition matrix and reward, by explicit summation."""
     S, A, _ = mdp.P.shape

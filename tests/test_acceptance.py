@@ -257,7 +257,9 @@ def test_c08_oracle_cost_blows_up_with_actions_while_search_stays_flat(monkeypat
     monkeypatch.setattr(
         oracle_module, "brute_force_front", recorded(oracle_module.brute_force_front, "oracle")
     )
-    rows = bench_suite([5], [5, 6, 7], 3, [0, 1, 2])
+    # Three repeats; each cell is timed as its fastest, so a host slowdown
+    # during one run of a cell does not reorder the action counts.
+    rows = [row for _ in range(3) for row in bench_suite([5], [5, 6, 7], 3, [0, 1, 2])]
     monkeypatch.undo()
     # The same shape without a clock: the oracle sweeps all A**S policies,
     # while search evaluates at most the S * (A - 1) one-change neighbors
@@ -270,12 +272,16 @@ def test_c08_oracle_cost_blows_up_with_actions_while_search_stays_flat(monkeypat
             assert stats.policies_evaluated == A**S
         else:
             assert stats.policies_evaluated <= 1 + stats.iterations * S * (A - 1)
+    fastest = {}
+    for r in rows:
+        key = (r.solver, r.actions, r.seed)
+        fastest[key] = min(fastest.get(key, np.inf), r.seconds)
     oracle_t = {
-        A: np.mean([r.seconds for r in rows if r.solver == "oracle" and r.actions == A])
+        A: np.mean([t for (solver, a, _), t in fastest.items() if solver == "oracle" and a == A])
         for A in (5, 6, 7)
     }
     solve_t = {
-        A: np.mean([r.seconds for r in rows if r.solver == "solve" and r.actions == A])
+        A: np.mean([t for (solver, a, _), t in fastest.items() if solver == "solve" and a == A])
         for A in (5, 6, 7)
     }
     assert oracle_t[5] < oracle_t[6] < oracle_t[7]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import momdp_pareto
 from momdp_pareto import (
     Mdp,
     SearchAbortError,
@@ -248,8 +253,27 @@ class TestThreadDefaults:
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("MOPF_THREADS", "4")
         assert _default_threads() == 4
-        monkeypatch.setenv("MOPF_THREADS", "junk")
+        monkeypatch.delenv("MOPF_THREADS")
         assert _default_threads() == 1
+        monkeypatch.setenv("MOPF_THREADS", "junk")
+        with pytest.raises(ValueError, match="MOPF_THREADS must be an int >= 1, got 'junk'"):
+            _default_threads()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "junk", ""])
+    @pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+    def test_bad_env_exits_2(self, mdp_file, tmp_path, capsys, monkeypatch, command, value):
+        """These used to run on one thread."""
+        front = tmp_path / "front.json"
+        assert run("solve", str(mdp_file), "-o", str(front)) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("MOPF_THREADS", value)
+        out = tmp_path / "out.json"
+        argv = [str(front)] if command == "verify" else ["-o", str(out)]
+        assert run(command, str(mdp_file), *argv) == 2
+        assert capsys.readouterr().err == f"error: MOPF_THREADS must be an int >= 1, got {value!r}\n"
+        assert not out.exists()
+        # --threads takes precedence over the variable.
+        assert run(command, str(mdp_file), *argv, "--threads", "1") in (0, 1)
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     @pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
@@ -386,3 +410,50 @@ def test_sha256_known_value():
     assert sha256_hex(b"abc") == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+class TestErrorTable:
+    """Every command's errors end in one stderr line and an exit code."""
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "oracle", "bench", "export"])
+    def test_unwritable_output_exits_2(self, mdp_file, tmp_path, capsys, command):
+        front = tmp_path / "front.json"
+        assert run("solve", str(mdp_file), "-o", str(front)) == 0
+        capsys.readouterr()
+        out = tmp_path / "no-such-dir" / "out"
+        argv = {
+            "gen": ["random"],
+            "solve": [str(mdp_file)],
+            "oracle": [str(mdp_file)],
+            "bench": ["--states", "2", "--actions", "2", "--objectives", "2", "--seeds", "1"],
+            "export": [str(front)],
+        }[command]
+        assert run(command, *argv, "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert err.count("\n") == 1
+
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run("compare", str(missing), str(missing)) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+    @staticmethod
+    def module_cli(*argv):
+        src = str(Path(momdp_pareto.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-m", "momdp_pareto.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_module_entry_point_exit_codes(self, tmp_path):
+        big = tmp_path / "big.json"
+        assert run("gen", "random", "--states", "5", "--actions", "5", "-o", str(big)) == 0
+        proc = self.module_cli("oracle", str(big), "--cap", "100", "-o", str(tmp_path / "o.json"))
+        assert proc.returncode == 4
+        assert proc.stderr == "error: enumeration needs 3125 policies, above the cap of 100\n"
+        proc = self.module_cli("solve", str(big), "-o", str(tmp_path / "no-such-dir" / "f.json"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: [Errno 2] No such file or directory")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

@@ -16,10 +16,7 @@ from momdp_pareto.mdp import (
     GridAction,
     deterministic_returns,
     enumerate_deterministic,
-    evaluate_policy,
     hamming_distance,
-    induced_reward,
-    induced_transition,
     mix_policies,
     neighbors_one,
     solve_scalarized,
@@ -34,6 +31,7 @@ from momdp_pareto.search import return_scale
 from helpers import (
     dependent_objective,
     duplicate_action,
+    einsum_return,
     iterative_eval,
     make_bandit,
     mc_return,
@@ -90,42 +88,64 @@ class TestValidate:
             Mdp(P=np.ones((2, 2, 3)), r=np.ones((2, 2, 1)), gamma=0.5, mu=np.ones(2) / 2)
 
 
+def value_function(m, policy):
+    """The (S, D) value function of a policy, row s read by
+    `long_term_return` from the MDP with mu concentrated on state s."""
+    eye = np.eye(m.num_states)
+    return np.array(
+        [
+            long_term_return(Mdp(P=m.P, r=m.r, gamma=m.gamma, mu=eye[s]), policy)
+            for s in range(m.num_states)
+        ]
+    )
+
+
 class TestInduced:
+    """The policy's transition and reward rows, seen through the returns."""
+
     def test_single_action_selects_rows(self):
         m = gen_random_mdp(3, 4, 1, 2)
         pol = np.zeros(4, dtype=np.int64)
-        assert np.allclose(induced_transition(m, pol), m.P[:, 0, :])
-        assert np.allclose(induced_reward(m, pol), m.r[:, 0, :])
+        V = value_function(m, pol)
+        assert np.allclose(V, m.r[:, 0, :] + m.gamma * (m.P[:, 0, :] @ V), atol=1e-12)
 
     def test_uniform_policy_averages_rows(self):
         m = two_state_mdp()
-        pol = np.full((2, 2), 0.5)
-        assert np.allclose(induced_transition(m, pol), m.P.mean(axis=1))
+        averaged = Mdp(
+            P=m.P.mean(axis=1, keepdims=True), r=m.r.mean(axis=1, keepdims=True),
+            gamma=m.gamma, mu=m.mu,
+        )
+        got = long_term_return(m, np.full((2, 2), 0.5))
+        assert np.allclose(got, long_term_return(averaged, np.zeros(2, dtype=np.int64)))
 
     def test_mixed_policy_matches_naive_summation(self):
         m = gen_random_mdp(11, 3, 2, 2)
         pol = np.array([[0.3, 0.7], [1.0, 0.0], [0.5, 0.5]])
         P, r = naive_induced(m, pol)
-        assert np.allclose(induced_transition(m, pol), P, atol=1e-14)
-        assert np.allclose(induced_reward(m, pol), r, atol=1e-14)
+        want = np.linalg.solve(np.eye(3) - m.gamma * P, r)
+        assert np.allclose(value_function(m, pol), want, atol=1e-13)
 
     def test_rows_sum_to_one(self):
+        # With every reward 1, each state's value is 1 / (1 - gamma) exactly
+        # when every mixed transition row sums to one.
         m = gen_random_mdp(5, 5, 3, 2)
+        ones = Mdp(P=m.P, r=np.ones_like(m.r), gamma=m.gamma, mu=m.mu)
         pol = np.random.default_rng(2).dirichlet(np.ones(3), size=5)
-        assert np.abs(induced_transition(m, pol).sum(axis=1) - 1.0).max() <= 1e-12
+        V = value_function(ones, pol)
+        assert np.abs(V * (1 - m.gamma) - 1.0).max() <= 1e-12
 
 
 class TestEvaluate:
     def test_single_state_geometric_series(self):
         m = make_bandit(np.array([[2.0, -1.0, 0.5]]), gamma=0.9)
-        V = evaluate_policy(m, np.zeros(1, dtype=np.int64))
+        V = value_function(m, np.zeros(1, dtype=np.int64))
         assert np.allclose(V[0], np.array([2.0, -1.0, 0.5]) / 0.1)
 
     def test_gamma_zero_returns_immediate_reward(self):
         m = gen_random_mdp(4, 3, 3, 2)
         m0 = Mdp(P=m.P, r=m.r, gamma=0.0, mu=m.mu)
         pol = np.array([1, 0, 2], dtype=np.int64)
-        assert np.allclose(evaluate_policy(m0, pol), m0.r[np.arange(3), pol])
+        assert np.allclose(value_function(m0, pol), m0.r[np.arange(3), pol])
 
     def test_two_state_cycle_closed_form(self):
         # Deterministic 0 -> 1 -> 0 loop: V(0) = (r0 + g*r1) / (1 - g^2).
@@ -135,7 +155,7 @@ class TestEvaluate:
         P[1, 0] = [1.0, 0.0]
         r = np.array([[[1.0, 3.0]], [[2.0, -1.0]]])
         m = Mdp(P=P, r=r, gamma=g, mu=np.array([0.5, 0.5]))
-        V = evaluate_policy(m, np.zeros(2, dtype=np.int64))
+        V = value_function(m, np.zeros(2, dtype=np.int64))
         assert np.allclose(V[0], (r[0, 0] + g * r[1, 0]) / (1 - g**2))
         assert np.allclose(V[1], (r[1, 0] + g * r[0, 0]) / (1 - g**2))
 
@@ -143,14 +163,14 @@ class TestEvaluate:
         for seed in (0, 1, 2):
             m = gen_random_mdp(seed, 5, 3, 3)
             pol = np.random.default_rng(seed).integers(0, 3, size=5)
-            direct = evaluate_policy(m, pol)
+            direct = value_function(m, pol)
             iterated = iterative_eval(m, one_hot_policy(pol, 3), tol=1e-12)
             assert np.abs(direct - iterated).max() <= 1e-9
 
     def test_linear_system_residual(self):
         m = gen_random_mdp(9, 6, 4, 3)
         pol = np.random.default_rng(9).dirichlet(np.ones(4), size=6)
-        V = evaluate_policy(m, pol)
+        V = value_function(m, pol)
         Pp, rp = naive_induced(m, pol)
         residual = np.abs(V - m.gamma * (Pp @ V) - rp).max()
         assert residual <= 1e-10 * max(1.0, np.abs(rp).max())
@@ -160,7 +180,8 @@ class TestLongTermReturn:
     def test_single_state_equals_value(self):
         m = make_bandit(np.array([[1.0, 2.0]]), gamma=0.3)
         pol = np.zeros(1, dtype=np.int64)
-        assert np.allclose(long_term_return(m, pol), evaluate_policy(m, pol)[0])
+        assert np.allclose(long_term_return(m, pol), np.array([1.0, 2.0]) / 0.7)
+        assert long_term_return(m, pol).tobytes() == einsum_return(m, pol).tobytes()
 
     def test_identical_objectives_give_equal_components(self):
         m = gen_random_mdp(4, 4, 3, 1)
@@ -176,6 +197,38 @@ class TestLongTermReturn:
         est, se = mc_return(m, one_hot_policy(pol, 3), horizon=200, n_paths=100_000)
         # Truncation at horizon 200 with gamma=0.9 is below 1e-8, far inside SE.
         assert np.all(np.abs(est - exact) <= 3 * se + 1e-6)
+
+    def test_integral_float_actions_accepted(self, mdp433):
+        pol = np.array([0, 2, 1, 0])
+        want = long_term_return(mdp433, pol)
+        assert long_term_return(mdp433, pol.astype(float)).tobytes() == want.tobytes()
+        assert long_term_return(mdp433, pol.tolist()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "pol,message",
+        [
+            ([0.5, 1, 0, 0], "action 0.5 at state 0 is not an integer in [0, 3)"),
+            ([0, 1, 3, 0], "action 3 at state 2 is not an integer in [0, 3)"),
+            ([0, 1, 2, -1], "action -1 at state 3 is not an integer in [0, 3)"),
+            ([0, float("nan"), 2, 1], "action nan at state 1 is not an integer in [0, 3)"),
+        ],
+    )
+    def test_bad_action_names_state(self, mdp433, pol, message):
+        with pytest.raises(ValueError) as err:
+            long_term_return(mdp433, np.array(pol))
+        assert str(err.value) == message
+
+    def test_bad_shapes_name_the_policy_kind(self, mdp433):
+        with pytest.raises(ValueError, match=r"deterministic policy must have shape \(4,\), got \(3,\)"):
+            long_term_return(mdp433, np.zeros(3, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"stochastic policy must have shape \(4, 3\), got \(4, 2\)"):
+            long_term_return(mdp433, np.full((4, 2), 0.5))
+        with pytest.raises(ValueError, match=r"stochastic policy must have shape \(4, 3\), got \(1, 4, 3\)"):
+            long_term_return(mdp433, np.full((1, 4, 3), 1 / 3))
+        bad = np.full((4, 3), 1 / 3)
+        bad[2] = [0.5, 0.5, 0.5]
+        with pytest.raises(ValueError, match="distributions"):
+            long_term_return(mdp433, bad)
 
 
 class TestSolveScalarized:
@@ -297,7 +350,7 @@ class TestGenerators:
         assert m.num_states == 1 and m.num_actions == 4
         assert np.allclose(m.P[0, :, 0], 1.0)
         pol = np.zeros(1, dtype=np.int64)
-        assert np.allclose(evaluate_policy(m, pol)[0], m.r[0, 0] / (1 - 0.5))
+        assert np.allclose(long_term_return(m, pol), m.r[0, 0] / (1 - 0.5))
 
     def test_gridworld_clamps_at_walls(self):
         m = gen_gridworld(3, 2, 2, 2)
@@ -343,12 +396,13 @@ class TestEnumerate:
 
 
 class TestDeterministicReturns:
-    # dense, duplicated-action, gamma=0 and gridworld; the first has
-    # 4**7 = 16384 policies, so four evaluation blocks.
+    # dense, duplicated-action, gamma=0, gamma=0.99 and gridworld; the
+    # first has 4**7 = 16384 policies, so four evaluation blocks.
     CASES = {
         "dense": lambda: gen_random_mdp(3, 7, 4, 3),
         "dupact": lambda: duplicate_action(gen_random_mdp(0, 6, 3, 3)),
         "gamma0": lambda: gen_random_mdp(1, 5, 3, 4, gamma=0.0),
+        "gamma99": lambda: gen_random_mdp(8, 6, 3, 4, gamma=0.99),
         "grid": lambda: gen_gridworld(2, 2, 3, 3),
     }
 
@@ -359,6 +413,7 @@ class TestDeterministicReturns:
         got = deterministic_returns(m, pols)
         assert got.shape == (len(pols), m.num_objectives)
         for row, pol in zip(got, pols):
+            assert row.tobytes() == einsum_return(m, pol).tobytes()
             assert row.tobytes() == long_term_return(m, pol).tobytes()
 
     @pytest.mark.parametrize("kind", sorted(CASES))
@@ -470,6 +525,7 @@ class TestStochasticReturns:
         got = stochastic_returns(m, mats)
         assert got.shape == (len(mats), m.num_objectives)
         for row, mat in zip(got, mats):
+            assert row.tobytes() == einsum_return(m, mat).tobytes()
             assert row.tobytes() == long_term_return(m, mat).tobytes()
 
     def test_blocks_do_not_change_results(self, mdp433, monkeypatch):

@@ -610,3 +610,13 @@ class TestBenchSuite:
         for pair in by_key.values():
             assert pair["solve"].vertices == pair["oracle"].vertices
             assert pair["solve"].faces == pair["oracle"].faces
+
+    def test_cap_checked_on_every_cell_before_the_first_solve(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("search ran before the cap check")
+
+        monkeypatch.setattr(oracle, "search", never)
+        # The first cell (3**3 = 27 policies) fits the cap; the last does not.
+        with pytest.raises(EnumerationCapError) as err:
+            bench_suite([3], [3, 4], 2, [0, 1], cap=27)
+        assert (err.value.count, err.value.cap) == (64, 27)

@@ -114,6 +114,14 @@ class TestStats:
         front = search(bandit3, SearchConfig(seed=0, initial_policy=np.array([0])))
         assert front.stats.planner_calls == 0
 
+    def test_bad_initial_policy_names_state(self, mdp433):
+        with pytest.raises(ValueError, match=r"action 0\.5 at state 1 is not an integer in \[0, 3\)"):
+            search(mdp433, SearchConfig(initial_policy=[0, 0.5, 1, 0]))
+        with pytest.raises(ValueError, match=r"action 3 at state 2 is not an integer in \[0, 3\)"):
+            search(mdp433, SearchConfig(initial_policy=[0, 1, 3, 0]))
+        with pytest.raises(ValueError, match=r"initial_policy must be one action per state, got shape \(4, 3\)"):
+            SearchConfig(initial_policy=np.full((4, 3), 1 / 3))
+
 
 class TestScalarizationConsistency:
     def test_positive_weight_optima_lie_on_front(self):
