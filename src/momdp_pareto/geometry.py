@@ -32,15 +32,6 @@ class ApexNotVertexError(RuntimeError):
     """Raised when a point assumed to be a hull vertex is not one."""
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
-    """A face of a hull, identified by its vertices and defining facets."""
-
-    vertex_ids: tuple[int, ...]
-    defining_facets: tuple[int, ...]
-    dim: int
-
-
 # Margin of the dual screen. A face is ruled out when some pooled y gives
 # max_i (W y)_i <= eps_pos - _DUAL_SLACK; the margin makes sure that the
 # LP, had it been solved, would have failed the face too. Let W hold the
@@ -151,6 +142,23 @@ class LpCertificate:
     alpha: np.ndarray
     t_star: float
     dual: np.ndarray | None = None
+
+
+@dataclass(eq=False)
+class FaceRecord:
+    """One Pareto face with the certificate that admitted it.
+
+    `normals` holds the defining facet normals from the hull where the face
+    was first discovered, `alpha` the certificate weights over those normals
+    and `t_star` the certified LP optimum. A face found by direct testing
+    (`support_faces`) holds its one supporting normal, with weight 1.
+    """
+
+    vertex_ids: tuple[int, ...]
+    dim: int
+    normals: np.ndarray
+    alpha: np.ndarray
+    t_star: float
 
 
 # `dominance`'s relations by the code its array test gives them.
@@ -402,9 +410,7 @@ def deterministic_jitter(points: np.ndarray, magnitude: float = 1e-7) -> np.ndar
     return pts + magnitude * (2.0 * unit - 1.0)
 
 
-def convex_hull(
-    points: np.ndarray, apex_id: int | None = None, eps_geom: float = 1e-9
-) -> LocalHull:
+def convex_hull(points: np.ndarray, eps_geom: float = 1e-9) -> LocalHull:
     """Build the convex hull of a full-dimensional point set.
 
     Qhull triangulates non-simplicial facets, so it reports one plane per
@@ -415,12 +421,13 @@ def convex_hull(
     the tolerance of the incidence test. Planes are kept greedily in Qhull's
     order, each unless it is close to a plane kept before it, so each
     geometric facet appears once.
-    All normals are oriented outward (checked against the centroid, with the
-    apex breaking ties when the centroid lies on the plane).
+    Qhull reports every plane with its outward normal, the hull lying on the
+    side n @ x + b <= 0 (Barber, Dobkin and Huhdanpaa, *The Quickhull
+    algorithm for convex hulls*, ACM TOMS 22, 1996), so the normalized
+    equations are the normals and offsets as given; nothing is reoriented.
 
     Args:
         points: (n, D) array with n >= D + 1 spanning all D dimensions.
-        apex_id: optional index used only for orientation tie-breaks.
         eps_geom: tolerance for plane dedupe and vertex-on-facet incidence.
 
     Raises:
@@ -442,8 +449,7 @@ def convex_hull(
     except QhullError as exc:
         raise DegenerateHullError(f"hull construction failed: {exc}", adim) from exc
 
-    scale = max(1.0, float(np.abs(pts).max()))
-    tol = eps_geom * scale
+    tol = eps_geom * max(1.0, float(np.abs(pts).max()))
     is_vertex = np.zeros(n, dtype=bool)
     is_vertex[hull.vertices] = True
 
@@ -464,26 +470,12 @@ def convex_hull(
                 kept.append(k)
                 taken |= row
 
+    normals = normals[kept]
+    offsets = offsets[kept]
     # Row k of `height` holds every point's height over kept plane k, from
-    # one matrix-vector product per plane, and `side` the centroid's, from
-    # one dot product per plane; a single matrix product would round
-    # differently. Negating w and c negates every height exactly, so the
-    # orientation flips only change signs, and the incidence test
-    # |pts @ w - c| <= tol does not depend on them.
-    w0 = normals[kept]
-    c0 = offsets[kept]
-    centroid = pts.mean(axis=0)
-    height = np.stack([pts @ w for w in w0]) - c0[:, None]
-    side = np.array([w @ centroid for w in w0]) - c0
-    # Should not happen for solver-reported planes; guards orientation.
-    sign = np.where(height[:, is_vertex].max(axis=1) > 1e-7 * scale, -1.0, 1.0)
-    side *= sign
-    outward = side > tol
-    if apex_id is not None:
-        # The apex breaks ties where the centroid lies on the plane.
-        for k in np.flatnonzero(np.abs(side) <= tol):
-            outward[k] = sign[k] * (w0[k] @ pts[apex_id] - c0[k]) > tol
-    sign[outward] *= -1.0
+    # one matrix-vector product per plane; a single matrix product would
+    # round differently.
+    height = np.stack([pts @ w for w in normals]) - offsets[:, None]
     on = (np.abs(height) <= tol) & is_vertex
     # Bit i of a facet's mask is byte i // 8, bit i % 8 of its packed row.
     packed = np.packbits(on, axis=1, bitorder="little")
@@ -492,8 +484,8 @@ def convex_hull(
         vertex_ids=tuple(np.flatnonzero(is_vertex).tolist()),
         ambient_dim=dim,
         facet_masks=tuple(int.from_bytes(row.tobytes(), "little") for row in packed),
-        normals=sign[:, None] * w0,
-        offsets=sign * c0,
+        normals=normals,
+        offsets=offsets,
     )
 
 
@@ -536,13 +528,6 @@ def subfaces_at(mask: int, dim: int, hull: LocalHull, apex_id: int) -> list[int]
     cands = dict.fromkeys(mask & hull.facet_masks[fi] for fi in incident_facets(hull, apex_id))
     cands.pop(mask, None)
     return [c for c in cands if not any(c != o and c & o == c for o in cands)]
-
-
-def _normal_matrix(normals: Sequence[np.ndarray]) -> np.ndarray:
-    W = np.asarray(normals, dtype=float)
-    if W.ndim != 2 or W.shape[0] == 0:
-        raise ValueError(f"need a nonempty 2-d array of normals, got shape {W.shape}")
-    return W
 
 
 # The options `scipy.optimize.linprog(method="highs")` sets for every LP; all
@@ -661,7 +646,9 @@ def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
         RuntimeError: when HiGHS returns no acceptable optimum; the message
             names the model status and the shape of the normals.
     """
-    W = _normal_matrix(normals)
+    W = np.asarray(normals, dtype=float)
+    if W.ndim != 2 or W.shape[0] == 0:
+        raise ValueError(f"need a nonempty 2-d array of normals, got shape {W.shape}")
     n, d = W.shape
     if n == 1:
         return LpCertificate(normals=W, alpha=np.ones(1), t_star=float(W[0].min()))
@@ -690,15 +677,6 @@ def passes_sign_screen(normals: np.ndarray, eps_pos: float) -> bool:
     fails without solving it. True means only that the LP has to decide.
     """
     return bool((normals.max(axis=0) > eps_pos).all())
-
-
-def is_pareto_face(normals: Sequence[np.ndarray], eps_pos: float = 1e-9) -> bool:
-    """True when the positivity LP over the normals has optimum above eps_pos.
-
-    Normals that fail `passes_sign_screen` are rejected without the LP.
-    """
-    W = _normal_matrix(normals)
-    return passes_sign_screen(W, eps_pos) and pareto_lp(W).t_star > eps_pos
 
 
 def _support_lp(points: np.ndarray, vids: tuple[int, ...]) -> tuple[np.ndarray | None, float]:
@@ -739,9 +717,7 @@ def _support_lp(points: np.ndarray, vids: tuple[int, ...]) -> tuple[np.ndarray |
     return w, float(w.min())
 
 
-def support_faces(
-    points: np.ndarray, apex: int, eps_pos: float
-) -> list[tuple[FaceDescriptor, LpCertificate]]:
+def support_faces(points: np.ndarray, apex: int, eps_pos: float) -> list[FaceRecord]:
     """Pareto faces through the apex of a point set too flat for a hull.
 
     Tests subsets containing the apex directly, descending from the full set
@@ -750,15 +726,14 @@ def support_faces(
     weakly below it. A passing subset is not split further.
 
     Returns:
-        One (face, certificate) pair per passing subset, in discovery order.
-        The face has no defining facets; the certificate holds the one
+        One record per passing subset, in discovery order, holding the one
         supporting normal with weight 1.
     """
     n = points.shape[0]
     rest = tuple(m for m in range(n) if m != apex)
     queue: deque[tuple[int, ...]] = deque([(apex, *rest)])
     tested: set[tuple[int, ...]] = set()
-    out: list[tuple[FaceDescriptor, LpCertificate]] = []
+    out: list[FaceRecord] = []
     while queue:
         vids = queue.popleft()
         if vids in tested:
@@ -768,9 +743,7 @@ def support_faces(
         if dim >= 1:
             w, t = _support_lp(points, vids)
             if w is not None and t > eps_pos:
-                face = FaceDescriptor(tuple(sorted(vids)), defining_facets=(), dim=dim)
-                cert = LpCertificate(normals=w[None, :], alpha=np.ones(1), t_star=t)
-                out.append((face, cert))
+                out.append(FaceRecord(tuple(sorted(vids)), dim, w[None, :], np.ones(1), t))
                 continue
         if len(vids) > 2:
             for drop in vids[1:]:

@@ -140,13 +140,26 @@ def long_term_return(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
         if pol.shape != (S, A):
             raise ValueError(f"stochastic policy must have shape ({S}, {A}), got {pol.shape}")
         return stochastic_returns(mdp, pol[None])[0]
+    return deterministic_returns(mdp, check_actions(mdp, pol)[None])[0]
+
+
+def check_actions(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
+    """A deterministic policy as an (S,) int64 array of action indices.
+
+    Raises:
+        ValueError: when the policy is not of shape (S,), or some action is
+            not an integer in [0, A); the message names the first such state
+            and its action.
+    """
+    pol = np.asarray(policy)
+    S, A = mdp.num_states, mdp.num_actions
     if pol.shape != (S,):
         raise ValueError(f"deterministic policy must have shape ({S},), got {pol.shape}")
     bad = np.flatnonzero(~((pol >= 0) & (pol < A) & (pol == np.floor(pol))))
     if len(bad):
         s = bad[0]
         raise ValueError(f"action {pol.tolist()[s]!r} at state {s} is not an integer in [0, {A})")
-    return deterministic_returns(mdp, pol[None])[0]
+    return pol.astype(np.int64)
 
 
 def _greedy(q: np.ndarray, tie_tol: float) -> np.ndarray:

@@ -13,8 +13,7 @@ import numpy as np
 
 from .geometry import (
     DegenerateHullError,
-    FaceDescriptor,
-    LpCertificate,
+    FaceRecord,
     affine_dimension,
     convex_hull,
     deterministic_jitter,
@@ -26,6 +25,7 @@ from .geometry import (
 from .mdp import (
     InvalidMdpError,
     Mdp,
+    check_actions,
     deterministic_returns,
     enumerate_deterministic,
     gen_random_mdp,
@@ -38,7 +38,6 @@ from .mdp import (
     validate_mdp,
 )
 from .search import (
-    FaceRecord,
     ParetoFront,
     SearchConfig,
     SearchStats,
@@ -61,9 +60,7 @@ class EnumerationCapError(RuntimeError):
         self.cap = cap
 
 
-def _oracle_degenerate_faces(
-    pts: np.ndarray, eps_pos: float
-) -> list[tuple[FaceDescriptor, LpCertificate]]:
+def _oracle_degenerate_faces(pts: np.ndarray, eps_pos: float) -> list[FaceRecord]:
     """Direct LP face tests for hull-degenerate non-dominated sets, from
     every point in turn."""
     n = pts.shape[0]
@@ -72,7 +69,7 @@ def _oracle_degenerate_faces(
             f"degenerate-face fallback would enumerate subsets of {n} points; "
             "the non-dominated set is too large for direct testing"
         )
-    return [pair for apex in range(n) for pair in support_faces(pts, apex, eps_pos)]
+    return [face for apex in range(n) for face in support_faces(pts, apex, eps_pos)]
 
 
 # Margin of the tree screen in `_nondominated_policies`, in scaled space,
@@ -179,20 +176,24 @@ def brute_force_front(
     pts = scaled[[g[0] for g in groups]]
     n = len(groups)
     dim = mdp.num_objectives
-    passing: list[tuple[FaceDescriptor, LpCertificate]] = []
+    passing: list[FaceRecord] = []
 
     if n > 1:
-        hull_pts = pts
-        adim = affine_dimension(pts)
-        if adim < dim or n < dim + 1:
-            stats.warnings.append(
-                f"non-dominated returns span dimension {adim} with {n} points; "
-                "jitter applied before hull construction"
-            )
-            hull_pts = deterministic_jitter(pts)
         hull = None
-        if n >= dim + 1:
+        if n < dim + 1:
+            stats.warnings.append(
+                f"only {n} non-dominated returns in {dim} objectives; "
+                "testing faces directly instead of building a hull"
+            )
+        else:
+            adim = affine_dimension(pts)
+            if adim < dim:
+                stats.warnings.append(
+                    f"non-dominated returns span dimension {adim} with {n} points; "
+                    "jitter applied before hull construction"
+                )
             try:
+                hull_pts = deterministic_jitter(pts) if adim < dim else pts
                 hull = convex_hull(hull_pts, eps_geom=eps_geom)
             except DegenerateHullError:
                 stats.warnings.append(
@@ -207,8 +208,8 @@ def brute_force_front(
             passing = _oracle_degenerate_faces(pts, eps_pos)
     # A face passes from each of its corners; keep its first record.
     faces_local: dict[tuple[int, ...], FaceRecord] = {}
-    for pair in passing:
-        faces_local.setdefault(pair[0].vertex_ids, FaceRecord.from_lp(*pair))
+    for face in passing:
+        faces_local.setdefault(face.vertex_ids, face)
 
     if faces_local:
         used = sorted({lid for vids in faces_local for lid in vids})
@@ -414,7 +415,8 @@ def verify_front(
     Raises:
         ValueError: when samples_per_face is negative, tol is NaN, infinite
             or negative, thread_count is not an int >= 1, or a vertex policy
-            is not one action in range per state.
+            is not one integer action in [0, A) per state (`check_actions`);
+            the message names the vertex, the state and the action.
         EnumerationCapError: when A**S exceeds the cap.
     """
     check_tolerance("tol", tol)
@@ -422,12 +424,15 @@ def verify_front(
     if samples_per_face < 0:
         raise ValueError(f"samples_per_face must be >= 0, got {samples_per_face}")
     S, A, D = mdp.num_states, mdp.num_actions, mdp.num_objectives
+    policies = []
     for v in front.vertices:
-        pol = np.asarray(v.policy)
-        if pol.shape != (S,) or pol.min() < 0 or pol.max() >= A:
+        try:
+            policies.append(check_actions(mdp, v.policy))
+        except ValueError as exc:
             raise ValueError(
-                f"vertex {v.id}: policy {pol.tolist()} is not {S} actions in [0, {A})"
-            )
+                f"vertex {v.id}: policy {np.asarray(v.policy).tolist()} is not {S} actions "
+                f"in [0, {A}): {exc}"
+            ) from None
     count = A**S
     if count > cap:
         raise EnumerationCapError(count, cap)
@@ -455,7 +460,7 @@ def verify_front(
         mixed = np.zeros((len(faces), samples_per_face, S, A))
         for mats, face, w in zip(mixed, faces, weights[start:]):
             for vid, col in zip(face.vertex_ids, w.T):
-                mats[:, states, front.vertices[vid].policy] += col[:, None]
+                mats[:, states, policies[vid]] += col[:, None]
         returns = stochastic_returns(mdp, mixed.reshape(-1, S, A)) * scale
         samples[start : start + len(faces)] = returns.reshape(len(faces), samples_per_face, D)
     n_dominated = (

@@ -19,9 +19,8 @@ from .geometry import (
     ApexNotVertexError,
     DegenerateHullError,
     Dominance,
-    FaceDescriptor,
+    FaceRecord,
     LocalHull,
-    LpCertificate,
     affine_basis,
     affine_dimension,
     convex_hull,
@@ -60,33 +59,6 @@ class VertexRecord:
     policy: np.ndarray
     co_policies: list[np.ndarray]
     ret: np.ndarray
-
-
-@dataclass(eq=False)
-class FaceRecord:
-    """One Pareto face with the LP certificate that admitted it.
-
-    `normals` holds the defining facet normals from the local hull where the
-    face was first discovered; `alpha` are the certificate weights over those
-    normals and `t_star` the certified LP optimum.
-    """
-
-    vertex_ids: tuple[int, ...]
-    dim: int
-    normals: np.ndarray
-    alpha: np.ndarray
-    t_star: float
-
-    @classmethod
-    def from_lp(cls, face: FaceDescriptor, cert: LpCertificate) -> FaceRecord:
-        """The record of a face that passed its LP, in the face's own ids."""
-        return cls(
-            vertex_ids=face.vertex_ids,
-            dim=face.dim,
-            normals=cert.normals,
-            alpha=cert.alpha,
-            t_star=cert.t_star,
-        )
 
 
 @dataclass
@@ -237,7 +209,7 @@ def _add_vertex(
 
 def select_pareto_faces(
     apex_id: int, hull: LocalHull, eps_pos: float = 1e-9
-) -> tuple[list[tuple[FaceDescriptor, LpCertificate]], list[int]]:
+) -> tuple[list[FaceRecord], list[int]]:
     """Find the maximal Pareto faces of the hull that are incident to the apex.
 
     Starts from the apex's facets and walks down: a face whose positivity LP
@@ -268,14 +240,15 @@ def select_pareto_faces(
     decided before it.
 
     Returns:
-        The passing faces paired with their LP certificates, and the sorted
+        One record per passing face, in hull point ids, holding its defining
+        facet normals and its certificate's alpha and t_star; and the sorted
         ids of all hull vertices lying on at least one passing face.
     """
     apex_facets = [(fi, hull.facet_masks[fi]) for fi in incident_facets(hull, apex_id)]
     # The dimension of every mask queued so far.
     dims = dict.fromkeys((m for _, m in apex_facets), hull.ambient_dim - 1)
     queue = deque(dims)
-    passing: list[tuple[FaceDescriptor, LpCertificate]] = []
+    passing: list[FaceRecord] = []
     passed: list[int] = []
     on_front = 0
     while queue:
@@ -294,8 +267,9 @@ def select_pareto_faces(
                 if cert.t_star <= eps_pos and cert.dual is not None:
                     hull.duals.add(cert.dual)
             if cert is not None and cert.t_star > eps_pos:
-                face = FaceDescriptor(tuple(mask_ids(mask)), defining, dim)
-                passing.append((face, cert))
+                passing.append(
+                    FaceRecord(tuple(mask_ids(mask)), dim, cert.normals, cert.alpha, cert.t_star)
+                )
                 passed.append(mask)
                 on_front |= mask
                 continue
@@ -309,8 +283,9 @@ def select_pareto_faces(
 
 def _local_pareto_faces(
     ctx: SearchContext, vertex: VertexRecord, pts: np.ndarray
-) -> list[tuple[FaceDescriptor, LpCertificate]]:
-    """Pareto faces of the local point cloud (apex first) around one vertex."""
+) -> list[FaceRecord]:
+    """Pareto faces of the local point cloud (apex first) around one vertex,
+    in local point ids."""
     n, D = pts.shape
     if n == 1:
         return []
@@ -322,7 +297,7 @@ def _local_pareto_faces(
         return support_faces(pts, 0, ctx.config.eps_pos)
     hull = None
     try:
-        hull = convex_hull(pts, apex_id=0, eps_geom=ctx.config.eps_geom)
+        hull = convex_hull(pts, eps_geom=ctx.config.eps_geom)
     except DegenerateHullError as exc:
         # A flat set is jittered and tried once more; a set spanning all D
         # dimensions that Qhull refused goes straight to the direct tests.
@@ -332,9 +307,7 @@ def _local_pareto_faces(
                 "jitter applied before hull construction"
             )
             with contextlib.suppress(DegenerateHullError):
-                hull = convex_hull(
-                    deterministic_jitter(pts), apex_id=0, eps_geom=ctx.config.eps_geom
-                )
+                hull = convex_hull(deterministic_jitter(pts), eps_geom=ctx.config.eps_geom)
     if hull is None:
         ctx.warn(
             f"vertex {vertex.id}: hull construction degenerate; "
@@ -397,7 +370,7 @@ def explore_vertex(
     # the neighbor indices of the kept neighbors with coincident returns.
     groups = [[kept[nd[i]] for i in g] for g in group_coincident(cand[nd], cfg.eps_equal)]
     pts = np.vstack([apex_scaled, x[[g[0] for g in groups]]])
-    local_faces = [FaceRecord.from_lp(*pair) for pair in _local_pareto_faces(ctx, vertex, pts)]
+    local_faces = _local_pareto_faces(ctx, vertex, pts)
 
     new_faces: list[FaceRecord] = []
     new_vertices: list[VertexRecord] = []

@@ -31,10 +31,17 @@ def mdp_to_dict(mdp: Mdp) -> dict[str, Any]:
     }
 
 
+def _whole(value: Any, what: str) -> int:
+    """A whole JSON number as an int, never truncated; else a ValueError naming `what`."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def mdp_from_dict(data: dict[str, Any]) -> Mdp:
     """Rebuild an MDP, checking the declared sizes against the arrays."""
     try:
-        S, A, D = int(data["states"]), int(data["actions"]), int(data["objectives"])
+        S, A, D = (_whole(data[k], k) for k in ("states", "actions", "objectives"))
         P = np.asarray(data["P"], dtype=float)
         r = np.asarray(data["r"], dtype=float)
         mu = np.asarray(data["mu"], dtype=float)
@@ -86,31 +93,52 @@ def front_to_dict(front: ParetoFront) -> dict[str, Any]:
     }
 
 
+def _actions(actions: Any, what: str) -> np.ndarray:
+    return np.array(
+        [_whole(a, f"{what}: action at state {s}") for s, a in enumerate(actions)], dtype=np.int64
+    )
+
+
+def _vertex_id(vid: Any, count: int, what: str) -> int:
+    vid = _whole(vid, f"{what}: vertex id")
+    if not 0 <= vid < count:
+        raise ValueError(f"{what}: vertex id {vid} is not in [0, {count})")
+    return vid
+
+
 def front_from_dict(data: dict[str, Any]) -> ParetoFront:
+    """Rebuild a front. Ids, actions, dimensions and counts must be whole
+    numbers, and every face vertex id must name a vertex; the error names
+    the entry."""
     try:
         vertices = [
             VertexRecord(
-                id=int(v["id"]),
-                policy=np.asarray(v["actions"], dtype=np.int64),
-                co_policies=[np.asarray(p, dtype=np.int64) for p in v["co_policies"]],
+                id=_whole(v["id"], f"vertex {k}: id"),
+                policy=_actions(v["actions"], f"vertex {k}"),
+                co_policies=[
+                    _actions(p, f"vertex {k}, co-policy {j}")
+                    for j, p in enumerate(v["co_policies"])
+                ],
                 ret=np.asarray(v["return"], dtype=float),
             )
-            for v in data["vertices"]
+            for k, v in enumerate(data["vertices"])
         ]
         faces = [
             FaceRecord(
-                vertex_ids=tuple(int(i) for i in f["vertex_ids"]),
-                dim=int(f["dim"]),
+                vertex_ids=tuple(
+                    _vertex_id(i, len(vertices), f"face {k}") for i in f["vertex_ids"]
+                ),
+                dim=_whole(f["dim"], f"face {k}: dim"),
                 normals=np.asarray(f["normals"], dtype=float),
                 alpha=np.asarray(f["alpha"], dtype=float),
                 t_star=float(f["t_star"]),
             )
-            for f in data["faces"]
+            for k, f in enumerate(data["faces"])
         ]
         stats = SearchStats(
-            iterations=int(data["stats"]["iterations"]),
-            policies_evaluated=int(data["stats"]["policies_evaluated"]),
-            planner_calls=int(data["stats"]["planner_calls"]),
+            iterations=_whole(data["stats"]["iterations"], "iterations"),
+            policies_evaluated=_whole(data["stats"]["policies_evaluated"], "policies_evaluated"),
+            planner_calls=_whole(data["stats"]["planner_calls"], "planner_calls"),
             warnings=[str(w) for w in data.get("warnings", [])],
         )
         scale = float(data["stats"]["return_scale"])

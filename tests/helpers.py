@@ -27,7 +27,7 @@ from momdp_pareto.mdp import (
 )
 from momdp_pareto.geometry import (
     Dominance,
-    FaceDescriptor,
+    FaceRecord,
     affine_dimension,
     mask_ids,
     pareto_lp,
@@ -433,35 +433,32 @@ def svd_subfaces_at(mask: int, hull, apex_id: int) -> list[int]:
 
 def faces_by_lp_everywhere(apex_id: int, hull, eps_pos: float = 1e-9):
     """The apex's Pareto faces by a descent that solves the positivity LP on
-    every face it tests, splits failing faces by `svd_subfaces_at` and takes
-    every face's dimension from its own SVD.
+    every face it tests, over the normals of every apex facet holding the
+    face, splits failing faces by `svd_subfaces_at` and takes every face's
+    dimension from its own SVD.
 
-    Returns the passing (face, certificate) pairs in discovery order and the
-    number of faces tested.
+    Returns the passing faces as records in discovery order and the number
+    of faces tested.
     """
     apex_facets = apex_facet_ids(hull, apex_id)
-
-    def canonical(mask):
-        defining = tuple(fi for fi in apex_facets if mask & hull.facet_masks[fi] == mask)
-        dim = affine_dimension(hull.points[mask_ids(mask)])
-        return FaceDescriptor(tuple(mask_ids(mask)), defining, dim)
-
-    queue = deque(canonical(hull.facet_masks[fi]) for fi in apex_facets)
+    queue = deque(hull.facet_masks[fi] for fi in apex_facets)
     tested = set()
     passing = []
     while queue:
-        face = queue.popleft()
-        if face.vertex_ids in tested or face.dim < 1:
+        mask = queue.popleft()
+        dim = affine_dimension(hull.points[mask_ids(mask)])
+        if mask in tested or dim < 1:
             continue
-        tested.add(face.vertex_ids)
-        cert = pareto_lp(hull.normals[list(face.defining_facets)])
+        tested.add(mask)
+        defining = [fi for fi in apex_facets if mask & hull.facet_masks[fi] == mask]
+        cert = pareto_lp(hull.normals[defining])
         if cert.t_star > eps_pos:
-            passing.append((face, cert))
+            passing.append(
+                FaceRecord(tuple(mask_ids(mask)), dim, cert.normals, cert.alpha, cert.t_star)
+            )
             continue
-        if face.dim > 1:
-            mask = sum(1 << v for v in face.vertex_ids)
-            for child in svd_subfaces_at(mask, hull, apex_id):
-                queue.append(canonical(child))
+        if dim > 1:
+            queue.extend(svd_subfaces_at(mask, hull, apex_id))
     return passing, len(tested)
 
 

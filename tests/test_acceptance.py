@@ -302,11 +302,17 @@ def test_c08_oracle_cost_blows_up_with_actions_while_search_stays_flat(monkeypat
 
 def test_c09_ridge_fixture_yields_exactly_the_edge():
     pts = ridge_points()
-    hull = convex_hull(pts, apex_id=0)
+    hull = convex_hull(pts)
     passing, on_front = select_pareto_faces(0, hull)
-    assert [fd.vertex_ids for fd, _ in passing] == [(0, 1)]
-    assert all(fd.dim == 1 for fd, _ in passing)
+    assert [f.vertex_ids for f in passing] == [(0, 1)]
+    assert all(f.dim == 1 for f in passing)
     assert on_front == [0, 1]
+    # The edge is defined by the apex facets holding both of its vertices,
+    # and its record carries their normals with the certificate.
+    (edge,) = passing
+    defining = [fi for fi in incident_facets(hull, 0) if hull.facet_masks[fi] & 0b11 == 0b11]
+    assert edge.normals.tobytes() == hull.normals[defining].tobytes()
+    assert edge.t_star == float((edge.alpha @ edge.normals).min()) > 1e-9
 
     # Cross-check by raw dominance: points of the surviving edge are
     # undominated within the achievable set, while every 2-face at the apex

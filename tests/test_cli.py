@@ -182,6 +182,88 @@ class TestVerify:
         assert run("verify", str(mdp_file), str(bad)) == 2
         assert capsys.readouterr().err.startswith("error: vertex 1: policy [9,")
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda d: d["vertices"][1]["actions"].__setitem__(0, 2.5),
+                "vertex 1: action at state 0 must be an integer, got 2.5",
+            ),
+            (
+                lambda d: d["vertices"][1]["co_policies"].append([0, 0.5, 0, 0]),
+                "vertex 1, co-policy 0: action at state 1 must be an integer, got 0.5",
+            ),
+            (
+                lambda d: d["faces"][0]["vertex_ids"].__setitem__(0, len(d["vertices"])),
+                "face 0: vertex id {n} is not in [0, {n})",
+            ),
+            (
+                lambda d: d["faces"][0]["vertex_ids"].__setitem__(0, -1),
+                "face 0: vertex id -1 is not in [0, {n})",
+            ),
+            (
+                lambda d: d["faces"][0].__setitem__("dim", 1.5),
+                "face 0: dim must be an integer, got 1.5",
+            ),
+        ],
+        ids=[
+            "fractional-action",
+            "fractional-co-policy",
+            "vertex-id-past-end",
+            "negative-vertex-id",
+            "fractional-dim",
+        ],
+    )
+    def test_inexact_front_entries_exit_2(self, mdp_file, tmp_path, capsys, edit, message):
+        """A fractional action or dimension used to be truncated (2.5 read
+        as 2, and verify passed), a face vertex id past the vertex list made
+        verify die with an IndexError, and -1 named the last vertex."""
+        front = tmp_path / "front.json"
+        run("solve", str(mdp_file), "-o", str(front))
+        data = json.loads(front.read_text())
+        assert not data["vertices"][1]["co_policies"]
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("verify", str(mdp_file), str(bad)) == 2
+        n = len(data["vertices"])
+        assert capsys.readouterr().err == (
+            f"error: malformed front payload: {message.format(n=n)}\n"
+        )
+
+    @pytest.mark.parametrize("key", ["states", "actions", "objectives"])
+    def test_fractional_mdp_size_exits_2(self, mdp_file, tmp_path, capsys, key):
+        """"states": 4.5 used to be read as 4."""
+        data = json.loads(mdp_file.read_text())
+        data[key] += 0.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("solve", str(bad), "-o", str(tmp_path / "front.json")) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed MDP payload: {key} must be an integer, got {data[key]!r}\n"
+        )
+        assert not (tmp_path / "front.json").exists()
+
+    def test_whole_number_floats_are_read_as_ints(self, mdp_file, tmp_path):
+        front = tmp_path / "front.json"
+        run("solve", str(mdp_file), "-o", str(front))
+        data = json.loads(front.read_text())
+        want = front_from_dict(data)
+        for v in data["vertices"]:
+            v["actions"] = [float(a) for a in v["actions"]]
+        for f in data["faces"]:
+            f["vertex_ids"] = [float(i) for i in f["vertex_ids"]]
+        got = front_from_dict(data)
+        for a, b in zip(got.vertices, want.vertices):
+            assert a.policy.dtype == np.int64 and a.policy.tolist() == b.policy.tolist()
+        assert [f.vertex_ids for f in got.faces] == [f.vertex_ids for f in want.faces]
+        assert all(type(i) is int for f in got.faces for i in f.vertex_ids)
+        mdp = json.loads(mdp_file.read_text())
+        mdp["states"] = float(mdp["states"])
+        assert mdp_from_dict(mdp).num_states == 4
+
     def test_zero_samples_checks_vertices_only(self, mdp_file, tmp_path, capsys):
         front = tmp_path / "front.json"
         run("solve", str(mdp_file), "-o", str(front))

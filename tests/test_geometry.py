@@ -25,7 +25,6 @@ from momdp_pareto.geometry import (
     dominated_by,
     group_coincident,
     incident_facets,
-    is_pareto_face,
     mask_ids,
     pareto_lp,
     passes_sign_screen,
@@ -39,6 +38,7 @@ from momdp_pareto.search import return_scale
 from helpers import (
     all_pairs_pprune,
     barycentric_grid,
+    benchmark_instances,
     convex_cloud,
     dominated_in_cloud,
     linprog_pareto_lp,
@@ -473,14 +473,13 @@ class TestSupportFaces:
     def test_normals_positive_and_supporting(self):
         pts = planar_cloud()
         for apex in range(len(pts)):
-            for face, cert in support_faces(pts, apex, 1e-9):
+            for face in support_faces(pts, apex, 1e-9):
                 assert apex in face.vertex_ids
-                assert face.defining_facets == ()
-                assert cert.normals.shape == (1, 3)
-                assert cert.alpha.tolist() == [1.0]
-                w = cert.normals[0]
+                assert face.normals.shape == (1, 3)
+                assert face.alpha.tolist() == [1.0]
+                w = face.normals[0]
                 assert (w > 0).all()
-                assert cert.t_star == w.min()
+                assert face.t_star == w.min()
                 values = pts @ w
                 on_face = values[list(face.vertex_ids)]
                 assert on_face.max() - on_face.min() <= 1e-9
@@ -489,7 +488,7 @@ class TestSupportFaces:
     def test_faces_per_apex(self):
         pts = planar_cloud()
         got = {
-            apex: [(f.vertex_ids, f.dim) for f, _ in support_faces(pts, apex, 1e-9)]
+            apex: [(f.vertex_ids, f.dim) for f in support_faces(pts, apex, 1e-9)]
             for apex in range(len(pts))
         }
         assert got == {
@@ -686,18 +685,25 @@ class TestFacetDedupe:
     @pytest.mark.parametrize("name", sorted(CLOUDS))
     @pytest.mark.parametrize("apex_id", [None, 0])
     def test_same_facets_as_the_loop(self, name, apex_id):
+        """Qhull's own outward normals equal the loop's, which orients each
+        plane by the centroid and, where the centroid lies on the plane, by
+        the apex."""
         pts = self.CLOUDS[name]()
-        assert_same_facets(convex_hull(pts, apex_id=apex_id), loop_hull_facets(pts, apex_id=apex_id))
+        assert_same_facets(convex_hull(pts), loop_hull_facets(pts, apex_id=apex_id))
 
-    def test_flat_apex_cloud_takes_the_apex_tie_break(self):
+    def test_flat_apex_cloud_base_facet_points_down(self):
+        """The centroid lies within 1e-9 of the base plane, so it cannot
+        tell the base normal's side; Qhull's own normal points away from
+        the apex."""
         pts = flat_apex_cloud()
-        hull = convex_hull(pts, apex_id=0)
+        hull = convex_hull(pts)
         base = [
             k for k, (w, c) in enumerate(zip(hull.normals, hull.offsets))
             if abs(w @ pts.mean(axis=0) - c) <= 1e-9
         ]
         assert len(base) == 1
         np.testing.assert_allclose(hull.normals[base[0]], [0.0, 0.0, -1.0], atol=1e-12)
+        assert hull.normals[base[0]] @ pts[0] < hull.offsets[base[0]]
         assert mask_ids(hull.facet_masks[base[0]]) == [1, 5, 16, 20]
 
     @pytest.mark.parametrize("name", ["cube-centres", "grid-2x3", "lattice-D3", "lattice-D4"])
@@ -730,13 +736,72 @@ class TestBlockedPlaneDedupe:
         want = unblocked_hull_facets(pts, apex_id=0)
         assert len(want) < planes
         monkeypatch.setattr(geometry, "_BLOCK_ROWS", block)
-        assert_same_facets(convex_hull(pts, apex_id=0), want)
+        assert_same_facets(convex_hull(pts), want)
 
     def test_unblocked_reference_equals_the_plane_loop(self):
         pts = self.cloud()
         for f, g in zip(unblocked_hull_facets(pts), loop_hull_facets(pts), strict=True):
             assert f[0].tobytes() == g[0].tobytes()
             assert f[1:] == g[1:]
+
+
+def assert_outward_unit_normals(hull):
+    """Every normal of the hull is a unit vector, and every point lies at
+    height at most the incidence tolerance over every facet plane."""
+    tol = 1e-9 * max(1.0, float(np.abs(hull.points).max()))
+    norms = np.sqrt(np.einsum("ij,ij->i", hull.normals, hull.normals))
+    assert np.abs(norms - 1.0).max() <= 1e-12
+    assert (hull.points @ hull.normals.T - hull.offsets).max() <= tol
+
+
+class TestQhullOrientation:
+    """`convex_hull` takes Qhull's normals as given, with no orientation
+    vote. These are the sets where the vote could have mattered: jittered
+    flat sets, whose centroid lies within rounding of some facet planes."""
+
+    def test_flat_apex_cloud(self):
+        assert_outward_unit_normals(convex_hull(flat_apex_cloud()))
+
+    def test_degenerate_benchmark_hulls(self, monkeypatch):
+        """Every point set search and the oracle hand to `convex_hull` on
+        the benchmark's dupact and depobj instances, jittered flat sets
+        included. The oracle's hull on dupact is built from a jittered
+        planar set; depobj's jittered local sets still span only three of
+        four dimensions, so each of them raises instead."""
+        inputs = []
+
+        def recording(points, **kwargs):
+            inputs.append((name, points))
+            return convex_hull(points, **kwargs)
+
+        for module in ("search", "oracle"):
+            monkeypatch.setattr(
+                importlib.import_module(f"momdp_pareto.{module}"), "convex_hull", recording
+            )
+        for inst in benchmark_instances():
+            name = inst.name
+            if not name.startswith(("dupact", "depobj")):
+                continue
+            importlib.import_module("momdp_pareto.search").search(inst.build())
+            if (inst.known_oracle_defect or "").startswith("raised"):
+                with pytest.raises(RuntimeError, match="degenerate-face fallback"):
+                    oracle.brute_force_front(inst.build())
+            else:
+                oracle.brute_force_front(inst.build())
+        built = {}
+        for name, pts in inputs:
+            flat = affine_dimension(pts, 1e-6) < pts.shape[1]
+            try:
+                hull = convex_hull(pts)
+            except DegenerateHullError:
+                assert flat and name.startswith("depobj")
+                continue
+            assert_outward_unit_normals(hull)
+            built.setdefault(name, []).append(flat)
+        assert sorted(n for n, flats in built.items() if any(flats)) == [
+            f"dupact-S4-A3-D3-s{s}" for s in range(3)
+        ]
+        assert sum(name.startswith("depobj") for name, _ in inputs) > 10
 
 
 class TestAffineBasis:
@@ -1057,7 +1122,7 @@ class TestSignScreen:
         W = np.array([[1.0, -1.0, 2e-9], [-1.0, 1.0, -3.0]])
         assert passes_sign_screen(W, 1e-9)
         # Passing the screen leaves the verdict to the LP.
-        assert not is_pareto_face(W)
+        assert not pareto_lp(W).t_star > 1e-9
 
 
 def unit_normal_stacks(seed: int, count: int):
@@ -1181,20 +1246,29 @@ class TestDualScreen:
         assert second.duals.ys is None and second.duals.ruled_out == 0
 
 
+def passes_positivity(normals, eps_pos: float = 1e-9) -> bool:
+    """The descent's verdict on a face with these defining normals: the sign
+    screen, then the positivity LP above eps_pos."""
+    W = np.asarray(normals, dtype=float)
+    return passes_sign_screen(W, eps_pos) and pareto_lp(W).t_star > eps_pos
+
+
 class TestIsParetoFace:
     def test_positive_normal(self):
-        assert is_pareto_face(np.array([[1.0, 1.0, 1.0]]))
+        assert passes_positivity(np.array([[1.0, 1.0, 1.0]]))
 
     def test_opposing_pair(self):
-        assert not is_pareto_face(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]]))
+        W = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]])
+        assert not passes_sign_screen(W, 1e-9)
+        assert not passes_positivity(W)
 
     def test_axis_pair_combines_positive(self):
-        assert is_pareto_face(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert passes_positivity(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_malformed_normals_rejected(self):
         for bad in (np.zeros((0, 2)), np.ones(3)):
-            with pytest.raises(ValueError):
-                is_pareto_face(bad)
+            with pytest.raises(ValueError, match="need a nonempty 2-d array of normals"):
+                pareto_lp(bad)
 
 
 class TestFacetPositivityAgainstSampling:

@@ -14,6 +14,7 @@ from momdp_pareto import (
 )
 from momdp_pareto.mdp import (
     GridAction,
+    check_actions,
     deterministic_returns,
     enumerate_deterministic,
     hamming_distance,
@@ -217,6 +218,16 @@ class TestLongTermReturn:
         with pytest.raises(ValueError) as err:
             long_term_return(mdp433, np.array(pol))
         assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            check_actions(mdp433, pol)
+        assert str(err.value) == message
+
+    def test_check_actions_returns_int_actions(self, mdp433):
+        for pol in ([0, 2, 1, 0], [0.0, 2.0, 1.0, 0.0], np.array([0, 2, 1, 0], dtype=np.int32)):
+            got = check_actions(mdp433, pol)
+            assert got.dtype == np.int64 and got.tolist() == [0, 2, 1, 0]
+        with pytest.raises(ValueError, match=r"deterministic policy must have shape \(4,\), got \(3,\)"):
+            check_actions(mdp433, [0, 1, 2])
 
     def test_bad_shapes_name_the_policy_kind(self, mdp433):
         with pytest.raises(ValueError, match=r"deterministic policy must have shape \(4,\), got \(3,\)"):

@@ -116,6 +116,22 @@ def test_oracle_face_dims_on_a_jittered_hull_equal_search():
     assert max(f.dim for f in got.faces) == 2
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_oracle_names_the_direct_tests_below_d_plus_one_returns(seed):
+    """With fewer than D + 1 non-dominated returns the oracle builds no hull
+    and tests faces directly on the returns as they are; it used to warn
+    that it jittered them."""
+    m = gen_random_mdp(seed, 2, 2, 5)
+    got = brute_force_front(m)
+    n = len(got.vertices)
+    assert 1 < n < 6
+    assert got.stats.warnings == [
+        f"only {n} non-dominated returns in 5 objectives; "
+        "testing faces directly instead of building a hull"
+    ]
+    assert compare_fronts(got, search(m)).match
+
+
 def test_oracle_solves_each_face_lp_once(monkeypatch):
     """The oracle descends from every hull vertex but solves the positivity
     LP once per distinct set of defining facets."""
@@ -580,6 +596,34 @@ class TestStackedVerifyMatchesLoop:
             broken = dataclasses.replace(front, vertices=vertices)
             with pytest.raises(ValueError, match=r"vertex 1: policy .* is not 4 actions in \[0, 3\)"):
                 verify_front(mdp433, broken)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ([0.5, 1, 0, 0], "action 0.5 at state 0 is not an integer in [0, 3)"),
+            ([0, 1, 2, float("nan")], "action nan at state 3 is not an integer in [0, 3)"),
+            ([0, 3, 1, 0], "action 3 at state 1 is not an integer in [0, 3)"),
+        ],
+    )
+    def test_bad_action_names_vertex_state_and_action(self, mdp433, bad, message):
+        """A fractional action passed the old min/max check and reached
+        numpy's indexing as an IndexError."""
+        front = search(mdp433)
+        vertices = list(front.vertices)
+        vertices[1] = dataclasses.replace(vertices[1], policy=np.array(bad))
+        broken = dataclasses.replace(front, vertices=vertices)
+        with pytest.raises(ValueError) as err:
+            verify_front(mdp433, broken)
+        assert str(err.value).startswith("vertex 1: policy [")
+        assert str(err.value).endswith(": " + message)
+
+    def test_whole_number_float_actions_verify_as_ints(self, mdp433):
+        front = search(mdp433)
+        floats = dataclasses.replace(
+            front,
+            vertices=[dataclasses.replace(v, policy=v.policy.astype(float)) for v in front.vertices],
+        )
+        assert repr(verify_front(mdp433, floats)) == repr(verify_front(mdp433, front))
 
     def test_negative_samples_named_in_error(self, mdp433):
         front = search(mdp433)

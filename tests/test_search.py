@@ -597,7 +597,7 @@ def local_hulls_d5():
             x for x in near if dominance(x, apex, 1e-9) is Dominance.INCOMPARABLE
         ]
         near = [near[i] for i in pprune(np.array(near))]
-        hulls.append(convex_hull(np.vstack([apex] + near), apex_id=0))
+        hulls.append(convex_hull(np.vstack([apex] + near)))
     return hulls
 
 
@@ -605,27 +605,29 @@ class TestFaceSelectionScreen:
     def test_same_faces_as_an_lp_on_every_face(self, local_hulls_d5):
         """The reference solves the LP on every face it meets and then keeps
         the passing faces that lie strictly inside no other passing face.
-        The descent must return exactly those, with bit-identical
-        certificates, and every passing face it skipped must lie strictly
-        inside one it returned."""
+        The descent must return exactly those, with bit-identical defining
+        normals and certificates, and every passing face it skipped must lie
+        strictly inside one it returned."""
         total_passing = total_dropped = 0
         for hull in local_hulls_d5:
             got, on_front = select_pareto_faces(0, hull)
             ref, _ = faces_by_lp_everywhere(0, hull)
-            sets = [set(fd.vertex_ids) for fd, _ in ref]
-            kept = [pair for pair, s in zip(ref, sets) if not any(s < t for t in sets)]
+            sets = [set(f.vertex_ids) for f in ref]
+            kept = [f for f, s in zip(ref, sets) if not any(s < t for t in sets)]
             assert len(got) == len(kept)
-            for (fd, cert), (rfd, rcert) in zip(got, kept):
-                assert fd.vertex_ids == rfd.vertex_ids
-                assert fd.defining_facets == rfd.defining_facets
-                assert fd.dim == rfd.dim
-                assert cert.alpha.tobytes() == rcert.alpha.tobytes()
-                assert cert.t_star == rcert.t_star
-            returned = {fd.vertex_ids for fd, _ in got}
-            dropped = [fd for fd, _ in ref if fd.vertex_ids not in returned]
-            for fd in dropped:
-                assert any(set(fd.vertex_ids) < set(g.vertex_ids) for g, _ in got)
-            assert on_front == sorted({v for fd, _ in ref for v in fd.vertex_ids})
+            for face, want in zip(got, kept):
+                assert face.vertex_ids == want.vertex_ids
+                assert face.dim == want.dim
+                assert face.normals.shape == want.normals.shape
+                assert face.normals.tobytes() == want.normals.tobytes()
+                assert face.alpha.tobytes() == want.alpha.tobytes()
+                assert face.t_star == want.t_star
+            returned = {f.vertex_ids for f in got}
+            dropped = [f for f in ref if f.vertex_ids not in returned]
+            for f in dropped:
+                assert any(set(f.vertex_ids) < set(g.vertex_ids) for g in got)
+            assert on_front == sorted({v for f in ref for v in f.vertex_ids})
+            assert on_front == sorted({v for f in got for v in f.vertex_ids})
             total_passing += len(got)
             total_dropped += len(dropped)
         assert total_passing > 0 and total_dropped > 0
@@ -645,7 +647,7 @@ class TestFaceSelectionScreen:
         tested = 0
         for shared in local_hulls_d5:
             # A fresh hull, so no certificate is memoized on it yet.
-            hull = convex_hull(shared.points, apex_id=0)
+            hull = convex_hull(shared.points)
             select_pareto_faces(0, hull)
             tested += faces_by_lp_everywhere(0, hull)[1]
         assert 0 < len(calls) < tested
