@@ -23,10 +23,6 @@ class Dominance(enum.Enum):
 class DegenerateHullError(RuntimeError):
     """Raised when a point set does not span the full ambient dimension."""
 
-    def __init__(self, message: str, affine_dim: int):
-        super().__init__(message)
-        self.affine_dim = affine_dim
-
 
 class ApexNotVertexError(RuntimeError):
     """Raised when a point assumed to be a hull vertex is not one."""
@@ -103,8 +99,8 @@ class LocalHull:
     are one row selection.
 
     `certificates` holds the positivity LP's certificate for each tuple of
-    defining facets tested on this hull: the oracle descends from every hull
-    vertex and meets each face from each of its corners, with the same LP
+    defining facets tested on this hull: the oracle descends from many hull
+    vertices and meets each face from each of its corners, with the same LP
     input every time. `incident` memoizes `incident_facets` per hull
     vertex: one descent asks for its apex's facets at every subface step.
     `duals` pools the dual weights of this hull's failed LPs, which rule
@@ -395,19 +391,23 @@ def affine_basis(points: np.ndarray, k: int) -> AffineBasis:
     )
 
 
-def deterministic_jitter(points: np.ndarray, magnitude: float = 1e-7) -> np.ndarray:
-    """Perturb each coordinate by at most `magnitude`, hashed from its index.
+def close_below(points: np.ndarray) -> np.ndarray:
+    """The points followed by D rows m - s e_j, where m is their
+    componentwise minimum and s their max-norm spread.
 
-    The perturbation is a pure function of array position, so repeated runs
-    see identical jitter and results stay reproducible.
+    Each appended row is at most every point and lower by s in objective j,
+    so any w > 0 scores it below all of them. So the faces of the closed
+    set's hull with a strictly positive normal, the ones the positivity LP
+    passes, are the points' Pareto faces under the same ids. The appended
+    rows span the plane of coordinate sum 0 and no point lies on it, so the
+    closed set spans all D dimensions once two points differ.
     """
-    pts = np.array(points, dtype=float)
-    n, d = pts.shape
-    i = np.arange(n, dtype=np.uint64)[:, None]
-    j = np.arange(d, dtype=np.uint64)[None, :]
-    h = (i * np.uint64(2654435761) + j * np.uint64(40503) + np.uint64(97)) % np.uint64(2**32)
-    unit = h.astype(float) / float(2**32)
-    return pts + magnitude * (2.0 * unit - 1.0)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError(f"need a nonempty 2-d point array, got shape {pts.shape}")
+    low = pts.min(axis=0)
+    spread = float((pts.max(axis=0) - low).max())
+    return np.vstack([pts, low - spread * np.eye(pts.shape[1])])
 
 
 def convex_hull(points: np.ndarray, eps_geom: float = 1e-9) -> LocalHull:
@@ -439,15 +439,13 @@ def convex_hull(points: np.ndarray, eps_geom: float = 1e-9) -> LocalHull:
     n, dim = pts.shape
     adim = affine_dimension(pts)
     if adim == 0:
-        raise DegenerateHullError("all points coincide (affine dimension 0)", 0)
+        raise DegenerateHullError("all points coincide (affine dimension 0)")
     if adim < dim or n < dim + 1:
-        raise DegenerateHullError(
-            f"{n} points span affine dimension {adim} < ambient dimension {dim}", adim
-        )
+        raise DegenerateHullError(f"{n} points span affine dimension {adim} < ambient dimension {dim}")
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:
-        raise DegenerateHullError(f"hull construction failed: {exc}", adim) from exc
+        raise DegenerateHullError(f"hull construction failed: {exc}") from exc
 
     tol = eps_geom * max(1.0, float(np.abs(pts).max()))
     is_vertex = np.zeros(n, dtype=bool)

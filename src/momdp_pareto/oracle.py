@@ -14,13 +14,14 @@ import numpy as np
 from .geometry import (
     DegenerateHullError,
     FaceRecord,
-    affine_dimension,
+    affine_dimension,  # unused; the benchmark's tracer binds it on this module
+    close_below,
     convex_hull,
-    deterministic_jitter,
     dominated_by,
     group_coincident,
+    incident_facets,
+    passes_sign_screen,
     pprune,
-    support_faces,
 )
 from .mdp import (
     InvalidMdpError,
@@ -44,7 +45,7 @@ from .search import (
     VertexRecord,
     check_thread_count,
     check_tolerance,
-    consolidate_faces,
+    consolidate_faces,  # unused; the benchmark's tracer binds it on this module
     return_scale,
     search,
     select_pareto_faces,
@@ -58,18 +59,6 @@ class EnumerationCapError(RuntimeError):
         super().__init__(f"enumeration needs {count} policies, above the cap of {cap}")
         self.count = count
         self.cap = cap
-
-
-def _oracle_degenerate_faces(pts: np.ndarray, eps_pos: float) -> list[FaceRecord]:
-    """Direct LP face tests for hull-degenerate non-dominated sets, from
-    every point in turn."""
-    n = pts.shape[0]
-    if n > 16:
-        raise RuntimeError(
-            f"degenerate-face fallback would enumerate subsets of {n} points; "
-            "the non-dominated set is too large for direct testing"
-        )
-    return [face for apex in range(n) for face in support_faces(pts, apex, eps_pos)]
 
 
 # Margin of the tree screen in `_nondominated_policies`, in scaled space,
@@ -132,8 +121,16 @@ def brute_force_front(
 
     Finds the non-dominated policies among all A**S, builds the convex hull
     of their returns and keeps the hull faces whose positivity LP passes,
-    examined from every hull vertex. Intended as a reference implementation;
+    examined from the hull vertices. Intended as a reference implementation;
     cost grows with A**S.
+
+    Returns too flat for a hull are closed off below (`close_below`); the
+    appended rows, ids n and up, lie on no Pareto face. Nor does a face
+    pass through a vertex whose facet normals fail `passes_sign_screen`, as
+    it holds a subset of them, so neither kind of vertex starts a descent.
+    A face's LP input is the set of hull facets containing it, so each
+    descent records exactly the maximal Pareto faces through its apex, and
+    together they leave nothing to merge.
 
     Above 512 policies, a rank-one policy tree screens all policies first
     and only the few it cannot rule out are evaluated exactly; see
@@ -175,37 +172,18 @@ def brute_force_front(
     groups = group_coincident(scaled, eps_equal)
     pts = scaled[[g[0] for g in groups]]
     n = len(groups)
-    dim = mdp.num_objectives
     passing: list[FaceRecord] = []
-
     if n > 1:
-        hull = None
-        if n < dim + 1:
-            stats.warnings.append(
-                f"only {n} non-dominated returns in {dim} objectives; "
-                "testing faces directly instead of building a hull"
-            )
-        else:
-            adim = affine_dimension(pts)
-            if adim < dim:
-                stats.warnings.append(
-                    f"non-dominated returns span dimension {adim} with {n} points; "
-                    "jitter applied before hull construction"
-                )
-            try:
-                hull_pts = deterministic_jitter(pts) if adim < dim else pts
-                hull = convex_hull(hull_pts, eps_geom=eps_geom)
-            except DegenerateHullError:
-                stats.warnings.append(
-                    "hull of non-dominated returns is degenerate; "
-                    "testing faces directly instead"
-                )
-        if hull is not None:
-            for apex in hull.vertex_ids:
+        try:
+            hull = convex_hull(pts, eps_geom=eps_geom)
+        except DegenerateHullError:
+            hull = convex_hull(close_below(pts), eps_geom=eps_geom)
+        for apex in hull.vertex_ids:
+            if apex >= n:
+                break
+            if passes_sign_screen(hull.normals[list(incident_facets(hull, apex))], eps_pos):
                 passing += select_pareto_faces(apex, hull, eps_pos)[0]
-            stats.count_face_work(hull)
-        else:
-            passing = _oracle_degenerate_faces(pts, eps_pos)
+        stats.count_face_work(hull)
     # A face passes from each of its corners; keep its first record.
     faces_local: dict[tuple[int, ...], FaceRecord] = {}
     for face in passing:
@@ -228,13 +206,10 @@ def brute_force_front(
         )
         for lid in used
     ]
-    faces = consolidate_faces(
-        [
-            dataclasses.replace(f, vertex_ids=tuple(lid_to_gid[lid] for lid in f.vertex_ids))
-            for f in faces_local.values()
-        ],
-        [pts[lid] for lid in used],
-    )
+    faces = [
+        dataclasses.replace(f, vertex_ids=tuple(lid_to_gid[lid] for lid in f.vertex_ids))
+        for f in faces_local.values()
+    ]
     stats.wall_time["total"] = time.perf_counter() - t0
     return ParetoFront(vertices=vertices, faces=faces, stats=stats, return_scale=scale)
 
@@ -269,11 +244,14 @@ def compare_fronts(a: ParetoFront, b: ParetoFront, tol: float = 1e-8) -> Compari
         tol: max-norm tolerance in scaled return space.
 
     Raises:
-        ValueError: when tol is NaN, infinite or negative.
+        ValueError: when tol is NaN, infinite or negative, or the fronts'
+            returns differ in length; the message names both lengths.
     """
     check_tolerance("tol", tol)
     pa = np.array([v.ret for v in a.vertices]) * a.return_scale
     pb = np.array([v.ret for v in b.vertices]) * b.return_scale
+    if len(pa) and len(pb) and pa.shape[1] != pb.shape[1]:
+        raise ValueError(f"fronts have returns of {pa.shape[1]} and {pb.shape[1]} objectives")
     a_to_b: dict[int, int] = {}
     taken_b: set[int] = set()
     max_dist = 0.0
@@ -415,8 +393,9 @@ def verify_front(
     Raises:
         ValueError: when samples_per_face is negative, tol is NaN, infinite
             or negative, thread_count is not an int >= 1, or a vertex policy
-            is not one integer action in [0, A) per state (`check_actions`);
-            the message names the vertex, the state and the action.
+            is not one integer action in [0, A) per state (`check_actions`)
+            or a vertex return is not D entries; the message names the
+            vertex and, for a policy, the state and the action.
         EnumerationCapError: when A**S exceeds the cap.
     """
     check_tolerance("tol", tol)
@@ -433,6 +412,8 @@ def verify_front(
                 f"vertex {v.id}: policy {np.asarray(v.policy).tolist()} is not {S} actions "
                 f"in [0, {A}): {exc}"
             ) from None
+        if np.shape(v.ret) != (D,):
+            raise ValueError(f"vertex {v.id}: return has {np.size(v.ret)} entries, not {D}")
     count = A**S
     if count > cap:
         raise EnumerationCapError(count, cap)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 import numbers
@@ -23,8 +22,8 @@ from .geometry import (
     LocalHull,
     affine_basis,
     affine_dimension,
+    close_below,
     convex_hull,
-    deterministic_jitter,
     dominance,
     group_coincident,
     incident_facets,
@@ -98,8 +97,6 @@ class ParetoFront:
 class SearchConfig:
     """Knobs for `search`; the defaults suit well-conditioned instances.
 
-    `initial_policy` overrides the scalarized planner start; it exists for
-    testing pathological starts and is not exposed on the command line.
     `thread_count` spreads policy evaluation over threads in blocks of 4096
     policies; a vertex's S * (A - 1) neighbors rarely fill one block, so in
     practice search evaluates on one thread. Results never depend on it.
@@ -110,15 +107,11 @@ class SearchConfig:
     eps_equal: float = 1e-9
     eps_geom: float = 1e-9
     eps_pos: float = 1e-9
-    initial_policy: Sequence[int] | None = None
 
     def __post_init__(self) -> None:
         for name in ("eps_equal", "eps_geom", "eps_pos"):
             check_tolerance(name, getattr(self, name))
         check_thread_count(self.thread_count)
-        if self.initial_policy is not None and np.ndim(self.initial_policy) != 1:
-            shape = np.shape(self.initial_policy)
-            raise ValueError(f"initial_policy must be one action per state, got shape {shape}")
 
 
 def check_tolerance(name: str, value: float) -> None:
@@ -295,25 +288,20 @@ def _local_pareto_faces(
             "testing faces directly instead of building a hull"
         )
         return support_faces(pts, 0, ctx.config.eps_pos)
-    hull = None
+    # A flat set is closed off below (`close_below`), which leaves its
+    # Pareto faces and their ids as they are; a set that Qhull refuses even
+    # then goes to the direct tests.
     try:
         hull = convex_hull(pts, eps_geom=ctx.config.eps_geom)
-    except DegenerateHullError as exc:
-        # A flat set is jittered and tried once more; a set spanning all D
-        # dimensions that Qhull refused goes straight to the direct tests.
-        if exc.affine_dim < D:
+    except DegenerateHullError:
+        try:
+            hull = convex_hull(close_below(pts), eps_geom=ctx.config.eps_geom)
+        except DegenerateHullError:
             ctx.warn(
-                f"vertex {vertex.id}: local returns span dimension {exc.affine_dim} < {D}; "
-                "jitter applied before hull construction"
+                f"vertex {vertex.id}: hull construction degenerate; "
+                "testing faces directly instead"
             )
-            with contextlib.suppress(DegenerateHullError):
-                hull = convex_hull(deterministic_jitter(pts), eps_geom=ctx.config.eps_geom)
-    if hull is None:
-        ctx.warn(
-            f"vertex {vertex.id}: hull construction degenerate; "
-            "testing faces directly instead"
-        )
-        return support_faces(pts, 0, ctx.config.eps_pos)
+            return support_faces(pts, 0, ctx.config.eps_pos)
     try:
         passing, _ = select_pareto_faces(0, hull, ctx.config.eps_pos)
     except ApexNotVertexError as exc:
@@ -568,16 +556,11 @@ def search(mdp: Mdp, config: SearchConfig | None = None) -> ParetoFront:
     # Strictly positive weights with small random tilts; ties in objective
     # space are broken generically while every objective keeps real weight.
     w0 = 1.0 + rng.uniform(1e-6, 1e-2, mdp.num_objectives)
-    if config.initial_policy is not None:
-        pol0 = np.asarray(config.initial_policy)
-    else:
-        pol0 = solve_scalarized(mdp, w0)
-        ctx.stats.planner_calls += 1
+    pol0 = solve_scalarized(mdp, w0)
+    ctx.stats.planner_calls += 1
     t1 = time.perf_counter()
     ctx.stats.wall_time["planner"] = t1 - t0
-    # Unconverted, so that long_term_return checks a given start's actions.
     j0 = long_term_return(mdp, pol0)
-    pol0 = pol0.astype(np.int64)
     ctx.z[_policy_key(pol0)] = j0
     ctx.stats.policies_evaluated += 1
     _add_vertex(ctx, pol0, j0, [])

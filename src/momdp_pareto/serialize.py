@@ -108,8 +108,8 @@ def _vertex_id(vid: Any, count: int, what: str) -> int:
 
 def front_from_dict(data: dict[str, Any]) -> ParetoFront:
     """Rebuild a front. Ids, actions, dimensions and counts must be whole
-    numbers, and every face vertex id must name a vertex; the error names
-    the entry."""
+    numbers, every return as long as the first, and every face vertex id
+    must name a vertex; the error names the entry."""
     try:
         vertices = [
             VertexRecord(
@@ -123,6 +123,10 @@ def front_from_dict(data: dict[str, Any]) -> ParetoFront:
             )
             for k, v in enumerate(data["vertices"])
         ]
+        for k, v in enumerate(vertices):
+            if v.ret.ndim != 1 or v.ret.size != vertices[0].ret.size:
+                first = vertices[0].ret.size
+                raise ValueError(f"vertex {k}: return has {v.ret.size} entries, vertex 0's {first}")
         faces = [
             FaceRecord(
                 vertex_ids=tuple(

@@ -539,3 +539,56 @@ class TestErrorTable:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: [Errno 2] No such file or directory")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+class TestReturnLengths:
+    """Front files whose returns do not fit the MDP or each other. verify
+    used to die with an IndexError traceback on returns one objective
+    short, verify and compare to print numpy's "inhomogeneous shape" on one
+    short return, and compare to print a broadcast error on fronts of
+    different objective counts; none named a vertex."""
+
+    def write_front(self, mdp_file, tmp_path, edit):
+        good = tmp_path / "front.json"
+        run("solve", str(mdp_file), "-o", str(good))
+        data = json.loads(good.read_text())
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        return good, bad
+
+    def test_verify_returns_short_of_the_mdp_objectives(self, mdp_file, tmp_path, capsys):
+        def drop_last(data):
+            for v in data["vertices"]:
+                del v["return"][-1]
+
+        _, bad = self.write_front(mdp_file, tmp_path, drop_last)
+        capsys.readouterr()
+        assert run("verify", str(mdp_file), str(bad)) == 2
+        assert capsys.readouterr().err == (
+            "error: vertex 0: return has 2 entries, not 3\n"
+        )
+
+    @pytest.mark.parametrize("command", ["verify", "compare"])
+    def test_one_short_return(self, mdp_file, tmp_path, capsys, command):
+        good, bad = self.write_front(
+            mdp_file, tmp_path, lambda data: data["vertices"][1]["return"].pop()
+        )
+        capsys.readouterr()
+        first = mdp_file if command == "verify" else good
+        assert run(command, str(first), str(bad)) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed front payload: vertex 1: return has 2 entries, vertex 0's 3\n"
+        )
+
+    def test_compare_fronts_of_different_objective_counts(self, mdp_file, tmp_path, capsys):
+        def drop_last(data):
+            for v in data["vertices"]:
+                del v["return"][-1]
+
+        good, bad = self.write_front(mdp_file, tmp_path, drop_last)
+        capsys.readouterr()
+        assert run("compare", str(good), str(bad)) == 2
+        assert capsys.readouterr().err == (
+            "error: fronts have returns of 3 and 2 objectives\n"
+        )

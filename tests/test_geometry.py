@@ -19,8 +19,8 @@ from momdp_pareto.geometry import (
     _support_lp,
     affine_basis,
     affine_dimension,
+    close_below,
     convex_hull,
-    deterministic_jitter,
     dominance,
     dominated_by,
     group_coincident,
@@ -33,7 +33,7 @@ from momdp_pareto.geometry import (
     support_faces,
 )
 from momdp_pareto.mdp import enumerate_deterministic, tree_depth, tree_returns
-from momdp_pareto.search import return_scale
+from momdp_pareto.search import return_scale, select_pareto_faces
 
 from helpers import (
     all_pairs_pprune,
@@ -500,16 +500,79 @@ class TestSupportFaces:
         }
 
 
-class TestJitter:
-    def test_reproducible(self):
-        pts = np.random.default_rng(0).random((5, 3))
-        assert np.array_equal(deterministic_jitter(pts), deterministic_jitter(pts))
+def positive_sphere_points(rng, n: int, dim: int) -> np.ndarray:
+    """n points on the unit sphere in the positive orthant. None dominates
+    another, and each is the one maximizer of its own w = p > 0 over the
+    ball, so each is a vertex of any closed set of them."""
+    pts = np.abs(rng.normal(size=(n, dim)))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
-    def test_magnitude_bounded(self):
-        pts = np.zeros((6, 4))
-        delta = deterministic_jitter(pts, magnitude=1e-7) - pts
-        assert np.abs(delta).max() <= 1e-7
-        assert np.abs(delta).max() > 0
+
+def flat_points(rng, n: int, dim: int, k: int) -> np.ndarray:
+    """n random points on a random k-flat in dim dimensions."""
+    return rng.normal(size=dim) + rng.normal(size=(n, k)) @ rng.normal(size=(k, dim))
+
+
+class TestCloseBelow:
+    def test_appended_rows_come_last_and_lie_below(self):
+        rng = np.random.default_rng(4)
+        for dim in (2, 3, 5):
+            pts = rng.normal(size=(7, dim))
+            closed = close_below(pts)
+            assert closed.shape == (7 + dim, dim)
+            assert closed[:7].tobytes() == pts.tobytes()
+            spread = (pts.max(axis=0) - pts.min(axis=0)).max()
+            for j, row in enumerate(closed[7:]):
+                assert (row[None, :] <= pts).all()
+                assert (row[j] <= pts[:, j] - spread).all()
+            # So every strictly positive weight scores them below every point.
+            for w in rng.random(size=(20, dim)) + 1e-3:
+                assert (closed[7:] @ w).max() < (pts @ w).min()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_flat_sets_of_every_dimension_span_all_dimensions(self, dim):
+        rng = np.random.default_rng(dim)
+        for k in range(1, dim):
+            for n in (2, k + 1, 3 * dim):
+                pts = flat_points(rng, max(n, k + 1), dim, k)
+                assert affine_dimension(pts) == k
+                closed = close_below(pts)
+                assert affine_dimension(closed) == dim
+                convex_hull(closed)
+
+    def test_two_distinct_points_are_enough(self):
+        pts = np.array([[1.0, 2, 3, 4], [1.0, 2, 3, 4], [1.0, 2, 3, 4 + 1e-6]])
+        assert affine_dimension(close_below(pts)) == 4
+        with pytest.raises(DegenerateHullError):
+            convex_hull(close_below(np.ones((3, 4))))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_faces_through_point_0_equal_the_direct_tests(self, dim):
+        """On sets of at most D points, all too flat for a hull of their
+        own, the descent on the closed hull finds the faces through point 0
+        that `support_faces` finds, by vertex set and dimension. The direct
+        tests may also pass a subset of a passing face, which search's
+        consolidation drops; only their maximal sets are compared."""
+        rng = np.random.default_rng(10 + dim)
+        compared = 0
+        for n in range(2, dim + 1):
+            for trial in range(12):
+                if trial % 2 and dim > 2:
+                    # A dependent objective: the mean of the first two.
+                    pts = positive_sphere_points(rng, n, dim - 1)
+                    pts = np.hstack([pts, pts[:, :2].mean(axis=1, keepdims=True)])
+                else:
+                    pts = positive_sphere_points(rng, n, dim)
+                hull = convex_hull(close_below(pts))
+                got = {(f.vertex_ids, f.dim) for f in select_pareto_faces(0, hull)[0]}
+                direct = [(f.vertex_ids, f.dim) for f in support_faces(pts, 0, 1e-9)]
+                maximal = {
+                    (vids, d) for vids, d in direct if not any(set(vids) < set(o) for o, _ in direct)
+                }
+                assert got == maximal
+                assert all(max(vids) < n for vids, _ in got)
+                compared += 1
+        assert compared == 12 * (dim - 1)
 
 
 def unit_simplex_3d():
@@ -622,9 +685,8 @@ class TestConvexHull:
 
     def test_flat_cloud_raises(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0]])
-        with pytest.raises(DegenerateHullError) as err:
+        with pytest.raises(DegenerateHullError, match="affine dimension 2 < ambient dimension 3"):
             convex_hull(pts)
-        assert err.value.affine_dim == 2
 
     def test_coincident_points_raise(self):
         with pytest.raises(DegenerateHullError):
@@ -756,18 +818,20 @@ def assert_outward_unit_normals(hull):
 
 class TestQhullOrientation:
     """`convex_hull` takes Qhull's normals as given, with no orientation
-    vote. These are the sets where the vote could have mattered: jittered
-    flat sets, whose centroid lies within rounding of some facet planes."""
+    vote. These are the sets where the vote could have mattered: flat sets
+    closed off below, whose appended rows sit far from the rest, and a
+    cloud whose centroid lies within rounding of a facet plane."""
 
     def test_flat_apex_cloud(self):
         assert_outward_unit_normals(convex_hull(flat_apex_cloud()))
 
     def test_degenerate_benchmark_hulls(self, monkeypatch):
         """Every point set search and the oracle hand to `convex_hull` on
-        the benchmark's dupact and depobj instances, jittered flat sets
-        included. The oracle's hull on dupact is built from a jittered
-        planar set; depobj's jittered local sets still span only three of
-        four dimensions, so each of them raises instead."""
+        the benchmark's dupact and depobj instances. Each one that raises is
+        flat, and the set handed over next is that set closed off below,
+        whose hull builds with outward unit normals. The oracle's returns
+        are planar on three dupact instances; on depobj they and every
+        local set of search span only three of four dimensions."""
         inputs = []
 
         def recording(points, **kwargs):
@@ -780,28 +844,25 @@ class TestQhullOrientation:
             )
         for inst in benchmark_instances():
             name = inst.name
-            if not name.startswith(("dupact", "depobj")):
-                continue
-            importlib.import_module("momdp_pareto.search").search(inst.build())
-            if (inst.known_oracle_defect or "").startswith("raised"):
-                with pytest.raises(RuntimeError, match="degenerate-face fallback"):
-                    oracle.brute_force_front(inst.build())
-            else:
+            if name.startswith(("dupact", "depobj")):
+                importlib.import_module("momdp_pareto.search").search(inst.build())
                 oracle.brute_force_front(inst.build())
-        built = {}
-        for name, pts in inputs:
-            flat = affine_dimension(pts, 1e-6) < pts.shape[1]
+        closed = []
+        for (name, pts), (next_name, following) in zip(inputs, inputs[1:] + [(None, None)]):
             try:
                 hull = convex_hull(pts)
             except DegenerateHullError:
-                assert flat and name.startswith("depobj")
+                assert affine_dimension(pts, 1e-6) < pts.shape[1]
+                assert next_name == name
+                assert following.tobytes() == close_below(pts).tobytes()
+                closed.append(name)
                 continue
             assert_outward_unit_normals(hull)
-            built.setdefault(name, []).append(flat)
-        assert sorted(n for n, flats in built.items() if any(flats)) == [
-            f"dupact-S4-A3-D3-s{s}" for s in range(3)
+        assert sorted(set(closed)) == [
+            "depobj-S5-A3-D4-s1",
+            *(f"dupact-S4-A3-D3-s{s}" for s in range(3)),
         ]
-        assert sum(name.startswith("depobj") for name, _ in inputs) > 10
+        assert closed.count("depobj-S5-A3-D4-s1") > 10
 
 
 class TestAffineBasis:

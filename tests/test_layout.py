@@ -46,15 +46,45 @@ def test_only_geometry_imports_scipy(path):
     assert uses_scipy == (path.name == "geometry.py")
 
 
-def test_traced_bindings_resolve():
-    """Every (module, attribute) the benchmark's tracer wraps exists, so a
-    refactor that drops a traced name fails here rather than in a traced run."""
+def traced_bindings() -> list[tuple[str, str, str]]:
+    """(module, attribute, span name) for every function the benchmark's
+    tracer wraps, from `perfbench/tracing.py`."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.BINDINGS
-    for module, attribute, _ in tracing.BINDINGS:
+    return tracing.BINDINGS
+
+
+def test_traced_bindings_resolve():
+    """Every (module, attribute) the benchmark's tracer wraps exists, so a
+    refactor that drops a traced name fails here rather than in a traced run."""
+    bindings = traced_bindings()
+    assert bindings
+    for module, attribute, _ in bindings:
         # `momdp_pareto.search` names the function once the package is
         # imported, so each module is fetched by its import path.
         found = importlib.import_module(f"momdp_pareto.{module}")
         assert callable(getattr(found, attribute, None)), (module, attribute)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    """Every name a module imports is used in it, except `__future__`
+    features, the names it lists in `__all__`, and the names the benchmark's
+    tracer wraps on it, which stay importable there for the tracer."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    traced = {attribute for module, attribute, _ in traced_bindings() if module == path.stem}
+    unused = imported - used - exported - traced
+    assert not unused, (path.name, sorted(unused))

@@ -32,6 +32,7 @@ from helpers import (
     make_bandit,
     product_grid_weights,
 )
+from test_golden import INSTANCES as GOLDEN_INSTANCES
 
 
 class TestBruteForce:
@@ -94,19 +95,20 @@ def test_search_and_oracle_returns_agree_exactly(build):
     assert rep.max_vertex_distance == 0.0
 
 
-def test_oracle_face_dims_on_a_jittered_hull_equal_search():
+def test_oracle_face_dims_on_a_closed_hull_equal_search():
     """With action 2 copied from action 1, this instance's non-dominated
-    returns span 4 of 5 dimensions, so the oracle builds its hull on
-    jittered points. It measured face dimensions on those points and
-    reported dimension 3 for a 4-vertex face whose returns span 2; the
-    face lattice gives 2, as search does."""
+    returns span 4 of 5 dimensions, so the oracle builds its hull on the
+    returns closed off below. Face dimensions come from the face lattice,
+    and the appended rows lie on no face, so each face's dimension is that
+    of its returns, as in search."""
     mdp = duplicate_action(gen_random_mdp(5, 4, 3, 5))
     got, want = brute_force_front(mdp), search(mdp)
-    assert any("jitter applied" in w for w in got.stats.warnings)
+    assert got.stats.warnings == []
     assert compare_fronts(got, want).match
     got_pts, want_pts = (
         np.array([v.ret for v in f.vertices]) * f.return_scale for f in (got, want)
     )
+    assert affine_dimension(got_pts) == 4
     for front, pts in ((got, got_pts), (want, want_pts)):
         for face in front.faces:
             assert face.dim == affine_dimension(pts[list(face.vertex_ids)])
@@ -117,23 +119,79 @@ def test_oracle_face_dims_on_a_jittered_hull_equal_search():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_oracle_names_the_direct_tests_below_d_plus_one_returns(seed):
-    """With fewer than D + 1 non-dominated returns the oracle builds no hull
-    and tests faces directly on the returns as they are; it used to warn
-    that it jittered them."""
+def test_oracle_closes_off_below_d_plus_one_returns(seed, monkeypatch):
+    """With fewer than D + 1 non-dominated returns the oracle builds its
+    hull on the returns closed off below, with no warning; it used to test
+    faces directly."""
+    built = []
+
+    def recording(points, **kwargs):
+        built.append(len(points))
+        return geometry.convex_hull(points, **kwargs)
+
+    monkeypatch.setattr(oracle, "convex_hull", recording)
     m = gen_random_mdp(seed, 2, 2, 5)
     got = brute_force_front(m)
     n = len(got.vertices)
     assert 1 < n < 6
-    assert got.stats.warnings == [
-        f"only {n} non-dominated returns in 5 objectives; "
-        "testing faces directly instead of building a hull"
-    ]
+    assert built == [n, n + 5]
+    assert got.stats.warnings == []
     assert compare_fronts(got, search(m)).match
 
 
+def oracle_instances():
+    """MDP builders by name: every golden instance within the oracle's
+    default cap, and every benchmark instance the benchmark runs it on."""
+    out = {}
+    for name, build in GOLDEN_INSTANCES.items():
+        mdp = build()
+        if mdp.num_actions**mdp.num_states <= 1_000_000:
+            out[f"golden-{name}"] = build
+    for inst in benchmark_instances():
+        if "oracle" in inst.ops:
+            out[f"bench-{inst.name}"] = inst.build
+    return out
+
+
+ORACLE_INSTANCES = oracle_instances()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INSTANCES))
+def test_consolidation_leaves_the_oracle_faces_unchanged(name):
+    """The oracle's descents on one hull record exactly the maximal Pareto
+    faces, so `consolidate_faces` has nothing to merge or drop: it returns
+    the oracle's faces as they are, in order. The oracle no longer calls it."""
+    front = brute_force_front(ORACLE_INSTANCES[name]())
+    scaled = [v.ret * front.return_scale for v in front.vertices]
+    assert front.faces
+    assert oracle.consolidate_faces(front.faces, scaled) == front.faces
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["golden-dense-S4-A3-D5-s1", "golden-grid-2x2-D4-s2", "bench-depobj-S5-A3-D4-s1"],
+)
+def test_apex_sign_screen_changes_no_face_and_no_count(name, monkeypatch):
+    """The oracle starts no descent at a vertex whose facet normals fail the
+    sign screen. Descending from every input vertex instead gives the same
+    faces, certificates and LP counts."""
+    build = ORACLE_INSTANCES[name]
+    screened = brute_force_front(build())
+    monkeypatch.setattr(oracle, "passes_sign_screen", lambda normals, eps_pos: True)
+    every = brute_force_front(build())
+    assert (screened.stats.lps_solved, screened.stats.lps_screened) == (
+        every.stats.lps_solved,
+        every.stats.lps_screened,
+    )
+    assert len(screened.faces) == len(every.faces)
+    for f, g in zip(screened.faces, every.faces):
+        assert (f.vertex_ids, f.dim, f.t_star) == (g.vertex_ids, g.dim, g.t_star)
+        assert f.normals.tobytes() == g.normals.tobytes()
+        assert f.alpha.tobytes() == g.alpha.tobytes()
+
+
 def test_oracle_solves_each_face_lp_once(monkeypatch):
-    """The oracle descends from every hull vertex but solves the positivity
+    """The oracle descends from many hull vertices but solves the positivity
     LP once per distinct set of defining facets."""
     # The package rebinds the name `search` to the function, so the module
     # is fetched by its import path.

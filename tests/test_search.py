@@ -52,6 +52,13 @@ from helpers import (
 from test_golden import INSTANCES as GOLDEN_INSTANCES
 
 
+def start_at(monkeypatch, arm: int) -> None:
+    """Make the planner start `search` at the given arm of a bandit."""
+    monkeypatch.setattr(
+        _search_module(), "solve_scalarized", lambda mdp, w: np.array([arm], dtype=np.int64)
+    )
+
+
 class TestBanditFront:
     def test_two_vertices_one_edge(self, bandit3):
         front = search(bandit3, SearchConfig(seed=0))
@@ -66,10 +73,12 @@ class TestBanditFront:
         for v in front.vertices:
             assert not np.allclose(v.ret, [0.4, 0.4])
 
-    def test_same_front_from_either_starting_arm(self, bandit3):
-        a = search(bandit3, SearchConfig(seed=0, initial_policy=np.array([0])))
-        b = search(bandit3, SearchConfig(seed=0, initial_policy=np.array([1])))
-        assert compare_fronts(a, b).match
+    def test_same_front_from_either_starting_arm(self, bandit3, monkeypatch):
+        fronts = []
+        for arm in (0, 1):
+            start_at(monkeypatch, arm)
+            fronts.append(search(bandit3, SearchConfig(seed=0)))
+        assert compare_fronts(*fronts).match
 
 
 class TestCollapsedFronts:
@@ -110,18 +119,6 @@ class TestStats:
         for key in ("planner", "explore", "total"):
             assert front.stats.wall_time[key] >= 0.0
 
-    def test_initial_policy_hook_skips_planner(self, bandit3):
-        front = search(bandit3, SearchConfig(seed=0, initial_policy=np.array([0])))
-        assert front.stats.planner_calls == 0
-
-    def test_bad_initial_policy_names_state(self, mdp433):
-        with pytest.raises(ValueError, match=r"action 0\.5 at state 1 is not an integer in \[0, 3\)"):
-            search(mdp433, SearchConfig(initial_policy=[0, 0.5, 1, 0]))
-        with pytest.raises(ValueError, match=r"action 3 at state 2 is not an integer in \[0, 3\)"):
-            search(mdp433, SearchConfig(initial_policy=[0, 1, 3, 0]))
-        with pytest.raises(ValueError, match=r"initial_policy must be one action per state, got shape \(4, 3\)"):
-            SearchConfig(initial_policy=np.full((4, 3), 1 / 3))
-
 
 class TestScalarizationConsistency:
     def test_positive_weight_optima_lie_on_front(self):
@@ -160,21 +157,23 @@ class TestDeterminism:
 
 
 class TestAborts:
-    def test_dominated_start_names_a_better_neighbor(self):
+    def test_dominated_start_names_a_better_neighbor(self, monkeypatch):
         m = make_bandit(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        start_at(monkeypatch, 0)
         with pytest.raises(SearchAbortError) as err:
-            search(m, SearchConfig(seed=0, initial_policy=np.array([0])))
+            search(m, SearchConfig(seed=0))
         assert "dominat" in str(err.value)
 
-    def test_interior_start_aborts(self):
+    def test_interior_start_aborts(self, monkeypatch):
         # The first arm sits midway on the segment joining (1,0) and (0,1):
         # no single neighbor dominates it, yet it is not extreme.
         arms = np.array(
             [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [0.7, 0.35], [0.35, 0.7]]
         )
         m = make_bandit(arms)
+        start_at(monkeypatch, 0)
         with pytest.raises(SearchAbortError):
-            search(m, SearchConfig(seed=0, initial_policy=np.array([0])))
+            search(m, SearchConfig(seed=0))
 
 
 class TestVisitedCache:
@@ -521,7 +520,6 @@ def test_search_config_defaults():
     assert cfg.seed == 0
     assert cfg.thread_count == 1
     assert cfg.eps_equal == cfg.eps_geom == cfg.eps_pos == 1e-9
-    assert cfg.initial_policy is None
 
 
 BAD_TOLERANCES = [float("nan"), float("inf"), -float("inf"), -0.5, -1e-300, "1e-9", None]
@@ -656,26 +654,20 @@ class TestFaceSelectionScreen:
 def subface_instances():
     """(MDP builder, solvers) by name for every golden instance and every
     benchmark instance. The oracle runs on the golden instances within its
-    default cap, and on the benchmark instances the benchmark runs it on,
-    except where it is known to raise before building a hull."""
+    default cap, and on the benchmark instances the benchmark runs it on."""
     out = {}
     for name, build in GOLDEN_INSTANCES.items():
         mdp = build()
         within_cap = mdp.num_actions**mdp.num_states <= 1_000_000
         out[f"golden-{name}"] = (build, (search, brute_force_front) if within_cap else (search,))
     for inst in benchmark_instances():
-        raises = (inst.known_oracle_defect or "").startswith("raised")
-        runs_oracle = "oracle" in inst.ops and not raises
         out[f"bench-{inst.name}"] = (
-            inst.build, (search, brute_force_front) if runs_oracle else (search,)
+            inst.build, (search, brute_force_front) if "oracle" in inst.ops else (search,)
         )
     return out
 
 
 SUBFACE_INSTANCES = subface_instances()
-# Every local return set of this instance is too flat for a hull, even
-# jittered, and its oracle raises, so no descent runs on it.
-NO_DESCENT = {"bench-depobj-S5-A3-D4-s1"}
 
 
 @pytest.mark.parametrize("name", sorted(SUBFACE_INSTANCES))
@@ -701,7 +693,7 @@ def test_lattice_subfaces_equal_the_svd_rule(name, monkeypatch):
     build, solvers = SUBFACE_INSTANCES[name]
     for solver in solvers:
         solver(build())
-    assert children or name in NO_DESCENT
+    assert children
 
 
 def test_policy_key_is_a_tuple_of_python_ints():
@@ -711,28 +703,25 @@ def test_policy_key_is_a_tuple_of_python_ints():
 
 
 class TestLocalHullFallbacks:
-    """`_local_pareto_faces` builds the hull first and reads the affine
-    dimension from a failure: a flat set is jittered and tried again, a
-    full-dimensional set that Qhull refused goes straight to direct tests."""
+    """`_local_pareto_faces` builds the hull first; a set that Qhull refuses
+    is closed off below and built again, and a set refused even then goes to
+    the direct tests."""
 
-    JITTER = (
-        "vertex 7: local returns span dimension {} < 3; jitter applied before hull construction"
-    )
     DIRECT = "vertex 7: hull construction degenerate; testing faces directly instead"
 
-    def run(self, monkeypatch, failures):
-        """Call `_local_pareto_faces` on five points in D=3 with its first
-        hull builds raising `DegenerateHullError` with the given affine
-        dimensions; returns the warnings, the points each hull build got and
-        the points the direct tests got."""
+    def run(self, monkeypatch, failures, pts):
+        """Call `_local_pareto_faces` on points in D=3 with its first
+        `failures` hull builds raising `DegenerateHullError`; returns the
+        warnings, the faces as (vertex ids, dim), the points each hull build
+        got and the points the direct tests got."""
         module = _search_module()
         build, direct = module.convex_hull, module.support_faces
         built, tested = [], []
 
         def scripted_hull(points, **kwargs):
             built.append(points)
-            if len(built) <= len(failures):
-                raise geometry.DegenerateHullError("scripted", failures[len(built) - 1])
+            if len(built) <= failures:
+                raise geometry.DegenerateHullError("scripted")
             return build(points, **kwargs)
 
         def recording_direct(points, apex, eps_pos):
@@ -745,38 +734,50 @@ class TestLocalHullFallbacks:
         vertex = VertexRecord(
             id=7, policy=np.zeros(4, dtype=np.int64), co_policies=[], ret=np.zeros(3)
         )
-        pts = np.array(
-            [[1.0, 1.0, 1.0], [0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0], [0.2, 0.2, 0.2]]
-        )
-        module._local_pareto_faces(ctx, vertex, pts)
-        return ctx.stats.warnings, built, tested, pts
+        faces = module._local_pareto_faces(ctx, vertex, pts)
+        return ctx.stats.warnings, [(f.vertex_ids, f.dim) for f in faces], built, tested
+
+    SPREAD = np.array(
+        [[1.0, 1.0, 1.0], [0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0], [0.2, 0.2, 0.2]]
+    )
+    # A hexagon in the plane x + y + z = 1: no point dominates another, and
+    # the whole hexagon is the one Pareto face through point 0.
+    HEXAGON = np.array(
+        [
+            [0.7, 0.3, 0.0],
+            [0.3, 0.7, 0.0],
+            [0.0, 0.7, 0.3],
+            [0.0, 0.3, 0.7],
+            [0.3, 0.0, 0.7],
+            [0.7, 0.0, 0.3],
+        ]
+    )
 
     def test_qhull_failure_on_full_dimensional_set(self, monkeypatch):
-        warnings, built, tested, pts = self.run(monkeypatch, [3])
+        warnings, _, built, tested = self.run(monkeypatch, 1, self.SPREAD)
+        assert warnings == [] and tested == []
+        assert built[0] is self.SPREAD
+        assert built[1].tobytes() == geometry.close_below(self.SPREAD).tobytes()
+
+    def test_flat_set_closed_below(self, monkeypatch):
+        warnings, faces, built, tested = self.run(monkeypatch, 0, self.HEXAGON)
+        assert warnings == [] and tested == []
+        assert len(built) == 2
+        assert built[1].tobytes() == geometry.close_below(self.HEXAGON).tobytes()
+        assert faces == [((0, 1, 2, 3, 4, 5), 2)]
+
+    def test_closed_set_refused_too(self, monkeypatch):
+        warnings, faces, built, tested = self.run(monkeypatch, 2, self.HEXAGON)
         assert warnings == [self.DIRECT]
-        assert len(built) == 1 and tested[0] is pts
+        assert len(built) == 2 and tested[0] is self.HEXAGON
+        assert faces == [((0, 1, 2, 3, 4, 5), 2)]
 
-    def test_flat_set_jittered_hull(self, monkeypatch):
-        warnings, built, tested, pts = self.run(monkeypatch, [2])
-        assert warnings == [self.JITTER.format(2)]
-        assert built[0] is pts
-        assert built[1].tobytes() == geometry.deterministic_jitter(pts).tobytes()
-        assert tested == []
-
-    def test_flat_set_jitter_fails_too(self, monkeypatch):
-        warnings, built, tested, pts = self.run(monkeypatch, [0, 0])
-        assert warnings == [self.JITTER.format(0), self.DIRECT]
-        assert len(built) == 2 and tested[0] is pts
-
-    def test_dependent_objectives_warn_in_pairs(self):
-        """Every vertex of this front has flat local returns whose jittered
-        hull fails as well, so its warnings come in pairs, in vertex order."""
-        front = search(_depobj(1))
-        want = []
-        for vid in range(11):
-            want += [
-                f"vertex {vid}: local returns span dimension 3 < 4; "
-                "jitter applied before hull construction",
-                f"vertex {vid}: hull construction degenerate; testing faces directly instead",
-            ]
-        assert front.stats.warnings == want
+    def test_dependent_objectives_warn_nothing(self):
+        """Every local return set of this front spans three of four
+        dimensions; closed off below, each gets a hull, so no fallback
+        fires and the front matches the oracle's."""
+        mdp = _depobj(1)
+        front = search(mdp)
+        assert len(front.vertices) == 11
+        assert front.stats.warnings == []
+        assert compare_fronts(front, brute_force_front(mdp)).match
