@@ -147,7 +147,10 @@ class FaceRecord:
     `normals` holds the defining facet normals from the hull where the face
     was first discovered, `alpha` the certificate weights over those normals
     and `t_star` the certified LP optimum. A face found by direct testing
-    (`support_faces`) holds its one supporting normal, with weight 1.
+    (`support_faces`) holds its one supporting normal, with weight 1. Either
+    way the certificate w = alpha @ normals exposes the face: among the
+    points it was found in, w scores exactly the face's vertices at its
+    maximum, which `search.consolidate_faces` relies on.
     """
 
     vertex_ids: tuple[int, ...]
@@ -323,12 +326,7 @@ def group_coincident(points: np.ndarray, eps: float) -> list[list[int]]:
     return list(groups.values())
 
 
-# Singular values at or below this fraction of the largest count as zero in
-# `affine_dimension`.
-AFFINE_RANK_TOL = 1e-9
-
-
-def affine_dimension(points: np.ndarray, tol: float = AFFINE_RANK_TOL) -> int:
+def affine_dimension(points: np.ndarray, tol: float = 1e-9) -> int:
     """Dimension of the affine hull of a point set.
 
     Singular values of the centered difference matrix below tol times the
@@ -344,51 +342,6 @@ def affine_dimension(points: np.ndarray, tol: float = AFFINE_RANK_TOL) -> int:
     if sv.size == 0 or sv[0] <= 0.0:
         return 0
     return int(np.count_nonzero(sv > tol * sv[0]))
-
-
-@dataclass(frozen=True)
-class AffineBasis:
-    """A point set's approximate affine hull of a given dimension k.
-
-    `origin` is the set's first point, `basis` holds as rows the top k right
-    singular vectors of the differences to it, `sv_k` is the k-th singular
-    value (0.0 when there are fewer), `radius` the largest distance of a
-    point from the origin and `count` the number of points.
-    """
-
-    origin: np.ndarray
-    basis: np.ndarray
-    sv_k: float
-    radius: float
-    count: int
-
-    def distances(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's distance from the flat origin + span(basis), and from
-        the origin."""
-        diffs = np.asarray(points, dtype=float) - self.origin
-        off = diffs - (diffs @ self.basis.T) @ self.basis
-        return (
-            np.sqrt(np.einsum("ij,ij->i", off, off)),
-            np.sqrt(np.einsum("ij,ij->i", diffs, diffs)),
-        )
-
-
-def affine_basis(points: np.ndarray, k: int) -> AffineBasis:
-    """The `AffineBasis` of dimension k of a nonempty point set, by one SVD."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError(f"need a nonempty 2-d point array, got shape {pts.shape}")
-    if pts.shape[0] == 1:
-        return AffineBasis(pts[0], np.zeros((0, pts.shape[1])), 0.0, 0.0, 1)
-    diffs = pts[1:] - pts[0]
-    _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
-    return AffineBasis(
-        origin=pts[0],
-        basis=vt[:k],
-        sv_k=float(sv[k - 1]) if 0 < k <= sv.size else 0.0,
-        radius=float(np.sqrt(np.einsum("ij,ij->i", diffs, diffs).max())),
-        count=pts.shape[0],
-    )
 
 
 def close_below(points: np.ndarray) -> np.ndarray:
@@ -721,7 +674,10 @@ def support_faces(points: np.ndarray, apex: int, eps_pos: float) -> list[FaceRec
     Tests subsets containing the apex directly, descending from the full set
     down to segments: a subset passes when some unit normal with every
     coordinate above eps_pos is constant on it and puts every other point
-    weakly below it. A passing subset is not split further.
+    weakly below it. A passing subset is not split further, and a subset
+    inside one that passed is neither tested nor split, as in
+    `select_pareto_faces`: subsets leave the queue by falling size, so each
+    passing subset is maximal.
 
     Returns:
         One record per passing subset, in discovery order, holding the one
@@ -734,7 +690,7 @@ def support_faces(points: np.ndarray, apex: int, eps_pos: float) -> list[FaceRec
     out: list[FaceRecord] = []
     while queue:
         vids = queue.popleft()
-        if vids in tested:
+        if vids in tested or any(set(vids) <= set(f.vertex_ids) for f in out):
             continue
         tested.add(vids)
         dim = affine_dimension(points[list(vids)])

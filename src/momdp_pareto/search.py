@@ -13,15 +13,12 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    AFFINE_RANK_TOL,
-    AffineBasis,
     ApexNotVertexError,
     DegenerateHullError,
     Dominance,
     FaceRecord,
     LocalHull,
-    affine_basis,
-    affine_dimension,
+    affine_dimension,  # unused; the benchmark's tracer binds it on this module
     close_below,
     convex_hull,
     dominance,
@@ -396,133 +393,69 @@ def explore_vertex(
     return new_faces, new_vertices
 
 
-def _coplanar_cut(basis: AffineBasis, sizes: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """The cut above which a face lies clearly off `basis`'s face, for
-    partners with `sizes` vertices whose union with it lies within `reach`
-    of its first vertex; see `consolidate_faces` for why the cut is safe."""
-    if basis.sv_k <= 0.0:
-        return np.full(len(sizes), np.inf)
-    eps = 2.0 * AFFINE_RANK_TOL
-    union_rows = basis.count + sizes - 2
-    tilt = np.sqrt(basis.count - 1) * reach / basis.sv_k
-    return 4.0 * eps * np.sqrt(union_rows) * reach * (1.0 + tilt)
-
-
 def consolidate_faces(
-    faces: list[FaceRecord], scaled_returns: Sequence[np.ndarray]
+    faces: list[FaceRecord], scaled_returns: Sequence[np.ndarray], eps_geom: float = 1e-9
 ) -> list[FaceRecord]:
-    """Merge coplanar face pieces and drop faces nested inside larger ones.
+    """Merge the pieces of each face and drop faces nested inside larger ones.
 
     Local hulls only ever see an apex and its one-change neighbors, so a
-    Pareto face with many vertices is discovered one corner at a time. Any two
-    recorded faces of the same dimension whose combined vertices are still
-    coplanar must belong to the same face of the return polytope: a face's
-    affine hull meets the polytope in exactly that face, so distinct maximal
-    faces can never share an affine hull. Merging is therefore exact, not a
-    heuristic. Afterwards, faces whose vertex sets sit strictly inside another
-    face (subfaces picked up while descending past failing siblings) are
-    dropped, leaving one record per maximal face. A by-vertex index finds the
-    faces that hold all of a face's vertices.
-
-    Each vertex-sharing pair of faces of one dimension k is tested once, and
-    not at all once the two are joined through other pairs. The union's
-    `affine_dimension` decides the pair, unless a screen settles it first:
-    with the `affine_basis` of the pair's first face a (one SVD per face),
-    the pair is apart when some vertex of the second face lies farther than
-    a cut tau from a's flat. The cut never rejects a pair that the union
-    would merge. Let M be the union's difference matrix, eps the relative
-    cut of `affine_dimension`, m the rows of M, n_a and s_k a's vertex count
-    and k-th singular value, and R the largest distance of a union vertex
-    from a's first vertex, so that 2R bounds the union's diameter.
-    - A merge needs sigma_{k+1}(M) <= eps sigma_1(M). Each row of M is then
-      within sigma_{k+1}(M) of the span of M's top k right singular vectors,
-      so every union vertex is within delta = eps sigma_1(M) <= 2 eps
-      sqrt(m) R of one k-flat Phi.
-    - a's differences are then a matrix of rank k in Phi's direction plus an
-      error E with ||E|| <= 2 delta sqrt(n_a - 1). By Wedin's sin-theta
-      theorem a's basis is tilted from Phi by at most ||E|| / s_k.
-    - So every union vertex p is within 2 delta + ||E|| |p - a_0| / s_k
-      <= 2 delta (1 + sqrt(n_a - 1) R / s_k) of a's flat.
-    tau is that bound with eps doubled. The doubling absorbs the rounding of
-    the two SVDs and of the distances, which is of relative order 1e-16,
-    while the cut only falls below R where s_k exceeds about eps R.
+    Pareto face with many vertices is discovered one corner at a time. Each
+    piece's certificate w = alpha @ normals exposes the whole face: w
+    combines the normals of the local facets through the piece, and each
+    piece is maximal among the passing faces of its hull, so w exposes
+    exactly the piece there (a larger face exposed by w would pass with the
+    same certificate and have been recorded instead). A face of a vertex's
+    one-change hull is a face of the global polytope (the paper's locality
+    result), so w supports the polytope and scores exactly that face's
+    vertices at its maximum (Ziegler, *Lectures on Polytopes*, §2.1). Each
+    piece is therefore keyed by the front vertices that its w scores within
+    eps_geom times the returns' scale of its maximum, `convex_hull`'s
+    incidence tolerance; the first piece with a key is the face's record,
+    holding the key as its vertex ids. Afterwards, faces whose vertex sets
+    sit strictly inside another face (subfaces picked up while descending
+    past failing siblings) are dropped, leaving one record per maximal face.
+    A by-vertex index finds the faces that hold all of a face's vertices.
 
     Args:
         faces: recorded faces, in discovery order.
         scaled_returns: scaled vertex returns indexed by global vertex id.
+        eps_geom: the relative tolerance of a score tie.
 
     Returns:
         Consolidated face records, ordered by first discovery.
+
+    Raises:
+        SearchAbortError: when a piece's certificate scores one of the
+            piece's own vertices below its maximum.
     """
-    n = len(faces)
-    if n == 0:
+    if not faces:
         return []
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_vertex: dict[int, list[int]] = {}
-    for i, f in enumerate(faces):
-        for v in f.vertex_ids:
-            by_vertex.setdefault(v, []).append(i)
-    pieces_at = {v: np.array(ids) for v, ids in by_vertex.items()}
     points = np.asarray(scaled_returns, dtype=float)
-    dims = np.array([f.dim for f in faces])
-    sizes = np.array([len(f.vertex_ids) for f in faces])
-    # Vertex ids of each face, padded with an id one past the last vertex,
-    # whose distances below are -inf.
-    padded = np.full((n, sizes.max()), len(points))
+    tol = eps_geom * max(1.0, float(np.abs(points).max()))
+    by_key: dict[tuple[int, ...], FaceRecord] = {}
     for i, f in enumerate(faces):
-        padded[i, : sizes[i]] = f.vertex_ids
-    # Pieces of one face always chain through shared vertices, so testing
-    # vertex-sharing pairs plus union-find transitivity merges whole faces.
-    for i, f in enumerate(faces):
-        near = np.unique(np.concatenate([pieces_at[v] for v in f.vertex_ids]))
-        partners = near[(near > i) & (dims[near] == f.dim)]
-        if partners.size == 0:
-            continue
-        basis = affine_basis(points[list(f.vertex_ids)], f.dim)
-        off, dist = (np.append(x, -np.inf) for x in basis.distances(points))
-        rows = padded[partners]
-        reach = np.maximum(dist[rows].max(axis=1), basis.radius)
-        cut = _coplanar_cut(basis, sizes[partners], reach)
-        for j in partners[off[rows].max(axis=1) <= cut].tolist():
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                continue
-            union = sorted(set(f.vertex_ids) | set(faces[j].vertex_ids))
-            if affine_dimension(points[union]) == f.dim:
-                parent[max(ri, rj)] = min(ri, rj)
-
-    merged: dict[int, FaceRecord] = {}
-    for i, f in enumerate(faces):
-        root = find(i)
-        if root not in merged:
-            merged[root] = f
-        else:
-            base = merged[root]
-            merged[root] = dataclasses.replace(
-                base, vertex_ids=tuple(sorted(set(base.vertex_ids) | set(f.vertex_ids)))
+        score = points @ (f.alpha @ f.normals)
+        top = score.max() - tol
+        if score[list(f.vertex_ids)].min() < top:
+            raise SearchAbortError(
+                f"face piece {i} on vertices {f.vertex_ids}: its certificate scores "
+                "some of these vertices more than eps_geom below its maximum, so "
+                "it does not expose the piece"
             )
-    ordered = [merged[root] for root in sorted(merged)]
+        key = tuple(np.flatnonzero(score >= top).tolist())
+        if key not in by_key:
+            by_key[key] = f if key == f.vertex_ids else dataclasses.replace(f, vertex_ids=key)
+    ordered = list(by_key.values())
 
     faces_at: dict[int, set[int]] = {}
     for pos, f in enumerate(ordered):
         for v in f.vertex_ids:
             faces_at.setdefault(v, set()).add(pos)
     keep: list[FaceRecord] = []
-    seen: set[tuple[int, ...]] = set()
     for f in ordered:
-        if f.vertex_ids in seen:
-            continue
         around = set.intersection(*(faces_at[v] for v in f.vertex_ids))
         if any(len(ordered[g].vertex_ids) > len(f.vertex_ids) for g in around):
             continue
-        seen.add(f.vertex_ids)
         keep.append(f)
     return keep
 
@@ -568,7 +501,7 @@ def search(mdp: Mdp, config: SearchConfig | None = None) -> ParetoFront:
         vid = ctx.queue.popleft()
         ctx.stats.iterations += 1
         explore_vertex(ctx, ctx.vertices[vid])
-    faces = consolidate_faces(ctx.faces, ctx.scaled)
+    faces = consolidate_faces(ctx.faces, ctx.scaled, config.eps_geom)
     t2 = time.perf_counter()
     ctx.stats.wall_time["explore"] = t2 - t1
     ctx.stats.wall_time["total"] = t2 - t0

@@ -600,9 +600,10 @@ def _oriented_facets(pts, hull, planes, apex_id, eps_geom):
 
 
 def pairwise_consolidate_faces(faces, scaled_returns):
-    """`consolidate_faces` with the union SVD run on every vertex-sharing
-    pair of equal dimension, once per shared vertex, and nesting found by
-    comparing every face with every other."""
+    """Face consolidation by the affine dimension of unions: the union SVD
+    run on every vertex-sharing pair of equal dimension, once per shared
+    vertex, and nesting found by comparing every face with every other. It
+    is the reference for `consolidate_faces`' exposed-set rule."""
     n = len(faces)
     parent = list(range(n))
 

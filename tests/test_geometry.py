@@ -11,13 +11,11 @@ from scipy.optimize._highspy import _core as _highs
 
 from momdp_pareto import gen_gridworld, gen_random_mdp, geometry, long_term_return, oracle
 from momdp_pareto.geometry import (
-    AffineBasis,
     ApexNotVertexError,
     DegenerateHullError,
     Dominance,
     DualPool,
     _support_lp,
-    affine_basis,
     affine_dimension,
     close_below,
     convex_hull,
@@ -550,9 +548,9 @@ class TestCloseBelow:
     def test_faces_through_point_0_equal_the_direct_tests(self, dim):
         """On sets of at most D points, all too flat for a hull of their
         own, the descent on the closed hull finds the faces through point 0
-        that `support_faces` finds, by vertex set and dimension. The direct
-        tests may also pass a subset of a passing face, which search's
-        consolidation drops; only their maximal sets are compared."""
+        that `support_faces` finds, by vertex set and dimension, each once.
+        The direct tests skip every subset of a subset that passed, so they
+        record maximal sets only."""
         rng = np.random.default_rng(10 + dim)
         compared = 0
         for n in range(2, dim + 1):
@@ -566,10 +564,7 @@ class TestCloseBelow:
                 hull = convex_hull(close_below(pts))
                 got = {(f.vertex_ids, f.dim) for f in select_pareto_faces(0, hull)[0]}
                 direct = [(f.vertex_ids, f.dim) for f in support_faces(pts, 0, 1e-9)]
-                maximal = {
-                    (vids, d) for vids, d in direct if not any(set(vids) < set(o) for o, _ in direct)
-                }
-                assert got == maximal
+                assert len(direct) == len(got) and got == set(direct)
                 assert all(max(vids) < n for vids, _ in got)
                 compared += 1
         assert compared == 12 * (dim - 1)
@@ -863,23 +858,6 @@ class TestQhullOrientation:
             *(f"dupact-S4-A3-D3-s{s}" for s in range(3)),
         ]
         assert closed.count("depobj-S5-A3-D4-s1") > 10
-
-
-class TestAffineBasis:
-    def test_triangle_in_space(self):
-        pts = np.array([[1.0, 0, 0], [3.0, 0, 0], [1.0, 4, 0]])
-        basis = affine_basis(pts, 2)
-        assert isinstance(basis, AffineBasis)
-        assert basis.count == 3 and basis.radius == 4.0
-        assert basis.sv_k == pytest.approx(2.0)
-        off, dist = basis.distances(np.array([[2.0, 1, 0.5], [1.0, 0, -3]]))
-        np.testing.assert_allclose(off, [0.5, 3.0])
-        np.testing.assert_allclose(dist, [1.5, 3.0])
-
-    def test_too_few_points_for_the_dimension(self):
-        basis = affine_basis(np.array([[0.0, 0], [1.0, 1]]), 2)
-        assert basis.sv_k == 0.0
-        assert affine_basis(np.array([[0.0, 1.0]]), 1).sv_k == 0.0
 
 
 class TestIncidentFacets:

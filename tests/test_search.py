@@ -20,7 +20,6 @@ from momdp_pareto import (
 from momdp_pareto import geometry
 from momdp_pareto.geometry import (
     Dominance,
-    affine_basis,
     affine_dimension,
     convex_hull,
     dominance,
@@ -30,7 +29,6 @@ from momdp_pareto.geometry import (
 from momdp_pareto.mdp import enumerate_deterministic, neighbors_one
 from momdp_pareto.search import (
     _add_vertex,
-    _coplanar_cut,
     _find_vertex,
     _policy_key,
     consolidate_faces,
@@ -303,43 +301,97 @@ def test_return_scale_formula():
     )
 
 
+def piece(vertex_ids, dim, *normals):
+    """A face piece whose certificate weighs the given normals equally."""
+    normals = np.array(normals, dtype=float)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    alpha = np.full(len(normals), 1.0 / len(normals))
+    return FaceRecord(vertex_ids, dim, normals, alpha, float((alpha @ normals).min()))
+
+
+def square_pyramid():
+    """The unit square at z = 0 (points 0-3) and a point above corner 0."""
+    return [
+        np.array([0.0, 0.0, 0.0]),
+        np.array([1.0, 0.0, 0.0]),
+        np.array([1.0, 1.0, 0.0]),
+        np.array([0.0, 1.0, 0.0]),
+        np.array([0.0, 0.0, 1.0]),
+    ]
+
+
 class TestConsolidateFaces:
+    """Every piece carries a weight that supports the point set and scores
+    the piece's vertices at its maximum, as a certificate of `search` does."""
+
     def test_merges_coplanar_pieces_and_drops_nested(self):
-        pts = [
-            np.array([0.0, 0.0, 0.0]),
-            np.array([1.0, 0.0, 0.0]),
-            np.array([1.0, 1.0, 0.0]),
-            np.array([0.0, 1.0, 0.0]),
-            np.array([0.0, 0.0, 1.0]),
-        ]
-        dummy = dict(normals=np.array([[0.0, 0.0, 1.0]]), alpha=np.ones(1), t_star=1.0)
+        pts = square_pyramid()
         faces = [
-            FaceRecord(vertex_ids=(0, 1, 2), dim=2, **dummy),
-            FaceRecord(vertex_ids=(0, 2, 3), dim=2, **dummy),
-            FaceRecord(vertex_ids=(0, 1), dim=1, **dummy),
-            FaceRecord(vertex_ids=(0, 4), dim=1, **dummy),
-            FaceRecord(vertex_ids=(0, 1, 4), dim=2, **dummy),
+            # Two halves of the square, each with the square's own weight.
+            piece((0, 1, 2), 2, (0, 0, -1)),
+            piece((0, 2, 3), 2, (0, 0, -1)),
+            # The edge 0-1 between the square and the side y = 0.
+            piece((0, 1), 1, (0, -1, 0), (0, 0, -1)),
+            piece((0, 4), 1, (-1, -1, 0)),
+            piece((0, 1, 4), 2, (0, -1, 0)),
         ]
         out = consolidate_faces(faces, pts)
-        got = {f.vertex_ids for f in out}
         # The two square pieces fuse, the edge inside the square disappears,
         # and the face in the other plane survives with its own edge absorbed.
-        assert got == {(0, 1, 2, 3), (0, 1, 4)}
+        assert [f.vertex_ids for f in out] == [(0, 1, 2, 3), (0, 1, 4)]
+        # The first piece's certificate becomes the square's; a piece that
+        # is its whole face is kept as it is.
+        assert out[0].normals is faces[0].normals and out[0].dim == 2
+        assert out[1] is faces[4]
 
     def test_keeps_separate_parallel_faces(self):
+        """The two parallel sides of a flat square, each exposed from its
+        own side."""
         pts = [
             np.array([0.0, 0.0, 0.0]),
             np.array([1.0, 0.0, 0.0]),
             np.array([0.0, 0.0, 1.0]),
             np.array([1.0, 0.0, 1.0]),
         ]
-        dummy = dict(normals=np.array([[0.0, 1.0, 0.0]]), alpha=np.ones(1), t_star=1.0)
-        faces = [
-            FaceRecord(vertex_ids=(0, 1), dim=1, **dummy),
-            FaceRecord(vertex_ids=(2, 3), dim=1, **dummy),
-        ]
+        faces = [piece((0, 1), 1, (0, 0, -1)), piece((2, 3), 1, (0, 0, 1))]
         out = consolidate_faces(faces, pts)
-        assert {f.vertex_ids for f in out} == {(0, 1), (2, 3)}
+        assert [f.vertex_ids for f in out] == [(0, 1), (2, 3)]
+        assert out[0] is faces[0] and out[1] is faces[1]
+
+    def test_piece_its_certificate_does_not_expose_aborts(self):
+        pts = square_pyramid()
+        faces = [piece((0, 1), 1, (0, 0, -1)), piece((0, 1, 4), 2, (0, 0, -1))]
+        with pytest.raises(SearchAbortError, match=r"face piece 1 on vertices \(0, 1, 4\)"):
+            consolidate_faces(faces, pts)
+
+    def test_no_svd(self, raw_face_lists, monkeypatch):
+        """`consolidate_faces` decides by one product per piece; it takes
+        no `affine_dimension` at any binding."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return affine_dimension(*args, **kwargs)
+
+        monkeypatch.setattr(_search_module(), "affine_dimension", spy)
+        monkeypatch.setattr(geometry, "affine_dimension", spy)
+        lists = raw_face_lists.values()
+        merged = sum(len(consolidate_faces(faces, scaled)) for faces, scaled in lists)
+        assert merged < sum(len(faces) for faces, _ in lists)
+        assert calls == []
+
+    def test_search_passes_its_eps_geom(self, monkeypatch):
+        module = _search_module()
+        original = module.consolidate_faces
+        seen = []
+
+        def spy(faces, scaled, eps_geom):
+            seen.append(eps_geom)
+            return original(faces, scaled, eps_geom)
+
+        monkeypatch.setattr(module, "consolidate_faces", spy)
+        search(gen_random_mdp(0, 4, 3, 3), SearchConfig(eps_geom=2e-9))
+        assert seen == [2e-9]
 
 
 def _depobj(seed):
@@ -357,6 +409,7 @@ RAW_FACE_SOURCES = {
     "gamma0": lambda: gen_random_mdp(1, 4, 3, 4, gamma=0.0),
     "depobj": lambda: _depobj(1),
     "grid-2x2": lambda: gen_gridworld(2, 2, 2, 3),
+    **{f"golden-{name}": build for name, build in GOLDEN_INSTANCES.items()},
 }
 
 
@@ -375,9 +428,9 @@ def raw_face_lists():
     for name, build in RAW_FACE_SOURCES.items():
         captured = []
 
-        def capture(faces, scaled):
+        def capture(faces, scaled, eps_geom):
             captured.append((list(faces), list(scaled)))
-            return original(faces, scaled)
+            return original(faces, scaled, eps_geom)
 
         module.consolidate_faces = capture
         try:
@@ -388,131 +441,62 @@ def raw_face_lists():
     return lists
 
 
-def _same_pairs(faces):
-    """Distinct pairs of faces that share a vertex and a dimension."""
-    return {
-        (i, j)
-        for i, f in enumerate(faces)
-        for j in range(i + 1, len(faces))
-        if f.dim == faces[j].dim and set(f.vertex_ids) & set(faces[j].vertex_ids)
-    }
-
-
 class TestConsolidationScreen:
-    """`consolidate_faces`' screen and by-vertex nesting index against the
-    union SVD on every pair and the all-pairs nesting scan."""
-
-    @staticmethod
-    def counting_svds(monkeypatch):
-        module = _search_module()
-        calls = {"union": 0, "basis": 0}
-        union, basis = module.affine_dimension, module.affine_basis
-
-        def count_union(points, *args, **kwargs):
-            calls["union"] += 1
-            return union(points, *args, **kwargs)
-
-        def count_basis(points, k):
-            calls["basis"] += 1
-            return basis(points, k)
-
-        monkeypatch.setattr(module, "affine_dimension", count_union)
-        monkeypatch.setattr(module, "affine_basis", count_basis)
-        return calls
+    """`consolidate_faces`' exposed-set rule against the union SVD on every
+    vertex-sharing pair and the all-pairs nesting scan
+    (`pairwise_consolidate_faces`)."""
 
     @pytest.mark.parametrize("name", sorted(RAW_FACE_SOURCES))
-    def test_same_output_as_union_svd_on_every_pair(self, raw_face_lists, name, monkeypatch):
+    def test_same_output_as_union_svd_on_every_pair(self, raw_face_lists, name):
         faces, scaled = raw_face_lists[name]
         want = pairwise_consolidate_faces(faces, scaled)
-        calls = self.counting_svds(monkeypatch)
         got = consolidate_faces(faces, scaled)
         assert [f.vertex_ids for f in got] == [f.vertex_ids for f in want]
         assert all(f is g or f.normals is g.normals for f, g in zip(got, want))
-        # One basis per face at most, and at most one union SVD per pair.
-        assert calls["basis"] <= len(faces)
-        assert calls["union"] <= len(_same_pairs(faces))
+        assert [f.dim for f in got] == [f.dim for f in want]
 
-    def test_each_pair_tested_once(self, monkeypatch):
-        """Four triangles share vertex 0, two of them coplanar; two pairs
-        also share a second vertex."""
-        pts = [
-            np.array([0.0, 0.0, 0.0]),
-            np.array([1.0, 0.0, 0.0]),
-            np.array([0.0, 1.0, 0.0]),
-            np.array([-1.0, 0.0, 0.0]),
-            np.array([0.0, 0.0, 1.0]),
-            np.array([0.0, -1.0, 1.0]),
-        ]
-        dummy = dict(normals=np.ones((1, 3)), alpha=np.ones(1), t_star=1.0)
-        faces = [
-            FaceRecord(vertex_ids=(0, 1, 2), dim=2, **dummy),
-            FaceRecord(vertex_ids=(0, 2, 3), dim=2, **dummy),
-            FaceRecord(vertex_ids=(0, 1, 4), dim=2, **dummy),
-            FaceRecord(vertex_ids=(0, 4, 5), dim=2, **dummy),
-        ]
-        helpers = importlib.import_module("helpers")
-        reference_calls = []
-        union = helpers.affine_dimension
-
-        def count_reference(points, *args, **kwargs):
-            reference_calls.append(1)
-            return union(points, *args, **kwargs)
-
-        monkeypatch.setattr(helpers, "affine_dimension", count_reference)
-        want = pairwise_consolidate_faces(faces, pts)
-        calls = self.counting_svds(monkeypatch)
-        got = consolidate_faces(faces, pts)
-        assert [f.vertex_ids for f in got] == [(0, 1, 2, 3), (0, 1, 4), (0, 4, 5)]
-        assert [f.vertex_ids for f in got] == [f.vertex_ids for f in want]
-        # The reference runs the union SVD on each of the six pairs, and again
-        # on the two pairs that share a second vertex. Only the coplanar pair
-        # reaches it here; the screen settles the other five.
-        assert len(reference_calls) == 8
-        assert calls["union"] == 1
+    @pytest.mark.parametrize("name", sorted(RAW_FACE_SOURCES))
+    def test_each_certificate_exposes_its_face(self, raw_face_lists, name):
+        """The locality property the rule rests on: over all front vertices,
+        each raw piece's certificate scores the piece's own vertices within
+        1e-12 of its maximum, and the vertices it scores within eps_geom of
+        its maximum are exactly one consolidated face."""
+        faces, scaled = raw_face_lists[name]
+        pts = np.asarray(scaled)
+        tol = 1e-9 * max(1.0, np.abs(pts).max())
+        merged = {f.vertex_ids for f in consolidate_faces(faces, scaled)}
+        for f in faces:
+            score = pts @ (f.alpha @ f.normals)
+            assert score.max() - score[list(f.vertex_ids)].min() <= 1e-12
+            tied = tuple(np.flatnonzero(score >= score.max() - tol).tolist())
+            assert set(f.vertex_ids) <= set(tied) and tied in merged
 
     @staticmethod
     def tilted_pair(height):
-        """Two triangles sharing the edge 1-2; the second's far corner sits
-        `height` above the first's plane."""
+        """Two triangles sharing the edge 1-2, each with its outward normal;
+        the second's far corner sits `height` above the first's plane."""
         pts = [
             np.array([0.0, 0.0, 0.0]),
             np.array([1.0, 0.0, 0.0]),
             np.array([0.0, 1.0, 0.0]),
             np.array([1.0, 1.0, height]),
         ]
-        dummy = dict(normals=np.ones((1, 3)), alpha=np.ones(1), t_star=1.0)
-        faces = [
-            FaceRecord(vertex_ids=(0, 1, 2), dim=2, **dummy),
-            FaceRecord(vertex_ids=(1, 2, 3), dim=2, **dummy),
-        ]
-        basis = affine_basis(np.array(pts[:3]), 2)
-        off, dist = basis.distances(np.array(pts[1:]))
-        reach = max(dist.max(), basis.radius)
-        cut = _coplanar_cut(basis, np.array([3]), np.array([reach]))[0]
-        return faces, pts, off.max(), cut
-
-    @pytest.mark.parametrize("side", ["above", "below"])
-    def test_pair_either_side_of_the_cut(self, side, monkeypatch):
-        _, _, _, cut = self.tilted_pair(0.0)
-        faces, pts, residual, new_cut = self.tilted_pair(cut * (1.5 if side == "above" else 0.5))
-        assert (residual > new_cut) == (side == "above")
-        calls = self.counting_svds(monkeypatch)
-        got = consolidate_faces(faces, pts)
-        # Above the cut the screen settles the pair; below it the union SVD
-        # does. Either way the corner is far above the 1e-9 relative cut of
-        # `affine_dimension`, so the pair stays apart.
-        assert calls["union"] == (0 if side == "above" else 1)
-        assert [f.vertex_ids for f in got] == [(0, 1, 2), (1, 2, 3)]
-        assert [f.vertex_ids for f in got] == [
-            f.vertex_ids for f in pairwise_consolidate_faces(faces, pts)
-        ]
+        faces = [piece((0, 1, 2), 2, (0, 0, -1)), piece((1, 2, 3), 2, (height, height, -1))]
+        return faces, pts
 
     @pytest.mark.parametrize("height", [0.0, 1e-13, 1e-11, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7, 1e-6])
     def test_heights_around_both_cuts_match_the_union_svd(self, height):
-        faces, pts, _, _ = self.tilted_pair(height)
-        got = consolidate_faces(faces, pts)
-        want = pairwise_consolidate_faces(faces, pts)
-        assert [f.vertex_ids for f in got] == [f.vertex_ids for f in want]
+        """Far from 1e-9, the union SVD's relative cut and the rule's
+        eps_geom tie agree. Near it the two cuts differ in how they measure
+        the corner's height, so there the rule's own threshold is pinned:
+        a corner within eps_geom of the other piece's plane joins the face."""
+        faces, pts = self.tilted_pair(height)
+        got = [f.vertex_ids for f in consolidate_faces(faces, pts)]
+        if height <= 1e-11 or height >= 1e-8:
+            want = pairwise_consolidate_faces(faces, pts)
+            assert got == [f.vertex_ids for f in want]
+        else:
+            assert got == ([(0, 1, 2, 3)] if height <= 1e-9 else [(0, 1, 2), (1, 2, 3)])
 
 
 def test_search_config_defaults():
