@@ -88,6 +88,8 @@ def _print_stats_line(front) -> None:
         f"vertices={len(front.vertices)} faces={len(front.faces)} "
         f"policies_evaluated={front.stats.policies_evaluated} "
         f"planner_calls={front.stats.planner_calls} "
+        f"lps_solved={front.stats.lps_solved} "
+        f"lps_screened={front.stats.lps_screened} "
         f"wall_time_s={total:.3f} "
         f"degeneracy_warnings={len(front.stats.warnings)}"
     )

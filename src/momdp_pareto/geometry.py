@@ -33,14 +33,16 @@ class ApexNotVertexError(RuntimeError):
 # LP, had it been solved, would have failed the face too. Let W hold the
 # face's n unit normals (so |W_ij| <= 1) in D objectives and u = 2**-53.
 # For a and y' on the simplex, weak duality gives
-# min_j (a W)_j <= a W y' <= max_i (W y')_i. The LP's t_star is
-# min_j (alpha W)_j in floating point, with alpha scaled to sum 1 in
-# floating point; against a = alpha / sum(alpha) it is off by at most n u
-# from the products and (n + 1) u from the scaling. The screen's value,
-# max_i (W y)_i with y scaled likewise, is off from y' = y / sum(y) by at
-# most D u and (D + 1) u. So t_star <= value + (n + D + 1) 2**-52, which is
-# below 1e-12 while n + D < 4400 (the rounding of eps_pos - 1e-12 adds at
-# most u eps_pos). n is at most the number of facets through one vertex.
+# min_j (a W)_j <= a W y' <= max_i (W y')_i, whichever a and y' were found
+# by. The LP's t_star is min_j (alpha W)_j in floating point, with alpha
+# scaled to sum 1 in floating point, the same way whether HiGHS or the
+# closed form for two normals gave alpha (`pareto_lp`); against
+# a = alpha / sum(alpha) it is off by at most n u from the products and
+# (n + 1) u from the scaling. The screen's value, max_i (W y)_i with y
+# scaled likewise, is off from y' = y / sum(y) by at most D u and
+# (D + 1) u. So t_star <= value + (n + D + 1) 2**-52, which is below 1e-12
+# while n + D < 4400 (the rounding of eps_pos - 1e-12 adds at most
+# u eps_pos). n is at most the number of facets through one vertex.
 _DUAL_SLACK = 1e-12
 
 
@@ -128,10 +130,12 @@ class LpCertificate:
 
     `normals` are the LP's input rows, `alpha` the optimal convex weights over
     them and `t_star` the smallest coordinate of `alpha @ normals`. `dual`
-    holds the LP's optimal weights y over the objectives, minus HiGHS's
-    duals of the rows `t <= (alpha @ normals)_j`: they lie on the simplex
-    and max_i (normals @ y)_i is the optimum, both to solver tolerance.
-    It is None where no LP was solved.
+    holds the LP's optimal weights y over the objectives: they lie on the
+    simplex and max_i (normals @ y)_i is the optimum. Over two normals y is
+    some e_j or a mix of two objectives from the closed form, to rounding;
+    over three or more it is minus HiGHS's duals of the rows
+    `t <= (alpha @ normals)_j`, to solver tolerance. It is None for a
+    single normal, which needs no LP.
     """
 
     normals: np.ndarray
@@ -579,21 +583,74 @@ def _highs_lp(
     return x, np.array(solution.row_dual), None
 
 
+def _ridge_lp(W: np.ndarray) -> tuple[list[float], list[float]]:
+    """The positivity LP over two normals u, v in closed form.
+
+    With weights (a, 1 - a) the LP is max over a in [0, 1] of
+    min_j (v_j + a s_j), s = u - v: a concave, piecewise-linear function of
+    a whose maximum lies at a = 0, at a = 1 or where a coordinate j with
+    s_j >= 0 crosses one k with s_k <= 0, at a = p / (p + q) with
+    p = v_k - v_j and q = u_j - u_k, inside (0, 1) when both are positive.
+    Its dual, min over y on the simplex of max(u @ y, v @ y), has its
+    minimum at some e_j or on the edge between a j with s_j > 0 and a k
+    with s_k < 0, at y_j = -s_k / (s_j - s_k) and y_k = s_j / (s_j - s_k),
+    where u @ y = v @ y. Each side takes its best candidate, the first on
+    ties, in the order listed: a = 0, a = 1, then crossings by ascending
+    (j, k); each e_j by ascending j, then edges by ascending (j, k).
+
+    Returns:
+        (the weights (a, 1 - a) of u and v, the dual weights y).
+    """
+    if not np.isfinite(W).all():
+        raise ValueError(f"normals of shape {W.shape} have entries that are not finite")
+    u, v = W.tolist()
+    cols = range(len(u))
+    s = [uj - vj for uj, vj in zip(u, v)]
+    pairs = [(j, k) for j in cols if s[j] >= 0.0 for k in cols if s[k] <= 0.0]
+
+    best_a, best_t = 0.0, min(v)
+    crossings = [
+        p / (p + q) for p, q in ((v[k] - v[j], u[j] - u[k]) for j, k in pairs) if p > 0.0 < q
+    ]
+    for a in [1.0, *crossings]:
+        t = min(a * uj + (1.0 - a) * vj for uj, vj in zip(u, v))
+        if t > best_t:
+            best_a, best_t = a, t
+
+    tops = [max(uj, vj) for uj, vj in zip(u, v)]
+    best_m = min(tops)
+    y = [0.0] * len(u)
+    y[tops.index(best_m)] = 1.0
+    for j, k in pairs:
+        if s[j] > 0.0 > s[k]:
+            yj, yk = -s[k] / (s[j] - s[k]), s[j] / (s[j] - s[k])
+            m = max(yj * u[j] + yk * u[k], yj * v[j] + yk * v[k])
+            if m < best_m:
+                best_m = m
+                y = [0.0] * len(u)
+                y[j], y[k] = yj, yk
+    return [best_a, 1.0 - best_a], y
+
+
 def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
     """Maximize the smallest coordinate of a convex combination of normals.
 
     Solves max_t { t : sum_i alpha_i W[i, j] >= t for all j, alpha in the
     simplex }. The face whose defining facet normals are W is on the Pareto
-    front exactly when the optimum is positive.
+    front exactly when the optimum is positive. A single normal needs no
+    LP, two are solved in closed form (`_ridge_lp`), and three or more by
+    HiGHS (`_highs_lp`).
 
     Returns:
         Certificate with the optimal simplex weights and objective value; the
-        weights are clipped to the simplex and t_star recomputed from them, so
-        the certificate is always exactly feasible. Its `dual` holds the
-        LP's dual weights over the objectives, None for a single normal,
-        which needs no LP.
+        weights are clipped to the simplex and t_star recomputed from them, the
+        same way on both paths, so the certificate is always exactly
+        feasible. Its `dual` holds the LP's dual weights over the
+        objectives, None for a single normal.
 
     Raises:
+        ValueError: when the normals are not a nonempty 2-d array, or hold
+            an entry that is not finite; the message names their shape.
         RuntimeError: when HiGHS returns no acceptable optimum; the message
             names the model status and the shape of the normals.
     """
@@ -603,31 +660,39 @@ def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
     n, d = W.shape
     if n == 1:
         return LpCertificate(normals=W, alpha=np.ones(1), t_star=float(W[0].min()))
-    # Variables x = (alpha_1..alpha_n, t); maximize t.
-    cost = np.zeros(n + 1)
-    cost[-1] = -1.0
-    a_ub = np.hstack([-W.T, np.ones((d, 1))])
-    a_eq = np.ones((1, n + 1))
-    a_eq[0, -1] = 0.0
-    lower = np.zeros(n + 1)
-    lower[-1] = -_INF
-    x, row_dual, why = _highs_lp(cost, a_ub, a_eq, np.ones(1), lower, np.full(n + 1, _INF))
-    if x is None:
-        raise RuntimeError(f"positivity LP over normals of shape {W.shape} failed: {why}")
-    alpha = np.maximum(x[:n], 0.0)
+    if n == 2:
+        x, dual = _ridge_lp(W)
+    else:
+        # Variables x = (alpha_1..alpha_n, t); maximize t.
+        cost = np.zeros(n + 1)
+        cost[-1] = -1.0
+        a_ub = np.hstack([-W.T, np.ones((d, 1))])
+        a_eq = np.ones((1, n + 1))
+        a_eq[0, -1] = 0.0
+        lower = np.zeros(n + 1)
+        lower[-1] = -_INF
+        x, row_dual, why = _highs_lp(cost, a_ub, a_eq, np.ones(1), lower, np.full(n + 1, _INF))
+        if x is None:
+            raise RuntimeError(f"positivity LP over normals of shape {W.shape} failed: {why}")
+        x, dual = x[:n], -row_dual[:d]
+    alpha = np.maximum(x, 0.0)
     alpha = alpha / alpha.sum()
     t_star = float((alpha @ W).min())
-    return LpCertificate(normals=W, alpha=alpha, t_star=t_star, dual=-row_dual[:d])
+    return LpCertificate(normals=W, alpha=alpha, t_star=t_star, dual=np.asarray(dual, dtype=float))
 
 
-def passes_sign_screen(normals: np.ndarray, eps_pos: float) -> bool:
-    """False when some objective has no normal entry above eps_pos.
+def sign_masks(normals: np.ndarray, eps_pos: float) -> list[int]:
+    """One integer per row of normals, with bit j set when the row's entry
+    j exceeds eps_pos.
 
-    Every convex combination of the normals is then at most eps_pos in that
-    objective, so the positivity LP optimum cannot exceed eps_pos and the face
-    fails without solving it. True means only that the LP has to decide.
+    The sign screen: a face whose defining normals' integers OR to fewer
+    than all D bits has an objective with no normal entry above eps_pos.
+    Every convex combination of them is then at most eps_pos in that
+    objective, so the positivity LP optimum cannot exceed eps_pos and the
+    face fails without solving it. All D bits set means only that the LP
+    has to decide.
     """
-    return bool((normals.max(axis=0) > eps_pos).all())
+    return ((normals > eps_pos) @ (1 << np.arange(normals.shape[1]))).tolist()
 
 
 def _support_lp(points: np.ndarray, vids: tuple[int, ...]) -> tuple[np.ndarray | None, float]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -20,8 +21,8 @@ from .geometry import (
     dominated_by,
     group_coincident,
     incident_facets,
-    passes_sign_screen,
     pprune,
+    sign_masks,
 )
 from .mdp import (
     InvalidMdpError,
@@ -126,8 +127,9 @@ def brute_force_front(
 
     Returns too flat for a hull are closed off below (`close_below`); the
     appended rows, ids n and up, lie on no Pareto face. Nor does a face
-    pass through a vertex whose facet normals fail `passes_sign_screen`, as
-    it holds a subset of them, so neither kind of vertex starts a descent.
+    pass through a vertex whose facet normals fail the sign screen
+    (`sign_masks`), as it holds a subset of them, so neither kind of vertex
+    starts a descent.
     A face's LP input is the set of hull facets containing it, so each
     descent records exactly the maximal Pareto faces through its apex, and
     together they leave nothing to merge.
@@ -178,10 +180,15 @@ def brute_force_front(
             hull = convex_hull(pts, eps_geom=eps_geom)
         except DegenerateHullError:
             hull = convex_hull(close_below(pts), eps_geom=eps_geom)
+        signs_of = sign_masks(hull.normals, eps_pos)
+        every_sign = (1 << hull.ambient_dim) - 1
         for apex in hull.vertex_ids:
             if apex >= n:
                 break
-            if passes_sign_screen(hull.normals[list(incident_facets(hull, apex))], eps_pos):
+            signs = functools.reduce(
+                operator.or_, (signs_of[fi] for fi in incident_facets(hull, apex)), 0
+            )
+            if signs == every_sign:
                 passing += select_pareto_faces(apex, hull, eps_pos)[0]
         stats.count_face_work(hull)
     # A face passes from each of its corners; keep its first record.

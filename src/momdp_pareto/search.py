@@ -26,8 +26,8 @@ from .geometry import (
     incident_facets,
     mask_ids,
     pareto_lp,
-    passes_sign_screen,
     pprune,
+    sign_masks,
     subfaces_at,
     support_faces,
 )
@@ -207,9 +207,12 @@ def select_pareto_faces(
     one dimension lower until dimension 1. Faces that fail the sign screen,
     or that the dual weights of the hull's failed LPs rule out
     (`LocalHull.duals`), fail without an LP; their certificates would never
-    be stored. Each LP's certificate is kept on the hull under its defining
-    facets, so another descent on the same hull (the oracle's, from another
-    corner) reuses it.
+    be stored. The sign screen reads one integer per apex facet, made once
+    per call (`sign_masks`): a face passes it when its defining facets'
+    integers OR to all D bits, and its normals are gathered only for the
+    dual screen and the LP. Each LP's certificate is kept on the hull under
+    its defining facets, so another descent on the same hull (the oracle's,
+    from another corner) reuses it.
 
     Faces travel through the descent as vertex bitmasks, and the face
     lattice is read from the facet masks alone (`subfaces_at`): each apex
@@ -234,9 +237,13 @@ def select_pareto_faces(
         facet normals and its certificate's alpha and t_star; and the sorted
         ids of all hull vertices lying on at least one passing face.
     """
-    apex_facets = [(fi, hull.facet_masks[fi]) for fi in incident_facets(hull, apex_id)]
+    incident = incident_facets(hull, apex_id)
+    signs_of = sign_masks(hull.normals[list(incident)], eps_pos)
+    # (facet id, vertex mask, sign mask) of each apex facet.
+    apex_facets = [(fi, hull.facet_masks[fi], b) for fi, b in zip(incident, signs_of)]
+    every_sign = (1 << hull.ambient_dim) - 1
     # The dimension of every mask queued so far.
-    dims = dict.fromkeys((m for _, m in apex_facets), hull.ambient_dim - 1)
+    dims = dict.fromkeys((m for _, m, _ in apex_facets), hull.ambient_dim - 1)
     queue = deque(dims)
     passing: list[FaceRecord] = []
     passed: list[int] = []
@@ -248,14 +255,22 @@ def select_pareto_faces(
         # one's vertices holds it strictly.
         if dim < 1 or any(mask & p == mask for p in passed):
             continue
-        defining = tuple(fi for fi, m in apex_facets if mask & m == mask)
-        normals = hull.normals[list(defining)]
-        if passes_sign_screen(normals, eps_pos):
+        defining: tuple[int, ...] = ()
+        signs = 0
+        for fi, m, bits in apex_facets:
+            if mask & m == mask:
+                defining += (fi,)
+                signs |= bits
+        if signs == every_sign:
             cert = hull.certificates.get(defining)
-            if cert is None and not hull.duals.rules_out(normals, eps_pos):
-                cert = hull.certificates[defining] = pareto_lp(normals)
-                if cert.t_star <= eps_pos and cert.dual is not None:
-                    hull.duals.add(cert.dual)
+            if cert is None:
+                normals = hull.normals[list(defining)]
+                if not hull.duals.rules_out(normals, eps_pos):
+                    cert = hull.certificates[defining] = pareto_lp(normals)
+                    # A single normal that passes the sign screen passes
+                    # the LP, so a failed LP has a dual.
+                    if cert.t_star <= eps_pos:
+                        hull.duals.add(cert.dual)
             if cert is not None and cert.t_star > eps_pos:
                 passing.append(
                     FaceRecord(tuple(mask_ids(mask)), dim, cert.normals, cert.alpha, cert.t_star)

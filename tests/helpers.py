@@ -462,6 +462,12 @@ def faces_by_lp_everywhere(apex_id: int, hull, eps_pos: float = 1e-9):
     return passing, len(tested)
 
 
+def passes_sign_screen(normals: np.ndarray, eps_pos: float) -> bool:
+    """The sign screen by columns: False when some objective has no normal
+    entry above eps_pos, the reference for `geometry.sign_masks`."""
+    return bool((normals.max(axis=0) > eps_pos).all())
+
+
 def linprog_pareto_lp(normals: np.ndarray):
     """The positivity LP through `scipy.optimize.linprog(method="highs")`.
 

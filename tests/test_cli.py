@@ -69,6 +69,9 @@ class TestSolve:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert line.startswith("vertices=")
         assert "planner_calls=1" in line
+        counts = search(mdp_from_dict(json.loads(mdp_file.read_text()))).stats
+        assert counts.lps_solved > 0
+        assert f" lps_solved={counts.lps_solved} lps_screened={counts.lps_screened} " in line
         data = json.loads(out.read_text())
         assert data["meta"]["tool"] == "momdp-pareto"
         assert data["meta"]["input_sha256"] == sha256_hex(mdp_file.read_bytes())
@@ -108,7 +111,10 @@ class TestOracle:
 
     def test_policy_count_reported(self, mdp_file, tmp_path, capsys):
         assert run("oracle", str(mdp_file), "-o", str(tmp_path / "o.json")) == 0
-        assert "policies_evaluated=81" in capsys.readouterr().out
+        line = capsys.readouterr().out
+        assert "policies_evaluated=81" in line
+        counts = brute_force_front(mdp_from_dict(json.loads(mdp_file.read_text()))).stats
+        assert f" lps_solved={counts.lps_solved} lps_screened={counts.lps_screened} " in line
 
     def test_cap_exits_4(self, tmp_path):
         big = tmp_path / "big.json"

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import importlib
 import itertools
+import operator
 import sys
 import threading
 import warnings
@@ -25,8 +27,8 @@ from momdp_pareto.geometry import (
     incident_facets,
     mask_ids,
     pareto_lp,
-    passes_sign_screen,
     pprune,
+    sign_masks,
     subfaces_at,
     support_faces,
 )
@@ -38,18 +40,22 @@ from helpers import (
     barycentric_grid,
     benchmark_instances,
     convex_cloud,
+    dependent_objective,
     dominated_in_cloud,
+    duplicate_action,
     linprog_pareto_lp,
     linprog_support_lp,
     loop_dominance,
     loop_group_coincident,
     loop_hull_facets,
+    passes_sign_screen,
     quadratic_pprune,
     supporting_hyperplane_facets,
     svd_subfaces_at,
     sweep_pprune,
     unblocked_hull_facets,
 )
+from test_golden import INSTANCES as GOLDEN_INSTANCES
 
 
 class TestDominance:
@@ -1003,14 +1009,157 @@ class TestParetoLp:
             pareto_lp(np.zeros((0, 2)))
 
 
+def assert_ridge_matches_linprog(W, eps_pos: float = 1e-9):
+    """`pareto_lp` over two normals against linprog: alpha and t_star
+    within 1e-12, and the same verdict at eps_pos. Returns the certificate."""
+    cert = pareto_lp(W)
+    alpha, t_star = linprog_pareto_lp(W)
+    assert np.abs(cert.alpha - alpha).max() <= 1e-12
+    assert abs(cert.t_star - t_star) <= 1e-12
+    assert (cert.t_star > eps_pos) == (t_star > eps_pos)
+    return cert
+
+
+def ridge_instances():
+    """MDP builders by name: the golden instances, and duplicated actions,
+    dependent objectives, 2x2 gridworlds and gamma 0 at D = 3 to 5."""
+    out = {f"golden-{name}": build for name, build in GOLDEN_INSTANCES.items()}
+    families = {
+        "dupact": lambda seed, D: duplicate_action(gen_random_mdp(seed, 4, 3, D)),
+        "depobj": lambda seed, D: dependent_objective(gen_random_mdp(seed, 5, 3, D)),
+        "grid": lambda seed, D: gen_gridworld(seed, 2, 2, D),
+        "gamma0": lambda seed, D: gen_random_mdp(seed, 4, 3, D, gamma=0.0),
+    }
+    for family, build in families.items():
+        for D in (3, 4, 5):
+            for seed in (0, 1):
+                out[f"{family}-D{D}-s{seed}"] = functools.partial(build, seed, D)
+    return out
+
+
+RIDGE_INSTANCES = ridge_instances()
+
+
+class TestRidgeLp:
+    """Two normals are solved in closed form (`geometry._ridge_lp`), not by
+    HiGHS; the certificate must agree with linprog's to rounding."""
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(41)
+        verdicts = set()
+        for d in range(2, 7):
+            for _ in range(60):
+                W = rng.normal(size=(2, d)) + rng.uniform(-0.5, 1.0)
+                verdicts.add(assert_ridge_matches_linprog(W).t_star > 1e-9)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", sorted(RIDGE_INSTANCES))
+    def test_stacks_from_search_and_the_oracle(self, name, monkeypatch):
+        """Every two-normal stack that `search` and `brute_force_front` pass
+        to `pareto_lp` on the instance."""
+        search_module = importlib.import_module("momdp_pareto.search")
+        solve, ridges = search_module.pareto_lp, []
+
+        def keeping(normals):
+            if len(normals) == 2:
+                ridges.append(normals)
+            return solve(normals)
+
+        monkeypatch.setattr(search_module, "pareto_lp", keeping)
+        mdp = RIDGE_INSTANCES[name]()
+        search_module.search(mdp)
+        if mdp.num_actions**mdp.num_states <= 100_000:
+            oracle.brute_force_front(mdp)
+        for W in ridges:
+            assert_ridge_matches_linprog(W)
+
+    def test_takes_no_highs_call(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("HiGHS called")
+
+        monkeypatch.setattr(geometry, "_highs_lp", refused)
+        cert = pareto_lp(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+        assert cert.alpha.tolist() == [0.5, 0.5] and cert.t_star == 0.25
+
+    def test_endpoint_optimum(self):
+        """Every coordinate rises from v to u, so a = 1 is optimal."""
+        W = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
+        cert = assert_ridge_matches_linprog(W)
+        assert cert.alpha.tolist() == [1.0, 0.0]
+        assert cert.t_star == 1.0
+        assert cert.dual.tolist() == [1.0, 0.0, 0.0]
+
+    def test_flat_top(self):
+        """Coordinate 1 is 0.5 for every weight and the minimum for a in
+        [0.25, 0.75], so the optimum is not unique: the first optimal
+        candidate, the crossing of coordinates 0 and 1 at a = 0.25, is
+        taken every time, with linprog's t_star."""
+        W = np.array([[2.0, 0.5, 0.0], [0.0, 0.5, 2.0]])
+        t_star = linprog_pareto_lp(W)[1]
+        for _ in range(3):
+            cert = pareto_lp(W)
+            assert cert.alpha.tolist() == [0.25, 0.75]
+            assert cert.t_star == t_star == 0.5
+            assert cert.dual.tolist() == [0.0, 1.0, 0.0]
+
+    def test_zero_column(self):
+        for W in (
+            np.array([[1.0, 0.0, -1.0], [-0.5, 0.0, 2.0]]),
+            np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0]]),
+        ):
+            t_star = linprog_pareto_lp(W)[1]
+            cert = pareto_lp(W)
+            assert cert.t_star == t_star == 0.0
+            assert pareto_lp(W).alpha.tobytes() == cert.alpha.tobytes()
+            assert cert.dual.tolist() == [0.0, 1.0, 0.0]
+
+    def test_identical_rows(self):
+        """Every weight is optimal; a = 0, the first candidate, is taken
+        (linprog's HiGHS takes a = 1), with linprog's t_star."""
+        W = np.array([[0.3, -0.2, 0.9]] * 2)
+        cert = pareto_lp(W)
+        assert cert.t_star == linprog_pareto_lp(W)[1]
+        assert cert.alpha.tolist() == [0.0, 1.0]
+        assert cert.t_star == -0.2
+        assert cert.dual.tolist() == [0.0, 1.0, 0.0]
+
+    def test_dual_lies_on_the_simplex_and_attains_t_star(self):
+        """The dual is some e_j or a mix of two objectives."""
+        rng = np.random.default_rng(42)
+        mixes = 0
+        for d in range(2, 7):
+            for _ in range(100):
+                W = rng.normal(size=(2, d)) + rng.uniform(-0.5, 1.0)
+                W /= np.sqrt(np.einsum("ij,ij->i", W, W))[:, None]
+                cert = pareto_lp(W)
+                assert cert.dual.min() >= 0.0
+                assert abs(cert.dual.sum() - 1.0) <= 1e-15
+                assert abs((W @ cert.dual).max() - cert.t_star) <= 1e-15
+                assert np.count_nonzero(cert.dual) in (1, 2)
+                mixes += np.count_nonzero(cert.dual) == 2
+        assert mixes > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_entries_that_are_not_finite_rejected(self, bad):
+        W = np.array([[1.0, 0.5, 0.2], [0.1, 0.4, 0.9]])
+        W[1, 2] = bad
+        message = r"^normals of shape \(2, 3\) have entries that are not finite$"
+        with pytest.raises(ValueError, match=message):
+            pareto_lp(W)
+
+
 class TestLpsMatchLinprog:
     """Both LPs hand HiGHS the model and options of `scipy.optimize.linprog`
     and accept its solution on linprog's terms, so certificates match a
     linprog reference bit for bit. These tests fail when a scipy release
-    changes the HiGHS bindings under that contract."""
+    changes the HiGHS bindings under that contract. Two normals are solved
+    in closed form instead, and matched to 1e-12 (`TestRidgeLp`)."""
 
     @staticmethod
     def assert_same_certificate(W):
+        if len(W) == 2:
+            assert_ridge_matches_linprog(W)
+            return
         cert = pareto_lp(W)
         alpha, t_star = linprog_pareto_lp(W)
         assert cert.alpha.tobytes() == alpha.tobytes()
@@ -1140,7 +1289,30 @@ class TestSharedHighsSolver:
             assert all(cert == serial[i] for i, cert in got)
 
 
+def screen_verdict(W: np.ndarray, eps_pos: float) -> bool:
+    """The sign screen as the descent reads it: the rows' sign masks OR to
+    all D bits."""
+    return functools.reduce(operator.or_, sign_masks(W, eps_pos), 0) == (1 << W.shape[1]) - 1
+
+
 class TestSignScreen:
+    def test_masks_hold_the_entries_above_eps_pos(self):
+        W = np.array([[2e-9, -1.0, 1e-9, 0.5], [0.0, 3.0, np.nan, -2.0]])
+        assert sign_masks(W, 1e-9) == [0b1001, 0b0010]
+        assert all(type(m) is int for m in sign_masks(W, 1e-9))
+        assert sign_masks(np.zeros((0, 3)), 1e-9) == []
+
+    def test_verdict_equals_the_column_rule(self):
+        rng = np.random.default_rng(12)
+        verdicts = set()
+        for _ in range(300):
+            n, d = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+            W = rng.normal(size=(n, d)) + rng.uniform(-1.5, 0.5)
+            W[rng.random(W.shape) < 0.1] = 1e-9
+            verdicts.add(screen_verdict(W, 1e-9))
+            assert screen_verdict(W, 1e-9) == passes_sign_screen(W, 1e-9)
+        assert verdicts == {True, False}
+
     def test_nonpositive_column_bounds_lp_optimum(self):
         eps_pos = 1e-9
         rng = np.random.default_rng(11)
@@ -1155,11 +1327,13 @@ class TestSignScreen:
             if tops[trial % 4] is not None:
                 W[int(rng.integers(n)), j] = tops[trial % 4]
             assert not passes_sign_screen(W, eps_pos)
+            assert not screen_verdict(W, eps_pos)
             assert pareto_lp(W).t_star <= eps_pos
 
     def test_positive_entry_in_every_column_passes(self):
         W = np.array([[1.0, -1.0, 2e-9], [-1.0, 1.0, -3.0]])
         assert passes_sign_screen(W, 1e-9)
+        assert screen_verdict(W, 1e-9)
         # Passing the screen leaves the verdict to the LP.
         assert not pareto_lp(W).t_star > 1e-9
 
@@ -1289,7 +1463,7 @@ def passes_positivity(normals, eps_pos: float = 1e-9) -> bool:
     """The descent's verdict on a face with these defining normals: the sign
     screen, then the positivity LP above eps_pos."""
     W = np.asarray(normals, dtype=float)
-    return passes_sign_screen(W, eps_pos) and pareto_lp(W).t_star > eps_pos
+    return screen_verdict(W, eps_pos) and pareto_lp(W).t_star > eps_pos
 
 
 class TestIsParetoFace:
@@ -1298,7 +1472,7 @@ class TestIsParetoFace:
 
     def test_opposing_pair(self):
         W = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]])
-        assert not passes_sign_screen(W, 1e-9)
+        assert not screen_verdict(W, 1e-9)
         assert not passes_positivity(W)
 
     def test_axis_pair_combines_positive(self):

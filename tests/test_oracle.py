@@ -177,7 +177,9 @@ def test_apex_sign_screen_changes_no_face_and_no_count(name, monkeypatch):
     faces, certificates and LP counts."""
     build = ORACLE_INSTANCES[name]
     screened = brute_force_front(build())
-    monkeypatch.setattr(oracle, "passes_sign_screen", lambda normals, eps_pos: True)
+    monkeypatch.setattr(
+        oracle, "sign_masks", lambda normals, eps_pos: [(1 << normals.shape[1]) - 1] * len(normals)
+    )
     every = brute_force_front(build())
     assert (screened.stats.lps_solved, screened.stats.lps_screened) == (
         every.stats.lps_solved,

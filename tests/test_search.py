@@ -1,4 +1,5 @@
 import importlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from momdp_pareto.geometry import (
     affine_dimension,
     convex_hull,
     dominance,
+    incident_facets,
     mask_ids,
     pprune,
 )
@@ -45,6 +47,7 @@ from helpers import (
     loop_find_vertex,
     make_bandit,
     pairwise_consolidate_faces,
+    passes_sign_screen,
     svd_subfaces_at,
 )
 from test_golden import INSTANCES as GOLDEN_INSTANCES
@@ -633,6 +636,56 @@ class TestFaceSelectionScreen:
             select_pareto_faces(0, hull)
             tested += faces_by_lp_everywhere(0, hull)[1]
         assert 0 < len(calls) < tested
+
+
+    def test_bitmask_verdict_equals_the_sign_screen(self, local_hulls_d5, monkeypatch):
+        """For every face the descent dequeues and decides, it looks up a
+        certificate exactly when `passes_sign_screen` passes the face's
+        defining normals: on the D=5 local hulls and on every local hull of
+        search on the golden instances."""
+        module = _search_module()
+        build = module.convex_hull
+        hulls = list(local_hulls_d5)
+
+        def keeping(*args, **kwargs):
+            hulls.append(build(*args, **kwargs))
+            return hulls[-1]
+
+        monkeypatch.setattr(module, "convex_hull", keeping)
+        for make in GOLDEN_INSTANCES.values():
+            search(make())
+        dequeued, asked = [], []
+
+        class Recording(deque):
+            def popleft(self):
+                dequeued.append(super().popleft())
+                return dequeued[-1]
+
+        class Asking(dict):
+            def get(self, key, default=None):
+                asked.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(module, "deque", Recording)
+        verdicts = []
+        for hull in hulls:
+            dequeued.clear()
+            asked.clear()
+            object.__setattr__(hull, "certificates", Asking())
+            got, _ = select_pareto_faces(0, hull)
+            passed = [sum(1 << i for i in f.vertex_ids) for f in got]
+            apex_facets = incident_facets(hull, 0)
+            expected = []
+            for mask in dequeued:
+                if any(mask & p == mask != p for p in passed):
+                    continue
+                defining = tuple(fi for fi in apex_facets if mask & hull.facet_masks[fi] == mask)
+                verdicts.append(passes_sign_screen(hull.normals[list(defining)], 1e-9))
+                if verdicts[-1]:
+                    expected.append(defining)
+            assert asked == expected
+        assert len(hulls) > len(local_hulls_d5)
+        assert True in verdicts and False in verdicts
 
 
 def subface_instances():
