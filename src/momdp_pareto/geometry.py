@@ -198,12 +198,17 @@ def dominance(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> Dominance | lis
     return rels if u.ndim == 2 else rels[0]
 
 
-# Rows per block of the pairwise masks in `pprune`, `group_coincident` and
-# `convex_hull`'s plane dedupe; `dominated_by` takes _BLOCK_ROWS**2 cells
-# per block instead, as many rows as fit against its cloud. On 15 625 and
-# 65 536 returns, pprune ran about equally fast with 256 to 1024, while 64,
-# 128 and 2048 were slower.
+# Rows per block of the pairwise masks in `group_coincident` and
+# `convex_hull`'s plane dedupe, and the row count above which `pprune` runs
+# its anchor pre-pass; `dominated_by` takes _BLOCK_ROWS**2 cells per block,
+# as many rows as fit against its cloud.
 _BLOCK_ROWS = 256
+# Rows per block of `pprune`'s sweep. A small block keeps rows early, so
+# they drop the rows they dominate before those rows are scanned again. On
+# the 15 625 tree rows of `gen_random_mdp(0, 6, 5, 3)`, 32 to 96 ran about
+# equally fast and 256 about 40 % slower; on check3's 65 536, where the
+# pre-pass leaves 2 648, the size barely mattered.
+_SWEEP_ROWS = 64
 
 
 def pprune(points: np.ndarray, margin: float = 0.0) -> list[int]:
@@ -223,43 +228,59 @@ def pprune(points: np.ndarray, margin: float = 0.0) -> list[int]:
     that no point dominates. NaN compares false and takes part in no
     dominance, so a row holding one is always kept.
 
+    Every step below drops only rows that some row dominates, so every
+    undominated row reaches the end, and with it the undominated dominator
+    of every dominated row that reaches the end. One last scan of those rows
+    against each other then drops exactly the dominated ones. So the result
+    does not depend on which rows the steps drop or in which order they
+    visit them; the order only sets the speed.
+
     Pre-pass: with more than `_BLOCK_ROWS` points, the rows that maximize
     the coordinate sum or some coordinate are taken as anchors, and every
-    row an anchor dominates is dropped. This is exact whichever rows the
-    anchors are: a dropped row is dominated, and an undominated row is
-    dominated by no anchor, so it survives, and every surviving dominated
-    row keeps its undominated dominator among the survivors. On the 65 536
-    policy-tree rows of `gen_random_mdp(0, 8, 4, 3)`, 2 648 survive.
+    row an anchor dominates is dropped. On the 65 536 policy-tree rows of
+    `gen_random_mdp(0, 8, 4, 3)`, 2 648 survive.
 
-    Sort-and-block sweep (Kung, Luccio and Preparata's maxima sweep) over
-    the survivors: rows are visited in descending lexicographic order, so a
-    dominator always comes before every row it dominates. Each block of
-    rows first loses the rows dominated by the rows kept so far, then the
-    rows dominated within the block. By transitivity every dominated row is
-    dominated by a kept row, so the result is exact. Points that are equal
-    to a kept point are not dominated by it, so duplicates all survive.
+    Sweep, after the presorted skyline filter of Chomicki, Godfrey, Gryz
+    and Liang (*Skyline with Presorting*, ICDE 2003): the survivors are
+    visited in descending coordinate sum, `_SWEEP_ROWS` at a time. A block
+    first loses the rows dominated within it; the rest are kept, and they
+    drop every later row they dominate, so a row is scanned only until its
+    first dominator has been kept. A dominator's sum is at least that of
+    the row it dominates, so the last scan has little left to drop; ties
+    and NaN sums are what it is there for. At most `_SWEEP_ROWS` rows are
+    one block, whose scan within itself is the whole answer. Points that
+    are equal to a kept point are not dominated by it, so duplicates all
+    survive.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError(f"need a nonempty 2-d point array, got shape {pts.shape}")
     if not 0.0 <= margin < np.inf:
         raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
+    rows = np.arange(len(pts))
     if len(pts) > _BLOCK_ROWS:
         with np.errstate(invalid="ignore"):  # inf - inf sums to NaN
             top = pts.sum(axis=1).argmax()
         anchors = pts[np.unique([top, *pts.argmax(axis=0)])]
         rows = np.flatnonzero(~dominated_by(pts, anchors, margin, -margin))
-    else:
-        rows = np.arange(len(pts))
-    order = rows[np.lexsort(-pts[rows].T[::-1])]
-    kept = order[:0]
-    for start in range(0, len(order), _BLOCK_ROWS):
-        block = order[start : start + _BLOCK_ROWS]
-        if kept.size:
-            block = block[~dominated_by(pts[block], pts[kept], margin, -margin)]
-        block = block[~dominated_by(pts[block], pts[block], margin, -margin)]
-        kept = np.concatenate([kept, block])
-    return np.sort(kept).tolist()
+    if len(rows) <= _SWEEP_ROWS:
+        block = pts[rows]
+        return rows[~dominated_by(block, block, margin, -margin)].tolist()
+    with np.errstate(invalid="ignore"):
+        rest = rows[np.argsort(-pts[rows].sum(axis=1), kind="stable")]
+    rest_pts = pts[rest]
+    kept = []
+    while rest.size:
+        block, block_pts = rest[:_SWEEP_ROWS], rest_pts[:_SWEEP_ROWS]
+        alive = ~dominated_by(block_pts, block_pts, margin, -margin)
+        block, block_pts = block[alive], block_pts[alive]
+        kept.append(block)
+        rest, rest_pts = rest[_SWEEP_ROWS:], rest_pts[_SWEEP_ROWS:]
+        alive = ~dominated_by(rest_pts, block_pts, margin, -margin)
+        rest, rest_pts = rest[alive], rest_pts[alive]
+    kept = np.sort(np.concatenate(kept))
+    kept_pts = pts[kept]
+    return kept[~dominated_by(kept_pts, kept_pts, margin, -margin)].tolist()
 
 
 def dominated_by(
@@ -271,8 +292,8 @@ def dominated_by(
     With tol and slack 0 this is strict Pareto dominance. The (rows, cloud)
     masks are built one coordinate at a time per block of rows, with as many
     rows per block as keep a mask within _BLOCK_ROWS**2 cells (at least
-    one), the size of `pprune`'s in-block mask: a scan against a few rows
-    takes a few blocks, and memory stays bounded however large the cloud.
+    one): `pprune`'s scans against one `_SWEEP_ROWS` block take 1 024 rows
+    or more at a time, and memory stays bounded however large the cloud.
     The result does not depend on the blocking.
     """
     pts = np.asarray(points, dtype=float)
@@ -371,13 +392,18 @@ def convex_hull(points: np.ndarray, eps_geom: float = 1e-9) -> LocalHull:
     """Build the convex hull of a full-dimensional point set.
 
     Qhull triangulates non-simplicial facets, so it reports one plane per
-    triangle. Each plane is normalized with its own `np.linalg.norm` call,
-    and a closeness mask, built for `_BLOCK_ROWS` planes against all F at a
-    time, marks the pairs of planes whose unit normals agree to eps_geom per
-    coordinate and whose offsets agree to eps_geom times the points' scale,
-    the tolerance of the incidence test. Planes are kept greedily in Qhull's
-    order, each unless it is close to a plane kept before it, so each
-    geometric facet appears once.
+    triangle, and each triangle carries its facet's equation bit for bit.
+    Exact copies of an equation are dropped first, keeping first
+    occurrences in Qhull's order. Each remaining plane is normalized with
+    its own `np.linalg.norm` call, and `_merge_close_planes` keeps each
+    plane unless it agrees within the incidence tolerance with a plane kept
+    before it, so each geometric facet appears once. Dropping the copies
+    first changes nothing: a copy is close to exactly the planes its first
+    occurrence is close to, so the greedy pass would drop it either way,
+    after its first occurrence or the plane that took it. It does spare the
+    pass the copies, which on a hull with large merged facets are most of
+    Qhull's planes (23 270 planes, 3 434 distinct, on the oracle's hull of
+    `gen_gridworld(6, 2, 3, 5)`).
     Qhull reports every plane with its outward normal, the hull lying on the
     side n @ x + b <= 0 (Barber, Dobkin and Huhdanpaa, *The Quickhull
     algorithm for convex hulls*, ACM TOMS 22, 1996), so the normalized
@@ -408,23 +434,20 @@ def convex_hull(points: np.ndarray, eps_geom: float = 1e-9) -> LocalHull:
     is_vertex = np.zeros(n, dtype=bool)
     is_vertex[hull.vertices] = True
 
+    # Exact copies go first, by a dict keyed by each row's bytes: on a local
+    # hull's few planes that is much cheaper than `np.unique`, and a hull
+    # without copies keeps its array.
     eqs = hull.equations
+    firsts: dict[bytes, int] = {}
+    for k, row in enumerate(eqs.view(f"V{eqs.itemsize * eqs.shape[1]}").ravel().tolist()):
+        firsts.setdefault(row, k)
+    if len(firsts) < len(eqs):
+        eqs = eqs[list(firsts.values())]
     # What `np.linalg.norm(row)` computes, without its per-call dispatch.
     norms = np.sqrt([row.dot(row) for row in eqs[:, :-1]])
     normals = eqs[:, :-1] / norms[:, None]
     offsets = -eqs[:, -1] / norms
-    kept: list[int] = []
-    taken = np.zeros(len(eqs), dtype=bool)
-    for start in range(0, len(eqs), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        close = np.abs(offsets[rows, None] - offsets) <= tol
-        for col in normals.T:
-            close &= np.abs(col[rows, None] - col) <= eps_geom
-        for k, row in enumerate(close, start):
-            if not taken[k]:
-                kept.append(k)
-                taken |= row
-
+    kept = _merge_close_planes(normals, offsets, tol, eps_geom)
     normals = normals[kept]
     offsets = offsets[kept]
     # Row k of `height` holds every point's height over kept plane k, from
@@ -442,6 +465,30 @@ def convex_hull(points: np.ndarray, eps_geom: float = 1e-9) -> LocalHull:
         normals=normals,
         offsets=offsets,
     )
+
+
+def _merge_close_planes(
+    normals: np.ndarray, offsets: np.ndarray, tol: float, eps_geom: float
+) -> list[int]:
+    """Indices of the planes kept greedily in order, each unless a plane
+    kept before it has a unit normal within eps_geom per coordinate and an
+    offset within tol.
+
+    The closeness mask is built for `_BLOCK_ROWS` planes against all F at a
+    time: O(F**2) comparisons, but never an (F, F) array.
+    """
+    kept: list[int] = []
+    taken = np.zeros(len(offsets), dtype=bool)
+    for start in range(0, len(offsets), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        close = np.abs(offsets[rows, None] - offsets) <= tol
+        for col in normals.T:
+            close &= np.abs(col[rows, None] - col) <= eps_geom
+        for k, row in enumerate(close, start):
+            if not taken[k]:
+                kept.append(k)
+                taken |= row
+    return kept
 
 
 def incident_facets(hull: LocalHull, point_id: int) -> tuple[int, ...]:

@@ -191,14 +191,20 @@ def quadratic_pprune(points: np.ndarray, eps: float = 0.0, margin: float = 0.0) 
     return keep
 
 
-def sweep_pprune(points: np.ndarray, margin: float = 0.0, block: int = 256) -> list[int]:
-    """`pprune` as a bare maxima sweep, without its extreme-row pre-pass:
-    every row in descending lexicographic order, `block` rows at a time,
+def sweep_pprune(
+    points: np.ndarray, margin: float = 0.0, block: int = 256, cells: list | None = None
+) -> list[int]:
+    """A bare maxima sweep (Kung, Luccio and Preparata), without `pprune`'s
+    extreme-row pre-pass: every row in descending lexicographic order, so a
+    dominator comes before every row it dominates, `block` rows at a time,
     each block tested against the rows kept so far and then against itself,
-    with a (rows, cloud) mask built one coordinate at a time."""
+    with a (rows, cloud) mask built one coordinate at a time. When `cells`
+    is a list, the size of each mask is appended to it."""
     pts = np.asarray(points, dtype=float)
 
     def dominated(rows: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+        if cells is not None:
+            cells.append(len(rows) * len(cloud))
         ge = np.ones((len(rows), len(cloud)), dtype=bool)
         gt = np.zeros_like(ge)
         for d in range(pts.shape[1]):

@@ -325,10 +325,11 @@ class TestPPrunePrePass:
 
     def test_few_check3_tree_rows_reach_the_sweep(self, monkeypatch):
         """Clock-free: on the 65 536 tree rows of `gen_random_mdp(0, 8, 4, 3)`,
-        the pre-pass is the only scan of every row, at most 5 000 rows reach
-        the sweep, and the sweep's scans take each of them at most twice
-        (against the rows kept so far, then within its block). The bare
-        sweep scans all 65 536."""
+        the pre-pass is the only scan of every row and at most 5 000 rows
+        reach the sweep. There a row is scanned only until its first
+        dominator is kept, so the sweep's masks hold fewer cells than the
+        lexicographic sweep's on the same rows. The bare sweep scans all
+        65 536."""
         mdp = gen_random_mdp(0, 8, 4, 3)
         rows = tree_returns(mdp, tree_depth(8, 4)) * return_scale(mdp)
         margin = oracle._tree_margin(mdp)
@@ -338,17 +339,50 @@ class TestPPrunePrePass:
 
         def counting(points, cloud, tol=0.0, slack=0.0):
             out = scan(points, cloud, tol, slack)
-            calls.append((len(points), int(out.sum())))
+            calls.append((len(points), len(cloud), out))
             return out
 
         monkeypatch.setattr(geometry, "dominated_by", counting)
         kept = pprune(rows, margin)
         monkeypatch.undo()
         assert kept == sweep_pprune(rows, margin)
-        (n, dropped), *sweep = calls
-        assert n == len(rows) and all(m <= geometry._BLOCK_ROWS for m, _ in sweep)
-        assert n - dropped <= 5_000
-        assert sum(m for m, _ in sweep) <= 2 * (n - dropped)
+        (n, _, dropped), *sweep = calls
+        survivors = rows[~dropped]
+        assert n == len(rows) and len(survivors) <= 5_000
+        assert all(m <= len(survivors) for m, _, _ in sweep)
+        lexicographic = []
+        sweep_pprune(survivors, margin, cells=lexicographic)
+        assert sum(m * c for m, c, _ in sweep) < sum(lexicographic)
+
+
+class TestPPruneVisitingOrder:
+    """`pprune` visits rows by descending coordinate sum, and a dominator's
+    sum can round to that of the row it dominates. Here every row has the
+    same sum, and each dominator comes after the rows it dominates and in a
+    later sweep block, so the rows it dominates are kept when their block is
+    visited; the last scan of the kept rows has to drop them."""
+
+    @staticmethod
+    def tied_rows(dim: int, margin: float) -> np.ndarray:
+        """100 rows, then each of them raised by margin + 1 in every
+        objective but the first. The first objective is 2**70 in every row,
+        whose spacing of 2**18 absorbs the rest of each sum."""
+        low = np.random.default_rng(50 + dim).integers(0, 30, size=(100, dim)).astype(float)
+        low[:, 0] = 2.0**70
+        return np.vstack([low, low + (margin + 1.0) * (np.arange(dim) > 0)])
+
+    @pytest.mark.parametrize("margin", [0.0, 0.5])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_dominators_after_their_rows_with_tied_sums(self, dim, margin):
+        pts = self.tied_rows(dim, margin)
+        assert len(np.unique(pts.sum(axis=1))) == 1
+        block = geometry._SWEEP_ROWS
+        assert block < len(pts) <= geometry._BLOCK_ROWS
+        assert all(i // block < (100 + i) // block for i in range(100))
+        kept = pprune(pts, margin)
+        assert kept == quadratic_pprune(pts, margin=margin)
+        # Rows kept among the first 100 alone, which their raised copies drop.
+        assert set(pprune(pts[:100], margin)) - set(kept)
 
 
 class TestDominatedBy:
@@ -750,9 +784,37 @@ class TestFacetDedupe:
     def test_same_facets_as_the_loop(self, name, apex_id):
         """Qhull's own outward normals equal the loop's, which orients each
         plane by the centroid and, where the centroid lies on the plane, by
-        the apex."""
+        the apex. The one-mask reference, which compares every copy of a
+        plane too, keeps the same facets."""
         pts = self.CLOUDS[name]()
-        assert_same_facets(convex_hull(pts), loop_hull_facets(pts, apex_id=apex_id))
+        hull = convex_hull(pts)
+        assert_same_facets(hull, loop_hull_facets(pts, apex_id=apex_id))
+        assert_same_facets(hull, unblocked_hull_facets(pts, apex_id=apex_id))
+
+    @pytest.mark.parametrize("name", ["cube-centres", "grid-2x3", "lattice-D3", "lattice-D4"])
+    def test_close_plane_pass_sees_each_equation_once(self, name, monkeypatch):
+        """Clock-free: Qhull's exact equation copies are dropped before the
+        tolerance pass, so its closeness mask covers only the distinct rows,
+        first occurrences in Qhull's order."""
+        from scipy.spatial import ConvexHull
+
+        pts = self.CLOUDS[name]()
+        eqs = ConvexHull(pts).equations
+        firsts = np.sort(np.unique(eqs, axis=0, return_index=True)[1])
+        assert len(firsts) < len(eqs)
+        seen = []
+        merge = geometry._merge_close_planes
+
+        def recording(normals, offsets, tol, eps_geom):
+            seen.append((normals, offsets))
+            return merge(normals, offsets, tol, eps_geom)
+
+        monkeypatch.setattr(geometry, "_merge_close_planes", recording)
+        convex_hull(pts)
+        ((normals, offsets),) = seen
+        assert len(offsets) == len(firsts)
+        np.testing.assert_allclose(normals, eqs[firsts, :-1], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(offsets, -eqs[firsts, -1], rtol=0.0, atol=1e-12)
 
     def test_flat_apex_cloud_base_facet_points_down(self):
         """The centroid lies within 1e-9 of the base plane, so it cannot
