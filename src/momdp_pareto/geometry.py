@@ -95,7 +95,8 @@ class LocalHull:
 
     Facet k is the plane {x : normals[k] @ x = offsets[k]}, with an outward
     unit normal, and the vertex bitmask `facet_masks[k]`, bit i standing for
-    point i; all three are built once by `convex_hull`. The face descent
+    point i; all three are built once by `convex_hull`, which for an apex
+    builds only the facets through that point. The face descent
     handles vertex sets as such bitmasks, so intersections, containment and
     the defining-facet lookup are integer operations and a face's normals
     are one row selection.
@@ -187,13 +188,12 @@ def dominance(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> Dominance | lis
     if u.ndim not in (1, 2) or v.ndim != 1 or u.shape[-1] != v.shape[0]:
         raise ValueError(f"points have different shapes: {u.shape} vs {v.shape}")
     diff = np.atleast_2d(u - v)
-    lo = diff.min(axis=1)
-    hi = diff.max(axis=1)
-    codes = np.select(
-        [np.abs(diff).max(axis=1) <= eps, (lo >= -eps) & (hi > eps), (hi <= eps) & (lo < -eps)],
-        [0, 1, 2],
-        3,
-    )
+    # A row is below v somewhere past eps (2) and above it (1), or both (3,
+    # incomparable), or neither (0, equal: every |diff| <= eps). Both tests
+    # are written so that a NaN, which min and max pass on, sets both bits.
+    below = ~(diff.min(axis=1) >= -eps)
+    above = ~(diff.max(axis=1) <= eps)
+    codes = 2 * below + above
     rels = [_DOMINANCE_CODES[c] for c in codes.tolist()]
     return rels if u.ndim == 2 else rels[0]
 
@@ -388,14 +388,17 @@ def close_below(points: np.ndarray) -> np.ndarray:
     return np.vstack([pts, low - spread * np.eye(pts.shape[1])])
 
 
-def convex_hull(points: np.ndarray, eps_geom: float = 1e-9) -> LocalHull:
-    """Build the convex hull of a full-dimensional point set.
+def convex_hull(
+    points: np.ndarray, eps_geom: float = 1e-9, apex: int | None = None
+) -> LocalHull:
+    """Build the convex hull of a full-dimensional point set, or only the
+    facets through the point `apex`.
 
     Qhull triangulates non-simplicial facets, so it reports one plane per
     triangle, and each triangle carries its facet's equation bit for bit.
     Exact copies of an equation are dropped first, keeping first
-    occurrences in Qhull's order. Each remaining plane is normalized with
-    its own `np.linalg.norm` call, and `_merge_close_planes` keeps each
+    occurrences in Qhull's order. Each remaining plane is normalized by the
+    norm `np.linalg.norm` gives it, and `_merge_close_planes` keeps each
     plane unless it agrees within the incidence tolerance with a plane kept
     before it, so each geometric facet appears once. Dropping the copies
     first changes nothing: a copy is close to exactly the planes its first
@@ -409,9 +412,16 @@ def convex_hull(points: np.ndarray, eps_geom: float = 1e-9) -> LocalHull:
     algorithm for convex hulls*, ACM TOMS 22, 1996), so the normalized
     equations are the normals and offsets as given; nothing is reoriented.
 
+    With an apex, only the planes that pass within the incidence tolerance
+    of it are merged and measured (`_apex_planes`), and the hull holds
+    exactly the facets of the full build whose masks hold the apex, bit for
+    bit and in the same order; none when the apex is not a hull vertex.
+    Search's descent reads nothing else (`select_pareto_faces`).
+
     Args:
         points: (n, D) array with n >= D + 1 spanning all D dimensions.
         eps_geom: tolerance for plane dedupe and vertex-on-facet incidence.
+        apex: a point id, to build only the facets through that point.
 
     Raises:
         DegenerateHullError: when the points span fewer than D dimensions.
@@ -443,17 +453,24 @@ def convex_hull(points: np.ndarray, eps_geom: float = 1e-9) -> LocalHull:
         firsts.setdefault(row, k)
     if len(firsts) < len(eqs):
         eqs = eqs[list(firsts.values())]
-    # What `np.linalg.norm(row)` computes, without its per-call dispatch.
-    norms = np.sqrt([row.dot(row) for row in eqs[:, :-1]])
-    normals = eqs[:, :-1] / norms[:, None]
+    # What `np.linalg.norm(row)` computes for each row: numpy multiplies a
+    # (1, D) by a (D, 1) matrix with the same dot routine.
+    raw = eqs[:, :-1]
+    norms = np.sqrt((raw[:, None] @ raw[:, :, None]).ravel())
+    normals = raw / norms[:, None]
     offsets = -eqs[:, -1] / norms
-    kept = _merge_close_planes(normals, offsets, tol, eps_geom)
+    if apex is None:
+        kept = _merge_close_planes(normals, offsets, tol, eps_geom)
+    elif is_vertex[apex]:
+        kept = _apex_planes(normals, offsets, pts[apex], tol, eps_geom)
+    else:
+        kept = []
     normals = normals[kept]
     offsets = offsets[kept]
     # Row k of `height` holds every point's height over kept plane k, from
     # one matrix-vector product per plane; a single matrix product would
     # round differently.
-    height = np.stack([pts @ w for w in normals]) - offsets[:, None]
+    height = np.array([pts @ w for w in normals]).reshape(len(kept), n) - offsets[:, None]
     on = (np.abs(height) <= tol) & is_vertex
     # Bit i of a facet's mask is byte i // 8, bit i % 8 of its packed row.
     packed = np.packbits(on, axis=1, bitorder="little")
@@ -481,14 +498,61 @@ def _merge_close_planes(
     taken = np.zeros(len(offsets), dtype=bool)
     for start in range(0, len(offsets), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        close = np.abs(offsets[rows, None] - offsets) <= tol
-        for col in normals.T:
-            close &= np.abs(col[rows, None] - col) <= eps_geom
-        for k, row in enumerate(close, start):
-            if not taken[k]:
-                kept.append(k)
-                taken |= row
+        kept += _keep_first(_close_planes(normals, offsets, rows, tol, eps_geom), start, taken)
     return kept
+
+
+def _close_planes(
+    normals: np.ndarray, offsets: np.ndarray, rows, tol: float, eps_geom: float
+) -> np.ndarray:
+    """Mask of the planes `rows` (an index array or a slice) against every
+    plane: unit normals within eps_geom per coordinate and offsets within
+    tol."""
+    close = np.abs(offsets[rows, None] - offsets) <= tol
+    for col in normals.T:
+        close &= np.abs(col[rows, None] - col) <= eps_geom
+    return close
+
+
+def _keep_first(close: np.ndarray, start: int, taken: np.ndarray) -> list[int]:
+    """The greedy pass over consecutive planes start, start + 1, ... whose
+    rows of the closeness mask are `close`: a plane is kept unless `taken`,
+    and a kept plane takes every plane its row marks. Returns the kept
+    planes and updates `taken`."""
+    kept: list[int] = []
+    for k, row in enumerate(close, start):
+        if not taken[k]:
+            kept.append(k)
+            taken |= row
+    return kept
+
+
+def _apex_planes(
+    normals: np.ndarray, offsets: np.ndarray, apex: np.ndarray, tol: float, eps_geom: float
+) -> list[int]:
+    """The planes `_merge_close_planes` keeps whose height over the point
+    `apex` is within tol, ascending.
+
+    The heights come from one product of the normals with the apex, by the
+    matrix-vector routine that gives `convex_hull`'s incidence masks their
+    heights, which takes each row's product on its own; so a plane is
+    selected exactly when its mask would hold the apex. Call these the apex
+    planes.
+    The greedy merge drops a plane only for a kept plane close to it, so
+    when every plane close to an apex plane is itself an apex plane, which
+    apex planes survive depends on the apex planes alone, and merging them
+    on their own gives the full merge's answer. Otherwise the full merge
+    runs. A plane close to an apex plane has height at most
+    |apex|_1 eps_geom + 2 tol <= (2 + D) tol over it, so that takes a
+    second plane of nearly the same facet whose height is just past tol.
+    """
+    through = np.abs(normals @ apex - offsets) <= tol
+    near = np.flatnonzero(through)
+    # The apex planes' rows of the closeness mask, against every plane.
+    close = _close_planes(normals, offsets, near, tol, eps_geom)
+    if close[:, ~through].any():
+        return [k for k in _merge_close_planes(normals, offsets, tol, eps_geom) if through[k]]
+    return near[_keep_first(close[:, near], 0, np.zeros(len(near), dtype=bool))].tolist()
 
 
 def incident_facets(hull: LocalHull, point_id: int) -> tuple[int, ...]:

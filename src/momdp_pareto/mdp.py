@@ -209,21 +209,16 @@ def solve_scalarized(mdp: Mdp, w: np.ndarray, tie_tol: float = 1e-10) -> np.ndar
     return policy.astype(np.int64)
 
 
-def neighbors_one(policy: np.ndarray, num_actions: int) -> list[np.ndarray]:
-    """List all policies differing from `policy` in exactly one state.
+def neighbors_one(policy: np.ndarray, num_actions: int) -> np.ndarray:
+    """All policies differing from `policy` in exactly one state, as the
+    rows of an (S * (A - 1), S) int64 array.
 
-    The result is ordered state-major with actions ascending, giving exactly
-    S * (A - 1) entries.
+    The rows are ordered state-major with actions ascending.
     """
     pol = np.asarray(policy, dtype=np.int64)
-    out = []
-    for s in range(pol.shape[0]):
-        for a in range(num_actions):
-            if a == pol[s]:
-                continue
-            nb = pol.copy()
-            nb[s] = a
-            out.append(nb)
+    states, actions = np.nonzero(np.arange(num_actions) != pol[:, None])
+    out = np.tile(pol, (len(states), 1))
+    out[np.arange(len(states)), states] = actions
     return out
 
 

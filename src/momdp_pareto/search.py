@@ -132,27 +132,37 @@ def return_scale(mdp: Mdp) -> float:
     return (1.0 - mdp.gamma) / max(1.0, float(np.abs(mdp.r).max()))
 
 
-def _policy_key(policy: np.ndarray) -> tuple[int, ...]:
-    return tuple(np.asarray(policy).tolist())
+def _policy_keys(policies: np.ndarray) -> list[bytes]:
+    """The return-cache key of each policy, a row of an (n, S) array or
+    one (S,) policy: the bytes of its actions as int64."""
+    rows = np.ascontiguousarray(np.atleast_2d(policies), dtype=np.int64)
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()
 
 
 @dataclass(eq=False)
 class SearchContext:
     """Mutable state shared across vertex explorations of one search run.
 
-    `scaled` holds the scaled return of vertex i as row i.
+    `scaled` holds the scaled return of vertex i as row i. It is a view of
+    the first rows of `scaled_rows`, whose capacity doubles when it is
+    full, so adding a vertex copies the earlier rows only at a doubling.
+    `z` caches the return of every policy evaluated, by `_policy_keys`.
     """
 
     mdp: Mdp
     config: SearchConfig
     scale: float
-    scaled: np.ndarray
-    z: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
+    scaled_rows: np.ndarray
+    scaled: np.ndarray = field(init=False)
+    z: dict[bytes, np.ndarray] = field(default_factory=dict)
     vertices: list[VertexRecord] = field(default_factory=list)
     faces: list[FaceRecord] = field(default_factory=list)
     face_keys: set[tuple[int, ...]] = field(default_factory=set)
     queue: deque[int] = field(default_factory=deque)
     stats: SearchStats = field(default_factory=SearchStats)
+
+    def __post_init__(self) -> None:
+        self.scaled = self.scaled_rows[:0]
 
     def warn(self, message: str) -> None:
         self.stats.warnings.append(message)
@@ -164,18 +174,17 @@ def make_context(mdp: Mdp, config: SearchConfig | None = None) -> SearchContext:
         mdp=mdp,
         config=config,
         scale=return_scale(mdp),
-        scaled=np.empty((0, mdp.num_objectives)),
+        scaled_rows=np.empty((16, mdp.num_objectives)),
     )
 
 
-def _merge_co_policy(record: VertexRecord, policy: np.ndarray, key: tuple[int, ...]) -> None:
-    """Record `policy`, whose `_policy_key` is `key`, as achieving `record`'s
-    return, unless it is already listed."""
-    if key == _policy_key(record.policy):
+def _merge_co_policy(record: VertexRecord, policy: np.ndarray, key: bytes) -> None:
+    """Record a copy of `policy`, whose `_policy_keys` key is `key`, as
+    achieving `record`'s return, unless it is already listed. A stored
+    policy is int64, so its bytes are its key."""
+    if key == record.policy.tobytes() or any(key == p.tobytes() for p in record.co_policies):
         return
-    if any(key == _policy_key(p) for p in record.co_policies):
-        return
-    record.co_policies.append(np.asarray(policy, dtype=np.int64))
+    record.co_policies.append(np.array(policy, dtype=np.int64))
 
 
 def _find_vertex(ctx: SearchContext, scaled_point: np.ndarray) -> int | None:
@@ -190,9 +199,14 @@ def _add_vertex(
 ) -> int:
     vid = len(ctx.vertices)
     ctx.vertices.append(
-        VertexRecord(id=vid, policy=np.asarray(policy, dtype=np.int64), co_policies=co, ret=raw)
+        VertexRecord(id=vid, policy=np.array(policy, dtype=np.int64), co_policies=co, ret=raw)
     )
-    ctx.scaled = np.vstack([ctx.scaled, raw * ctx.scale])
+    if vid == len(ctx.scaled_rows):
+        grown = np.empty((2 * vid, ctx.scaled_rows.shape[1]))
+        grown[:vid] = ctx.scaled_rows
+        ctx.scaled_rows = grown
+    ctx.scaled_rows[vid] = raw * ctx.scale
+    ctx.scaled = ctx.scaled_rows[: vid + 1]
     ctx.queue.append(vid)
     return vid
 
@@ -304,10 +318,10 @@ def _local_pareto_faces(
     # Pareto faces and their ids as they are; a set that Qhull refuses even
     # then goes to the direct tests.
     try:
-        hull = convex_hull(pts, eps_geom=ctx.config.eps_geom)
+        hull = convex_hull(pts, eps_geom=ctx.config.eps_geom, apex=0)
     except DegenerateHullError:
         try:
-            hull = convex_hull(close_below(pts), eps_geom=ctx.config.eps_geom)
+            hull = convex_hull(close_below(pts), eps_geom=ctx.config.eps_geom, apex=0)
         except DegenerateHullError:
             ctx.warn(
                 f"vertex {vertex.id}: hull construction degenerate; "
@@ -340,15 +354,15 @@ def explore_vertex(
     """
     cfg = ctx.config
     nbrs = neighbors_one(vertex.policy, ctx.mdp.num_actions)
-    keys = [_policy_key(p) for p in nbrs]
-    fresh = [i for i, key in enumerate(keys) if key not in ctx.z]
-    returns = deterministic_returns(ctx.mdp, [nbrs[i] for i in fresh], cfg.thread_count)
-    for i, j in zip(fresh, returns):
-        ctx.z[keys[i]] = j
+    keys = _policy_keys(nbrs)
+    rets = list(map(ctx.z.get, keys))
+    fresh = [i for i, j in enumerate(rets) if j is None]
+    for i, j in zip(fresh, deterministic_returns(ctx.mdp, nbrs[fresh], cfg.thread_count)):
+        ctx.z[keys[i]] = rets[i] = j
     ctx.stats.policies_evaluated += len(fresh)
 
     apex_scaled = ctx.scaled[vertex.id]
-    x = np.reshape([ctx.z[key] for key in keys], (-1, ctx.mdp.num_objectives)) * ctx.scale
+    x = np.reshape(rets, (-1, ctx.mdp.num_objectives)) * ctx.scale
     kept: list[int] = []
     for i, rel in enumerate(dominance(x, apex_scaled, cfg.eps_equal)):
         if rel is Dominance.EQUAL:
@@ -382,9 +396,11 @@ def explore_vertex(
                 members = groups[lid - 1]
                 gid = _find_vertex(ctx, pts[lid])
                 if gid is None:
+                    # Vertices store copies of their rows, so that none
+                    # keeps the whole neighbor array alive.
                     first = members[0]
                     gid = _add_vertex(
-                        ctx, nbrs[first], ctx.z[keys[first]], [nbrs[i] for i in members[1:]]
+                        ctx, nbrs[first], ctx.z[keys[first]], [nbrs[i].copy() for i in members[1:]]
                     )
                     new_vertices.append(ctx.vertices[gid])
                 else:
@@ -509,7 +525,7 @@ def search(mdp: Mdp, config: SearchConfig | None = None) -> ParetoFront:
     t1 = time.perf_counter()
     ctx.stats.wall_time["planner"] = t1 - t0
     j0 = long_term_return(mdp, pol0)
-    ctx.z[_policy_key(pol0)] = j0
+    ctx.z[_policy_keys(pol0)[0]] = j0
     ctx.stats.policies_evaluated += 1
     _add_vertex(ctx, pol0, j0, [])
     while ctx.queue:

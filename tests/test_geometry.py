@@ -86,8 +86,10 @@ class TestDominance:
 
     @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.5])
     def test_stack_matches_row_by_row(self, eps):
-        """Half-step offsets and sub-eps nudges give every relation, and
-        rows sitting exactly eps away."""
+        """Half-step offsets and sub-eps nudges give every relation. Against
+        the origin, rows of -2 eps to 2 eps in steps of eps sit exactly eps
+        away in some coordinates, and rows with a NaN anywhere are
+        incomparable."""
         rng = np.random.default_rng(7)
         v = rng.integers(0, 3, size=4) * 0.5
         u = v + np.vstack(
@@ -97,10 +99,16 @@ class TestDominance:
                 np.zeros((1, 4)),
             ]
         )
-        want = [loop_dominance(row, v, eps) for row in u]
-        assert set(want) == set(Dominance)
-        assert dominance(u, v, eps) == want
-        assert [dominance(row, v, eps) for row in u] == want
+        at_eps = eps * np.array(list(itertools.product([-2.0, -1.0, 0.0, 1.0, 2.0], repeat=4)))
+        with_nan = rng.integers(-2, 3, size=(40, 4)) * 0.5
+        with_nan[np.arange(40), rng.integers(0, 4, size=40)] = np.nan
+        with_nan[:4, :] = np.nan
+        for points, origin in [(u, v), (np.vstack([at_eps, with_nan]), np.zeros(4))]:
+            want = [loop_dominance(row, origin, eps) for row in points]
+            assert dominance(points, origin, eps) == want
+            assert [dominance(row, origin, eps) for row in points] == want
+        assert set(want[: len(at_eps)]) == ({Dominance.EQUAL} if eps == 0.0 else set(Dominance))
+        assert set(want[len(at_eps) :]) == {Dominance.INCOMPARABLE}
 
     def test_empty_stack(self):
         assert dominance(np.zeros((0, 3)), np.zeros(3)) == []
@@ -868,6 +876,98 @@ class TestBlockedPlaneDedupe:
         for f, g in zip(unblocked_hull_facets(pts), loop_hull_facets(pts), strict=True):
             assert f[0].tobytes() == g[0].tobytes()
             assert f[1:] == g[1:]
+
+
+def apex_rows(hull, apex_id):
+    """The hull's facets whose masks hold the apex, as (normal, offset,
+    vertex ids) triples in order."""
+    return [
+        (hull.normals[k], float(hull.offsets[k]), mask_ids(m))
+        for k, m in enumerate(hull.facet_masks)
+        if m >> apex_id & 1
+    ]
+
+
+def roof_cloud():
+    """A box whose roof folds by 1.5e-9 along a line through the origin.
+    The roof's first plane, z = 0, holds points 0, 1 and 2; its second,
+    tilted by 7.5e-10 per coordinate toward point 3, holds points 1, 2 and
+    3 and passes 1.5e-9 above point 0. Within tol = 1e-9 the two planes
+    merge, and Qhull lists z = 0 first, so the full build keeps no roof
+    facet through point 3; point 3's height over z = 0, and point 0's over
+    the tilted plane, lie in (tol, (2 + D) tol]."""
+    return np.array(
+        [
+            [1.0, 1.0, 0.0],
+            [1.0, -1.0, 0.0],
+            [-1.0, 1.0, 0.0],
+            [-1.0, -1.0, -1.5e-9],
+            [1.0, 1.0, -1.0],
+            [1.0, -1.0, -1.0],
+            [-1.0, 1.0, -1.0],
+            [-1.0, -1.0, -1.0],
+        ]
+    )
+
+
+class TestApexHull:
+    """`convex_hull(pts, apex=k)` against the full build: exactly the
+    facets whose masks hold k, bit for bit and in order."""
+
+    CLOUDS = {
+        **TestFacetDedupe.CLOUDS,
+        **{
+            f"closed-flat-D{d}-k{k}": (
+                lambda d=d, k=k: close_below(flat_points(np.random.default_rng(d + k), 4 * d, d, k))
+            )
+            for d in (3, 4, 5)
+            for k in range(1, d)
+        },
+        "closed-dependent-D4": lambda: close_below(
+            (lambda p: np.hstack([p, p[:, :2].mean(axis=1, keepdims=True)]))(lattice_cloud(4, 3))
+        ),
+        "roof": roof_cloud,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_apex_facets_are_the_full_builds_rows(self, name):
+        """Every hull vertex as the apex, and the first few points that are
+        not hull vertices, which get no facets."""
+        pts = self.CLOUDS[name]()
+        full = convex_hull(pts)
+        inner = [i for i in range(len(pts)) if i not in full.vertex_ids]
+        for apex_id in [*full.vertex_ids, *inner[:3]]:
+            want = apex_rows(full, apex_id)
+            hull = convex_hull(pts, apex=apex_id)
+            assert_same_facets(hull, want)
+            assert hull.vertex_ids == full.vertex_ids
+            assert (want == []) == (apex_id in inner)
+
+    def test_near_miss_plane_runs_the_full_merge(self, monkeypatch):
+        """On the roof, point 3's one roof plane merges into the plane kept
+        before it, which passes more than tol from point 3; the apex planes
+        on their own would keep it. So the full merge runs, and point 3
+        gets no roof facet, as in the full build."""
+        from scipy.spatial import ConvexHull
+
+        pts = roof_cloud()
+        distinct = len(np.unique(ConvexHull(pts).equations, axis=0))
+        merged = []
+        merge = geometry._merge_close_planes
+
+        def recording(normals, offsets, tol, eps_geom):
+            merged.append(len(offsets))
+            return merge(normals, offsets, tol, eps_geom)
+
+        monkeypatch.setattr(geometry, "_merge_close_planes", recording)
+        hull = convex_hull(pts, apex=3)
+        assert merged == [distinct]
+        assert [mask_ids(m) for m in hull.facet_masks] == [[2, 3, 6, 7], [1, 3, 5, 7]]
+        merged.clear()
+        convex_hull(pts, apex=1)
+        assert merged == []
+        monkeypatch.undo()
+        assert_same_facets(hull, apex_rows(convex_hull(pts), 3))
 
 
 def assert_outward_unit_normals(hull):

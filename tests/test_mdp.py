@@ -282,8 +282,8 @@ class TestSolveScalarized:
 class TestNeighbors:
     def test_counts(self):
         assert len(neighbors_one(np.zeros(2, dtype=np.int64), 2)) == 2
-        assert neighbors_one(np.zeros(3, dtype=np.int64), 1) == []
-        assert len(neighbors_one(np.zeros(5, dtype=np.int64), 5)) == 20
+        assert neighbors_one(np.zeros(3, dtype=np.int64), 1).shape == (0, 3)
+        assert neighbors_one(np.zeros(5, dtype=np.int64), 5).shape == (20, 5)
 
     def test_all_at_distance_one_no_duplicates(self):
         base = np.array([1, 0, 2], dtype=np.int64)
@@ -295,8 +295,9 @@ class TestNeighbors:
     def test_enumeration_order(self):
         # State-major, action ascending, skipping the current action.
         base = np.array([1, 0], dtype=np.int64)
-        got = [tuple(p.tolist()) for p in neighbors_one(base, 3)]
-        assert got == [(0, 0), (2, 0), (1, 1), (1, 2)]
+        nbrs = neighbors_one(base, 3)
+        assert nbrs.dtype == np.int64
+        assert [tuple(p.tolist()) for p in nbrs] == [(0, 0), (2, 0), (1, 1), (1, 2)]
 
 
 class TestHamming:
@@ -436,7 +437,7 @@ class TestDeterministicReturns:
         assert one.tobytes() == three.tobytes()
 
     def test_list_of_policies(self, mdp433):
-        pols = neighbors_one(np.zeros(4, dtype=np.int64), 3)
+        pols = list(neighbors_one(np.zeros(4, dtype=np.int64), 3))
         got = deterministic_returns(mdp433, pols)
         assert got.tobytes() == np.array([long_term_return(mdp433, p) for p in pols]).tobytes()
 

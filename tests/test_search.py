@@ -32,7 +32,7 @@ from momdp_pareto.mdp import enumerate_deterministic, neighbors_one
 from momdp_pareto.search import (
     _add_vertex,
     _find_vertex,
-    _policy_key,
+    _policy_keys,
     consolidate_faces,
     explore_vertex,
     make_context,
@@ -181,9 +181,9 @@ class TestVisitedCache:
     def test_reexploration_evaluates_nothing_new(self, bandit3):
         ctx = make_context(bandit3, SearchConfig(seed=0))
         pol = np.array([0], dtype=np.int64)
-        ctx.z[tuple(pol.tolist())] = long_term_return(bandit3, pol)
+        ctx.z[_policy_keys(pol)[0]] = long_term_return(bandit3, pol)
         ctx.stats.policies_evaluated += 1
-        _add_vertex(ctx, pol, ctx.z[tuple(pol.tolist())], [])
+        _add_vertex(ctx, pol, ctx.z[_policy_keys(pol)[0]], [])
         explore_vertex(ctx, ctx.vertices[0])
         count = ctx.stats.policies_evaluated
         faces, verts = explore_vertex(ctx, ctx.vertices[0])
@@ -733,10 +733,26 @@ def test_lattice_subfaces_equal_the_svd_rule(name, monkeypatch):
     assert children
 
 
-def test_policy_key_is_a_tuple_of_python_ints():
-    key = _policy_key(np.array([0, 3, 1], dtype=np.int64))
-    assert key == (0, 3, 1)
-    assert all(type(a) is int for a in key)
+def test_stored_policies_are_no_views():
+    """Search evaluates each vertex's neighbors as rows of one array; every
+    vertex policy and co-policy it stores is a copy, so no vertex keeps
+    another array alive."""
+    vertices = [v for make in GOLDEN_INSTANCES.values() for v in search(make()).vertices]
+    stored = [p for v in vertices for p in (v.policy, *v.co_policies)]
+    assert all(p.base is None and p.dtype == np.int64 for p in stored)
+    # Some instances have co-policies, so those are checked too.
+    assert len(stored) > len(vertices)
+
+
+def test_policy_keys_are_the_rows_int64_bytes():
+    """One policy and the rows of a policy array get the same keys, their
+    actions' bytes as int64, whatever integer type they come in."""
+    pols = np.array([[0, 3, 1], [2, 0, 0]], dtype=np.int32)
+    keys = _policy_keys(pols)
+    assert keys == [row.astype(np.int64).tobytes() for row in pols]
+    assert all(type(k) is bytes for k in keys)
+    assert _policy_keys(pols[1]) == [keys[1]]
+    assert _policy_keys(pols[:, ::-1][:, ::-1]) == keys
 
 
 class TestLocalHullFallbacks:
