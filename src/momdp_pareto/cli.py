@@ -90,6 +90,7 @@ def _print_stats_line(front) -> None:
         f"planner_calls={front.stats.planner_calls} "
         f"lps_solved={front.stats.lps_solved} "
         f"lps_screened={front.stats.lps_screened} "
+        f"vertex_scans={front.stats.vertex_scans} "
         f"wall_time_s={total:.3f} "
         f"degeneracy_warnings={len(front.stats.warnings)}"
     )

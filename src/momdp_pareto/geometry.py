@@ -584,6 +584,13 @@ def subfaces_at(mask: int, dim: int, hull: LocalHull, apex_id: int) -> list[int]
     apex, each of dimension dim - 1, and each is listed once. No point set
     is measured. Faces of dimension 1 have no usable subfaces, so they
     yield an empty list.
+
+    A face with dim + 1 vertices is a simplex, the usual case in general
+    position. Every dim-vertex subset of it is a facet of it, and each
+    facet F - v through the apex is F's intersection with some apex facet,
+    so every smaller intersection lies inside one of those: the maximal
+    intersections are exactly the ones with dim vertices, found by one bit
+    count each instead of comparing every pair.
     """
     if not mask >> apex_id & 1:
         raise ValueError(f"apex {apex_id} does not lie on the face")
@@ -592,6 +599,8 @@ def subfaces_at(mask: int, dim: int, hull: LocalHull, apex_id: int) -> list[int]
     if dim == 1:
         return []
     cands = dict.fromkeys(mask & hull.facet_masks[fi] for fi in incident_facets(hull, apex_id))
+    if mask.bit_count() == dim + 1:
+        return [c for c in cands if c.bit_count() == dim]
     cands.pop(mask, None)
     return [c for c in cands if not any(c != o and c & o == c for o in cands)]
 

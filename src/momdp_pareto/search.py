@@ -63,6 +63,8 @@ class SearchStats:
 
     `lps_solved` and `lps_screened` count the face descents' work:
     `pareto_lp` calls, and faces the pooled LP duals ruled out without one.
+    `vertex_scans` counts the vertex lookups that no policy key answered,
+    each a scan of every vertex return (`_find_vertex`).
     Like `wall_time`, they stay out of the front file.
     """
 
@@ -71,6 +73,7 @@ class SearchStats:
     planner_calls: int = 0
     lps_solved: int = 0
     lps_screened: int = 0
+    vertex_scans: int = 0
     warnings: list[str] = field(default_factory=list)
     wall_time: dict[str, float] = field(default_factory=dict)
 
@@ -147,6 +150,8 @@ class SearchContext:
     the first rows of `scaled_rows`, whose capacity doubles when it is
     full, so adding a vertex copies the earlier rows only at a doubling.
     `z` caches the return of every policy evaluated, by `_policy_keys`.
+    `vertex_of` maps each vertex's own policy, by the same key, to its id;
+    co-policies are left out (see `explore_vertex`).
     """
 
     mdp: Mdp
@@ -155,6 +160,7 @@ class SearchContext:
     scaled_rows: np.ndarray
     scaled: np.ndarray = field(init=False)
     z: dict[bytes, np.ndarray] = field(default_factory=dict)
+    vertex_of: dict[bytes, int] = field(default_factory=dict)
     vertices: list[VertexRecord] = field(default_factory=list)
     faces: list[FaceRecord] = field(default_factory=list)
     face_keys: set[tuple[int, ...]] = field(default_factory=set)
@@ -197,10 +203,15 @@ def _find_vertex(ctx: SearchContext, scaled_point: np.ndarray) -> int | None:
 def _add_vertex(
     ctx: SearchContext, policy: np.ndarray, raw: np.ndarray, co: list[np.ndarray]
 ) -> int:
+    """Admit a vertex with a copy of `policy` and of its return `raw`, so
+    that it keeps no larger array alive; index it by its policy's key."""
     vid = len(ctx.vertices)
-    ctx.vertices.append(
-        VertexRecord(id=vid, policy=np.array(policy, dtype=np.int64), co_policies=co, ret=raw)
+    record = VertexRecord(
+        id=vid, policy=np.array(policy, dtype=np.int64), co_policies=co, ret=np.array(raw)
     )
+    ctx.vertices.append(record)
+    # A stored policy is int64, so its bytes are its `_policy_keys` key.
+    ctx.vertex_of[record.policy.tobytes()] = vid
     if vid == len(ctx.scaled_rows):
         grown = np.empty((2 * vid, ctx.scaled_rows.shape[1]))
         grown[:vid] = ctx.scaled_rows
@@ -394,11 +405,19 @@ def explore_vertex(
         for lid in local.vertex_ids:
             if lid not in lid_to_gid:
                 members = groups[lid - 1]
-                gid = _find_vertex(ctx, pts[lid])
+                first = members[0]
+                # A vertex's own policy has the vertex's return bit for bit,
+                # and vertices lie more than eps_equal apart, so the scan
+                # would name that vertex. A co-policy's return may lie up to
+                # eps_equal from its vertex and as close to another, so
+                # co-policies are not keyed.
+                gid = ctx.vertex_of.get(keys[first])
                 if gid is None:
-                    # Vertices store copies of their rows, so that none
-                    # keeps the whole neighbor array alive.
-                    first = members[0]
+                    ctx.stats.vertex_scans += 1
+                    gid = _find_vertex(ctx, pts[lid])
+                if gid is None:
+                    # Co-policies are copies, so that no vertex keeps the
+                    # whole neighbor array alive.
                     gid = _add_vertex(
                         ctx, nbrs[first], ctx.z[keys[first]], [nbrs[i].copy() for i in members[1:]]
                     )
@@ -418,7 +437,7 @@ def explore_vertex(
         if key in ctx.face_keys:
             continue
         ctx.face_keys.add(key)
-        rec = dataclasses.replace(local, vertex_ids=key)
+        rec = FaceRecord(key, local.dim, local.normals, local.alpha, local.t_star)
         ctx.faces.append(rec)
         new_faces.append(rec)
     return new_faces, new_vertices

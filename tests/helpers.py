@@ -8,6 +8,7 @@ agreement with the package is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib.util
 import itertools
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from momdp_pareto import Mdp
+from momdp_pareto import Mdp, gen_gridworld, gen_random_mdp
 from momdp_pareto.mdp import (
     deterministic_returns,
     enumerate_deterministic,
@@ -47,6 +48,23 @@ def benchmark_instances() -> list:
     sys.modules[spec.name] = workloads
     spec.loader.exec_module(workloads)
     return [inst for insts in workloads.WORKLOADS.values() for inst in insts]
+
+
+def degenerate_instances() -> dict:
+    """MDP builders by name: duplicated actions, dependent objectives, 2x2
+    gridworlds and gamma 0, at D = 3 to 5 and seeds 0 and 1."""
+    families = {
+        "dupact": lambda seed, D: duplicate_action(gen_random_mdp(seed, 4, 3, D)),
+        "depobj": lambda seed, D: dependent_objective(gen_random_mdp(seed, 5, 3, D)),
+        "grid": lambda seed, D: gen_gridworld(seed, 2, 2, D),
+        "gamma0": lambda seed, D: gen_random_mdp(seed, 4, 3, D, gamma=0.0),
+    }
+    return {
+        f"{family}-D{D}-s{seed}": functools.partial(build, seed, D)
+        for family, build in families.items()
+        for D in (3, 4, 5)
+        for seed in (0, 1)
+    }
 
 
 def one_hot_policy(actions, num_actions: int) -> np.ndarray:
@@ -435,6 +453,22 @@ def svd_subfaces_at(mask: int, hull, apex_id: int) -> list[int]:
         if inter != mask and inter not in out and dimension(inter) == dim - 1:
             out.append(inter)
     return out
+
+
+def pairwise_subfaces_at(mask: int, dim: int, hull, apex_id: int) -> list[int]:
+    """The faces one dimension below the face `mask` that contain the apex,
+    as the inclusion-maximal proper intersections of the face with the
+    apex-incident facets: every candidate is compared with every other, on
+    simplex faces too. Each vertex set once, in facet order; a face of
+    dimension 1 yields none."""
+    if dim <= 1:
+        return []
+    cands: list[int] = []
+    for fi in apex_facet_ids(hull, apex_id):
+        inter = mask & hull.facet_masks[fi]
+        if inter != mask and inter not in cands:
+            cands.append(inter)
+    return [c for c in cands if not any(c != o and c & o == c for o in cands)]
 
 
 def faces_by_lp_everywhere(apex_id: int, hull, eps_pos: float = 1e-9):

@@ -70,8 +70,11 @@ class TestSolve:
         assert line.startswith("vertices=")
         assert "planner_calls=1" in line
         counts = search(mdp_from_dict(json.loads(mdp_file.read_text()))).stats
-        assert counts.lps_solved > 0
-        assert f" lps_solved={counts.lps_solved} lps_screened={counts.lps_screened} " in line
+        assert counts.lps_solved > 0 and counts.vertex_scans > 0
+        assert (
+            f" lps_solved={counts.lps_solved} lps_screened={counts.lps_screened} "
+            f"vertex_scans={counts.vertex_scans} "
+        ) in line
         data = json.loads(out.read_text())
         assert data["meta"]["tool"] == "momdp-pareto"
         assert data["meta"]["input_sha256"] == sha256_hex(mdp_file.read_bytes())
@@ -115,6 +118,8 @@ class TestOracle:
         assert "policies_evaluated=81" in line
         counts = brute_force_front(mdp_from_dict(json.loads(mdp_file.read_text()))).stats
         assert f" lps_solved={counts.lps_solved} lps_screened={counts.lps_screened} " in line
+        # The oracle looks no vertex up.
+        assert " vertex_scans=0 " in line
 
     def test_cap_exits_4(self, tmp_path):
         big = tmp_path / "big.json"
@@ -414,12 +419,14 @@ class TestSerializeRoundTrips:
         front = search(mdp433, SearchConfig(seed=0))
         assert front.stats.lps_solved > 0
         text = dump_json(front_to_dict(front))
-        for name in ("lps_solved", "lps_screened"):
+        assert front.stats.vertex_scans > 0
+        names = ("lps_solved", "lps_screened", "vertex_scans")
+        for name in names:
             assert name not in text
             setattr(front.stats, name, getattr(front.stats, name) + 7)
         assert dump_json(front_to_dict(front)) == text
         again = front_from_dict(json.loads(text)).stats
-        assert (again.lps_solved, again.lps_screened) == (0, 0)
+        assert [getattr(again, name) for name in names] == [0, 0, 0]
 
     def test_wall_time_not_serialized(self, mdp433):
         front = search(mdp433, SearchConfig(seed=0))

@@ -6,6 +6,7 @@ import operator
 import sys
 import threading
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -40,14 +41,14 @@ from helpers import (
     barycentric_grid,
     benchmark_instances,
     convex_cloud,
-    dependent_objective,
+    degenerate_instances,
     dominated_in_cloud,
-    duplicate_action,
     linprog_pareto_lp,
     linprog_support_lp,
     loop_dominance,
     loop_group_coincident,
     loop_hull_facets,
+    pairwise_subfaces_at,
     passes_sign_screen,
     quadratic_pprune,
     supporting_hyperplane_facets,
@@ -1130,6 +1131,33 @@ class TestSubfaces:
         assert all(s.bit_count() == 2 and s >> apex & 1 for s in subs)
         assert subs == svd_subfaces_at(face, hull, apex)
 
+    def test_lattice_cloud_takes_both_rules(self):
+        """The 81 lattice points of `TestBlockedPlaneDedupe` have many faces
+        that are not simplices. Walking the face lattice down from several
+        hull vertices, every face gets the subfaces of the pairwise filter
+        and of the SVD rule, in order, whether its vertex count makes it a
+        simplex or sends it through the pairwise filter."""
+        hull = convex_hull(TestBlockedPlaneDedupe.cloud())
+        faces = {True: 0, False: 0}
+        for apex in hull.vertex_ids[::10]:
+            dims = dict.fromkeys(
+                (hull.facet_masks[fi] for fi in incident_facets(hull, apex)), hull.ambient_dim - 1
+            )
+            queue = deque(dims)
+            while queue:
+                mask = queue.popleft()
+                dim = dims[mask]
+                subs = subfaces_at(mask, dim, hull, apex)
+                assert subs == pairwise_subfaces_at(mask, dim, hull, apex)
+                assert subs == svd_subfaces_at(mask, hull, apex)
+                if dim > 1:
+                    faces[mask.bit_count() == dim + 1] += 1
+                for sub in subs:
+                    if sub not in dims:
+                        dims[sub] = dim - 1
+                        queue.append(sub)
+        assert faces[True] > 10 and faces[False] > 10
+
     def test_rejects_faces_off_the_apex_or_of_dimension_zero(self):
         hull = convex_hull(unit_simplex_3d())
         with pytest.raises(ValueError, match="apex 0 does not lie on the face"):
@@ -1185,18 +1213,10 @@ def assert_ridge_matches_linprog(W, eps_pos: float = 1e-9):
 def ridge_instances():
     """MDP builders by name: the golden instances, and duplicated actions,
     dependent objectives, 2x2 gridworlds and gamma 0 at D = 3 to 5."""
-    out = {f"golden-{name}": build for name, build in GOLDEN_INSTANCES.items()}
-    families = {
-        "dupact": lambda seed, D: duplicate_action(gen_random_mdp(seed, 4, 3, D)),
-        "depobj": lambda seed, D: dependent_objective(gen_random_mdp(seed, 5, 3, D)),
-        "grid": lambda seed, D: gen_gridworld(seed, 2, 2, D),
-        "gamma0": lambda seed, D: gen_random_mdp(seed, 4, 3, D, gamma=0.0),
+    return {
+        **{f"golden-{name}": build for name, build in GOLDEN_INSTANCES.items()},
+        **degenerate_instances(),
     }
-    for family, build in families.items():
-        for D in (3, 4, 5):
-            for seed in (0, 1):
-                out[f"{family}-D{D}-s{seed}"] = functools.partial(build, seed, D)
-    return out
 
 
 RIDGE_INSTANCES = ridge_instances()

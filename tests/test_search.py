@@ -42,11 +42,13 @@ from momdp_pareto.search import (
 
 from helpers import (
     benchmark_instances,
+    degenerate_instances,
     duplicate_action,
     faces_by_lp_everywhere,
     loop_find_vertex,
     make_bandit,
     pairwise_consolidate_faces,
+    pairwise_subfaces_at,
     passes_sign_screen,
     svd_subfaces_at,
 )
@@ -225,6 +227,61 @@ class TestFindVertex:
         assert ctx.scaled.shape == (3, 2)
         for vid, v in enumerate(ctx.vertices):
             assert _find_vertex(ctx, v.ret * ctx.scale) == vid
+
+
+KEY_SOURCES = {
+    "dense-D3": lambda: gen_random_mdp(0, 6, 4, 3),
+    "dense-D5": lambda: gen_random_mdp(1, 4, 4, 5),
+    "dupact": lambda: duplicate_action(gen_random_mdp(3, 4, 3, 3)),
+    "depobj": lambda: _depobj(1),
+    "grid-2x3": lambda: gen_gridworld(1, 2, 3, 3),
+}
+
+
+class TestVertexKeys:
+    """`explore_vertex` looks a local point up by its first policy's key in
+    `SearchContext.vertex_of`, and scans the vertex returns only on a miss."""
+
+    @pytest.mark.parametrize("name", sorted(KEY_SOURCES))
+    def test_every_key_hit_equals_the_scan(self, name, monkeypatch):
+        """Each hit names the vertex that the row-by-row scan of the scaled
+        returns names, and only each vertex's own policy is keyed, never a
+        co-policy."""
+        ctx = None
+        hits = []
+
+        class SpyKeys(dict):
+            def get(self, key, default=None):
+                vid = super().get(key, default)
+                if vid is not None:
+                    point = ctx.z[key] * ctx.scale
+                    assert vid == loop_find_vertex(ctx.scaled, point, ctx.config.eps_equal)
+                    hits.append(vid)
+                return vid
+
+        def spying_context(mdp, config=None):
+            nonlocal ctx
+            ctx = make_context(mdp, config)
+            ctx.vertex_of = SpyKeys()
+            return ctx
+
+        monkeypatch.setattr(_search_module(), "make_context", spying_context)
+        front = search(KEY_SOURCES[name]())
+        assert hits
+        assert ctx.vertex_of == {v.policy.tobytes(): v.id for v in front.vertices}
+        if name == "dupact":
+            assert any(v.co_policies for v in front.vertices)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gen_random_mdp(0, 8, 4, 5), KEY_SOURCES["dupact"]],
+        ids=["dense-S8-A4-D5", "dupact"],
+    )
+    def test_only_new_vertices_are_scanned(self, build):
+        """On these fronts every known vertex is found by its key, so each
+        scan admits a vertex; the start vertex is admitted without one."""
+        front = search(build())
+        assert front.stats.vertex_scans == len(front.vertices) - 1
 
 
 class TestCoPolicies:
@@ -689,10 +746,14 @@ class TestFaceSelectionScreen:
 
 
 def subface_instances():
-    """(MDP builder, solvers) by name for every golden instance and every
-    benchmark instance. The oracle runs on the golden instances within its
-    default cap, and on the benchmark instances the benchmark runs it on."""
-    out = {}
+    """(MDP builder, solvers) by name for every golden instance, every
+    benchmark instance and the degenerate families. The oracle runs on the
+    golden instances within its default cap, on the benchmark instances the
+    benchmark runs it on, and on every degenerate one."""
+    out = {
+        name: (build, (search, brute_force_front))
+        for name, build in degenerate_instances().items()
+    }
     for name, build in GOLDEN_INSTANCES.items():
         mdp = build()
         within_cap = mdp.num_actions**mdp.num_states <= 1_000_000
@@ -710,9 +771,11 @@ SUBFACE_INSTANCES = subface_instances()
 @pytest.mark.parametrize("name", sorted(SUBFACE_INSTANCES))
 def test_lattice_subfaces_equal_the_svd_rule(name, monkeypatch):
     """At every call of the descent, on every local hull of search and on
-    the oracle's hull, `subfaces_at` returns the children the SVD rule
-    returns, in the same order; the dimension handed to each call is its
-    face's affine dimension, and each child's is one less."""
+    the oracle's hull, `subfaces_at` returns the children the SVD rule and
+    the pairwise maximality filter return, in the same order, whether the
+    face's vertex count makes it a simplex or not; the dimension handed to
+    each call is its face's affine dimension, and each child's is one
+    less."""
     module = _search_module()
     lattice = module.subfaces_at
     children = []
@@ -720,6 +783,7 @@ def test_lattice_subfaces_equal_the_svd_rule(name, monkeypatch):
     def checked(mask, dim, hull, apex_id):
         got = lattice(mask, dim, hull, apex_id)
         assert got == svd_subfaces_at(mask, hull, apex_id)
+        assert got == pairwise_subfaces_at(mask, dim, hull, apex_id)
         assert affine_dimension(hull.points[mask_ids(mask)]) == dim
         for child in got:
             assert affine_dimension(hull.points[mask_ids(child)]) == dim - 1
@@ -734,12 +798,13 @@ def test_lattice_subfaces_equal_the_svd_rule(name, monkeypatch):
 
 
 def test_stored_policies_are_no_views():
-    """Search evaluates each vertex's neighbors as rows of one array; every
-    vertex policy and co-policy it stores is a copy, so no vertex keeps
-    another array alive."""
+    """Search evaluates each vertex's neighbors as rows of one array and
+    their returns as rows of another; every vertex policy, co-policy and
+    return it stores is a copy, so no vertex keeps another array alive."""
     vertices = [v for make in GOLDEN_INSTANCES.values() for v in search(make()).vertices]
     stored = [p for v in vertices for p in (v.policy, *v.co_policies)]
     assert all(p.base is None and p.dtype == np.int64 for p in stored)
+    assert all(v.ret.base is None for v in vertices)
     # Some instances have co-policies, so those are checked too.
     assert len(stored) > len(vertices)
 
