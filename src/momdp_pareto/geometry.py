@@ -198,10 +198,9 @@ def dominance(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> Dominance | lis
     return rels if u.ndim == 2 else rels[0]
 
 
-# Rows per block of the pairwise masks in `group_coincident` and
-# `convex_hull`'s plane dedupe, and the row count above which `pprune` runs
-# its anchor pre-pass; `dominated_by` takes _BLOCK_ROWS**2 cells per block,
-# as many rows as fit against its cloud.
+# The row count above which `pprune` runs its anchor pre-pass;
+# `dominated_by` takes _BLOCK_ROWS**2 cells per block, as many rows as fit
+# against its cloud.
 _BLOCK_ROWS = 256
 # Rows per block of `pprune`'s sweep. A small block keeps rows early, so
 # they drop the rows they dominate before those rows are scanned again. On
@@ -319,36 +318,44 @@ def group_coincident(points: np.ndarray, eps: float) -> list[list[int]]:
     Each row joins the first group whose first row is within eps of it, or
     opens a new group. Groups come in order of their first rows, and each
     group lists its rows ascending; the first row represents the group.
-
-    Rows are visited in order, and a row not yet in a group opens one and
-    takes every unplaced row close to it: an earlier first row close to such
-    a row would have taken it already, so this is the first group it can
-    join. The close pairs come from a (rows, n) mask per block of rows, built
-    one coordinate at a time; a row close to no other row is a group of its
-    own, so only rows with a close partner are visited one by one.
+    The groups are `_first_close_rows`' with eps in every column.
     """
     pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    first = np.arange(n)
-    free = np.ones(n, dtype=bool)
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = pts[start : start + _BLOCK_ROWS]
-        close = np.ones((len(rows), n), dtype=bool)
-        for r, col in zip(rows.T, pts.T):
-            close &= np.abs(r[:, None] - col) <= eps
-        own = np.arange(len(rows))
-        close[own, start + own] = False
-        for k in np.flatnonzero(close.any(axis=1)).tolist():
-            i = start + k
-            if free[i]:
-                free[i] = False
-                members = np.flatnonzero(close[k] & free)
-                free[members] = False
-                first[members] = i
     groups: dict[int, list[int]] = {}
-    for i, f in enumerate(first.tolist()):
+    for i, f in enumerate(_first_close_rows(pts, np.full(pts.shape[1], eps))):
         groups.setdefault(f, []).append(i)
     return list(groups.values())
+
+
+def _first_close_rows(rows: np.ndarray, tols: np.ndarray) -> list[int]:
+    """The first row of each row's group, where rows are visited in order
+    and a row not yet in a group opens one and takes every unplaced row
+    within `tols` of it in every column. An earlier first row close to such
+    a row would have taken it already, so this is the first group it can
+    join.
+
+    Close rows are within t = tols[0] in column 0, so one stable sort of
+    that column and one `searchsorted` give each row the rows after it up
+    to its entry + 2 t, and only those are tested. None is missed: for
+    entries a <= b, a computed b - a <= t means b - a <= t / (1 - 2**-53)
+    < 2 t, and as rounding is monotone and b is a float, fl(a + 2 t) >= b.
+    A row with no close partner is a group of its own. The close pairs
+    (k, j), k < j, are visited by ascending k, so whether k opened a group
+    is settled before its own pairs come up.
+    """
+    order = np.argsort(rows[:, 0], kind="stable")
+    ranked = rows[order, 0]
+    ends = np.searchsorted(ranked, ranked + 2 * tols[0], side="right")
+    pairs = []
+    for p in np.flatnonzero(ends > np.arange(1, len(order) + 1)).tolist():
+        i, cands = int(order[p]), order[p + 1 : ends[p]]
+        close = (np.abs(rows[cands] - rows[i]) <= tols).all(axis=1)
+        pairs += [(min(i, j), max(i, j)) for j in cands[close].tolist()]
+    first = list(range(len(order)))
+    for k, j in sorted(pairs):
+        if first[k] == k and first[j] == j:
+            first[j] = k
+    return first
 
 
 def affine_dimension(points: np.ndarray, tol: float = 1e-9) -> int:
@@ -402,21 +409,21 @@ def convex_hull(
     plane unless it agrees within the incidence tolerance with a plane kept
     before it, so each geometric facet appears once. Dropping the copies
     first changes nothing: a copy is close to exactly the planes its first
-    occurrence is close to, so the greedy pass would drop it either way,
-    after its first occurrence or the plane that took it. It does spare the
-    pass the copies, which on a hull with large merged facets are most of
-    Qhull's planes (23 270 planes, 3 434 distinct, on the oracle's hull of
-    `gen_gridworld(6, 2, 3, 5)`).
+    occurrence is close to, so the greedy pass would drop it either way.
+    It spares the pass the copies, which share an offset and so are all
+    each other's candidates; on a hull with large merged facets they are
+    most of Qhull's planes (23 270 planes, 3 434 distinct, on the oracle's
+    hull of `gen_gridworld(6, 2, 3, 5)`).
     Qhull reports every plane with its outward normal, the hull lying on the
     side n @ x + b <= 0 (Barber, Dobkin and Huhdanpaa, *The Quickhull
     algorithm for convex hulls*, ACM TOMS 22, 1996), so the normalized
     equations are the normals and offsets as given; nothing is reoriented.
 
-    With an apex, only the planes that pass within the incidence tolerance
-    of it are merged and measured (`_apex_planes`), and the hull holds
-    exactly the facets of the full build whose masks hold the apex, bit for
-    bit and in the same order; none when the apex is not a hull vertex.
-    Search's descent reads nothing else (`select_pareto_faces`).
+    With an apex, only the kept planes passing within the incidence
+    tolerance of it are measured. Its heights come from the matrix-vector
+    routine that gives the masks theirs, one row's product at a time, so
+    these are exactly the full build's facets whose masks hold the apex, in
+    order; none when the apex is not a hull vertex. Search reads no others.
 
     Args:
         points: (n, D) array with n >= D + 1 spanning all D dimensions.
@@ -459,12 +466,10 @@ def convex_hull(
     norms = np.sqrt((raw[:, None] @ raw[:, :, None]).ravel())
     normals = raw / norms[:, None]
     offsets = -eqs[:, -1] / norms
-    if apex is None:
-        kept = _merge_close_planes(normals, offsets, tol, eps_geom)
-    elif is_vertex[apex]:
-        kept = _apex_planes(normals, offsets, pts[apex], tol, eps_geom)
-    else:
-        kept = []
+    kept = _merge_close_planes(normals, offsets, tol, eps_geom)
+    if apex is not None:
+        through = is_vertex[apex] & (np.abs(normals @ pts[apex] - offsets) <= tol)
+        kept = [k for k in kept if through[k]]
     normals = normals[kept]
     offsets = offsets[kept]
     # Row k of `height` holds every point's height over kept plane k, from
@@ -489,70 +494,12 @@ def _merge_close_planes(
 ) -> list[int]:
     """Indices of the planes kept greedily in order, each unless a plane
     kept before it has a unit normal within eps_geom per coordinate and an
-    offset within tol.
-
-    The closeness mask is built for `_BLOCK_ROWS` planes against all F at a
-    time: O(F**2) comparisons, but never an (F, F) array.
-    """
-    kept: list[int] = []
-    taken = np.zeros(len(offsets), dtype=bool)
-    for start in range(0, len(offsets), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        kept += _keep_first(_close_planes(normals, offsets, rows, tol, eps_geom), start, taken)
-    return kept
-
-
-def _close_planes(
-    normals: np.ndarray, offsets: np.ndarray, rows, tol: float, eps_geom: float
-) -> np.ndarray:
-    """Mask of the planes `rows` (an index array or a slice) against every
-    plane: unit normals within eps_geom per coordinate and offsets within
-    tol."""
-    close = np.abs(offsets[rows, None] - offsets) <= tol
-    for col in normals.T:
-        close &= np.abs(col[rows, None] - col) <= eps_geom
-    return close
-
-
-def _keep_first(close: np.ndarray, start: int, taken: np.ndarray) -> list[int]:
-    """The greedy pass over consecutive planes start, start + 1, ... whose
-    rows of the closeness mask are `close`: a plane is kept unless `taken`,
-    and a kept plane takes every plane its row marks. Returns the kept
-    planes and updates `taken`."""
-    kept: list[int] = []
-    for k, row in enumerate(close, start):
-        if not taken[k]:
-            kept.append(k)
-            taken |= row
-    return kept
-
-
-def _apex_planes(
-    normals: np.ndarray, offsets: np.ndarray, apex: np.ndarray, tol: float, eps_geom: float
-) -> list[int]:
-    """The planes `_merge_close_planes` keeps whose height over the point
-    `apex` is within tol, ascending.
-
-    The heights come from one product of the normals with the apex, by the
-    matrix-vector routine that gives `convex_hull`'s incidence masks their
-    heights, which takes each row's product on its own; so a plane is
-    selected exactly when its mask would hold the apex. Call these the apex
-    planes.
-    The greedy merge drops a plane only for a kept plane close to it, so
-    when every plane close to an apex plane is itself an apex plane, which
-    apex planes survive depends on the apex planes alone, and merging them
-    on their own gives the full merge's answer. Otherwise the full merge
-    runs. A plane close to an apex plane has height at most
-    |apex|_1 eps_geom + 2 tol <= (2 + D) tol over it, so that takes a
-    second plane of nearly the same facet whose height is just past tol.
-    """
-    through = np.abs(normals @ apex - offsets) <= tol
-    near = np.flatnonzero(through)
-    # The apex planes' rows of the closeness mask, against every plane.
-    close = _close_planes(normals, offsets, near, tol, eps_geom)
-    if close[:, ~through].any():
-        return [k for k in _merge_close_planes(normals, offsets, tol, eps_geom) if through[k]]
-    return near[_keep_first(close[:, near], 0, np.zeros(len(near), dtype=bool))].tolist()
+    offset within tol: the first rows of `_first_close_rows`' groups, with
+    the offsets as the sorted column."""
+    tols = np.full(normals.shape[1] + 1, eps_geom)
+    tols[0] = tol
+    first = _first_close_rows(np.column_stack([offsets, normals]), tols)
+    return [k for k, f in enumerate(first) if f == k]
 
 
 def incident_facets(hull: LocalHull, point_id: int) -> tuple[int, ...]:

@@ -140,11 +140,12 @@ def long_term_return(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
         if pol.shape != (S, A):
             raise ValueError(f"stochastic policy must have shape ({S}, {A}), got {pol.shape}")
         return stochastic_returns(mdp, pol[None])[0]
-    return deterministic_returns(mdp, check_actions(mdp, pol)[None])[0]
+    return deterministic_returns(mdp, check_actions(pol, S, A)[None])[0]
 
 
-def check_actions(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
-    """A deterministic policy as an (S,) int64 array of action indices.
+def check_actions(policy: np.ndarray, S: int, A: int) -> np.ndarray:
+    """A deterministic policy over S states and A actions as an (S,) int64
+    array of action indices.
 
     Raises:
         ValueError: when the policy is not of shape (S,), or some action is
@@ -152,7 +153,6 @@ def check_actions(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
             and its action.
     """
     pol = np.asarray(policy)
-    S, A = mdp.num_states, mdp.num_actions
     if pol.shape != (S,):
         raise ValueError(f"deterministic policy must have shape ({S},), got {pol.shape}")
     bad = np.flatnonzero(~((pol >= 0) & (pol < A) & (pol == np.floor(pol))))
@@ -242,7 +242,8 @@ def mix_policies(
         num_actions: number of actions A of the underlying MDP.
 
     Returns:
-        Row-stochastic array of shape (S, A).
+        Row-stochastic array of shape (S, A). A policy that is not S integer
+        actions in [0, A) raises a ValueError naming it (`check_actions`).
     """
     w = np.asarray(weights, dtype=float)
     if len(policies) == 0 or w.shape != (len(policies),):
@@ -253,10 +254,11 @@ def mix_policies(
         raise ValueError(f"mixture weights must sum to 1, got {w.sum():.17g}")
     S = np.asarray(policies[0]).shape[0]
     mat = np.zeros((S, num_actions))
-    for pol, wi in zip(policies, w):
-        pol = np.asarray(pol, dtype=np.int64)
-        if pol.shape != (S,):
-            raise ValueError("all policies must share the same number of states")
+    for i, (pol, wi) in enumerate(zip(policies, w)):
+        try:
+            pol = check_actions(pol, S, num_actions)
+        except ValueError as exc:
+            raise ValueError(f"policy {i}: {exc}") from None
         mat[np.arange(S), pol] += wi
     return mat
 

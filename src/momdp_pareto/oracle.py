@@ -413,7 +413,7 @@ def verify_front(
     policies = []
     for v in front.vertices:
         try:
-            policies.append(check_actions(mdp, v.policy))
+            policies.append(check_actions(v.policy, S, A))
         except ValueError as exc:
             raise ValueError(
                 f"vertex {v.id}: policy {np.asarray(v.policy).tolist()} is not {S} actions "

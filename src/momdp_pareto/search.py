@@ -34,6 +34,7 @@ from .geometry import (
 from .mdp import (
     InvalidMdpError,
     Mdp,
+    check_actions,
     deterministic_returns,
     long_term_return,
     mix_policies,
@@ -44,7 +45,7 @@ from .mdp import (
 
 
 class SearchAbortError(RuntimeError):
-    """Raised when a return assumed to be a Pareto vertex turns out not to be."""
+    """Raised when a supposed Pareto vertex is not one, or has no local hull."""
 
 
 @dataclass(eq=False)
@@ -325,20 +326,18 @@ def _local_pareto_faces(
             "testing faces directly instead of building a hull"
         )
         return support_faces(pts, 0, ctx.config.eps_pos)
-    # A flat set is closed off below (`close_below`), which leaves its
-    # Pareto faces and their ids as they are; a set that Qhull refuses even
-    # then goes to the direct tests.
+    # A flat set is closed off below (`close_below`), which keeps its Pareto
+    # faces and ids; no instance has reached a set Qhull refuses even then.
     try:
         hull = convex_hull(pts, eps_geom=ctx.config.eps_geom, apex=0)
     except DegenerateHullError:
         try:
             hull = convex_hull(close_below(pts), eps_geom=ctx.config.eps_geom, apex=0)
-        except DegenerateHullError:
-            ctx.warn(
-                f"vertex {vertex.id}: hull construction degenerate; "
-                "testing faces directly instead"
-            )
-            return support_faces(pts, 0, ctx.config.eps_pos)
+        except DegenerateHullError as exc:
+            raise SearchAbortError(
+                f"vertex {vertex.id} (actions {vertex.policy.tolist()}): Qhull refused "
+                f"its {n} local points in {D} objectives even closed off below"
+            ) from exc
     try:
         passing, _ = select_pareto_faces(0, hull, ctx.config.eps_pos)
     except ApexNotVertexError as exc:
@@ -527,7 +526,7 @@ def search(mdp: Mdp, config: SearchConfig | None = None) -> ParetoFront:
     Raises:
         InvalidMdpError: when validation fails.
         SearchAbortError: when a supposed vertex is exposed as dominated or
-            interior; the message names the offending policies.
+            interior, or has no local hull; the message names its policies.
     """
     config = config or SearchConfig()
     violations = validate_mdp(mdp)
@@ -573,10 +572,17 @@ def policies_on_face(
 
     Returns:
         The stochastic policy (S, A) and its long-term return (D,).
+
+    A vertex action that is not an integer in [0, A) raises a ValueError
+    naming the vertex, the state and the action (`check_actions`).
     """
     if not (0 <= face_id < len(front.faces)):
         raise ValueError(f"face_id {face_id} out of range (front has {len(front.faces)} faces)")
-    face = front.faces[face_id]
-    pols = [front.vertices[vid].policy for vid in face.vertex_ids]
+    pols = []
+    for vid in front.faces[face_id].vertex_ids:
+        try:
+            pols.append(check_actions(front.vertices[vid].policy, mdp.num_states, mdp.num_actions))
+        except ValueError as exc:
+            raise ValueError(f"vertex {vid}: {exc}") from None
     mixed = mix_policies(pols, weights, mdp.num_actions)
     return mixed, long_term_return(mdp, mixed)

@@ -108,8 +108,8 @@ def _vertex_id(vid: Any, count: int, what: str) -> int:
 
 def front_from_dict(data: dict[str, Any]) -> ParetoFront:
     """Rebuild a front. Ids, actions, dimensions and counts must be whole
-    numbers, every return as long as the first, and every face vertex id
-    must name a vertex; the error names the entry."""
+    numbers, every return as long as the first, and every face must have
+    vertex ids, each naming a vertex; the error names the entry."""
     try:
         vertices = [
             VertexRecord(
@@ -139,6 +139,9 @@ def front_from_dict(data: dict[str, Any]) -> ParetoFront:
             )
             for k, f in enumerate(data["faces"])
         ]
+        for k, f in enumerate(faces):
+            if not f.vertex_ids:
+                raise ValueError(f"face {k}: no vertex ids")
         stats = SearchStats(
             iterations=_whole(data["stats"]["iterations"], "iterations"),
             policies_evaluated=_whole(data["stats"]["policies_evaluated"], "policies_evaluated"),

@@ -599,9 +599,9 @@ def loop_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e-9):
 
 
 def unblocked_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e-9):
-    """`convex_hull`'s facets with its planes deduplicated from one (F, F)
-    closeness mask over all F Qhull planes at once, kept greedily in Qhull's
-    order; tolerances, orientation, incidence and output as in
+    """`convex_hull`'s facets with its planes deduplicated by
+    `greedy_plane_merge` over all F Qhull planes, exact copies included,
+    in Qhull's order; tolerances, orientation, incidence and output as in
     `loop_hull_facets`."""
     pts = np.asarray(points, dtype=float)
     hull = ConvexHull(pts)
@@ -610,16 +610,25 @@ def unblocked_hull_facets(points: np.ndarray, apex_id=None, eps_geom: float = 1e
     norms = np.array([np.linalg.norm(row) for row in eqs[:, :-1]])
     normals = eqs[:, :-1] / norms[:, None]
     offsets = -eqs[:, -1] / norms
-    close = np.abs(offsets[:, None] - offsets[None, :]) <= eps_geom * scale
+    kept = greedy_plane_merge(normals, offsets, eps_geom * scale, eps_geom)
+    planes = [(normals[k], float(offsets[k])) for k in kept]
+    return _oriented_facets(pts, hull, planes, apex_id, eps_geom)
+
+
+def greedy_plane_merge(normals: np.ndarray, offsets: np.ndarray, tol: float, eps_geom: float):
+    """The planes kept greedily in order, each unless a plane kept before it
+    has a unit normal within eps_geom per coordinate and an offset within
+    tol, from one (F, F) closeness mask over all F planes at once."""
+    close = np.abs(offsets[:, None] - offsets[None, :]) <= tol
     for col in normals.T:
         close &= np.abs(col[:, None] - col[None, :]) <= eps_geom
-    planes = []
-    taken = np.zeros(len(eqs), dtype=bool)
-    for k in range(len(eqs)):
+    kept = []
+    taken = np.zeros(len(offsets), dtype=bool)
+    for k in range(len(offsets)):
         if not taken[k]:
-            planes.append((normals[k], float(offsets[k])))
+            kept.append(k)
             taken |= close[k]
-    return _oriented_facets(pts, hull, planes, apex_id, eps_geom)
+    return kept
 
 
 def _oriented_facets(pts, hull, planes, apex_id, eps_geom):

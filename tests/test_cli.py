@@ -216,6 +216,10 @@ class TestVerify:
                 lambda d: d["faces"][0].__setitem__("dim", 1.5),
                 "face 0: dim must be an integer, got 1.5",
             ),
+            (
+                lambda d: d["faces"][0]["vertex_ids"].clear(),
+                "face 0: no vertex ids",
+            ),
         ],
         ids=[
             "fractional-action",
@@ -223,12 +227,14 @@ class TestVerify:
             "vertex-id-past-end",
             "negative-vertex-id",
             "fractional-dim",
+            "no-vertex-ids",
         ],
     )
     def test_inexact_front_entries_exit_2(self, mdp_file, tmp_path, capsys, edit, message):
         """A fractional action or dimension used to be truncated (2.5 read
         as 2, and verify passed), a face vertex id past the vertex list made
-        verify die with an IndexError, and -1 named the last vertex."""
+        verify die with an IndexError, -1 named the last vertex, and a face
+        with no vertex ids made verify die reshaping an empty array."""
         front = tmp_path / "front.json"
         run("solve", str(mdp_file), "-o", str(front))
         data = json.loads(front.read_text())

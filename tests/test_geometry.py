@@ -43,6 +43,7 @@ from helpers import (
     convex_cloud,
     degenerate_instances,
     dominated_in_cloud,
+    greedy_plane_merge,
     linprog_pareto_lp,
     linprog_support_lp,
     loop_dominance,
@@ -851,8 +852,8 @@ class TestFacetDedupe:
 
 
 class TestBlockedPlaneDedupe:
-    """`convex_hull` builds its plane-dedupe mask `_BLOCK_ROWS` planes at a
-    time; the facets must not depend on the block size."""
+    """`convex_hull`'s plane merge on a cloud with many triangulated
+    facets against the one-mask reference."""
 
     @staticmethod
     def cloud():
@@ -860,8 +861,7 @@ class TestBlockedPlaneDedupe:
         pts = np.random.default_rng(0).integers(0, 3, size=(100, 5)).astype(float)
         return np.unique(pts, axis=0)
 
-    @pytest.mark.parametrize("block", [1, 7, 64, 256])
-    def test_facets_equal_the_unblocked_mask(self, block, monkeypatch):
+    def test_facets_equal_the_unblocked_mask(self):
         from scipy.spatial import ConvexHull
 
         pts = self.cloud()
@@ -869,7 +869,6 @@ class TestBlockedPlaneDedupe:
         assert planes > 256
         want = unblocked_hull_facets(pts, apex_id=0)
         assert len(want) < planes
-        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block)
         assert_same_facets(convex_hull(pts), want)
 
     def test_unblocked_reference_equals_the_plane_loop(self):
@@ -877,6 +876,84 @@ class TestBlockedPlaneDedupe:
         for f, g in zip(unblocked_hull_facets(pts), loop_hull_facets(pts), strict=True):
             assert f[0].tobytes() == g[0].tobytes()
             assert f[1:] == g[1:]
+
+
+def planted_planes(seed: int, tol: float, eps_geom: float):
+    """1 to 199 random planes in D = 2 to 6 and up to as many planted ones,
+    in random order. The random planes have unit normals and offsets spread
+    over [-1, 1] or within 3 tol of 0. The planted ones are exact copies;
+    near copies off by up to 1.5 eps_geom per normal coordinate and 1.5 tol
+    in offset, so some are close and some not; chains a, b, c with steps of
+    0.75 of both, a close to b and b to c but a not to c; and planes given
+    another plane's offset exactly."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    n = int(rng.integers(1, 200))
+    normals = rng.normal(size=(n, d))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = rng.uniform(-1.0, 1.0, n) if seed % 2 else rng.uniform(-3.0, 3.0, n) * tol
+    rows, offs = list(normals), list(offsets)
+    step = np.full(d, 0.75 * eps_geom)
+    for _ in range(int(rng.integers(0, n + 1))):
+        i = int(rng.integers(n))
+        kind = rng.integers(4)
+        if kind == 0:
+            rows.append(normals[i])
+            offs.append(offsets[i])
+        elif kind == 1:
+            rows.append(normals[i] + rng.uniform(-1.5, 1.5, d) * eps_geom)
+            offs.append(offsets[i] + rng.uniform(-1.5, 1.5) * tol)
+        elif kind == 2:
+            rows += [normals[i] + step, normals[i] + 2 * step]
+            offs += [offsets[i] + 0.75 * tol, offsets[i] + 1.5 * tol]
+        else:
+            rows.append(rng.normal(size=d))
+            offs.append(offsets[i])
+    order = rng.permutation(len(offs))
+    return np.array(rows)[order], np.array(offs)[order]
+
+
+class TestPlaneMerge:
+    """`_merge_close_planes`, which tests only the pairs whose offsets a
+    sort brings within 2 tol, against the one-mask greedy merge."""
+
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    @pytest.mark.parametrize("eps_geom", [0.0, 1e-9, 1e-6])
+    def test_random_sets_equal_the_full_mask(self, eps_geom, scale):
+        tol = eps_geom * scale
+        merged = 0
+        for seed in range(120):
+            normals, offsets = planted_planes(seed, tol, eps_geom)
+            want = greedy_plane_merge(normals, offsets, tol, eps_geom)
+            assert geometry._merge_close_planes(normals, offsets, tol, eps_geom) == want
+            merged += len(offsets) - len(want)
+        assert merged > 1000
+
+    CHAIN = (
+        np.array([[0.6, 0.8], [0.6 + 7.5e-10, 0.8 + 7.5e-10], [0.6 + 1.5e-9, 0.8 + 1.5e-9]]),
+        np.array([0.0, 7.5e-10, 1.5e-9]),
+    )
+
+    @pytest.mark.parametrize("order,kept", [([0, 1, 2], [0, 2]), ([1, 0, 2], [0]), ([2, 1, 0], [0, 2])])
+    def test_chain_keeps_by_order(self, order, kept):
+        """a is close to b and b to c, but a is not close to c: a first
+        keeps c, b first takes both."""
+        normals, offsets = (x[order] for x in self.CHAIN)
+        assert geometry._merge_close_planes(normals, offsets, 1e-9, 1e-9) == kept
+        assert greedy_plane_merge(normals, offsets, 1e-9, 1e-9) == kept
+
+    def test_offsets_straddling_zero_merge(self):
+        normals = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        offsets = np.array([4e-10, -4e-10, 0.0])
+        assert geometry._merge_close_planes(normals, offsets, 1e-9, 1e-9) == [0, 2]
+
+    def test_tied_offsets_keep_distinct_normals(self):
+        normals = np.array([[1.0, 0.0], [1.0, 2e-9], [1.0, 5e-10], [0.0, 1.0]])
+        offsets = np.full(4, 0.5)
+        assert geometry._merge_close_planes(normals, offsets, 1e-9, 1e-9) == [0, 1, 3]
+
+    def test_no_planes(self):
+        assert geometry._merge_close_planes(np.zeros((0, 3)), np.zeros(0), 1e-9, 1e-9) == []
 
 
 def apex_rows(hull, apex_id):
@@ -944,30 +1021,14 @@ class TestApexHull:
             assert hull.vertex_ids == full.vertex_ids
             assert (want == []) == (apex_id in inner)
 
-    def test_near_miss_plane_runs_the_full_merge(self, monkeypatch):
+    def test_near_miss_plane_runs_the_full_merge(self):
         """On the roof, point 3's one roof plane merges into the plane kept
-        before it, which passes more than tol from point 3; the apex planes
-        on their own would keep it. So the full merge runs, and point 3
-        gets no roof facet, as in the full build."""
-        from scipy.spatial import ConvexHull
-
+        before it, which passes more than tol from point 3; the planes
+        through point 3 merged on their own would keep it. Every plane is
+        merged, so point 3 gets no roof facet, as in the full build."""
         pts = roof_cloud()
-        distinct = len(np.unique(ConvexHull(pts).equations, axis=0))
-        merged = []
-        merge = geometry._merge_close_planes
-
-        def recording(normals, offsets, tol, eps_geom):
-            merged.append(len(offsets))
-            return merge(normals, offsets, tol, eps_geom)
-
-        monkeypatch.setattr(geometry, "_merge_close_planes", recording)
         hull = convex_hull(pts, apex=3)
-        assert merged == [distinct]
         assert [mask_ids(m) for m in hull.facet_masks] == [[2, 3, 6, 7], [1, 3, 5, 7]]
-        merged.clear()
-        convex_hull(pts, apex=1)
-        assert merged == []
-        monkeypatch.undo()
         assert_same_facets(hull, apex_rows(convex_hull(pts), 3))
 
 

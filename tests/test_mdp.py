@@ -219,15 +219,15 @@ class TestLongTermReturn:
             long_term_return(mdp433, np.array(pol))
         assert str(err.value) == message
         with pytest.raises(ValueError) as err:
-            check_actions(mdp433, pol)
+            check_actions(pol, 4, 3)
         assert str(err.value) == message
 
     def test_check_actions_returns_int_actions(self, mdp433):
         for pol in ([0, 2, 1, 0], [0.0, 2.0, 1.0, 0.0], np.array([0, 2, 1, 0], dtype=np.int32)):
-            got = check_actions(mdp433, pol)
+            got = check_actions(pol, 4, 3)
             assert got.dtype == np.int64 and got.tolist() == [0, 2, 1, 0]
         with pytest.raises(ValueError, match=r"deterministic policy must have shape \(4,\), got \(3,\)"):
-            check_actions(mdp433, [0, 1, 2])
+            check_actions([0, 1, 2], 4, 3)
 
     def test_bad_shapes_name_the_policy_kind(self, mdp433):
         with pytest.raises(ValueError, match=r"deterministic policy must have shape \(4,\), got \(3,\)"):
@@ -342,6 +342,16 @@ class TestMixPolicies:
             mix_policies([p, p], [0.6, 0.6], num_actions=2)
         with pytest.raises(ValueError):
             mix_policies([], [], num_actions=2)
+
+    @pytest.mark.parametrize("action", [-1, 1.5, 7])
+    def test_rejects_bad_actions(self, action):
+        """-1 used to be mixed in as action A - 1, 1.5 truncated to 1, and
+        7 raised a bare IndexError; the message names the policy, the state
+        and the action, by `check_actions`."""
+        p = np.array([0, 1, 2])
+        with pytest.raises(ValueError) as err:
+            mix_policies([p, np.array([0, action, 2])], [0.5, 0.5], num_actions=3)
+        assert str(err.value) == f"policy 1: action {action!r} at state 1 is not an integer in [0, 3)"
 
 
 class TestGenerators:

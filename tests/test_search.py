@@ -353,6 +353,21 @@ class TestPoliciesOnFace:
         with pytest.raises(ValueError):
             policies_on_face(bandit3, front, 5, [1.0])
 
+    @pytest.mark.parametrize("action", [-1, 1.5, 7])
+    def test_bad_vertex_action_names_it(self, mdp433, action):
+        """-1 used to be mixed in as action A - 1, 1.5 truncated to 1, and
+        7 raised a bare IndexError."""
+        front = search(mdp433)
+        face = front.faces[0]
+        vid = face.vertex_ids[-1]
+        policy = front.vertices[vid].policy.tolist()
+        policy[2] = action
+        front.vertices[vid].policy = np.array(policy)
+        weights = np.full(len(face.vertex_ids), 1.0 / len(face.vertex_ids))
+        with pytest.raises(ValueError) as err:
+            policies_on_face(mdp433, front, 0, weights)
+        assert str(err.value) == f"vertex {vid}: action {action!r} at state 2 is not an integer in [0, 3)"
+
 
 def test_return_scale_formula():
     m = gen_random_mdp(0, 3, 2, 2)
@@ -822,10 +837,8 @@ def test_policy_keys_are_the_rows_int64_bytes():
 
 class TestLocalHullFallbacks:
     """`_local_pareto_faces` builds the hull first; a set that Qhull refuses
-    is closed off below and built again, and a set refused even then goes to
-    the direct tests."""
-
-    DIRECT = "vertex 7: hull construction degenerate; testing faces directly instead"
+    is closed off below and built again, and a set refused even then stops
+    the search."""
 
     def run(self, monkeypatch, failures, pts):
         """Call `_local_pareto_faces` on points in D=3 with its first
@@ -885,10 +898,15 @@ class TestLocalHullFallbacks:
         assert faces == [((0, 1, 2, 3, 4, 5), 2)]
 
     def test_closed_set_refused_too(self, monkeypatch):
-        warnings, faces, built, tested = self.run(monkeypatch, 2, self.HEXAGON)
-        assert warnings == [self.DIRECT]
-        assert len(built) == 2 and tested[0] is self.HEXAGON
-        assert faces == [((0, 1, 2, 3, 4, 5), 2)]
+        """No instance reaches this; the error names the vertex and its
+        actions."""
+        with pytest.raises(SearchAbortError) as err:
+            self.run(monkeypatch, 2, self.HEXAGON)
+        assert str(err.value) == (
+            "vertex 7 (actions [0, 0, 0, 0]): Qhull refused its 6 local points "
+            "in 3 objectives even closed off below"
+        )
+        assert isinstance(err.value.__cause__, geometry.DegenerateHullError)
 
     def test_dependent_objectives_warn_nothing(self):
         """Every local return set of this front spans three of four
