@@ -861,10 +861,14 @@ class TestBlockedPlaneDedupe:
         pts = np.random.default_rng(0).integers(0, 3, size=(100, 5)).astype(float)
         return np.unique(pts, axis=0)
 
-    def test_facets_equal_the_unblocked_mask(self):
+    @pytest.mark.parametrize("scale", [1, 7, 64, 256])
+    def test_facets_equal_the_unblocked_mask(self, scale):
+        """The merge's tolerance on offsets is eps_geom times the cloud's
+        largest coordinate; at each scale of the lattice the facets are
+        the reference's."""
         from scipy.spatial import ConvexHull
 
-        pts = self.cloud()
+        pts = self.cloud() * scale
         planes = len(ConvexHull(pts).equations)
         assert planes > 256
         want = unblocked_hull_facets(pts, apex_id=0)
