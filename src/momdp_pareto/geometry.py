@@ -6,7 +6,7 @@ import enum
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
@@ -187,15 +187,26 @@ def dominance(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> Dominance | lis
     v = np.asarray(v, dtype=float)
     if u.ndim not in (1, 2) or v.ndim != 1 or u.shape[-1] != v.shape[0]:
         raise ValueError(f"points have different shapes: {u.shape} vs {v.shape}")
-    diff = np.atleast_2d(u - v)
     # A row is below v somewhere past eps (2) and above it (1), or both (3,
-    # incomparable), or neither (0, equal: every |diff| <= eps). Both tests
-    # are written so that a NaN, which min and max pass on, sets both bits.
-    below = ~(diff.min(axis=1) >= -eps)
-    above = ~(diff.max(axis=1) <= eps)
+    # incomparable), or neither (0, equal: within eps in every coordinate).
+    below, above = dominance_masks(np.atleast_2d(u), v, eps)
     codes = 2 * below + above
     rels = [_DOMINANCE_CODES[c] for c in codes.tolist()]
     return rels if u.ndim == 2 else rels[0]
+
+
+def dominance_masks(points: np.ndarray, v: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of an (n, D) float array, whether it lies below the (D,)
+    point v past eps in some objective, and whether it lies above v past eps
+    in some objective: `dominance`'s two tests, unchecked. A row with only
+    the first is dominated by v, with only the second dominates v, with both
+    is incomparable and with neither is equal to v.
+
+    Both tests are written so that a NaN, which min and max pass on, sets
+    both masks.
+    """
+    diff = points - v
+    return ~(diff.min(axis=1) >= -eps), ~(diff.max(axis=1) <= eps)
 
 
 # The row count above which `pprune` runs its anchor pre-pass;
@@ -312,6 +323,27 @@ def dominated_by(
     return out
 
 
+def exposed_sets(weights: np.ndarray, points: np.ndarray, tol: float) -> Iterator[tuple[int, ...]]:
+    """For each row w of weights in turn, the ids of the points whose score
+    `points @ w` lies within tol of the highest, ascending.
+
+    The scores are taken as `weights @ points.T` in blocks of rows, as many
+    rows per block as keep it within _BLOCK_ROWS**2 cells (at least one),
+    and a block is scored only when its first row is asked for, so memory
+    stays bounded however many rows there are. A score in a block differs
+    from the matrix-vector product of its row, if at all, by the rounding
+    of a D-term dot product. A row whose scores hold a NaN ties no point
+    with its highest and gives ().
+    """
+    step = max(1, _BLOCK_ROWS * _BLOCK_ROWS // max(1, len(points)))
+    for start in range(0, len(weights), step):
+        scores = weights[start : start + step] @ points.T
+        on = scores >= scores.max(axis=1, keepdims=True) - tol
+        cols = np.nonzero(on)[1].tolist()
+        ends = np.cumsum(on.sum(axis=1)).tolist()
+        yield from (tuple(cols[a:b]) for a, b in zip([0, *ends], ends))
+
+
 def group_coincident(points: np.ndarray, eps: float) -> list[list[int]]:
     """Group rows lying within eps (max-norm) of an earlier group's first row.
 
@@ -419,6 +451,10 @@ def convex_hull(
     algorithm for convex hulls*, ACM TOMS 22, 1996), so the normalized
     equations are the normals and offsets as given; nothing is reoriented.
 
+    The hull's vertices are the points on its simplices, marked from
+    `hull.simplices` directly; scipy's `hull.vertices` would sort the same
+    ids out of that array by `np.unique` first.
+
     With an apex, only the kept planes passing within the incidence
     tolerance of it are measured. Its heights come from the matrix-vector
     routine that gives the masks theirs, one row's product at a time, so
@@ -449,7 +485,7 @@ def convex_hull(
 
     tol = eps_geom * max(1.0, float(np.abs(pts).max()))
     is_vertex = np.zeros(n, dtype=bool)
-    is_vertex[hull.vertices] = True
+    is_vertex[hull.simplices] = True
 
     # Exact copies go first, by a dict keyed by each row's bytes: on a local
     # hull's few planes that is much cheaper than `np.unique`, and a hull

@@ -217,7 +217,7 @@ def neighbors_one(policy: np.ndarray, num_actions: int) -> np.ndarray:
     """
     pol = np.asarray(policy, dtype=np.int64)
     states, actions = np.nonzero(np.arange(num_actions) != pol[:, None])
-    out = np.tile(pol, (len(states), 1))
+    out = np.repeat(pol[None], len(states), axis=0)
     out[np.arange(len(states)), states] = actions
     return out
 
@@ -252,7 +252,10 @@ def mix_policies(
         raise ValueError(f"mixture weights must be nonnegative, got min {w.min():.3g}")
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValueError(f"mixture weights must sum to 1, got {w.sum():.17g}")
-    S = np.asarray(policies[0]).shape[0]
+    shape = np.shape(policies[0])
+    if len(shape) != 1:
+        raise ValueError(f"policy 0: deterministic policy must have shape (S,), got {shape}")
+    S = shape[0]
     mat = np.zeros((S, num_actions))
     for i, (pol, wi) in enumerate(zip(policies, w)):
         try:

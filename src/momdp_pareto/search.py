@@ -15,13 +15,14 @@ import numpy as np
 from .geometry import (
     ApexNotVertexError,
     DegenerateHullError,
-    Dominance,
     FaceRecord,
     LocalHull,
     affine_dimension,  # unused; the benchmark's tracer binds it on this module
     close_below,
     convex_hull,
-    dominance,
+    dominance,  # unused; the benchmark's tracer binds it on this module
+    dominance_masks,
+    exposed_sets,
     group_coincident,
     incident_facets,
     mask_ids,
@@ -356,6 +357,14 @@ def explore_vertex(
     """Expand one vertex: evaluate its one-change neighbors, keep the
     non-dominated ones, and admit the Pareto faces of the local hull.
 
+    The neighbors are split by `dominance_masks`' two masks against the
+    apex, with slack eps_equal: the ones below it somewhere and above it
+    somewhere are incomparable, and go on to `pprune`; the ones below it
+    somewhere and above it nowhere are dominated, and dropped. Only the few
+    that are below it nowhere are visited one by one, in index order: a
+    neighbor also above it nowhere is equal to it, a co-policy of the
+    vertex, and one above it somewhere dominates it, which aborts.
+
     Newly discovered vertices are appended to the context and enqueued exactly
     once; faces are deduplicated globally by their vertex-id sets.
 
@@ -373,26 +382,23 @@ def explore_vertex(
 
     apex_scaled = ctx.scaled[vertex.id]
     x = np.reshape(rets, (-1, ctx.mdp.num_objectives)) * ctx.scale
-    kept: list[int] = []
-    for i, rel in enumerate(dominance(x, apex_scaled, cfg.eps_equal)):
-        if rel is Dominance.EQUAL:
-            _merge_co_policy(vertex, nbrs[i], keys[i])
-        elif rel is Dominance.DOMINATES:
+    below, above = dominance_masks(x, apex_scaled, cfg.eps_equal)
+    for i in np.flatnonzero(~below).tolist():
+        if above[i]:
             raise SearchAbortError(
                 f"vertex {vertex.id} (actions {vertex.policy.tolist()}) is strictly "
                 f"dominated by its neighbor with actions {nbrs[i].tolist()}; "
                 "its return is not on the Pareto front"
             )
-        elif rel is Dominance.INCOMPARABLE:
-            kept.append(i)
-    if not kept:
+        _merge_co_policy(vertex, nbrs[i], keys[i])
+    kept = np.flatnonzero(below & above)
+    if not len(kept):
         return [], []
 
-    cand = x[kept]
-    nd = pprune(cand)
+    nd = kept[pprune(x[kept])].tolist()
     # Local point 0 is the apex; point k >= 1 is the first of groups[k - 1],
     # the neighbor indices of the kept neighbors with coincident returns.
-    groups = [[kept[nd[i]] for i in g] for g in group_coincident(cand[nd], cfg.eps_equal)]
+    groups = [[nd[i] for i in g] for g in group_coincident(x[nd], cfg.eps_equal)]
     pts = np.vstack([apex_scaled, x[[g[0] for g in groups]]])
     local_faces = _local_pareto_faces(ctx, vertex, pts)
 
@@ -460,10 +466,14 @@ def consolidate_faces(
     piece is therefore keyed by the front vertices that its w scores within
     eps_geom times the returns' scale of its maximum, `convex_hull`'s
     incidence tolerance; the first piece with a key is the face's record,
-    holding the key as its vertex ids. Afterwards, faces whose vertex sets
-    sit strictly inside another face (subfaces picked up while descending
-    past failing siblings) are dropped, leaving one record per maximal face.
-    A by-vertex index finds the faces that hold all of a face's vertices.
+    holding the key as its vertex ids. The pieces are scored together, as
+    the products of their stacked certificates with the returns, in blocks
+    of at most `_BLOCK_ROWS**2` cells (`exposed_sets`), so memory stays
+    bounded however many pieces and vertices there are. Afterwards, faces
+    whose vertex sets sit strictly inside another face (subfaces picked up
+    while descending past failing siblings) are dropped, leaving one record
+    per maximal face. A by-vertex index finds the faces that hold all of a
+    face's vertices.
 
     Args:
         faces: recorded faces, in discovery order.
@@ -475,23 +485,24 @@ def consolidate_faces(
 
     Raises:
         SearchAbortError: when a piece's certificate scores one of the
-            piece's own vertices below its maximum.
+            piece's own vertices below its maximum, or scores a NaN.
     """
     if not faces:
         return []
     points = np.asarray(scaled_returns, dtype=float)
     tol = eps_geom * max(1.0, float(np.abs(points).max()))
-    by_key: dict[tuple[int, ...], FaceRecord] = {}
+    certs = np.empty((len(faces), points.shape[1]))
     for i, f in enumerate(faces):
-        score = points @ (f.alpha @ f.normals)
-        top = score.max() - tol
-        if score[list(f.vertex_ids)].min() < top:
+        certs[i] = f.alpha @ f.normals
+    keys = exposed_sets(certs, points, tol)
+    by_key: dict[tuple[int, ...], FaceRecord] = {}
+    for i, (f, key) in enumerate(zip(faces, keys)):
+        if not set(f.vertex_ids).issubset(key):
             raise SearchAbortError(
                 f"face piece {i} on vertices {f.vertex_ids}: its certificate scores "
                 "some of these vertices more than eps_geom below its maximum, so "
                 "it does not expose the piece"
             )
-        key = tuple(np.flatnonzero(score >= top).tolist())
         if key not in by_key:
             by_key[key] = f if key == f.vertex_ids else dataclasses.replace(f, vertex_ids=key)
     ordered = list(by_key.values())

@@ -703,6 +703,36 @@ def pairwise_consolidate_faces(faces, scaled_returns):
     return keep
 
 
+def piecewise_exposed_sets(faces, scaled_returns, eps_geom: float = 1e-9):
+    """The vertex ids each face piece's certificate w = alpha @ normals
+    scores within eps_geom times the returns' scale of its maximum, from one
+    matrix-vector product `points @ w` per piece."""
+    points = np.asarray(scaled_returns, dtype=float)
+    tol = eps_geom * max(1.0, float(np.abs(points).max()))
+    keys = []
+    for f in faces:
+        score = points @ (f.alpha @ f.normals)
+        keys.append(tuple(np.flatnonzero(score >= score.max() - tol).tolist()))
+    return keys
+
+
+def piecewise_consolidate_faces(faces, scaled_returns, eps_geom: float = 1e-9):
+    """`consolidate_faces` one piece at a time: each piece keyed by
+    `piecewise_exposed_sets`, the first piece with a key kept under it, and
+    a face dropped when another face holds all of its vertices and more,
+    found by comparing every pair."""
+    by_key = {}
+    for f, key in zip(faces, piecewise_exposed_sets(faces, scaled_returns, eps_geom)):
+        assert set(f.vertex_ids) <= set(key)
+        if key not in by_key:
+            by_key[key] = f if key == f.vertex_ids else dataclasses.replace(f, vertex_ids=key)
+    ordered = list(by_key.values())
+    return [
+        f for f in ordered
+        if not any(set(f.vertex_ids) < set(g.vertex_ids) for g in ordered)
+    ]
+
+
 def loop_verify_front(mdp, front, samples_per_face=25, tol=1e-8, seed=0):
     """`verify_front` one sample at a time: each mixture is built by
     `mix_policies`, evaluated by `long_term_return`, projected by its own

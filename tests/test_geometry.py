@@ -23,7 +23,9 @@ from momdp_pareto.geometry import (
     close_below,
     convex_hull,
     dominance,
+    dominance_masks,
     dominated_by,
+    exposed_sets,
     group_coincident,
     incident_facets,
     mask_ids,
@@ -86,6 +88,15 @@ class TestDominance:
         with pytest.raises(ValueError):
             dominance(np.zeros((4, 3)), np.zeros((4, 3)))
 
+    # The relation of a row to v by whether it lies below v somewhere and
+    # above v somewhere (`dominance_masks`).
+    BY_MASKS = {
+        (False, False): Dominance.EQUAL,
+        (False, True): Dominance.DOMINATES,
+        (True, False): Dominance.DOMINATED_BY,
+        (True, True): Dominance.INCOMPARABLE,
+    }
+
     @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.5])
     def test_stack_matches_row_by_row(self, eps):
         """Half-step offsets and sub-eps nudges give every relation. Against
@@ -109,6 +120,8 @@ class TestDominance:
             want = [loop_dominance(row, origin, eps) for row in points]
             assert dominance(points, origin, eps) == want
             assert [dominance(row, origin, eps) for row in points] == want
+            below, above = dominance_masks(points, origin, eps)
+            assert [self.BY_MASKS[b, a] for b, a in zip(below.tolist(), above.tolist())] == want
         assert set(want[: len(at_eps)]) == ({Dominance.EQUAL} if eps == 0.0 else set(Dominance))
         assert set(want[len(at_eps) :]) == {Dominance.INCOMPARABLE}
 
@@ -453,6 +466,33 @@ class TestDominatedBy:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             dominated_by(np.zeros((2, 3)), np.zeros((4, 2)))
+
+
+class TestExposedSets:
+    """The blocked product against one matrix-vector product per row."""
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, 256])
+    def test_matches_one_product_per_row(self, block_rows, monkeypatch):
+        """Small integer weights and points, whose products are exact and
+        tie often: blocks of one row, a few rows or all of them give every
+        row's tied set as its own product does."""
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(block_rows)
+        points = rng.integers(0, 3, size=(40, 3)).astype(float)
+        weights = rng.integers(-2, 3, size=(25, 3)).astype(float)
+        want = []
+        for w in weights:
+            score = points @ w
+            want.append(tuple(np.flatnonzero(score >= score.max() - 0.5).tolist()))
+        assert list(exposed_sets(weights, points, 0.5)) == want
+        assert any(len(key) > 1 for key in want)
+
+    def test_nan_row_ties_nothing(self):
+        weights = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        assert list(exposed_sets(weights, np.eye(3), 0.0)) == [(0,), (), (1, 2)]
+
+    def test_no_rows(self):
+        assert list(exposed_sets(np.zeros((0, 3)), np.eye(3), 0.0)) == []
 
 
 class TestAffineDimension:

@@ -353,6 +353,16 @@ class TestMixPolicies:
             mix_policies([p, np.array([0, action, 2])], [0.5, 0.5], num_actions=3)
         assert str(err.value) == f"policy 1: action {action!r} at state 1 is not an integer in [0, 3)"
 
+    @pytest.mark.parametrize("first", [1, [[0, 1]]])
+    def test_rejects_a_first_policy_of_the_wrong_rank(self, first):
+        """The state count is read off the first policy, so a 0-d one used
+        to raise a bare IndexError; the message names policy 0 and its
+        shape."""
+        shape = np.shape(first)
+        with pytest.raises(ValueError) as err:
+            mix_policies([first], [1.0], num_actions=3)
+        assert str(err.value) == f"policy 0: deterministic policy must have shape (S,), got {shape}"
+
 
 class TestGenerators:
     def test_random_mdp_deterministic(self):

@@ -24,11 +24,12 @@ from momdp_pareto.geometry import (
     affine_dimension,
     convex_hull,
     dominance,
+    exposed_sets,
     incident_facets,
     mask_ids,
     pprune,
 )
-from momdp_pareto.mdp import enumerate_deterministic, neighbors_one
+from momdp_pareto.mdp import deterministic_returns, enumerate_deterministic, neighbors_one
 from momdp_pareto.search import (
     _add_vertex,
     _find_vertex,
@@ -45,11 +46,14 @@ from helpers import (
     degenerate_instances,
     duplicate_action,
     faces_by_lp_everywhere,
+    loop_dominance,
     loop_find_vertex,
     make_bandit,
     pairwise_consolidate_faces,
     pairwise_subfaces_at,
     passes_sign_screen,
+    piecewise_consolidate_faces,
+    piecewise_exposed_sets,
     svd_subfaces_at,
 )
 from test_golden import INSTANCES as GOLDEN_INSTANCES
@@ -102,6 +106,15 @@ class TestCollapsedFronts:
         front = search(m, SearchConfig(seed=0))
         assert len(front.vertices) == 1
         assert front.faces == []
+
+    def test_single_action(self):
+        """With one action a vertex has no neighbors, so the one policy is
+        the only vertex and there are no faces."""
+        m = gen_random_mdp(0, 3, 1, 3)
+        front = search(m)
+        assert len(front.vertices) == 1
+        assert front.faces == []
+        assert compare_fronts(front, brute_force_front(m)).match
 
 
 class TestOracleAgreement:
@@ -166,6 +179,17 @@ class TestAborts:
         with pytest.raises(SearchAbortError) as err:
             search(m, SearchConfig(seed=0))
         assert "dominat" in str(err.value)
+
+    def test_first_dominating_neighbor_is_named(self, monkeypatch):
+        """The start arm's neighbors are an equal arm, a dominated one and
+        two that dominate it; the abort names the first of those two."""
+        m = make_bandit(np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+        start_at(monkeypatch, 0)
+        with pytest.raises(
+            SearchAbortError,
+            match=r"vertex 0 \(actions \[0\]\) is strictly dominated by its neighbor with actions \[3\];",
+        ):
+            search(m, SearchConfig(seed=0))
 
     def test_interior_start_aborts(self, monkeypatch):
         # The first arm sits midway on the segment joining (1,0) and (0,1):
@@ -439,8 +463,18 @@ class TestConsolidateFaces:
         with pytest.raises(SearchAbortError, match=r"face piece 1 on vertices \(0, 1, 4\)"):
             consolidate_faces(faces, pts)
 
+    def test_piece_whose_certificate_scores_nan_aborts(self):
+        """A NaN score ties no vertex with the maximum, so the piece's own
+        vertices are not exposed; the per-piece rule read its key as ()."""
+        pts = square_pyramid()
+        faces = [piece((0, 1), 1, (0, -1, 0)), piece((0, 1, 2, 3), 2, (0, 0, -1))]
+        assert [f.vertex_ids for f in consolidate_faces(faces, pts)] == [(0, 1, 4), (0, 1, 2, 3)]
+        faces[1].alpha = np.array([np.nan])
+        with pytest.raises(SearchAbortError, match=r"face piece 1 on vertices \(0, 1, 2, 3\)"):
+            consolidate_faces(faces, pts)
+
     def test_no_svd(self, raw_face_lists, monkeypatch):
-        """`consolidate_faces` decides by one product per piece; it takes
+        """`consolidate_faces` decides by its certificates' scores; it takes
         no `affine_dimension` at any binding."""
         calls = []
 
@@ -545,6 +579,25 @@ class TestConsolidationScreen:
             assert score.max() - score[list(f.vertex_ids)].min() <= 1e-12
             tied = tuple(np.flatnonzero(score >= score.max() - tol).tolist())
             assert set(f.vertex_ids) <= set(tied) and tied in merged
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    @pytest.mark.parametrize("name", sorted(RAW_FACE_SOURCES))
+    def test_blocked_scores_equal_the_per_piece_rule(
+        self, raw_face_lists, name, block_rows, monkeypatch
+    ):
+        """Scoring the pieces in blocks of at most block_rows**2 cells (one
+        piece per block, or a few) keys every piece as one matrix-vector
+        product per piece does, and gives the same faces."""
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block_rows)
+        faces, scaled = raw_face_lists[name]
+        pts = np.asarray(scaled)
+        tol = 1e-9 * max(1.0, np.abs(pts).max())
+        certs = np.array([f.alpha @ f.normals for f in faces])
+        assert list(exposed_sets(certs, pts, tol)) == piecewise_exposed_sets(faces, scaled)
+        got = consolidate_faces(faces, scaled)
+        want = piecewise_consolidate_faces(faces, scaled)
+        assert [f.vertex_ids for f in got] == [f.vertex_ids for f in want]
+        assert all(f is g or f.normals is g.normals for f, g in zip(got, want))
 
     @staticmethod
     def tilted_pair(height):
@@ -810,6 +863,52 @@ def test_lattice_subfaces_equal_the_svd_rule(name, monkeypatch):
     for solver in solvers:
         solver(build())
     assert children
+
+
+@pytest.mark.parametrize("name", sorted(SUBFACE_INSTANCES))
+def test_neighbor_split_equals_the_row_by_row_relations(name, monkeypatch):
+    """At every vertex search explores, the neighbors it prunes are exactly
+    the ones `loop_dominance` calls incomparable with the apex, in index
+    order, and the co-policies it records are the ones it calls equal, in
+    index order, less those already recorded."""
+    module = _search_module()
+    explore, prune = module.explore_vertex, module.pprune
+    seen = dict.fromkeys(Dominance, 0)
+    pruned = []
+
+    def recorded(points, *args):
+        pruned.append(np.array(points))
+        return prune(points, *args)
+
+    def checked(ctx, vertex):
+        nbrs = neighbors_one(vertex.policy, ctx.mdp.num_actions)
+        x = deterministic_returns(ctx.mdp, nbrs) * ctx.scale
+        rels = [loop_dominance(row, ctx.scaled[vertex.id], ctx.config.eps_equal) for row in x]
+        known = {p.tobytes() for p in (vertex.policy, *vertex.co_policies)}
+        before = len(vertex.co_policies)
+        pruned.clear()
+        out = explore(ctx, vertex)
+        for rel in rels:
+            seen[rel] += 1
+        incomparable = [i for i, rel in enumerate(rels) if rel is Dominance.INCOMPARABLE]
+        if incomparable:
+            assert len(pruned) == 1 and np.array_equal(pruned[0], x[incomparable])
+        else:
+            assert pruned == []
+        equal = [
+            nbrs[i] for i, rel in enumerate(rels)
+            if rel is Dominance.EQUAL and nbrs[i].tobytes() not in known
+        ]
+        assert [p.tolist() for p in vertex.co_policies[before:]] == [p.tolist() for p in equal]
+        return out
+
+    monkeypatch.setattr(module, "explore_vertex", checked)
+    monkeypatch.setattr(module, "pprune", recorded)
+    build, _ = SUBFACE_INSTANCES[name]
+    search(build())
+    assert seen[Dominance.INCOMPARABLE] and not seen[Dominance.DOMINATES]
+    if "dupact" in name:
+        assert seen[Dominance.EQUAL]
 
 
 def test_stored_policies_are_no_views():
