@@ -58,6 +58,14 @@ def _threads(args: argparse.Namespace) -> int:
     return args.threads
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The comma-separated ints of text; a ValueError naming flag if not."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated ints, got {text!r}") from None
+
+
 def _meta(config: dict[str, Any], input_bytes: bytes | None) -> dict[str, Any]:
     return {
         "tool": "momdp-pareto",
@@ -129,21 +137,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "output": args.output,
         "seed": args.seed,
         "thread_count": threads,
-        "eps_equal": args.eps_equal,
-        "eps_geom": args.eps_geom,
-        "eps_pos": args.eps_pos,
     }
     mdp, blob = _load(args.mdp, mdp_from_dict)
-    front = search(
-        mdp,
-        SearchConfig(
-            seed=args.seed,
-            thread_count=threads,
-            eps_equal=args.eps_equal,
-            eps_geom=args.eps_geom,
-            eps_pos=args.eps_pos,
-        ),
-    )
+    front = search(mdp, SearchConfig(seed=args.seed, thread_count=threads))
     write_json(args.output, front_to_dict(front), _meta(config, blob))
     _print_stats_line(front)
     return EXIT_OK
@@ -157,19 +153,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "output": args.output,
         "cap": args.cap,
         "thread_count": threads,
-        "eps_equal": args.eps_equal,
-        "eps_geom": args.eps_geom,
-        "eps_pos": args.eps_pos,
     }
     mdp, blob = _load(args.mdp, mdp_from_dict)
-    front = brute_force_front(
-        mdp,
-        cap=args.cap,
-        thread_count=threads,
-        eps_equal=args.eps_equal,
-        eps_geom=args.eps_geom,
-        eps_pos=args.eps_pos,
-    )
+    front = brute_force_front(mdp, cap=args.cap, thread_count=threads)
     write_json(args.output, front_to_dict(front), _meta(config, blob))
     _print_stats_line(front)
     return EXIT_OK
@@ -239,8 +225,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "cap": args.cap,
         "output": args.output,
     }
-    states = [int(x) for x in args.states.split(",")]
-    actions = [int(x) for x in args.actions.split(",")]
+    states = _int_list("--states", args.states)
+    actions = _int_list("--actions", args.actions)
     rows = bench_suite(
         states, actions, args.objectives, list(range(args.seeds)), gamma=args.gamma, cap=args.cap
     )
@@ -297,9 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None, help="defaults to MOPF_THREADS or 1")
-    p.add_argument("--eps-equal", type=float, default=1e-9)
-    p.add_argument("--eps-geom", type=float, default=1e-9)
-    p.add_argument("--eps-pos", type=float, default=1e-9)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="compute the Pareto front by full enumeration")
@@ -307,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--cap", type=int, default=1_000_000)
     p.add_argument("--threads", type=int, default=None, help="defaults to MOPF_THREADS or 1")
-    p.add_argument("--eps-equal", type=float, default=1e-9)
-    p.add_argument("--eps-geom", type=float, default=1e-9)
-    p.add_argument("--eps-pos", type=float, default=1e-9)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("compare", help="match two front files vertex by vertex")

@@ -28,6 +28,14 @@ class ApexNotVertexError(RuntimeError):
     """Raised when a point assumed to be a hull vertex is not one."""
 
 
+# The geometry's fixed tolerances in scaled return space, for search and the
+# oracle alike: coincident returns (max-norm), hull plane merge and incidence
+# (relative to the points' scale), and the face LP's positivity threshold.
+EPS_EQUAL = 1e-9
+EPS_GEOM = 1e-9
+EPS_POS = 1e-9
+
+
 # Margin of the dual screen. A face is ruled out when some pooled y gives
 # max_i (W y)_i <= eps_pos - _DUAL_SLACK; the margin makes sure that the
 # LP, had it been solved, would have failed the face too. Let W hold the
@@ -344,6 +352,22 @@ def exposed_sets(weights: np.ndarray, points: np.ndarray, tol: float) -> Iterato
         yield from (tuple(cols[a:b]) for a, b in zip([0, *ends], ends))
 
 
+def drop_nested_faces(faces: list[FaceRecord]) -> list[FaceRecord]:
+    """The faces, of distinct vertex sets, whose vertex set lies strictly
+    inside no other face's, in order. A by-vertex index finds the faces
+    that hold all of a face's vertices."""
+    faces_at: dict[int, set[int]] = {}
+    for pos, f in enumerate(faces):
+        for v in f.vertex_ids:
+            faces_at.setdefault(v, set()).add(pos)
+    keep: list[FaceRecord] = []
+    for f in faces:
+        around = set.intersection(*(faces_at[v] for v in f.vertex_ids))
+        if all(len(faces[g].vertex_ids) <= len(f.vertex_ids) for g in around):
+            keep.append(f)
+    return keep
+
+
 def group_coincident(points: np.ndarray, eps: float) -> list[list[int]]:
     """Group rows lying within eps (max-norm) of an earlier group's first row.
 
@@ -428,7 +452,7 @@ def close_below(points: np.ndarray) -> np.ndarray:
 
 
 def convex_hull(
-    points: np.ndarray, eps_geom: float = 1e-9, apex: int | None = None
+    points: np.ndarray, eps_geom: float = EPS_GEOM, apex: int | None = None
 ) -> LocalHull:
     """Build the convex hull of a full-dimensional point set, or only the
     facets through the point `apex`.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -281,6 +282,12 @@ _GRID_MOVES = {
 }
 
 
+def check_seed(seed: int) -> None:
+    """Raise a ValueError naming seed unless it is an int >= 0."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+
+
 def _check_sizes(**sizes: int) -> None:
     """Raise a ValueError naming the first size below 1."""
     for name, value in sizes.items():
@@ -298,12 +305,13 @@ def gen_random_mdp(
     passes validation.
 
     Args:
-        seed: seed for numpy's default_rng; equal seeds give equal MDPs.
+        seed: int >= 0 for numpy's default_rng; equal seeds give equal MDPs.
         num_states: S >= 1.
         num_actions: A >= 1.
         num_objectives: D >= 1.
         gamma: discount factor in [0, 1).
     """
+    check_seed(seed)
     _check_sizes(num_states=num_states, num_actions=num_actions, num_objectives=num_objectives)
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
@@ -324,6 +332,7 @@ def gen_gridworld(
     Rewards are uniform [0, 1] per state-action-objective and the initial
     distribution is uniform over cells.
     """
+    check_seed(seed)
     _check_sizes(rows=rows, cols=cols, num_objectives=num_objectives)
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field
@@ -13,12 +15,15 @@ from typing import Iterator
 import numpy as np
 
 from .geometry import (
+    EPS_EQUAL,
+    EPS_POS,
     DegenerateHullError,
     FaceRecord,
     affine_dimension,  # unused; the benchmark's tracer binds it on this module
     close_below,
     convex_hull,
     dominated_by,
+    drop_nested_faces,
     group_coincident,
     incident_facets,
     pprune,
@@ -28,6 +33,7 @@ from .mdp import (
     InvalidMdpError,
     Mdp,
     check_actions,
+    check_seed,
     deterministic_returns,
     enumerate_deterministic,
     gen_random_mdp,
@@ -45,7 +51,6 @@ from .search import (
     SearchStats,
     VertexRecord,
     check_thread_count,
-    check_tolerance,
     consolidate_faces,  # unused; the benchmark's tracer binds it on this module
     return_scale,
     search,
@@ -60,6 +65,16 @@ class EnumerationCapError(RuntimeError):
         super().__init__(f"enumeration needs {count} policies, above the cap of {cap}")
         self.count = count
         self.cap = cap
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Raise a ValueError naming `name` unless value is a finite number >= 0.
+
+    A NaN tolerance makes every comparison false, and a negative one makes
+    points differ from themselves, so neither describes a tolerance.
+    """
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 # Margin of the tree screen in `_nondominated_policies`, in scaled space,
@@ -110,14 +125,7 @@ def _nondominated_policies(mdp: Mdp, thread_count: int = 1) -> tuple[np.ndarray,
     return pols[nd], raw[nd]
 
 
-def brute_force_front(
-    mdp: Mdp,
-    cap: int = 1_000_000,
-    thread_count: int = 1,
-    eps_equal: float = 1e-9,
-    eps_geom: float = 1e-9,
-    eps_pos: float = 1e-9,
-) -> ParetoFront:
+def brute_force_front(mdp: Mdp, cap: int = 1_000_000, thread_count: int = 1) -> ParetoFront:
     """Compute the Pareto front from the returns of every deterministic policy.
 
     Finds the non-dominated policies among all A**S, builds the convex hull
@@ -132,7 +140,9 @@ def brute_force_front(
     starts a descent.
     A face's LP input is the set of hull facets containing it, so each
     descent records exactly the maximal Pareto faces through its apex, and
-    together they leave nothing to merge.
+    together they leave nothing to merge. But facets too far apart to merge
+    can share vertices within the incidence tolerance, so the faces nested
+    in another (seen at gamma >= 0.9999) are dropped, as search drops them.
 
     Above 512 policies, a rank-one policy tree screens all policies first
     and only the few it cannot rule out are evaluated exactly; see
@@ -143,18 +153,12 @@ def brute_force_front(
         mdp: a valid MDP.
         cap: maximum number of policies to enumerate.
         thread_count: worker threads for the screen and the evaluation.
-        eps_equal: tolerance identifying coincident returns (scaled space).
-        eps_geom: hull incidence tolerance.
-        eps_pos: positivity threshold of the face LP.
 
     Raises:
-        ValueError: when a tolerance is NaN, infinite or negative, or
-            thread_count is not an int >= 1; the message names it.
+        ValueError: when thread_count is not an int >= 1, naming it.
         InvalidMdpError: when validation fails.
         EnumerationCapError: when A**S exceeds the cap.
     """
-    for name, value in (("eps_equal", eps_equal), ("eps_geom", eps_geom), ("eps_pos", eps_pos)):
-        check_tolerance(name, value)
     check_thread_count(thread_count)
     violations = validate_mdp(mdp)
     if violations:
@@ -169,18 +173,18 @@ def brute_force_front(
     pols, raw = _nondominated_policies(mdp, thread_count)
     scaled = raw * scale
 
-    # Collapse returns that coincide within eps_equal; the lexicographically
+    # Collapse returns that coincide within EPS_EQUAL; the lexicographically
     # first policy of each group represents it, the rest become co-policies.
-    groups = group_coincident(scaled, eps_equal)
+    groups = group_coincident(scaled, EPS_EQUAL)
     pts = scaled[[g[0] for g in groups]]
     n = len(groups)
     passing: list[FaceRecord] = []
     if n > 1:
         try:
-            hull = convex_hull(pts, eps_geom=eps_geom)
+            hull = convex_hull(pts)
         except DegenerateHullError:
-            hull = convex_hull(close_below(pts), eps_geom=eps_geom)
-        signs_of = sign_masks(hull.normals, eps_pos)
+            hull = convex_hull(close_below(pts))
+        signs_of = sign_masks(hull.normals, EPS_POS)
         every_sign = (1 << hull.ambient_dim) - 1
         for apex in hull.vertex_ids:
             if apex >= n:
@@ -189,15 +193,17 @@ def brute_force_front(
                 operator.or_, (signs_of[fi] for fi in incident_facets(hull, apex)), 0
             )
             if signs == every_sign:
-                passing += select_pareto_faces(apex, hull, eps_pos)[0]
+                passing += select_pareto_faces(apex, hull)[0]
         stats.count_face_work(hull)
-    # A face passes from each of its corners; keep its first record.
-    faces_local: dict[tuple[int, ...], FaceRecord] = {}
+    # A face passes from each of its corners; keep its first record, then
+    # drop the faces nested inside another.
+    first: dict[tuple[int, ...], FaceRecord] = {}
     for face in passing:
-        faces_local.setdefault(face.vertex_ids, face)
+        first.setdefault(face.vertex_ids, face)
+    faces_local = drop_nested_faces(list(first.values()))
 
     if faces_local:
-        used = sorted({lid for vids in faces_local for lid in vids})
+        used = sorted({lid for f in faces_local for lid in f.vertex_ids})
     else:
         # No face passed (or a single point): the front is the single best
         # return under a uniform positive weighting, lowest index on ties.
@@ -215,7 +221,7 @@ def brute_force_front(
     ]
     faces = [
         dataclasses.replace(f, vertex_ids=tuple(lid_to_gid[lid] for lid in f.vertex_ids))
-        for f in faces_local.values()
+        for f in faces_local
     ]
     stats.wall_time["total"] = time.perf_counter() - t0
     return ParetoFront(vertices=vertices, faces=faces, stats=stats, return_scale=scale)
@@ -398,17 +404,18 @@ def verify_front(
     so it dominates x beyond tol too.
 
     Raises:
-        ValueError: when samples_per_face is negative, tol is NaN, infinite
-            or negative, thread_count is not an int >= 1, or a vertex policy
-            is not one integer action in [0, A) per state (`check_actions`)
-            or a vertex return is not D entries; the message names the
-            vertex and, for a policy, the state and the action.
+        ValueError: when samples_per_face or seed is not an int >= 0, tol is
+            NaN, infinite or negative, thread_count is not an int >= 1, or a
+            vertex policy is not one integer action in [0, A) per state
+            (`check_actions`) or a vertex return is not D entries; the message
+            names the input, and for a policy the vertex, state and action.
         EnumerationCapError: when A**S exceeds the cap.
     """
     check_tolerance("tol", tol)
     check_thread_count(thread_count)
-    if samples_per_face < 0:
-        raise ValueError(f"samples_per_face must be >= 0, got {samples_per_face}")
+    check_seed(seed)
+    if not (isinstance(samples_per_face, numbers.Integral) and samples_per_face >= 0):
+        raise ValueError(f"samples_per_face must be an int >= 0, got {samples_per_face!r}")
     S, A, D = mdp.num_states, mdp.num_actions, mdp.num_objectives
     policies = []
     for v in front.vertices:

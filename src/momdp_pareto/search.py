@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .geometry import (
+    EPS_EQUAL,
+    EPS_GEOM,
+    EPS_POS,
     ApexNotVertexError,
     DegenerateHullError,
     FaceRecord,
@@ -22,6 +24,7 @@ from .geometry import (
     convex_hull,
     dominance,  # unused; the benchmark's tracer binds it on this module
     dominance_masks,
+    drop_nested_faces,
     exposed_sets,
     group_coincident,
     incident_facets,
@@ -36,6 +39,7 @@ from .mdp import (
     InvalidMdpError,
     Mdp,
     check_actions,
+    check_seed,
     deterministic_returns,
     long_term_return,
     mix_policies,
@@ -97,7 +101,7 @@ class ParetoFront:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for `search`; the defaults suit well-conditioned instances.
+    """Knobs for `search`; the fixed tolerances read as class attributes.
 
     `thread_count` spreads policy evaluation over threads in blocks of 4096
     policies; a vertex's S * (A - 1) neighbors rarely fill one block, so in
@@ -106,24 +110,13 @@ class SearchConfig:
 
     seed: int = 0
     thread_count: int = 1
-    eps_equal: float = 1e-9
-    eps_geom: float = 1e-9
-    eps_pos: float = 1e-9
+    eps_equal: ClassVar[float] = EPS_EQUAL
+    eps_geom: ClassVar[float] = EPS_GEOM
+    eps_pos: ClassVar[float] = EPS_POS
 
     def __post_init__(self) -> None:
-        for name in ("eps_equal", "eps_geom", "eps_pos"):
-            check_tolerance(name, getattr(self, name))
+        check_seed(self.seed)
         check_thread_count(self.thread_count)
-
-
-def check_tolerance(name: str, value: float) -> None:
-    """Raise a ValueError naming `name` unless value is a finite number >= 0.
-
-    A NaN tolerance makes every comparison false, and a negative one makes
-    points differ from themselves, so neither describes a tolerance.
-    """
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def check_thread_count(value: int) -> None:
@@ -196,9 +189,9 @@ def _merge_co_policy(record: VertexRecord, policy: np.ndarray, key: bytes) -> No
 
 
 def _find_vertex(ctx: SearchContext, scaled_point: np.ndarray) -> int | None:
-    """The smallest vertex id whose scaled return lies within eps_equal
+    """The smallest vertex id whose scaled return lies within EPS_EQUAL
     (max-norm) of `scaled_point`, or None."""
-    near = np.abs(ctx.scaled - scaled_point).max(axis=1) <= ctx.config.eps_equal
+    near = np.abs(ctx.scaled - scaled_point).max(axis=1) <= EPS_EQUAL
     return int(near.argmax()) if near.any() else None
 
 
@@ -225,7 +218,7 @@ def _add_vertex(
 
 
 def select_pareto_faces(
-    apex_id: int, hull: LocalHull, eps_pos: float = 1e-9
+    apex_id: int, hull: LocalHull, eps_pos: float = EPS_POS
 ) -> tuple[list[FaceRecord], list[int]]:
     """Find the maximal Pareto faces of the hull that are incident to the apex.
 
@@ -326,21 +319,21 @@ def _local_pareto_faces(
             f"vertex {vertex.id}: only {n} local points in {D} objectives; "
             "testing faces directly instead of building a hull"
         )
-        return support_faces(pts, 0, ctx.config.eps_pos)
+        return support_faces(pts, 0, EPS_POS)
     # A flat set is closed off below (`close_below`), which keeps its Pareto
     # faces and ids; no instance has reached a set Qhull refuses even then.
     try:
-        hull = convex_hull(pts, eps_geom=ctx.config.eps_geom, apex=0)
+        hull = convex_hull(pts, apex=0)
     except DegenerateHullError:
         try:
-            hull = convex_hull(close_below(pts), eps_geom=ctx.config.eps_geom, apex=0)
+            hull = convex_hull(close_below(pts), apex=0)
         except DegenerateHullError as exc:
             raise SearchAbortError(
                 f"vertex {vertex.id} (actions {vertex.policy.tolist()}): Qhull refused "
                 f"its {n} local points in {D} objectives even closed off below"
             ) from exc
     try:
-        passing, _ = select_pareto_faces(0, hull, ctx.config.eps_pos)
+        passing, _ = select_pareto_faces(0, hull)
     except ApexNotVertexError as exc:
         raise SearchAbortError(
             f"vertex {vertex.id} (actions {vertex.policy.tolist()}) lies strictly "
@@ -358,7 +351,7 @@ def explore_vertex(
     non-dominated ones, and admit the Pareto faces of the local hull.
 
     The neighbors are split by `dominance_masks`' two masks against the
-    apex, with slack eps_equal: the ones below it somewhere and above it
+    apex, with slack EPS_EQUAL: the ones below it somewhere and above it
     somewhere are incomparable, and go on to `pprune`; the ones below it
     somewhere and above it nowhere are dominated, and dropped. Only the few
     that are below it nowhere are visited one by one, in index order: a
@@ -371,18 +364,17 @@ def explore_vertex(
     Returns:
         The face records and vertex records added by this call.
     """
-    cfg = ctx.config
     nbrs = neighbors_one(vertex.policy, ctx.mdp.num_actions)
     keys = _policy_keys(nbrs)
     rets = list(map(ctx.z.get, keys))
     fresh = [i for i, j in enumerate(rets) if j is None]
-    for i, j in zip(fresh, deterministic_returns(ctx.mdp, nbrs[fresh], cfg.thread_count)):
+    for i, j in zip(fresh, deterministic_returns(ctx.mdp, nbrs[fresh], ctx.config.thread_count)):
         ctx.z[keys[i]] = rets[i] = j
     ctx.stats.policies_evaluated += len(fresh)
 
     apex_scaled = ctx.scaled[vertex.id]
     x = np.reshape(rets, (-1, ctx.mdp.num_objectives)) * ctx.scale
-    below, above = dominance_masks(x, apex_scaled, cfg.eps_equal)
+    below, above = dominance_masks(x, apex_scaled, EPS_EQUAL)
     for i in np.flatnonzero(~below).tolist():
         if above[i]:
             raise SearchAbortError(
@@ -398,7 +390,7 @@ def explore_vertex(
     nd = kept[pprune(x[kept])].tolist()
     # Local point 0 is the apex; point k >= 1 is the first of groups[k - 1],
     # the neighbor indices of the kept neighbors with coincident returns.
-    groups = [[nd[i] for i in g] for g in group_coincident(x[nd], cfg.eps_equal)]
+    groups = [[nd[i] for i in g] for g in group_coincident(x[nd], EPS_EQUAL)]
     pts = np.vstack([apex_scaled, x[[g[0] for g in groups]]])
     local_faces = _local_pareto_faces(ctx, vertex, pts)
 
@@ -412,9 +404,9 @@ def explore_vertex(
                 members = groups[lid - 1]
                 first = members[0]
                 # A vertex's own policy has the vertex's return bit for bit,
-                # and vertices lie more than eps_equal apart, so the scan
+                # and vertices lie more than EPS_EQUAL apart, so the scan
                 # would name that vertex. A co-policy's return may lie up to
-                # eps_equal from its vertex and as close to another, so
+                # EPS_EQUAL from its vertex and as close to another, so
                 # co-policies are not keyed.
                 gid = ctx.vertex_of.get(keys[first])
                 if gid is None:
@@ -449,7 +441,7 @@ def explore_vertex(
 
 
 def consolidate_faces(
-    faces: list[FaceRecord], scaled_returns: Sequence[np.ndarray], eps_geom: float = 1e-9
+    faces: list[FaceRecord], scaled_returns: Sequence[np.ndarray], eps_geom: float = EPS_GEOM
 ) -> list[FaceRecord]:
     """Merge the pieces of each face and drop faces nested inside larger ones.
 
@@ -471,9 +463,8 @@ def consolidate_faces(
     of at most `_BLOCK_ROWS**2` cells (`exposed_sets`), so memory stays
     bounded however many pieces and vertices there are. Afterwards, faces
     whose vertex sets sit strictly inside another face (subfaces picked up
-    while descending past failing siblings) are dropped, leaving one record
-    per maximal face. A by-vertex index finds the faces that hold all of a
-    face's vertices.
+    while descending past failing siblings) are dropped by
+    `drop_nested_faces`, leaving one record per maximal face.
 
     Args:
         faces: recorded faces, in discovery order.
@@ -505,19 +496,7 @@ def consolidate_faces(
             )
         if key not in by_key:
             by_key[key] = f if key == f.vertex_ids else dataclasses.replace(f, vertex_ids=key)
-    ordered = list(by_key.values())
-
-    faces_at: dict[int, set[int]] = {}
-    for pos, f in enumerate(ordered):
-        for v in f.vertex_ids:
-            faces_at.setdefault(v, set()).add(pos)
-    keep: list[FaceRecord] = []
-    for f in ordered:
-        around = set.intersection(*(faces_at[v] for v in f.vertex_ids))
-        if any(len(ordered[g].vertex_ids) > len(f.vertex_ids) for g in around):
-            continue
-        keep.append(f)
-    return keep
+    return drop_nested_faces(list(by_key.values()))
 
 
 def search(mdp: Mdp, config: SearchConfig | None = None) -> ParetoFront:
@@ -561,7 +540,7 @@ def search(mdp: Mdp, config: SearchConfig | None = None) -> ParetoFront:
         vid = ctx.queue.popleft()
         ctx.stats.iterations += 1
         explore_vertex(ctx, ctx.vertices[vid])
-    faces = consolidate_faces(ctx.faces, ctx.scaled, config.eps_geom)
+    faces = consolidate_faces(ctx.faces, ctx.scaled)
     t2 = time.perf_counter()
     ctx.stats.wall_time["explore"] = t2 - t1
     ctx.stats.wall_time["total"] = t2 - t0

@@ -495,6 +495,33 @@ class TestExposedSets:
         assert list(exposed_sets(np.zeros((0, 3)), np.eye(3), 0.0)) == []
 
 
+class TestDropNestedFaces:
+    """The by-vertex nesting drop against comparing every pair of faces."""
+
+    @staticmethod
+    def face(vids):
+        return geometry.FaceRecord(tuple(vids), len(vids) - 1, np.eye(1), np.ones(1), 1.0)
+
+    def test_keeps_maximal_faces_in_order(self):
+        faces = [self.face(v) for v in [(0, 1), (1, 2, 3), (0, 1, 4), (2, 3), (5,), (3, 5)]]
+        kept = geometry.drop_nested_faces(faces)
+        assert [f.vertex_ids for f in kept] == [(1, 2, 3), (0, 1, 4), (3, 5)]
+        assert all(any(f is g for g in faces) for f in kept)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_all_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        sets = sorted({tuple(sorted(rng.choice(9, rng.integers(1, 6), replace=False).tolist()))
+                       for _ in range(40)})
+        faces = [self.face(v) for v in sets]
+        want = [f for f in faces
+                if not any(set(f.vertex_ids) < set(g.vertex_ids) for g in faces)]
+        assert geometry.drop_nested_faces(faces) == want
+
+    def test_no_faces(self):
+        assert geometry.drop_nested_faces([]) == []
+
+
 class TestAffineDimension:
     def test_single_point(self):
         assert affine_dimension(np.array([[1.0, 2.0, 3.0]])) == 0

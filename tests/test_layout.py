@@ -88,3 +88,41 @@ def test_no_unused_imports(path):
     traced = {attribute for module, attribute, _ in traced_bindings() if module == path.stem}
     unused = imported - used - exported - traced
     assert not unused, (path.name, sorted(unused))
+
+
+def test_traced_eps_pos_is_a_float():
+    """Besides the functions it wraps, the tracer reads one value from the
+    program: `SearchConfig().eps_pos`, the threshold a positivity LP must
+    pass. It is a class attribute, so it resolves without arguments."""
+    config = importlib.import_module("momdp_pareto.search").SearchConfig()
+    assert type(config.eps_pos) is float
+
+
+def test_each_tolerance_defined_once():
+    """`geometry.py` assigns EPS_EQUAL, EPS_GEOM and EPS_POS once each, no
+    other module assigns them, and no `eps_equal`, `eps_geom` or `eps_pos`
+    parameter defaults to a number of its own."""
+    tolerances = {"eps_equal", "eps_geom", "eps_pos"}
+    assigned = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                assigned += [
+                    (path.name, t.id)
+                    for t in node.targets
+                    if isinstance(t, ast.Name) and t.id.lower() in tolerances
+                ]
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args.posonlyargs + node.args.args
+                named = zip(args[len(args) - len(node.args.defaults) :], node.args.defaults)
+                literal = [
+                    a.arg
+                    for a, d in named
+                    if a.arg in tolerances and isinstance(d, ast.Constant)
+                ]
+                assert not literal, (path.name, node.name, literal)
+    assert sorted(assigned) == [
+        ("geometry.py", "EPS_EQUAL"),
+        ("geometry.py", "EPS_GEOM"),
+        ("geometry.py", "EPS_POS"),
+    ]

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -395,6 +396,20 @@ class TestGenerators:
 
     def test_gridworld_valid(self):
         assert validate_mdp(gen_gridworld(1, 3, 3, 3)) == []
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+    def test_bad_seed_named(self, seed):
+        """A negative seed used to raise numpy's "expected non-negative
+        integer", which names no input."""
+        message = rf"^seed must be an int >= 0, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            gen_random_mdp(seed, 3, 2, 2)
+        with pytest.raises(ValueError, match=message):
+            gen_gridworld(seed, 2, 2, 2)
+
+    def test_numpy_int_seed_accepted(self):
+        a = gen_random_mdp(np.int64(3), 3, 2, 2)
+        assert np.array_equal(a.P, gen_random_mdp(3, 3, 2, 2).P)
 
 
 class TestEnumerate:

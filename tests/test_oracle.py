@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -216,13 +217,52 @@ def test_oracle_solves_each_face_lp_once(monkeypatch):
     assert 0 < len(inputs) == len(hulls[0].certificates) == len(set(inputs))
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
 @pytest.mark.parametrize("name", ["eps_equal", "eps_geom", "eps_pos"])
-def test_oracle_rejects_bad_tolerances(name, value):
-    """eps_pos = -0.5 used to return 6 vertices where the front has 4, and
-    NaN or infinite eps_pos a single vertex."""
-    with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got "):
-        brute_force_front(gen_random_mdp(0, 4, 3, 3), **{name: value})
+def test_oracle_takes_no_tolerances(name):
+    """The oracle's tolerances are the geometry's fixed ones."""
+    with pytest.raises(TypeError, match=name):
+        brute_force_front(gen_random_mdp(0, 4, 3, 3), **{name: 1e-7})
+
+
+# (seed, S, A, D, gamma) of random MDPs on which the oracle reported a face
+# nested inside another of its own faces, both of dimension D - 1: two hull
+# facets too far apart to merge shared its vertices within the incidence
+# tolerance. On (0, 5, 3, 4) at 0.9999 they were (21, 23, 24, 25) and
+# (21, 23, 24, 25, 26, 28).
+HIGH_GAMMA_NESTED = [
+    (0, 5, 3, 4, 0.9999),
+    (3, 4, 3, 5, 0.9999),
+    (0, 5, 3, 4, 0.99999),
+    (2, 5, 3, 4, 0.99999),
+    (2, 5, 3, 4, 0.999999),
+    (3, 4, 3, 5, 0.999999),
+]
+
+
+@pytest.mark.parametrize("seed,S,A,D,gamma", HIGH_GAMMA_NESTED)
+def test_high_gamma_oracle_drops_nested_faces(seed, S, A, D, gamma):
+    m = gen_random_mdp(seed, S, A, D, gamma=gamma)
+    front = brute_force_front(m)
+    sets = [set(f.vertex_ids) for f in front.faces]
+    assert not [(a, b) for a in sets for b in sets if a < b]
+    assert compare_fronts(search(m), front, tol=1e-8).match
+    assert verify_front(m, front, samples_per_face=5).passed
+
+
+def test_oracle_and_search_share_the_nested_face_drop(monkeypatch):
+    """Both drop nested faces through `geometry.drop_nested_faces`."""
+    calls = []
+
+    def spy(faces):
+        calls.append(len(faces))
+        return geometry.drop_nested_faces(faces)
+
+    monkeypatch.setattr(oracle, "drop_nested_faces", spy)
+    monkeypatch.setattr(importlib.import_module("momdp_pareto.search"), "drop_nested_faces", spy)
+    m = gen_random_mdp(0, 5, 3, 4, gamma=0.9999)
+    search(m)
+    brute_force_front(m)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
@@ -687,8 +727,23 @@ class TestStackedVerifyMatchesLoop:
 
     def test_negative_samples_named_in_error(self, mdp433):
         front = search(mdp433)
-        with pytest.raises(ValueError, match=r"samples_per_face must be >= 0, got -3"):
+        with pytest.raises(ValueError, match=r"samples_per_face must be an int >= 0, got -3"):
             verify_front(mdp433, front, samples_per_face=-3)
+
+    @pytest.mark.parametrize("samples", [2.5, "5"])
+    def test_non_int_samples_named_in_error(self, mdp433, samples):
+        """2.5 used to raise islice's "Stop argument" message."""
+        front = search(mdp433)
+        message = rf"^samples_per_face must be an int >= 0, got {re.escape(repr(samples))}$"
+        with pytest.raises(ValueError, match=message):
+            verify_front(mdp433, front, samples_per_face=samples)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_named_in_error(self, mdp433, seed):
+        """-1 used to raise numpy's "expected non-negative integer"."""
+        front = search(mdp433)
+        with pytest.raises(ValueError, match=rf"^seed must be an int >= 0, got {seed}$"):
+            verify_front(mdp433, front, seed=seed)
 
 
 def test_face_weights_match_product_grid():

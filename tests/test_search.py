@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import re
 from collections import deque
 
 import numpy as np
@@ -489,19 +491,6 @@ class TestConsolidateFaces:
         assert merged < sum(len(faces) for faces, _ in lists)
         assert calls == []
 
-    def test_search_passes_its_eps_geom(self, monkeypatch):
-        module = _search_module()
-        original = module.consolidate_faces
-        seen = []
-
-        def spy(faces, scaled, eps_geom):
-            seen.append(eps_geom)
-            return original(faces, scaled, eps_geom)
-
-        monkeypatch.setattr(module, "consolidate_faces", spy)
-        search(gen_random_mdp(0, 4, 3, 3), SearchConfig(eps_geom=2e-9))
-        assert seen == [2e-9]
-
 
 def _depobj(seed):
     m = gen_random_mdp(seed, 5, 3, 4)
@@ -537,9 +526,9 @@ def raw_face_lists():
     for name, build in RAW_FACE_SOURCES.items():
         captured = []
 
-        def capture(faces, scaled, eps_geom):
+        def capture(faces, scaled):
             captured.append((list(faces), list(scaled)))
-            return original(faces, scaled, eps_geom)
+            return original(faces, scaled)
 
         module.consolidate_faces = capture
         try:
@@ -632,34 +621,35 @@ def test_search_config_defaults():
     assert cfg.seed == 0
     assert cfg.thread_count == 1
     assert cfg.eps_equal == cfg.eps_geom == cfg.eps_pos == 1e-9
+    assert (cfg.eps_equal, cfg.eps_geom, cfg.eps_pos) == (
+        geometry.EPS_EQUAL,
+        geometry.EPS_GEOM,
+        geometry.EPS_POS,
+    )
 
 
-BAD_TOLERANCES = [float("nan"), float("inf"), -float("inf"), -0.5, -1e-300, "1e-9", None]
+def test_search_config_fields_are_seed_and_thread_count():
+    """The tolerances are fixed: class attributes, not fields, so they are
+    not arguments either."""
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == ["seed", "thread_count"]
+    for name in ("eps_equal", "eps_geom", "eps_pos"):
+        with pytest.raises(TypeError, match=name):
+            SearchConfig(**{name: 1e-7})
 
 
-@pytest.mark.parametrize("value", BAD_TOLERANCES)
-@pytest.mark.parametrize("name", ["eps_equal", "eps_geom", "eps_pos"])
-def test_search_config_rejects_bad_tolerances(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got "):
-        SearchConfig(**{name: value})
+@pytest.mark.parametrize("value", [-1, 1.5, "0", None])
+def test_search_config_rejects_bad_seeds(value):
+    """A negative seed used to raise numpy's "expected non-negative integer",
+    and seed 1.5 a TypeError, both only once `search` ran."""
+    message = rf"^seed must be an int >= 0, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(seed=value)
 
 
 @pytest.mark.parametrize("value", [0, -2])
 def test_search_config_rejects_thread_counts_below_one(value):
     with pytest.raises(ValueError, match=f"^thread_count must be an int >= 1, got {value}$"):
         SearchConfig(thread_count=value)
-
-
-def test_search_config_accepts_zero_tolerances():
-    cfg = SearchConfig(eps_equal=0.0, eps_geom=0, eps_pos=np.float64(0.0))
-    assert cfg.eps_equal == cfg.eps_geom == cfg.eps_pos == 0.0
-
-
-def test_nan_eps_equal_is_refused_before_searching():
-    """A NaN eps_equal matches no vertex, so search kept adding the same
-    returns as new vertices without end; the config now refuses it."""
-    with pytest.raises(ValueError, match="eps_equal"):
-        search(gen_random_mdp(0, 4, 3, 3), SearchConfig(eps_equal=float("nan")))
 
 
 @pytest.mark.parametrize("solver", ["search", "oracle"])
