@@ -101,7 +101,8 @@ class ParetoFront:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for `search`; the fixed tolerances read as class attributes.
+    """Knobs for `search`; `eps_pos` reads the fixed `EPS_POS` as a class
+    attribute.
 
     `thread_count` spreads policy evaluation over threads in blocks of 4096
     policies; a vertex's S * (A - 1) neighbors rarely fill one block, so in
@@ -110,8 +111,6 @@ class SearchConfig:
 
     seed: int = 0
     thread_count: int = 1
-    eps_equal: ClassVar[float] = EPS_EQUAL
-    eps_geom: ClassVar[float] = EPS_GEOM
     eps_pos: ClassVar[float] = EPS_POS
 
     def __post_init__(self) -> None:
@@ -217,13 +216,11 @@ def _add_vertex(
     return vid
 
 
-def select_pareto_faces(
-    apex_id: int, hull: LocalHull, eps_pos: float = EPS_POS
-) -> tuple[list[FaceRecord], list[int]]:
+def select_pareto_faces(apex_id: int, hull: LocalHull) -> tuple[list[FaceRecord], list[int]]:
     """Find the maximal Pareto faces of the hull that are incident to the apex.
 
     Starts from the apex's facets and walks down: a face whose positivity LP
-    optimum exceeds eps_pos is recorded, anything else is split into subfaces
+    optimum exceeds EPS_POS is recorded, anything else is split into subfaces
     one dimension lower until dimension 1. Faces that fail the sign screen,
     or that the dual weights of the hull's failed LPs rule out
     (`LocalHull.duals`), fail without an LP; their certificates would never
@@ -258,7 +255,7 @@ def select_pareto_faces(
         ids of all hull vertices lying on at least one passing face.
     """
     incident = incident_facets(hull, apex_id)
-    signs_of = sign_masks(hull.normals[list(incident)], eps_pos)
+    signs_of = sign_masks(hull.normals[list(incident)], EPS_POS)
     # (facet id, vertex mask, sign mask) of each apex facet.
     apex_facets = [(fi, hull.facet_masks[fi], b) for fi, b in zip(incident, signs_of)]
     every_sign = (1 << hull.ambient_dim) - 1
@@ -285,13 +282,13 @@ def select_pareto_faces(
             cert = hull.certificates.get(defining)
             if cert is None:
                 normals = hull.normals[list(defining)]
-                if not hull.duals.rules_out(normals, eps_pos):
+                if not hull.duals.rules_out(normals, EPS_POS):
                     cert = hull.certificates[defining] = pareto_lp(normals)
                     # A single normal that passes the sign screen passes
                     # the LP, so a failed LP has a dual.
-                    if cert.t_star <= eps_pos:
+                    if cert.t_star <= EPS_POS:
                         hull.duals.add(cert.dual)
-            if cert is not None and cert.t_star > eps_pos:
+            if cert is not None and cert.t_star > EPS_POS:
                 passing.append(
                     FaceRecord(tuple(mask_ids(mask)), dim, cert.normals, cert.alpha, cert.t_star)
                 )
@@ -441,7 +438,7 @@ def explore_vertex(
 
 
 def consolidate_faces(
-    faces: list[FaceRecord], scaled_returns: Sequence[np.ndarray], eps_geom: float = EPS_GEOM
+    faces: list[FaceRecord], scaled_returns: Sequence[np.ndarray]
 ) -> list[FaceRecord]:
     """Merge the pieces of each face and drop faces nested inside larger ones.
 
@@ -456,7 +453,7 @@ def consolidate_faces(
     result), so w supports the polytope and scores exactly that face's
     vertices at its maximum (Ziegler, *Lectures on Polytopes*, §2.1). Each
     piece is therefore keyed by the front vertices that its w scores within
-    eps_geom times the returns' scale of its maximum, `convex_hull`'s
+    EPS_GEOM times the returns' scale of its maximum, `convex_hull`'s
     incidence tolerance; the first piece with a key is the face's record,
     holding the key as its vertex ids. The pieces are scored together, as
     the products of their stacked certificates with the returns, in blocks
@@ -469,7 +466,6 @@ def consolidate_faces(
     Args:
         faces: recorded faces, in discovery order.
         scaled_returns: scaled vertex returns indexed by global vertex id.
-        eps_geom: the relative tolerance of a score tie.
 
     Returns:
         Consolidated face records, ordered by first discovery.
@@ -481,7 +477,7 @@ def consolidate_faces(
     if not faces:
         return []
     points = np.asarray(scaled_returns, dtype=float)
-    tol = eps_geom * max(1.0, float(np.abs(points).max()))
+    tol = EPS_GEOM * max(1.0, float(np.abs(points).max()))
     certs = np.empty((len(faces), points.shape[1]))
     for i, f in enumerate(faces):
         certs[i] = f.alpha @ f.normals

@@ -98,29 +98,80 @@ def test_traced_eps_pos_is_a_float():
     assert type(config.eps_pos) is float
 
 
+def is_tolerance(name: str) -> bool:
+    return name == "eps" or name.startswith("eps_")
+
+
+def nonzero_number(node: ast.expr) -> bool:
+    """Whether node is a numeric literal other than 0, signed or not. Zero
+    is an exact comparison (`dominance`'s default), not a tolerance."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value != 0
+
+
+def tolerance_params(functions) -> dict[str, dict[str, int]]:
+    """For each function or method name, its `eps`/`eps_*` parameters and
+    their positions in a call (a method's `self` is not passed)."""
+    params: dict[str, dict[str, int]] = {}
+    for node in functions:
+        args = node.args.posonlyargs + node.args.args
+        if args and args[0].arg == "self":
+            args = args[1:]
+        named = {a.arg: i for i, a in enumerate(args) if is_tolerance(a.arg)}
+        named |= {a.arg: -1 for a in node.args.kwonlyargs if is_tolerance(a.arg)}
+        if named:
+            params.setdefault(node.name, {}).update(named)
+    return params
+
+
 def test_each_tolerance_defined_once():
-    """`geometry.py` assigns EPS_EQUAL, EPS_GEOM and EPS_POS once each, no
-    other module assigns them, and no `eps_equal`, `eps_geom` or `eps_pos`
-    parameter defaults to a number of its own."""
-    tolerances = {"eps_equal", "eps_geom", "eps_pos"}
-    assigned = []
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Assign):
-                assigned += [
-                    (path.name, t.id)
-                    for t in node.targets
-                    if isinstance(t, ast.Name) and t.id.lower() in tolerances
-                ]
-            elif isinstance(node, ast.FunctionDef):
+    """`geometry.py` sets EPS_EQUAL, EPS_GEOM and EPS_POS to a number once
+    each, and nothing else in the package gives a tolerance a number of its
+    own: no other assignment to such a name, no `eps`/`eps_*` parameter
+    defaulting to one, positional or keyword-only, and no call passing one
+    in a tolerance's place, by position or by keyword."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    nodes = {name: list(ast.walk(tree)) for name, tree in trees.items()}
+    functions = [
+        node
+        for walked in nodes.values()
+        for node in walked
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    params = tolerance_params(functions)
+    assert {"convex_hull", "group_coincident", "sign_masks", "support_faces"} <= set(params)
+    assigned, literal = [], []
+    for module, walked in nodes.items():
+        for node in walked:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [getattr(t, "id", getattr(t, "attr", "")) for t in targets]
+                if nonzero_number(node.value):
+                    assigned += [(module, n) for n in names if is_tolerance(n.lower())]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = node.args.posonlyargs + node.args.args
-                named = zip(args[len(args) - len(node.args.defaults) :], node.args.defaults)
-                literal = [
-                    a.arg
-                    for a, d in named
-                    if a.arg in tolerances and isinstance(d, ast.Constant)
+                defaults = zip(args[len(args) - len(node.args.defaults) :], node.args.defaults)
+                defaults = [*defaults, *zip(node.args.kwonlyargs, node.args.kw_defaults)]
+                literal += [
+                    (module, getattr(node, "name", "lambda"), a.arg)
+                    for a, d in defaults
+                    if d is not None and is_tolerance(a.arg) and nonzero_number(d)
                 ]
-                assert not literal, (path.name, node.name, literal)
+            elif isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                taken = params.get(called, {})
+                literal += [
+                    (module, called, k.arg)
+                    for k in node.keywords
+                    if k.arg and is_tolerance(k.arg) and nonzero_number(k.value)
+                ]
+                literal += [
+                    (module, called, name)
+                    for name, i in taken.items()
+                    if 0 <= i < len(node.args) and nonzero_number(node.args[i])
+                ]
+    assert not literal
     assert sorted(assigned) == [
         ("geometry.py", "EPS_EQUAL"),
         ("geometry.py", "EPS_GEOM"),

@@ -221,10 +221,10 @@ class TestVisitedCache:
 
 class TestFindVertex:
     def test_first_of_two_matches(self, bandit3):
-        """Vertices 1 and 2 both lie within eps_equal of the probe; the
+        """Vertices 1 and 2 both lie within EPS_EQUAL of the probe; the
         lookup names the smaller id, as the row-by-row scan does."""
         ctx = make_context(bandit3, SearchConfig(seed=0))
-        eps = ctx.config.eps_equal
+        eps = geometry.EPS_EQUAL
         probe = np.array([0.5, 0.25])
         ctx.scaled = np.array(
             [probe + [2 * eps, 0.0], probe + [0.0, -eps], probe + [0.5 * eps, 0.5 * eps]]
@@ -240,7 +240,7 @@ class TestFindVertex:
         rng = np.random.default_rng(3)
         ctx.scaled = rng.integers(0, 3, size=(80, 2)) * 1e-9
         for probe in rng.integers(0, 5, size=(200, 2)) * 0.5e-9:
-            want = loop_find_vertex(ctx.scaled, probe, ctx.config.eps_equal)
+            want = loop_find_vertex(ctx.scaled, probe, geometry.EPS_EQUAL)
             assert _find_vertex(ctx, probe) == want
 
     def test_added_vertices_are_found(self, bandit3):
@@ -281,7 +281,7 @@ class TestVertexKeys:
                 vid = super().get(key, default)
                 if vid is not None:
                     point = ctx.z[key] * ctx.scale
-                    assert vid == loop_find_vertex(ctx.scaled, point, ctx.config.eps_equal)
+                    assert vid == loop_find_vertex(ctx.scaled, point, geometry.EPS_EQUAL)
                     hits.append(vid)
                 return vid
 
@@ -620,12 +620,11 @@ def test_search_config_defaults():
     cfg = SearchConfig()
     assert cfg.seed == 0
     assert cfg.thread_count == 1
-    assert cfg.eps_equal == cfg.eps_geom == cfg.eps_pos == 1e-9
-    assert (cfg.eps_equal, cfg.eps_geom, cfg.eps_pos) == (
-        geometry.EPS_EQUAL,
-        geometry.EPS_GEOM,
-        geometry.EPS_POS,
-    )
+    assert geometry.EPS_EQUAL == geometry.EPS_GEOM == geometry.EPS_POS == 1e-9
+    # The config reads only the positivity threshold, for the benchmark
+    # tracer; search reads the geometry's constants directly.
+    assert cfg.eps_pos == geometry.EPS_POS
+    assert not hasattr(cfg, "eps_equal") and not hasattr(cfg, "eps_geom")
 
 
 def test_search_config_fields_are_seed_and_thread_count():
@@ -873,7 +872,7 @@ def test_neighbor_split_equals_the_row_by_row_relations(name, monkeypatch):
     def checked(ctx, vertex):
         nbrs = neighbors_one(vertex.policy, ctx.mdp.num_actions)
         x = deterministic_returns(ctx.mdp, nbrs) * ctx.scale
-        rels = [loop_dominance(row, ctx.scaled[vertex.id], ctx.config.eps_equal) for row in x]
+        rels = [loop_dominance(row, ctx.scaled[vertex.id], geometry.EPS_EQUAL) for row in x]
         known = {p.tobytes() for p in (vertex.policy, *vertex.co_policies)}
         before = len(vertex.co_policies)
         pruned.clear()
