@@ -10,7 +10,7 @@ import sys
 from typing import Any, Callable
 
 from . import __version__
-from .mdp import InvalidMdpError, gen_gridworld, gen_random_mdp
+from .mdp import InvalidMdpError, check_count, gen_gridworld, gen_random_mdp
 from .oracle import (
     EnumerationCapError,
     bench_suite,
@@ -53,8 +53,7 @@ def _threads(args: argparse.Namespace) -> int:
     it is below 1."""
     if args.threads is None:
         return _default_threads()
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    check_count("--threads", args.threads, 1)
     return args.threads
 
 
@@ -227,6 +226,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     }
     states = _int_list("--states", args.states)
     actions = _int_list("--actions", args.actions)
+    check_count("--seeds", args.seeds, 1)
     rows = bench_suite(
         states, actions, args.objectives, list(range(args.seeds)), gamma=args.gamma, cap=args.cap
     )

@@ -23,10 +23,12 @@ _EVAL_BLOCK = 4096
 # took 2.1 ms both ways, and 625 took 2.3 ms by LU and 1.8-1.9 ms by the
 # tree).
 _TREE_MIN_POLICIES = 512
+# Two Q-values within this of a row's maximum tie in `solve_scalarized`.
+_TIE_TOL = 1e-10
 
 
 class InvalidMdpError(ValueError):
-    """Raised when an operation is handed an MDP that fails validation."""
+    """Raised when an Mdp is built from values that fail validation."""
 
     def __init__(self, violations: Sequence[str]):
         super().__init__("invalid MDP: " + "; ".join(violations))
@@ -35,14 +37,22 @@ class InvalidMdpError(ValueError):
 
 @dataclass(frozen=True)
 class Mdp:
-    """A tabular multi-objective MDP.
+    """A finite discounted multi-objective MDP, valid by construction.
+
+    The constructor stores read-only float copies of P, r and mu, so the
+    caller's arrays stay writeable and no later write can make a built MDP
+    invalid. Wrong array ranks or sizes raise a ValueError. Values outside
+    the model raise InvalidMdpError, which lists every violation and names
+    the field and index: non-finite P or r, a negative P entry, a P row or
+    mu summing to other than 1 within 1e-12, a mu entry not > 0, and gamma
+    outside [0, 1).
 
     Attributes:
         P: transition tensor of shape (S, A, S); P[s, a, t] is the probability
             of moving to state t when playing action a in state s.
         r: reward tensor of shape (S, A, D) with one reward per objective.
         gamma: discount factor in [0, 1).
-        mu: initial state distribution of shape (S,); every entry must be
+        mu: initial state distribution of shape (S,); every entry is
             positive so that all states contribute to the long-term return.
     """
 
@@ -52,9 +62,7 @@ class Mdp:
     mu: np.ndarray
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        r = np.asarray(self.r, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
+        P, r, mu = (np.array(x, dtype=float) for x in (self.P, self.r, self.mu))
         if P.ndim != 3 or P.shape[0] != P.shape[2]:
             raise ValueError(f"P must have shape (S, A, S), got {P.shape}")
         if r.ndim != 3 or r.shape[:2] != P.shape[:2]:
@@ -63,10 +71,14 @@ class Mdp:
             )
         if mu.shape != (P.shape[0],):
             raise ValueError(f"mu must have shape ({P.shape[0]},), got {mu.shape}")
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "mu", mu)
+        gamma = float(self.gamma)
+        violations = _violations(P, r, gamma, mu)
+        if violations:
+            raise InvalidMdpError(violations)
+        for name, value in (("P", P), ("r", r), ("mu", mu)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def num_states(self) -> int:
@@ -81,47 +93,39 @@ class Mdp:
         return self.r.shape[2]
 
 
-def validate_mdp(mdp: Mdp, atol: float = 1e-12) -> list[str]:
-    """Check the numerical invariants of an MDP.
-
-    Structural problems (wrong array ranks) are rejected by the Mdp
-    constructor; this checks the value-level constraints and reports every
-    violation it finds, naming the offending field and index.
-
-    Args:
-        mdp: the MDP to check.
-        atol: tolerance for the row-sum and mu normalization checks.
-
-    Returns:
-        A list of human-readable violation strings, empty when the MDP is valid.
-    """
+def _violations(P: np.ndarray, r: np.ndarray, gamma: float, mu: np.ndarray) -> list[str]:
+    """Every violated value constraint of an MDP, naming the field and index."""
     violations: list[str] = []
-    if not np.isfinite(mdp.P).all():
-        for s, a in zip(*np.nonzero(~np.isfinite(mdp.P).all(axis=2))):
+    if not np.isfinite(P).all():
+        for s, a in zip(*np.nonzero(~np.isfinite(P).all(axis=2))):
             violations.append(f"P[{s}][{a}] contains non-finite entries")
-    if not np.isfinite(mdp.r).all():
-        for s, a in zip(*np.nonzero(~np.isfinite(mdp.r).all(axis=2))):
+    if not np.isfinite(r).all():
+        for s, a in zip(*np.nonzero(~np.isfinite(r).all(axis=2))):
             violations.append(f"r[{s}][{a}] contains non-finite entries")
     if violations:
         return violations
 
-    neg = np.nonzero(mdp.P < 0.0)
-    for s, a, t in zip(*neg):
-        violations.append(f"P[{s}][{a}][{t}] is negative ({mdp.P[s, a, t]:.3g})")
-    row_sums = mdp.P.sum(axis=2)
-    bad_rows = np.nonzero(np.abs(row_sums - 1.0) > atol)
-    for s, a in zip(*bad_rows):
+    for s, a, t in zip(*np.nonzero(P < 0.0)):
+        violations.append(f"P[{s}][{a}][{t}] is negative ({P[s, a, t]:.3g})")
+    row_sums = P.sum(axis=2)
+    for s, a in zip(*np.nonzero(np.abs(row_sums - 1.0) > 1e-12)):
         violations.append(
             f"P[{s}][{a}] row sums to {row_sums[s, a]:.17g}, off by "
             f"{abs(row_sums[s, a] - 1.0):.3g}"
         )
-    for s in np.nonzero(~(mdp.mu > 0.0))[0]:
-        violations.append(f"mu[{s}] not > 0 (value {mdp.mu[s]:.17g})")
-    if abs(mdp.mu.sum() - 1.0) > atol:
-        violations.append(f"mu sums to {mdp.mu.sum():.17g}, off by {abs(mdp.mu.sum() - 1.0):.3g}")
-    if not (0.0 <= mdp.gamma < 1.0):
-        violations.append(f"gamma {mdp.gamma:.17g} outside [0, 1)")
+    for s in np.nonzero(~(mu > 0.0))[0]:
+        violations.append(f"mu[{s}] not > 0 (value {mu[s]:.17g})")
+    if abs(mu.sum() - 1.0) > 1e-12:
+        violations.append(f"mu sums to {mu.sum():.17g}, off by {abs(mu.sum() - 1.0):.3g}")
+    if not (0.0 <= gamma < 1.0):
+        violations.append(f"gamma {gamma:.17g} outside [0, 1)")
     return violations
+
+
+def check_count(name: str, value: int, minimum: int) -> None:
+    """Raise a ValueError naming `name` unless value is an int >= minimum."""
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 def long_term_return(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
@@ -163,22 +167,21 @@ def check_actions(policy: np.ndarray, S: int, A: int) -> np.ndarray:
     return pol.astype(np.int64)
 
 
-def _greedy(q: np.ndarray, tie_tol: float) -> np.ndarray:
+def _greedy(q: np.ndarray) -> np.ndarray:
     """Row-wise argmax picking the lowest action index among near-ties."""
-    return (q >= q.max(axis=1, keepdims=True) - tie_tol).argmax(axis=1)
+    return (q >= q.max(axis=1, keepdims=True) - _TIE_TOL).argmax(axis=1)
 
 
-def solve_scalarized(mdp: Mdp, w: np.ndarray, tie_tol: float = 1e-10) -> np.ndarray:
+def solve_scalarized(mdp: Mdp, w: np.ndarray) -> np.ndarray:
     """Find a deterministic policy maximizing the w-weighted scalar return.
 
     Runs exact policy iteration on the scalarized reward r @ w. Ties in the
-    greedy step are broken toward the lowest action index so the result is
-    deterministic.
+    greedy step (Q-values within 1e-10 of the row maximum) are broken
+    toward the lowest action index so the result is deterministic.
 
     Args:
         mdp: a valid MDP.
         w: strictly positive weight vector of shape (D,).
-        tie_tol: two Q-values within this of the row maximum count as tied.
 
     Returns:
         Int array of shape (S,) with the optimal action per state.
@@ -190,14 +193,14 @@ def solve_scalarized(mdp: Mdp, w: np.ndarray, tie_tol: float = 1e-10) -> np.ndar
         raise ValueError("scalarization weights must be strictly positive")
     S = mdp.num_states
     r_w = mdp.r @ w  # (S, A)
-    policy = _greedy(r_w, tie_tol)
+    policy = _greedy(r_w)
     seen = {tuple(policy.tolist())}
     while True:
         p_pi = mdp.P[np.arange(S), policy]
         lhs = np.eye(S) - mdp.gamma * p_pi
         v = np.linalg.solve(lhs, r_w[np.arange(S), policy])
         q = r_w + mdp.gamma * (mdp.P @ v)
-        improved = _greedy(q, tie_tol)
+        improved = _greedy(q)
         if np.array_equal(improved, policy):
             break
         key = tuple(improved.tolist())
@@ -249,9 +252,10 @@ def mix_policies(
     w = np.asarray(weights, dtype=float)
     if len(policies) == 0 or w.shape != (len(policies),):
         raise ValueError("need one weight per policy")
-    if w.min() < -1e-12:
+    # Written so that NaN fails each test.
+    if not w.min() >= -1e-12:
         raise ValueError(f"mixture weights must be nonnegative, got min {w.min():.3g}")
-    if abs(w.sum() - 1.0) > 1e-12:
+    if not abs(w.sum() - 1.0) <= 1e-12:
         raise ValueError(f"mixture weights must sum to 1, got {w.sum():.17g}")
     shape = np.shape(policies[0])
     if len(shape) != 1:
@@ -282,39 +286,27 @@ _GRID_MOVES = {
 }
 
 
-def check_seed(seed: int) -> None:
-    """Raise a ValueError naming seed unless it is an int >= 0."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
-
-
-def _check_sizes(**sizes: int) -> None:
-    """Raise a ValueError naming the first size below 1."""
-    for name, value in sizes.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def gen_random_mdp(
     seed: int, num_states: int, num_actions: int, num_objectives: int, gamma: float = 0.9
 ) -> Mdp:
     """Sample a dense random MDP.
 
     Transition rows are drawn from a flat Dirichlet, rewards uniformly from
-    [0, 1], and the initial distribution is uniform, so the result always
-    passes validation.
+    [0, 1], and the initial distribution is uniform, so only a gamma
+    outside [0, 1) fails the Mdp's checks.
 
     Args:
         seed: int >= 0 for numpy's default_rng; equal seeds give equal MDPs.
         num_states: S >= 1.
         num_actions: A >= 1.
         num_objectives: D >= 1.
-        gamma: discount factor in [0, 1).
+        gamma: discount factor in [0, 1); InvalidMdpError names any other.
     """
-    check_seed(seed)
-    _check_sizes(num_states=num_states, num_actions=num_actions, num_objectives=num_objectives)
-    if not (0.0 <= gamma < 1.0):
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    check_count("seed", seed, 0)
+    for name, size in (
+        ("num_states", num_states), ("num_actions", num_actions), ("num_objectives", num_objectives)
+    ):
+        check_count(name, size, 1)
     rng = np.random.default_rng(seed)
     P = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
     r = rng.uniform(size=(num_states, num_actions, num_objectives))
@@ -330,12 +322,13 @@ def gen_gridworld(
     States are cells in row-major order and the four actions move up, down,
     left and right, staying in place when the move would leave the grid.
     Rewards are uniform [0, 1] per state-action-objective and the initial
-    distribution is uniform over cells.
+    distribution is uniform over cells. A seed or size that is not an int
+    >= 0 or >= 1 raises a ValueError naming it, and a gamma outside [0, 1)
+    an InvalidMdpError.
     """
-    check_seed(seed)
-    _check_sizes(rows=rows, cols=cols, num_objectives=num_objectives)
-    if not (0.0 <= gamma < 1.0):
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    check_count("seed", seed, 0)
+    for name, size in (("rows", rows), ("cols", cols), ("num_objectives", num_objectives)):
+        check_count(name, size, 1)
     rng = np.random.default_rng(seed)
     S = rows * cols
     A = len(GridAction)
@@ -363,8 +356,8 @@ def enumerate_deterministic(
     a bound first; with `indices` only those rows are decoded, in the given
     order.
     """
-    if num_states < 1 or num_actions < 1:
-        raise ValueError("num_states and num_actions must be >= 1")
+    check_count("num_states", num_states, 1)
+    check_count("num_actions", num_actions, 1)
     if indices is None:
         indices = np.arange(num_actions**num_states)
     idx = np.asarray(indices, dtype=np.int64).reshape(-1, 1)
@@ -439,7 +432,8 @@ def stochastic_returns(mdp: Mdp, policies: np.ndarray) -> np.ndarray:
     out = np.empty((len(mats), mdp.num_objectives))
     if not len(mats):
         return out
-    if mats.min() < -1e-12 or np.abs(mats.sum(axis=2) - 1.0).max() > 1e-9:
+    # Written so that NaN fails the test.
+    if not (mats.min() >= -1e-12 and np.abs(mats.sum(axis=2) - 1.0).max() <= 1e-9):
         raise ValueError("stochastic policy rows must be distributions over actions")
     eye = np.eye(S)
     for start in range(0, len(mats), _EVAL_BLOCK):

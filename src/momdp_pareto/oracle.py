@@ -30,10 +30,8 @@ from .geometry import (
     sign_masks,
 )
 from .mdp import (
-    InvalidMdpError,
     Mdp,
-    check_actions,
-    check_seed,
+    check_count,
     deterministic_returns,
     enumerate_deterministic,
     gen_random_mdp,
@@ -43,18 +41,17 @@ from .mdp import (
     stochastic_returns,
     tree_depth,
     tree_returns,
-    validate_mdp,
 )
 from .search import (
     ParetoFront,
     SearchConfig,
     SearchStats,
     VertexRecord,
-    check_thread_count,
     consolidate_faces,  # unused; the benchmark's tracer binds it on this module
     return_scale,
     search,
     select_pareto_faces,
+    vertex_policy,
 )
 
 
@@ -100,9 +97,14 @@ def _tree_margin(mdp: Mdp) -> float:
     return 2.0**10 * mdp.num_states * 2.0**-52 / (1.0 - mdp.gamma)
 
 
-def _nondominated_policies(mdp: Mdp, thread_count: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _nondominated_policies(
+    mdp: Mdp, thread_count: int = 1, cap: int = 1_000_000
+) -> tuple[np.ndarray, np.ndarray]:
     """The non-dominated deterministic policies of an MDP, as an (n, S)
     array in lexicographic order, and their raw returns.
+
+    A thread_count that is not an int >= 1 raises a ValueError naming it,
+    and A**S above the cap an EnumerationCapError, before any work.
 
     Every return comes from `deterministic_returns`, so the set, its order
     and its returns are bit for bit those of evaluating all A**S policies
@@ -112,7 +114,10 @@ def _nondominated_policies(mdp: Mdp, thread_count: int = 1) -> tuple[np.ndarray,
     returns dominate in every objective, and the survivors, decoded from
     their indices, are evaluated and pruned exactly.
     """
+    check_count("thread_count", thread_count, 1)
     S, A = mdp.num_states, mdp.num_actions
+    if A**S > cap:
+        raise EnumerationCapError(A**S, cap)
     scale = return_scale(mdp)
     depth = tree_depth(S, A)
     if depth:
@@ -150,27 +155,18 @@ def brute_force_front(mdp: Mdp, cap: int = 1_000_000, thread_count: int = 1) -> 
     an exact evaluation of all A**S policies gives, bit for bit.
 
     Args:
-        mdp: a valid MDP.
+        mdp: the MDP, valid since its construction.
         cap: maximum number of policies to enumerate.
         thread_count: worker threads for the screen and the evaluation.
 
     Raises:
         ValueError: when thread_count is not an int >= 1, naming it.
-        InvalidMdpError: when validation fails.
         EnumerationCapError: when A**S exceeds the cap.
     """
-    check_thread_count(thread_count)
-    violations = validate_mdp(mdp)
-    if violations:
-        raise InvalidMdpError(violations)
-    count = mdp.num_actions**mdp.num_states
-    if count > cap:
-        raise EnumerationCapError(count, cap)
     t0 = time.perf_counter()
-    stats = SearchStats(policies_evaluated=count)
+    pols, raw = _nondominated_policies(mdp, thread_count, cap)
+    stats = SearchStats(policies_evaluated=mdp.num_actions**mdp.num_states)
     scale = return_scale(mdp)
-
-    pols, raw = _nondominated_policies(mdp, thread_count)
     scaled = raw * scale
 
     # Collapse returns that coincide within EPS_EQUAL; the lexicographically
@@ -403,36 +399,28 @@ def verify_front(
     non-dominated return, and that return is at least as large everywhere,
     so it dominates x beyond tol too.
 
+    The MDP is valid since its construction, so verify checks only the
+    front and its own arguments.
+
     Raises:
         ValueError: when samples_per_face or seed is not an int >= 0, tol is
             NaN, infinite or negative, thread_count is not an int >= 1, or a
             vertex policy is not one integer action in [0, A) per state
-            (`check_actions`) or a vertex return is not D entries; the message
+            (`vertex_policy`) or a vertex return is not D entries; the message
             names the input, and for a policy the vertex, state and action.
         EnumerationCapError: when A**S exceeds the cap.
     """
     check_tolerance("tol", tol)
-    check_thread_count(thread_count)
-    check_seed(seed)
-    if not (isinstance(samples_per_face, numbers.Integral) and samples_per_face >= 0):
-        raise ValueError(f"samples_per_face must be an int >= 0, got {samples_per_face!r}")
+    check_count("seed", seed, 0)
+    check_count("samples_per_face", samples_per_face, 0)
     S, A, D = mdp.num_states, mdp.num_actions, mdp.num_objectives
     policies = []
     for v in front.vertices:
-        try:
-            policies.append(check_actions(v.policy, S, A))
-        except ValueError as exc:
-            raise ValueError(
-                f"vertex {v.id}: policy {np.asarray(v.policy).tolist()} is not {S} actions "
-                f"in [0, {A}): {exc}"
-            ) from None
+        policies.append(vertex_policy(v, S, A))
         if np.shape(v.ret) != (D,):
             raise ValueError(f"vertex {v.id}: return has {np.size(v.ret)} entries, not {D}")
-    count = A**S
-    if count > cap:
-        raise EnumerationCapError(count, cap)
     scale = return_scale(mdp)
-    cloud = _nondominated_policies(mdp, thread_count)[1] * scale
+    cloud = _nondominated_policies(mdp, thread_count, cap)[1] * scale
 
     rets = np.array([v.ret for v in front.vertices]).reshape(-1, D) * scale
     bad = dominated_by(rets, cloud, tol, _ROUNDING_SLACK)
@@ -508,8 +496,9 @@ def bench_suite(
 ) -> list[BenchRow]:
     """Time `search` against `brute_force_front` over a grid of instances.
 
-    A size below 1 or a gamma outside [0, 1) (ValueError) and an instance
-    over the cap (EnumerationCapError) are found before the first solve.
+    A size below 1 (ValueError), a gamma outside [0, 1) (InvalidMdpError)
+    and an instance over the cap (EnumerationCapError) are found before the
+    first solve.
     """
     grid = [(S, A, seed) for S in states for A in actions for seed in seeds]
     mdps = [gen_random_mdp(seed, S, A, objectives, gamma) for S, A, seed in grid]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -36,16 +35,14 @@ from .geometry import (
     support_faces,
 )
 from .mdp import (
-    InvalidMdpError,
     Mdp,
     check_actions,
-    check_seed,
+    check_count,
     deterministic_returns,
     long_term_return,
     mix_policies,
     neighbors_one,
     solve_scalarized,
-    validate_mdp,
 )
 
 
@@ -114,14 +111,17 @@ class SearchConfig:
     eps_pos: ClassVar[float] = EPS_POS
 
     def __post_init__(self) -> None:
-        check_seed(self.seed)
-        check_thread_count(self.thread_count)
+        check_count("seed", self.seed, 0)
+        check_count("thread_count", self.thread_count, 1)
 
 
-def check_thread_count(value: int) -> None:
-    """Raise a ValueError naming thread_count unless value is an int >= 1."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"thread_count must be an int >= 1, got {value!r}")
+def vertex_policy(vertex: VertexRecord, num_states: int, num_actions: int) -> np.ndarray:
+    """A vertex's policy as `check_actions` returns it; its ValueError is
+    prefixed with the vertex id."""
+    try:
+        return check_actions(vertex.policy, num_states, num_actions)
+    except ValueError as exc:
+        raise ValueError(f"vertex {vertex.id}: {exc}") from None
 
 
 def return_scale(mdp: Mdp) -> float:
@@ -503,21 +503,17 @@ def search(mdp: Mdp, config: SearchConfig | None = None) -> ParetoFront:
     each queue iteration costs at most S * (A - 1) policy evaluations.
 
     Args:
-        mdp: a valid MDP (checked; raises InvalidMdpError otherwise).
+        mdp: the MDP, valid since its construction.
         config: optional SearchConfig.
 
     Returns:
         ParetoFront with vertex records, face records and run statistics.
 
     Raises:
-        InvalidMdpError: when validation fails.
         SearchAbortError: when a supposed vertex is exposed as dominated or
             interior, or has no local hull; the message names its policies.
     """
     config = config or SearchConfig()
-    violations = validate_mdp(mdp)
-    if violations:
-        raise InvalidMdpError(violations)
     t0 = time.perf_counter()
     ctx = make_context(mdp, config)
     rng = np.random.default_rng(config.seed)
@@ -560,15 +556,14 @@ def policies_on_face(
         The stochastic policy (S, A) and its long-term return (D,).
 
     A vertex action that is not an integer in [0, A) raises a ValueError
-    naming the vertex, the state and the action (`check_actions`).
+    naming the vertex, the state and the action (`vertex_policy`), and so
+    does a weight that is NaN, negative or off a sum of 1 (`mix_policies`).
     """
     if not (0 <= face_id < len(front.faces)):
         raise ValueError(f"face_id {face_id} out of range (front has {len(front.faces)} faces)")
-    pols = []
-    for vid in front.faces[face_id].vertex_ids:
-        try:
-            pols.append(check_actions(front.vertices[vid].policy, mdp.num_states, mdp.num_actions))
-        except ValueError as exc:
-            raise ValueError(f"vertex {vid}: {exc}") from None
+    pols = [
+        vertex_policy(front.vertices[vid], mdp.num_states, mdp.num_actions)
+        for vid in front.faces[face_id].vertex_ids
+    ]
     mixed = mix_policies(pols, weights, mdp.num_actions)
     return mixed, long_term_return(mdp, mixed)

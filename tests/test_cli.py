@@ -220,7 +220,45 @@ class TestVerify:
         bad.write_text(json.dumps(data))
         capsys.readouterr()
         assert run("verify", str(mdp_file), str(bad)) == 2
-        assert capsys.readouterr().err.startswith("error: vertex 1: policy [9,")
+        assert capsys.readouterr().err == (
+            "error: vertex 1: action 9 at state 0 is not an integer in [0, 3)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "shape,key,value,lines",
+        [
+            ((3, 2, 2), ("gamma",), 1.0, ["gamma 1 outside [0, 1)"]),
+            ((4, 3, 3), ("gamma",), 1.0, ["gamma 1 outside [0, 1)"]),
+            (
+                (4, 3, 3),
+                ("mu",),
+                [1.0, 0.0, 0.0, 0.0],
+                [f"mu[{s}] not > 0 (value 0)" for s in (1, 2, 3)],
+            ),
+            ((4, 3, 3), ("P", 2, 1), [1.5, 0.0, 0.0, 0.0], ["P[2][1] row sums to 1.5, off by 0.5"]),
+        ],
+        ids=["gamma-3x2x2", "gamma-4x3x3", "mu", "P-row"],
+    )
+    def test_invalid_mdp_exits_2(self, tmp_path, capsys, shape, key, value, lines):
+        """An MDP file edited after solving: gamma = 1 used to verify as
+        passed, and the others to fail on the front's faces or raise
+        "Singular matrix"."""
+        S, A, D = shape
+        path, front = tmp_path / "mdp.json", tmp_path / "front.json"
+        assert run("gen", "random", "--states", str(S), "--actions", str(A),
+                   "--objectives", str(D), "-o", str(path)) == 0
+        assert run("solve", str(path), "-o", str(front)) == 0
+        data = json.loads(path.read_text())
+        *outer, last = key
+        target = data
+        for k in outer:
+            target = target[k]
+        target[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("verify", str(bad), str(front)) == 2
+        assert capsys.readouterr().err == "".join(f"invalid: {line}\n" for line in lines)
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -332,9 +370,12 @@ class TestBench:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (["--states", "0"], "error: num_states must be >= 1, got 0"),
-            (["--actions", "2,0"], "error: num_actions must be >= 1, got 0"),
-            (["--gamma", "1.5"], "error: gamma must lie in [0, 1), got 1.5"),
+            (["--states", "0"], "error: num_states must be an int >= 1, got 0"),
+            (["--actions", "2,0"], "error: num_actions must be an int >= 1, got 0"),
+            (["--gamma", "1.5"], "invalid: gamma 1.5 outside [0, 1)"),
+            # Both used to write a CSV of the header alone and exit 0.
+            (["--seeds", "0"], "error: --seeds must be an int >= 1, got 0"),
+            (["--seeds", "-1"], "error: --seeds must be an int >= 1, got -1"),
             # int()'s "invalid literal for int() with base 10" named no flag.
             (["--states", "x"], "error: --states must be comma-separated ints, got 'x'"),
             (["--actions", "2,,3"], "error: --actions must be comma-separated ints, got '2,,3'"),
@@ -416,7 +457,7 @@ class TestThreadDefaults:
         out = tmp_path / "out.json"
         argv = [str(front)] if command == "verify" else ["-o", str(out)]
         assert run(command, str(mdp_file), *argv, "--threads", value) == 2
-        assert capsys.readouterr().err == f"error: --threads must be >= 1, got {value}\n"
+        assert capsys.readouterr().err == f"error: --threads must be an int >= 1, got {value}\n"
         assert not out.exists()
 
     def test_env_recorded_in_output(self, mdp_file, tmp_path, monkeypatch):

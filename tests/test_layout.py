@@ -177,3 +177,21 @@ def test_each_tolerance_defined_once():
         ("geometry.py", "EPS_GEOM"),
         ("geometry.py", "EPS_POS"),
     ]
+
+
+def test_only_the_mdp_raises_invalid_mdp_error():
+    """An Mdp checks its values once, when it is built, so no other module
+    raises or builds InvalidMdpError; other modules only catch it."""
+    raising = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # `InvalidMdpError(...)` anywhere, and a bare `raise InvalidMdpError`.
+            if isinstance(node, ast.Call):
+                target = node.func
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc
+            else:
+                continue
+            if getattr(target, "id", getattr(target, "attr", "")) == "InvalidMdpError":
+                raising.add(path.name)
+    assert raising == {"mdp.py"}

@@ -25,7 +25,6 @@ from momdp_pareto.mdp import (
     stochastic_returns,
     tree_depth,
     tree_returns,
-    validate_mdp,
 )
 from momdp_pareto.oracle import _tree_margin
 from momdp_pareto.search import return_scale
@@ -52,54 +51,103 @@ def two_state_mdp():
     return Mdp(P=P, r=r, gamma=0.5, mu=np.array([0.5, 0.5]))
 
 
+def violations(**changes):
+    """The violations InvalidMdpError lists when `two_state_mdp` is built
+    again with `changes`."""
+    m = two_state_mdp()
+    with pytest.raises(InvalidMdpError) as err:
+        Mdp(**{"P": m.P, "r": m.r, "gamma": m.gamma, "mu": m.mu, **changes})
+    assert str(err.value) == "invalid MDP: " + "; ".join(err.value.violations)
+    return err.value.violations
+
+
 class TestValidate:
+    """An Mdp checks its values when it is built."""
+
     def test_well_formed(self):
-        assert validate_mdp(two_state_mdp()) == []
+        assert two_state_mdp().num_states == 2
 
     def test_random_instances_pass(self):
         for seed in range(5):
-            assert validate_mdp(gen_random_mdp(seed, 4, 3, 3)) == []
+            assert gen_random_mdp(seed, 4, 3, 3).num_states == 4
 
     def test_zero_mu_entry_flagged(self):
-        m = two_state_mdp()
-        bad = Mdp(P=m.P, r=m.r, gamma=m.gamma, mu=np.array([1.0, 0.0]))
-        msgs = validate_mdp(bad)
-        assert any("mu[1] not > 0" in v for v in msgs)
+        assert violations(mu=np.array([1.0, 0.0])) == ["mu[1] not > 0 (value 0)"]
+
+    def test_mu_sum_flagged(self):
+        assert violations(mu=np.array([0.5, 0.6])) == ["mu sums to 1.1000000000000001, off by 0.1"]
 
     def test_bad_row_sum_names_state_action(self):
-        m = two_state_mdp()
-        P = m.P.copy()
+        P = two_state_mdp().P.copy()
         P[1, 0] = [0.4, 0.5]
-        msgs = validate_mdp(Mdp(P=P, r=m.r, gamma=m.gamma, mu=m.mu))
+        msgs = violations(P=P)
         assert any("P[1][0]" in v and "0.9" in v for v in msgs)
 
-    def test_gamma_out_of_range_flagged(self):
-        m = two_state_mdp()
-        msgs = validate_mdp(Mdp(P=m.P, r=m.r, gamma=1.0, mu=m.mu))
-        assert any("gamma" in v and "outside" in v for v in msgs)
+    def test_row_sum_tolerance_is_1e_12(self):
+        P = two_state_mdp().P.copy()
+        P[1, 0] = [0.5, 0.5 + 2e-13]
+        assert Mdp(P=P, r=two_state_mdp().r, gamma=0.5, mu=[0.5, 0.5]).num_states == 2
+        P[1, 0] = [0.5, 0.5 + 2e-12]
+        assert [v[:22] for v in violations(P=P)] == ["P[1][0] row sums to 1."]
+
+    @pytest.mark.parametrize("gamma", [1.0, -0.5, float("nan"), float("inf")])
+    def test_gamma_out_of_range_flagged(self, gamma):
+        assert violations(gamma=gamma) == [f"gamma {gamma:.17g} outside [0, 1)"]
 
     def test_negative_transition_flagged(self):
-        m = two_state_mdp()
-        P = m.P.copy()
+        P = two_state_mdp().P.copy()
         P[0, 0] = [1.2, -0.2]
-        msgs = validate_mdp(Mdp(P=P, r=m.r, gamma=m.gamma, mu=m.mu))
-        assert any("negative" in v for v in msgs)
+        assert "P[0][0][1] is negative (-0.2)" in violations(P=P)
+
+    def test_non_finite_entries_named(self):
+        m = two_state_mdp()
+        P, r = m.P.copy(), m.r.copy()
+        P[0, 1, 0] = np.nan
+        r[1, 1, 0] = np.inf
+        assert violations(P=P, r=r) == [
+            "P[0][1] contains non-finite entries",
+            "r[1][1] contains non-finite entries",
+        ]
+
+    def test_every_violation_listed(self):
+        P = two_state_mdp().P.copy()
+        P[0, 0] = [1.2, -0.2]
+        P[1, 1] = [0.0, 0.5]
+        assert violations(P=P, mu=np.array([1.0, 0.0]), gamma=1.0) == [
+            "P[0][0][1] is negative (-0.2)",
+            "P[1][1] row sums to 0.5, off by 0.5",
+            "mu[1] not > 0 (value 0)",
+            "gamma 1 outside [0, 1)",
+        ]
 
     def test_shape_mismatch_raises_at_construction(self):
         with pytest.raises(ValueError):
             Mdp(P=np.ones((2, 2, 3)), r=np.ones((2, 2, 1)), gamma=0.5, mu=np.ones(2) / 2)
 
+    def test_arrays_are_read_only_copies(self):
+        m = two_state_mdp()
+        P, r, mu = m.P.copy(), m.r.copy(), m.mu.copy()
+        built = Mdp(P=P, r=r, gamma=0.5, mu=mu)
+        for name, given in (("P", P), ("r", r), ("mu", mu)):
+            stored = getattr(built, name)
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0.0
+            assert given.flags.writeable
+            given[0] = 0.0
+            assert not np.shares_memory(stored, given)
+        assert built.P[0, 0].tolist() == [1.0, 0.0] and built.mu.tolist() == [0.5, 0.5]
+
 
 def value_function(m, policy):
-    """The (S, D) value function of a policy, row s read by
-    `long_term_return` from the MDP with mu concentrated on state s."""
-    eye = np.eye(m.num_states)
-    return np.array(
-        [
-            long_term_return(Mdp(P=m.P, r=m.r, gamma=m.gamma, mu=eye[s]), policy)
-            for s in range(m.num_states)
-        ]
-    )
+    """The (S, D) value function V of a policy, read from `long_term_return`
+    by one direct solve. Row s of M puts half the initial mass on state s
+    and spreads the rest evenly, so each row is a valid mu, M = (I + 1/S) / 2
+    is invertible, and the returns under the rows of M are M V."""
+    S = m.num_states
+    M = (np.eye(S) + 1.0 / S) / 2
+    returns = [long_term_return(Mdp(P=m.P, r=m.r, gamma=m.gamma, mu=mu), policy) for mu in M]
+    return np.linalg.solve(M, returns)
 
 
 class TestInduced:
@@ -343,6 +391,10 @@ class TestMixPolicies:
             mix_policies([p, p], [0.6, 0.6], num_actions=2)
         with pytest.raises(ValueError):
             mix_policies([], [], num_actions=2)
+        # NaN weights used to give a policy of NaN rows.
+        for weights in ([np.nan, np.nan], [1.0, np.nan]):
+            with pytest.raises(ValueError, match="mixture weights must be nonnegative"):
+                mix_policies([p, p], weights, num_actions=2)
 
     @pytest.mark.parametrize("action", [-1, 1.5, 7])
     def test_rejects_bad_actions(self, action):
@@ -395,7 +447,24 @@ class TestGenerators:
         assert m.P[0, int(GridAction.RIGHT), 1] == 1.0
 
     def test_gridworld_valid(self):
-        assert validate_mdp(gen_gridworld(1, 3, 3, 3)) == []
+        assert gen_gridworld(1, 3, 3, 3).num_states == 9
+
+    @pytest.mark.parametrize("size", [0, 2.5, "3"])
+    def test_bad_size_named(self, size):
+        """2.5 used to raise numpy's TypeError "... got '2.5'", which names
+        no argument."""
+        message = rf"^num_states must be an int >= 1, got {re.escape(repr(size))}$"
+        with pytest.raises(ValueError, match=message):
+            gen_random_mdp(0, size, 3, 3)
+        with pytest.raises(ValueError, match=message.replace("num_states", "cols")):
+            gen_gridworld(0, 2, size, 3)
+
+    @pytest.mark.parametrize("gamma", [1.0, -0.1])
+    def test_bad_gamma_named_by_the_mdp(self, gamma):
+        for build in (gen_random_mdp, gen_gridworld):
+            with pytest.raises(InvalidMdpError) as err:
+                build(0, 2, 2, 2, gamma)
+            assert err.value.violations == [f"gamma {gamma:.17g} outside [0, 1)"]
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
     def test_bad_seed_named(self, seed):
@@ -428,8 +497,10 @@ class TestEnumerate:
         assert pols.dtype == np.int64
 
     def test_rejects_empty_spaces(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^num_states must be an int >= 1, got 0$"):
             enumerate_deterministic(0, 2)
+        with pytest.raises(ValueError, match=r"^num_actions must be an int >= 1, got 0$"):
+            enumerate_deterministic(2, 0)
 
     def test_decodes_indices(self):
         pols = enumerate_deterministic(4, 3)
@@ -591,6 +662,12 @@ class TestStochasticReturns:
         bad[1, 2] = [0.5, 0.5, 0.5]
         with pytest.raises(ValueError, match="distributions"):
             stochastic_returns(mdp433, bad)
+        # NaN entries used to give a return of NaNs.
+        bad[1, 2] = [np.nan, 0.5, 0.5]
+        with pytest.raises(ValueError, match="distributions"):
+            stochastic_returns(mdp433, bad)
+        with pytest.raises(ValueError, match="distributions"):
+            long_term_return(mdp433, np.full((4, 3), np.nan))
 
 
 def test_grid_action_members():

@@ -379,6 +379,13 @@ class TestPoliciesOnFace:
         with pytest.raises(ValueError):
             policies_on_face(bandit3, front, 5, [1.0])
 
+    def test_nan_weights_rejected(self, mdp433):
+        """They used to give a return of NaNs."""
+        front = search(mdp433)
+        assert len(front.faces[0].vertex_ids) == 2
+        with pytest.raises(ValueError, match="^mixture weights must be nonnegative, got min nan$"):
+            policies_on_face(mdp433, front, 0, [np.nan, np.nan])
+
     @pytest.mark.parametrize("action", [-1, 1.5, 7])
     def test_bad_vertex_action_names_it(self, mdp433, action):
         """-1 used to be mixed in as action A - 1, 1.5 truncated to 1, and
