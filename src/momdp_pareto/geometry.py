@@ -112,10 +112,10 @@ class LocalHull:
     `certificates` holds the positivity LP's certificate for each tuple of
     defining facets tested on this hull: the oracle descends from many hull
     vertices and meets each face from each of its corners, with the same LP
-    input every time. `incident` memoizes `incident_facets` per hull
-    vertex: one descent asks for its apex's facets at every subface step.
-    `duals` pools the dual weights of this hull's failed LPs, which rule
-    out later faces without an LP (see `DualPool`).
+    input every time. `duals` pools the dual weights of this hull's failed
+    LPs, which rule out later faces without an LP (see `DualPool`). A
+    descent reads its apex's facets once (`select_pareto_faces`), so
+    nothing about an apex is kept on the hull.
     """
 
     points: np.ndarray
@@ -125,9 +125,6 @@ class LocalHull:
     normals: np.ndarray
     offsets: np.ndarray
     certificates: dict[tuple[int, ...], LpCertificate] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    incident: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     duals: DualPool = field(default_factory=DualPool, init=False, repr=False, compare=False)
@@ -563,24 +560,19 @@ def _merge_close_planes(
 
 
 def incident_facets(hull: LocalHull, point_id: int) -> tuple[int, ...]:
-    """Indices of the hull facets containing a given hull vertex, ascending.
-
-    The facet masks are scanned once per hull and vertex; later calls return
-    the tuple memoized on the hull.
-    """
-    found = hull.incident.get(point_id)
-    if found is None:
-        if point_id not in hull.vertex_ids:
-            raise ApexNotVertexError(f"point {point_id} is not a vertex of the hull")
-        found = hull.incident[point_id] = tuple(
-            i for i, m in enumerate(hull.facet_masks) if m >> point_id & 1
-        )
-    return found
+    """Indices of the hull facets containing a given hull vertex, ascending,
+    by one scan of the facet masks; ApexNotVertexError for a non-vertex."""
+    if point_id not in hull.vertex_ids:
+        raise ApexNotVertexError(f"point {point_id} is not a vertex of the hull")
+    return tuple(i for i, m in enumerate(hull.facet_masks) if m >> point_id & 1)
 
 
-def subfaces_at(mask: int, dim: int, hull: LocalHull, apex_id: int) -> list[int]:
+def subfaces_at(mask: int, dim: int, apex_masks: Sequence[int]) -> list[int]:
     """Vertex masks of the facets through the apex of the face `mask`,
     whose dimension is `dim`, in facet order.
+
+    `apex_masks` holds the vertex masks of the apex's facets, in facet
+    order, as `select_pareto_faces` reads them once per descent.
 
     On a polytope, the facets of a face F are exactly the inclusion-maximal
     proper intersections of F with the hull's facets (Kaibel and Pfetsch,
@@ -599,13 +591,11 @@ def subfaces_at(mask: int, dim: int, hull: LocalHull, apex_id: int) -> list[int]
     intersections are exactly the ones with dim vertices, found by one bit
     count each instead of comparing every pair.
     """
-    if not mask >> apex_id & 1:
-        raise ValueError(f"apex {apex_id} does not lie on the face")
     if dim < 1:
         raise ValueError(f"face dimension must be >= 1, got {dim}")
     if dim == 1:
         return []
-    cands = dict.fromkeys(mask & hull.facet_masks[fi] for fi in incident_facets(hull, apex_id))
+    cands = dict.fromkeys(mask & m for m in apex_masks)
     if mask.bit_count() == dim + 1:
         return [c for c in cands if c.bit_count() == dim]
     cands.pop(mask, None)

@@ -41,7 +41,8 @@ class Mdp:
 
     The constructor stores read-only float copies of P, r and mu, so the
     caller's arrays stay writeable and no later write can make a built MDP
-    invalid. Wrong array ranks or sizes raise a ValueError. Values outside
+    invalid. Wrong array ranks or sizes, and no state, action or objective,
+    raise a ValueError naming the array and its shape. Values outside
     the model raise InvalidMdpError, which lists every violation and names
     the field and index: non-finite P or r, a negative P entry, a P row or
     mu summing to other than 1 within 1e-12, a mu entry not > 0, and gamma
@@ -65,10 +66,14 @@ class Mdp:
         P, r, mu = (np.array(x, dtype=float) for x in (self.P, self.r, self.mu))
         if P.ndim != 3 or P.shape[0] != P.shape[2]:
             raise ValueError(f"P must have shape (S, A, S), got {P.shape}")
+        if 0 in P.shape:
+            raise ValueError(f"P must have S >= 1 states and A >= 1 actions, got shape {P.shape}")
         if r.ndim != 3 or r.shape[:2] != P.shape[:2]:
             raise ValueError(
                 f"r must have shape (S, A, D) matching P, got {r.shape} vs {P.shape}"
             )
+        if r.shape[2] == 0:
+            raise ValueError(f"r must have D >= 1 objectives, got shape {r.shape}")
         if mu.shape != (P.shape[0],):
             raise ValueError(f"mu must have shape ({P.shape[0]},), got {mu.shape}")
         gamma = float(self.gamma)

@@ -7,7 +7,6 @@ import functools
 import itertools
 import math
 import numbers
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -16,7 +15,6 @@ import numpy as np
 
 from .geometry import (
     EPS_EQUAL,
-    EPS_POS,
     DegenerateHullError,
     FaceRecord,
     affine_dimension,  # unused; the benchmark's tracer binds it on this module
@@ -25,9 +23,7 @@ from .geometry import (
     dominated_by,
     drop_nested_faces,
     group_coincident,
-    incident_facets,
     pprune,
-    sign_masks,
 )
 from .mdp import (
     Mdp,
@@ -139,15 +135,16 @@ def brute_force_front(mdp: Mdp, cap: int = 1_000_000, thread_count: int = 1) -> 
     cost grows with A**S.
 
     Returns too flat for a hull are closed off below (`close_below`); the
-    appended rows, ids n and up, lie on no Pareto face. Nor does a face
-    pass through a vertex whose facet normals fail the sign screen
-    (`sign_masks`), as it holds a subset of them, so neither kind of vertex
-    starts a descent.
-    A face's LP input is the set of hull facets containing it, so each
-    descent records exactly the maximal Pareto faces through its apex, and
-    together they leave nothing to merge. But facets too far apart to merge
-    can share vertices within the incidence tolerance, so the faces nested
-    in another (seen at gamma >= 0.9999) are dropped, as search drops them.
+    appended rows, ids n and up, lie on no Pareto face and start no descent.
+    Every other hull vertex starts one (`select_pareto_faces`), whose first
+    step is the sign screen over the vertex's facet normals: a vertex they
+    fail lies on no Pareto face, and its descent returns after that one
+    facet scan. A face's LP input is the set of hull facets containing it,
+    so each descent records exactly the maximal Pareto faces through its
+    apex, and together they leave nothing to merge. But facets too far
+    apart to merge can share vertices within the incidence tolerance, so
+    the faces nested in another (seen at gamma >= 0.9999) are dropped, as
+    search drops them.
 
     Above 512 policies, a rank-one policy tree screens all policies first
     and only the few it cannot rule out are evaluated exactly; see
@@ -180,16 +177,10 @@ def brute_force_front(mdp: Mdp, cap: int = 1_000_000, thread_count: int = 1) -> 
             hull = convex_hull(pts)
         except DegenerateHullError:
             hull = convex_hull(close_below(pts))
-        signs_of = sign_masks(hull.normals, EPS_POS)
-        every_sign = (1 << hull.ambient_dim) - 1
         for apex in hull.vertex_ids:
             if apex >= n:
                 break
-            signs = functools.reduce(
-                operator.or_, (signs_of[fi] for fi in incident_facets(hull, apex)), 0
-            )
-            if signs == every_sign:
-                passing += select_pareto_faces(apex, hull)[0]
+            passing += select_pareto_faces(apex, hull)[0]
         stats.count_face_work(hull)
     # A face passes from each of its corners; keep its first record, then
     # drop the faces nested inside another.

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -219,21 +221,24 @@ def _add_vertex(
 def select_pareto_faces(apex_id: int, hull: LocalHull) -> tuple[list[FaceRecord], list[int]]:
     """Find the maximal Pareto faces of the hull that are incident to the apex.
 
-    Starts from the apex's facets and walks down: a face whose positivity LP
-    optimum exceeds EPS_POS is recorded, anything else is split into subfaces
-    one dimension lower until dimension 1. Faces that fail the sign screen,
-    or that the dual weights of the hull's failed LPs rule out
-    (`LocalHull.duals`), fail without an LP; their certificates would never
-    be stored. The sign screen reads one integer per apex facet, made once
-    per call (`sign_masks`): a face passes it when its defining facets'
-    integers OR to all D bits, and its normals are gathered only for the
-    dual screen and the LP. Each LP's certificate is kept on the hull under
-    its defining facets, so another descent on the same hull (the oracle's,
-    from another corner) reuses it.
+    This is the only code that reads the apex's facets, once per call, and
+    it makes every sign decision. Each apex facet gets one integer
+    (`sign_masks`), and a face passes the sign screen when its defining
+    facets' integers OR to all D bits. Those facets are some of the apex's,
+    so when the apex's integers OR to fewer bits the call returns at once.
+
+    Otherwise it walks down from the apex's facets: a face whose positivity
+    LP optimum exceeds EPS_POS is recorded, anything else is split into
+    subfaces one dimension lower until dimension 1. Faces that fail the sign
+    screen, or that the dual weights of the hull's failed LPs rule out
+    (`LocalHull.duals`), fail without an LP, and only the LP and the dual
+    screen gather a face's normals. Each LP's certificate is kept on the
+    hull under its defining facets, so another descent on the same hull
+    (the oracle's, from another corner) reuses it.
 
     Faces travel through the descent as vertex bitmasks, and the face
-    lattice is read from the facet masks alone (`subfaces_at`): each apex
-    facet has dimension `ambient_dim - 1` and each subface its parent's
+    lattice is read from the apex's facet masks alone (`subfaces_at`): each
+    apex facet has dimension `ambient_dim - 1` and each subface its parent's
     dimension minus one, so no point set is measured. The same geometric
     face can be reached along several descent paths; it is queued once,
     and defined by every apex facet that contains it, so the LP input, and
@@ -256,11 +261,14 @@ def select_pareto_faces(apex_id: int, hull: LocalHull) -> tuple[list[FaceRecord]
     """
     incident = incident_facets(hull, apex_id)
     signs_of = sign_masks(hull.normals[list(incident)], EPS_POS)
-    # (facet id, vertex mask, sign mask) of each apex facet.
-    apex_facets = [(fi, hull.facet_masks[fi], b) for fi, b in zip(incident, signs_of)]
     every_sign = (1 << hull.ambient_dim) - 1
+    if functools.reduce(operator.or_, signs_of, 0) != every_sign:
+        return [], []
+    apex_masks = [hull.facet_masks[fi] for fi in incident]
+    # (facet id, vertex mask, sign mask) of each apex facet.
+    apex_facets = list(zip(incident, apex_masks, signs_of))
     # The dimension of every mask queued so far.
-    dims = dict.fromkeys((m for _, m, _ in apex_facets), hull.ambient_dim - 1)
+    dims = dict.fromkeys(apex_masks, hull.ambient_dim - 1)
     queue = deque(dims)
     passing: list[FaceRecord] = []
     passed: list[int] = []
@@ -296,7 +304,7 @@ def select_pareto_faces(apex_id: int, hull: LocalHull) -> tuple[list[FaceRecord]
                 on_front |= mask
                 continue
         if dim > 1:
-            for child in subfaces_at(mask, dim, hull, apex_id):
+            for child in subfaces_at(mask, dim, apex_masks):
                 if child not in dims:
                     dims[child] = dim - 1
                     queue.append(child)

@@ -108,8 +108,9 @@ def _vertex_id(vid: Any, count: int, what: str) -> int:
 
 def front_from_dict(data: dict[str, Any]) -> ParetoFront:
     """Rebuild a front. Ids, actions, dimensions and counts must be whole
-    numbers, every return as long as the first, and every face must have
-    vertex ids, each naming a vertex; the error names the entry."""
+    numbers, each vertex id its position in the list, every return as long
+    as the first, and every face must have vertex ids, each naming a
+    vertex; the error names the entry."""
     try:
         vertices = [
             VertexRecord(
@@ -124,6 +125,8 @@ def front_from_dict(data: dict[str, Any]) -> ParetoFront:
             for k, v in enumerate(data["vertices"])
         ]
         for k, v in enumerate(vertices):
+            if v.id != k:
+                raise ValueError(f"vertex {k}: id {v.id} is not its position {k}")
             if v.ret.ndim != 1 or v.ret.size != vertices[0].ret.size:
                 first = vertices[0].ret.size
                 raise ValueError(f"vertex {k}: return has {v.ret.size} entries, vertex 0's {first}")

@@ -434,6 +434,12 @@ def apex_facet_ids(hull, apex_id: int) -> list[int]:
     return [fi for fi, m in enumerate(hull.facet_masks) if m >> apex_id & 1]
 
 
+def apex_masks(hull, apex_id: int) -> list[int]:
+    """The vertex masks of the apex's facets, in facet order, as
+    `subfaces_at` takes them."""
+    return [hull.facet_masks[fi] for fi in apex_facet_ids(hull, apex_id)]
+
+
 def svd_subfaces_at(mask: int, hull, apex_id: int) -> list[int]:
     """The faces one dimension below the face `mask` that contain the apex,
     by measuring point sets: each intersection of the face with an

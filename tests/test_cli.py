@@ -287,6 +287,10 @@ class TestVerify:
                 lambda d: d["faces"][0]["vertex_ids"].clear(),
                 "face 0: no vertex ids",
             ),
+            (
+                lambda d: [v.__setitem__("id", 100 + k) for k, v in enumerate(d["vertices"])],
+                "vertex 0: id 100 is not its position 0",
+            ),
         ],
         ids=[
             "fractional-action",
@@ -295,13 +299,15 @@ class TestVerify:
             "negative-vertex-id",
             "fractional-dim",
             "no-vertex-ids",
+            "vertex-ids-not-positions",
         ],
     )
     def test_inexact_front_entries_exit_2(self, mdp_file, tmp_path, capsys, edit, message):
         """A fractional action or dimension used to be truncated (2.5 read
         as 2, and verify passed), a face vertex id past the vertex list made
-        verify die with an IndexError, -1 named the last vertex, and a face
-        with no vertex ids made verify die reshaping an empty array."""
+        verify die with an IndexError, -1 named the last vertex, a face
+        with no vertex ids made verify die reshaping an empty array, and
+        vertex ids other than their positions passed verify unread."""
         front = tmp_path / "front.json"
         run("solve", str(mdp_file), "-o", str(front))
         data = json.loads(front.read_text())
@@ -328,6 +334,34 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"error: malformed MDP payload: {key} must be an integer, got {data[key]!r}\n"
         )
+        assert not (tmp_path / "front.json").exists()
+
+    @pytest.mark.parametrize(
+        "key,message",
+        [
+            ("actions", "P has shape (4, 0), declared sizes require (4, 0, 4)"),
+            ("objectives", "r must have D >= 1 objectives, got shape (4, 3, 0)"),
+        ],
+        ids=["no-action", "no-objective"],
+    )
+    def test_empty_mdp_size_exits_2(self, mdp_file, tmp_path, capsys, key, message):
+        """An MDP file with no action or no objective exits 2 naming the
+        array. JSON writes P of no action as S empty lists, which the file's
+        own shape check refuses. r of no objective has its declared shape,
+        and used to build an Mdp on which `solve` died in a numpy reduction
+        ("zero-size array to reduction operation maximum which has no
+        identity"), naming no input."""
+        data = json.loads(mdp_file.read_text())
+        data[key] = 0
+        if key == "actions":
+            data["P"] = data["r"] = [[] for _ in data["mu"]]
+        else:
+            data["r"] = [[[] for _ in row] for row in data["r"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("solve", str(bad), "-o", str(tmp_path / "front.json")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "front.json").exists()
 
     def test_whole_number_floats_are_read_as_ints(self, mdp_file, tmp_path):

@@ -40,6 +40,8 @@ from momdp_pareto.search import return_scale, select_pareto_faces
 
 from helpers import (
     all_pairs_pprune,
+    apex_facet_ids,
+    apex_masks,
     barycentric_grid,
     benchmark_instances,
     convex_cloud,
@@ -1183,35 +1185,58 @@ class TestIncidentFacets:
             incident_facets(hull, 4)
 
     def test_facets_scanned_once_per_apex(self, monkeypatch):
-        """A D=5 descent asks for its apex's facets at every subface step;
-        the hull scans its facet masks for them once per apex."""
+        """A D=5 descent scans the hull's facet masks once, for its apex's
+        facets, and hands their masks to every subface step, so
+        `subfaces_at` never reads the hull's masks. Nothing is kept on the
+        hull: each `incident_facets` call is one scan of its own."""
 
         class CountingMasks(tuple):
             scans = 0
+            # Reads of the masks made while `subfaces_at` runs.
+            read_by_subfaces = 0
+            in_subfaces = False
 
             def __iter__(self):
                 CountingMasks.scans += 1
+                CountingMasks.read_by_subfaces += CountingMasks.in_subfaces
                 return super().__iter__()
 
-        search_module = importlib.import_module("momdp_pareto.search")
-        subface_calls = []
+            def __getitem__(self, key):
+                CountingMasks.read_by_subfaces += CountingMasks.in_subfaces
+                return super().__getitem__(key)
 
-        def counted_subfaces_at(face, dim, hull, apex_id):
-            subface_calls.append(apex_id)
-            return subfaces_at(face, dim, hull, apex_id)
+        search_module = importlib.import_module("momdp_pareto.search")
+        handed = []
+
+        def counted_subfaces_at(face, dim, masks):
+            handed.append(list(masks))
+            CountingMasks.in_subfaces = True
+            try:
+                return subfaces_at(face, dim, masks)
+            finally:
+                CountingMasks.in_subfaces = False
 
         monkeypatch.setattr(search_module, "subfaces_at", counted_subfaces_at)
         built = convex_hull(np.random.default_rng(0).normal(size=(30, 5)))
         hull = dataclasses.replace(built, facet_masks=CountingMasks(built.facet_masks))
-        apexes = hull.vertex_ids[:3]
-        for apex in apexes:
+        # The facets through vertex 6 miss an objective, so its descent ends
+        # after the scan; 7, 8 and 9 descend.
+        apexes = hull.vertex_ids[5:9]
+        normals = [built.normals[apex_facet_ids(built, a)] for a in apexes]
+        assert [passes_sign_screen(w, 1e-9) for w in normals] == [False, True, True, True]
+        calls = 0
+        for k, apex in enumerate(apexes):
             search_module.select_pareto_faces(apex, hull)
-        assert len(subface_calls) > 3 * len(apexes)
-        assert CountingMasks.scans == len(apexes)
+            assert CountingMasks.scans == k + 1
+            assert handed[calls:] == [apex_masks(built, apex)] * (len(handed) - calls)
+            assert (len(handed) > calls) == (k > 0)
+            calls = len(handed)
+        assert calls > 3 * len(apexes)
+        assert CountingMasks.read_by_subfaces == 0
         assert [incident_facets(hull, a) for a in apexes] == [
-            incident_facets(built, a) for a in apexes
+            tuple(apex_facet_ids(built, a)) for a in apexes
         ]
-        assert CountingMasks.scans == len(apexes)
+        assert CountingMasks.scans == 2 * len(apexes)
 
 
 class TestSubfaces:
@@ -1219,7 +1244,7 @@ class TestSubfaces:
         hull = convex_hull(unit_simplex_3d())
         apex = 0
         fid = incident_facets(hull, apex)[0]
-        subs = subfaces_at(hull.facet_masks[fid], 2, hull, apex)
+        subs = subfaces_at(hull.facet_masks[fid], 2, apex_masks(hull, apex))
         assert len(subs) == 2
         for sub in subs:
             ids = mask_ids(sub)
@@ -1233,7 +1258,7 @@ class TestSubfaces:
 
     def test_edge_has_no_subfaces(self):
         hull = convex_hull(unit_simplex_3d())
-        assert subfaces_at(0b11, 1, hull, 0) == []
+        assert subfaces_at(0b11, 1, apex_masks(hull, 0)) == []
 
     def test_cube_square_facet_yields_two_edges(self):
         corners = np.array(
@@ -1242,7 +1267,7 @@ class TestSubfaces:
         hull = convex_hull(corners)
         apex = 0
         fid = incident_facets(hull, apex)[0]
-        subs = subfaces_at(hull.facet_masks[fid], 2, hull, apex)
+        subs = subfaces_at(hull.facet_masks[fid], 2, apex_masks(hull, apex))
         assert len(subs) == 2
         for sub in subs:
             assert len(mask_ids(sub)) == 2
@@ -1256,9 +1281,9 @@ class TestSubfaces:
         )
         hull = convex_hull(pts)
         apex = 4
-        face, *others = (hull.facet_masks[fi] for fi in incident_facets(hull, apex))
+        face, *others = apex_masks(hull, apex)
         assert [face & m for m in others].count(1 << apex) == 1
-        subs = subfaces_at(face, 2, hull, apex)
+        subs = subfaces_at(face, 2, [face, *others])
         assert len(subs) == 2
         assert all(s.bit_count() == 2 and s >> apex & 1 for s in subs)
         assert subs == svd_subfaces_at(face, hull, apex)
@@ -1272,14 +1297,13 @@ class TestSubfaces:
         hull = convex_hull(TestBlockedPlaneDedupe.cloud())
         faces = {True: 0, False: 0}
         for apex in hull.vertex_ids[::10]:
-            dims = dict.fromkeys(
-                (hull.facet_masks[fi] for fi in incident_facets(hull, apex)), hull.ambient_dim - 1
-            )
+            masks = apex_masks(hull, apex)
+            dims = dict.fromkeys(masks, hull.ambient_dim - 1)
             queue = deque(dims)
             while queue:
                 mask = queue.popleft()
                 dim = dims[mask]
-                subs = subfaces_at(mask, dim, hull, apex)
+                subs = subfaces_at(mask, dim, masks)
                 assert subs == pairwise_subfaces_at(mask, dim, hull, apex)
                 assert subs == svd_subfaces_at(mask, hull, apex)
                 if dim > 1:
@@ -1290,12 +1314,10 @@ class TestSubfaces:
                         queue.append(sub)
         assert faces[True] > 10 and faces[False] > 10
 
-    def test_rejects_faces_off_the_apex_or_of_dimension_zero(self):
+    def test_rejects_faces_of_dimension_zero(self):
         hull = convex_hull(unit_simplex_3d())
-        with pytest.raises(ValueError, match="apex 0 does not lie on the face"):
-            subfaces_at(0b110, 2, hull, 0)
         with pytest.raises(ValueError, match="face dimension must be >= 1, got 0"):
-            subfaces_at(0b1, 0, hull, 0)
+            subfaces_at(0b1, 0, apex_masks(hull, 0))
 
 
 class TestParetoLp:

@@ -90,6 +90,36 @@ def test_no_unused_imports(path):
     assert not unused, (path.name, sorted(unused))
 
 
+def test_traced_names_kept_only_for_the_tracer():
+    """The traced names that a module imports but never calls by name are
+    exactly the five kept there only for the benchmark's tracer. A refactor
+    that stops calling another traced function leaves its layer reading 0
+    in a traced run; it fails here instead."""
+    uncalled = set()
+    for module, attribute, _ in traced_bindings():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        called = {
+            node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        if attribute in imported - called:
+            uncalled.add(f"{module}.{attribute}")
+    assert uncalled == {
+        "oracle.long_term_return",
+        "oracle.affine_dimension",
+        "oracle.consolidate_faces",
+        "search.dominance",
+        "search.affine_dimension",
+    }
+
+
 def test_traced_eps_pos_is_a_float():
     """Besides the functions it wraps, the tracer reads one value from the
     program: `SearchConfig().eps_pos`, the threshold a positivity LP must

@@ -124,6 +124,23 @@ class TestValidate:
         with pytest.raises(ValueError):
             Mdp(P=np.ones((2, 2, 3)), r=np.ones((2, 2, 1)), gamma=0.5, mu=np.ones(2) / 2)
 
+    @pytest.mark.parametrize(
+        "S,A,D,message",
+        [
+            (2, 0, 2, r"P must have S >= 1 states and A >= 1 actions, got shape (2, 0, 2)"),
+            (0, 2, 2, r"P must have S >= 1 states and A >= 1 actions, got shape (0, 2, 0)"),
+            (2, 2, 0, r"r must have D >= 1 objectives, got shape (2, 2, 0)"),
+        ],
+        ids=["no-action", "no-state", "no-objective"],
+    )
+    def test_empty_spaces_raise_at_construction(self, S, A, D, message):
+        """Zero actions or objectives used to build an Mdp, on which `search`
+        and the oracle then failed in a numpy reduction that named no input."""
+        with pytest.raises(ValueError) as err:
+            Mdp(P=np.full((S, A, S), 0.5), r=np.zeros((S, A, D)), gamma=0.5, mu=np.full(S, 0.5))
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
     def test_arrays_are_read_only_copies(self):
         m = two_state_mdp()
         P, r, mu = m.P.copy(), m.r.copy(), m.mu.copy()

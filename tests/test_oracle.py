@@ -24,13 +24,16 @@ from momdp_pareto.oracle import _face_weights, bench_suite
 from momdp_pareto.search import FaceRecord, SearchStats, VertexRecord, return_scale
 
 from helpers import (
+    apex_facet_ids,
     benchmark_instances,
     dependent_objective,
     dominated_in_cloud,
     duplicate_action,
+    faces_by_lp_everywhere,
     loop_compare_fronts,
     loop_verify_front,
     make_bandit,
+    passes_sign_screen,
     product_grid_weights,
 )
 from test_golden import INSTANCES as GOLDEN_INSTANCES
@@ -176,24 +179,40 @@ def test_consolidation_leaves_the_oracle_faces_unchanged(name):
     ["golden-dense-S4-A3-D5-s1", "golden-grid-2x2-D4-s2", "bench-depobj-S5-A3-D4-s1"],
 )
 def test_apex_sign_screen_changes_no_face_and_no_count(name, monkeypatch):
-    """The oracle starts no descent at a vertex whose facet normals fail the
-    sign screen. Descending from every input vertex instead gives the same
-    faces, certificates and LP counts."""
-    build = ORACLE_INSTANCES[name]
-    screened = brute_force_front(build())
-    monkeypatch.setattr(
-        oracle, "sign_masks", lambda normals, eps_pos: [(1 << normals.shape[1]) - 1] * len(normals)
-    )
-    every = brute_force_front(build())
-    assert (screened.stats.lps_solved, screened.stats.lps_screened) == (
-        every.stats.lps_solved,
-        every.stats.lps_screened,
-    )
-    assert len(screened.faces) == len(every.faces)
-    for f, g in zip(screened.faces, every.faces):
-        assert (f.vertex_ids, f.dim, f.t_star) == (g.vertex_ids, g.dim, g.t_star)
-        assert f.normals.tobytes() == g.normals.tobytes()
-        assert f.alpha.tobytes() == g.alpha.tobytes()
+    """The oracle descends from every input vertex. Where the apex's facet
+    normals miss an objective, its descent returns no face at once: no
+    subface step and no LP. Nothing is lost there, as a descent that solves
+    the LP on every face through that apex (`faces_by_lp_everywhere`)
+    passes none. Each of these instances has such a vertex."""
+    search_module = importlib.import_module("momdp_pareto.search")
+    descend = search_module.select_pareto_faces
+    work = []
+    ended = []
+
+    def counted(attribute):
+        original = getattr(search_module, attribute)
+
+        def wrapped(*args):
+            work.append(attribute)
+            return original(*args)
+
+        monkeypatch.setattr(search_module, attribute, wrapped)
+
+    def descending(apex_id, hull):
+        work.clear()
+        got = descend(apex_id, hull)
+        if not passes_sign_screen(hull.normals[apex_facet_ids(hull, apex_id)], 1e-9):
+            assert got == ([], []) and work == []
+            ended.append((apex_id, hull))
+        return got
+
+    counted("subfaces_at")
+    counted("pareto_lp")
+    monkeypatch.setattr(oracle, "select_pareto_faces", descending)
+    brute_force_front(ORACLE_INSTANCES[name]())
+    assert ended
+    for apex_id, hull in ended:
+        assert faces_by_lp_everywhere(apex_id, hull)[0] == []
 
 
 def test_oracle_solves_each_face_lp_once(monkeypatch):

@@ -20,7 +20,7 @@ from momdp_pareto import (
     policies_on_face,
     search,
 )
-from momdp_pareto import geometry
+from momdp_pareto import geometry, oracle
 from momdp_pareto.geometry import (
     Dominance,
     affine_dimension,
@@ -44,6 +44,7 @@ from momdp_pareto.search import (
 )
 
 from helpers import (
+    apex_masks,
     benchmark_instances,
     degenerate_instances,
     duplicate_action,
@@ -835,17 +836,27 @@ SUBFACE_INSTANCES = subface_instances()
 @pytest.mark.parametrize("name", sorted(SUBFACE_INSTANCES))
 def test_lattice_subfaces_equal_the_svd_rule(name, monkeypatch):
     """At every call of the descent, on every local hull of search and on
-    the oracle's hull, `subfaces_at` returns the children the SVD rule and
-    the pairwise maximality filter return, in the same order, whether the
-    face's vertex count makes it a simplex or not; the dimension handed to
-    each call is its face's affine dimension, and each child's is one
-    less."""
+    the oracle's hull, `subfaces_at` gets the masks of the apex's facets in
+    facet order and a face through the apex, and returns the children the
+    SVD rule and the pairwise maximality filter return, in the same order,
+    whether the face's vertex count makes it a simplex or not; the
+    dimension handed to each call is its face's affine dimension, and each
+    child's is one less. The hull and apex of each call are those of the
+    `select_pareto_faces` call it runs in, in search or in the oracle."""
     module = _search_module()
-    lattice = module.subfaces_at
+    lattice, descend = module.subfaces_at, module.select_pareto_faces
     children = []
+    current = []
 
-    def checked(mask, dim, hull, apex_id):
-        got = lattice(mask, dim, hull, apex_id)
+    def descending(apex_id, hull):
+        current[:] = [hull, apex_id]
+        return descend(apex_id, hull)
+
+    def checked(mask, dim, masks):
+        hull, apex_id = current
+        assert list(masks) == apex_masks(hull, apex_id)
+        assert mask >> apex_id & 1
+        got = lattice(mask, dim, masks)
         assert got == svd_subfaces_at(mask, hull, apex_id)
         assert got == pairwise_subfaces_at(mask, dim, hull, apex_id)
         assert affine_dimension(hull.points[mask_ids(mask)]) == dim
@@ -855,6 +866,8 @@ def test_lattice_subfaces_equal_the_svd_rule(name, monkeypatch):
         return got
 
     monkeypatch.setattr(module, "subfaces_at", checked)
+    monkeypatch.setattr(module, "select_pareto_faces", descending)
+    monkeypatch.setattr(oracle, "select_pareto_faces", descending)
     build, solvers = SUBFACE_INSTANCES[name]
     for solver in solvers:
         solver(build())
