@@ -128,8 +128,11 @@ def _violations(P: np.ndarray, r: np.ndarray, gamma: float, mu: np.ndarray) -> l
 
 
 def check_count(name: str, value: int, minimum: int) -> None:
-    """Raise a ValueError naming `name` unless value is an int >= minimum."""
-    if not (isinstance(value, numbers.Integral) and value >= minimum):
+    """Raise a ValueError naming `name` unless value is an int >= minimum.
+    A bool is not a count, so True and False are refused too."""
+    if not (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
+    ):
         raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
@@ -479,6 +482,13 @@ def tree_returns(mdp: Mdp, depth: int, thread_count: int = 1) -> np.ndarray:
     and likewise for J = mu V and u_t = mu M e_t, in O(S (D + depth)) per
     child. Heads are taken in blocks of about 4096 policies, spread over
     `thread_count` threads; the result does not depend on the thread count.
+
+    A block holds its columns as x[c, s, i] and their contractions as
+    y[c, i], with the policy i innermost, so each tail state takes one
+    (A - 1, S) @ (S, n) product per column for q and the coefficients, and
+    expands the children as (columns, S, A, n). That puts the newest action
+    in the most significant place of the policy index; one permutation at
+    the end of the block makes the rows lexicographic.
     """
     S, A, D = mdp.num_states, mdp.num_actions, mdp.num_objectives
     depth = max(0, min(depth, S))
@@ -500,25 +510,32 @@ def tree_returns(mdp: Mdp, depth: int, thread_count: int = 1) -> np.ndarray:
         rhs = np.concatenate(
             [np.broadcast_to(unit, (len(head), S, depth)), mdp.r[rows, head]], axis=2
         )
-        # Columns: the tail columns of M still to expand, then V; y holds
-        # their contractions with mu, [u | J].
-        x = np.linalg.solve(lhs, rhs)
+        # x[c, s, i] and y[c, i], policy i innermost. Columns c: the tail
+        # columns of M still to expand, then V; y holds their contractions
+        # with mu, [u | J].
+        x = np.ascontiguousarray(np.linalg.solve(lhs, rhs).transpose(2, 1, 0))
         y = mdp.mu @ x
         for dp, dr in zip(dps, drs):
-            n, cols = len(y), y.shape[1]
-            q = 1.0 - gamma * (x[:, :, 0] @ dp.T)
-            coef = gamma * (dp @ x[:, :, 1:]) / q[:, :, None]
-            coef[:, :, cols - 1 - D :] += dr / q[:, :, None]
-            ys = np.empty((n, A, cols - 1))
-            ys[:, 0] = y[:, 1:]
-            ys[:, 1:] = y[:, None, 1:] + y[:, None, :1] * coef
+            cols, n = y.shape
+            q = 1.0 - gamma * (dp @ x[0])
+            coef = gamma * (dp @ x[1:]) / q
+            coef[cols - 1 - D :] += dr.T[:, :, None] / q
+            # A child's index is a * n + its parent's, so the action just
+            # expanded is the most significant digit.
+            ys = np.empty((cols - 1, A, n))
+            ys[:, 0] = y[1:]
+            ys[:, 1:] = y[1:, None] + y[0] * coef
             if cols - 1 > D:
-                xs = np.empty((n, A, S, cols - 1))
-                xs[:, 0] = x[:, :, 1:]
-                xs[:, 1:] = x[:, None, :, 1:] + x[:, None, :, :1] * coef[:, :, None, :]
-                x = xs.reshape(n * A, S, cols - 1)
-            y = ys.reshape(n * A, cols - 1)
-        out[start * width : start * width + len(y)] = y
+                xs = np.empty((cols - 1, S, A, n))
+                xs[:, :, 0] = x[1:]
+                xs[:, :, 1:] = x[1:, :, None] + x[0][:, None] * coef[:, None]
+                x = xs.reshape(cols - 1, S, A * n)
+            y = ys.reshape(cols - 1, A * n)
+        # The digits run (objective, last tail state, ..., first, head);
+        # reversing the axes makes the rows lexicographic.
+        digits = (len(head),) + (A,) * depth
+        block = out[start * width : (start + len(head)) * width]
+        block.reshape(digits + (D,))[...] = y.reshape((D,) + digits[::-1]).T
 
     _run_blocks(run, range(0, heads, step), thread_count)
     return out

@@ -82,13 +82,16 @@ def check_tolerance(name: str, value: float) -> None:
 # mu M rho, at most |rho| / (1 - gamma). So a tree row is off from the LU
 # row of `deterministic_returns` by about c S u / (1 - gamma), with c a few
 # times the depth (at most 12, as A**depth <= 4096); this is a first-order
-# estimate, not a proof. Measured: c <= 0.27 over the dense, dupact, depobj
-# and grid families at gamma from 0 to 0.999999 and depths 1 to 12 (1.8e-15
-# at gamma 0.9 and 1.8e-10 at 0.999999 on S = 8). The screen drops x only
-# when some y has tree value >= x's tree value + margin everywhere, so with
-# row errors e < margin / 2 the LU returns give y > x in every objective and
-# x is not in the LU non-dominated set. 2**10 S u / (1 - gamma) leaves a
-# factor of over 3000 above the measured error.
+# estimate, not a proof. Measured with the policies innermost in the tree:
+# c <= 0.375 over the dense, dupact, depobj and grid families, seeds 0 and
+# 1, at gamma from 0 to 0.999999, depths 1 to 12, S from 4 to 13 and A from
+# 2 to 10. The largest c are at gamma 0, from errors of 3.3e-16 at S = 4
+# and 5; at gamma >= 0.9, c <= 0.26. On gen_random_mdp(0, 8, 4, 3) the
+# error is 9.8e-16 at gamma 0.9 and 8.7e-11 at 0.999999. The screen drops
+# x only when some y has tree value >= x's tree value + margin everywhere,
+# so with row errors e < margin / 2 the LU returns give y > x in every
+# objective and x is not in the LU non-dominated set. 2**10 S u / (1 - gamma)
+# leaves a factor of over 2700 above the measured error.
 def _tree_margin(mdp: Mdp) -> float:
     return 2.0**10 * mdp.num_states * 2.0**-52 / (1.0 - mdp.gamma)
 
@@ -99,8 +102,9 @@ def _nondominated_policies(
     """The non-dominated deterministic policies of an MDP, as an (n, S)
     array in lexicographic order, and their raw returns.
 
-    A thread_count that is not an int >= 1 raises a ValueError naming it,
-    and A**S above the cap an EnumerationCapError, before any work.
+    A thread_count or cap that is not an int >= 1 raises a ValueError
+    naming it, and A**S above the cap an EnumerationCapError, before any
+    work.
 
     Every return comes from `deterministic_returns`, so the set, its order
     and its returns are bit for bit those of evaluating all A**S policies
@@ -111,6 +115,7 @@ def _nondominated_policies(
     their indices, are evaluated and pruned exactly.
     """
     check_count("thread_count", thread_count, 1)
+    check_count("cap", cap, 1)
     S, A = mdp.num_states, mdp.num_actions
     if A**S > cap:
         raise EnumerationCapError(A**S, cap)
@@ -157,7 +162,7 @@ def brute_force_front(mdp: Mdp, cap: int = 1_000_000, thread_count: int = 1) -> 
         thread_count: worker threads for the screen and the evaluation.
 
     Raises:
-        ValueError: when thread_count is not an int >= 1, naming it.
+        ValueError: when thread_count or cap is not an int >= 1, naming it.
         EnumerationCapError: when A**S exceeds the cap.
     """
     t0 = time.perf_counter()
@@ -395,10 +400,11 @@ def verify_front(
 
     Raises:
         ValueError: when samples_per_face or seed is not an int >= 0, tol is
-            NaN, infinite or negative, thread_count is not an int >= 1, or a
-            vertex policy is not one integer action in [0, A) per state
-            (`vertex_policy`) or a vertex return is not D entries; the message
-            names the input, and for a policy the vertex, state and action.
+            NaN, infinite or negative, thread_count or cap is not an int
+            >= 1, or a vertex policy is not one integer action in [0, A) per
+            state (`vertex_policy`) or a vertex return is not D entries; the
+            message names the input, and for a policy the vertex, state and
+            action.
         EnumerationCapError: when A**S exceeds the cap.
     """
     check_tolerance("tol", tol)
@@ -487,10 +493,11 @@ def bench_suite(
 ) -> list[BenchRow]:
     """Time `search` against `brute_force_front` over a grid of instances.
 
-    A size below 1 (ValueError), a gamma outside [0, 1) (InvalidMdpError)
-    and an instance over the cap (EnumerationCapError) are found before the
-    first solve.
+    A size below 1 or a cap that is not an int >= 1 (ValueError), a gamma
+    outside [0, 1) (InvalidMdpError) and an instance over the cap
+    (EnumerationCapError) are found before the first solve.
     """
+    check_count("cap", cap, 1)
     grid = [(S, A, seed) for S in states for A in actions for seed in seeds]
     mdps = [gen_random_mdp(seed, S, A, objectives, gamma) for S, A, seed in grid]
     for S, A, _ in grid:

@@ -133,6 +133,28 @@ class TestBadSeed:
         assert capsys.readouterr().err == "error: seed must be an int >= 0, got -1\n"
 
 
+class TestBadCap:
+    """`oracle ... --cap -5` and `verify ... --cap -5` used to exit 4 with
+    "enumeration needs 81 policies, above the cap of -5"."""
+
+    def test_oracle_and_verify_exit_2(self, mdp_file, tmp_path, capsys):
+        front = tmp_path / "front.json"
+        assert run("oracle", str(mdp_file), "--cap", "-5", "-o", str(front)) == 2
+        assert capsys.readouterr().err == "error: cap must be an int >= 1, got -5\n"
+        assert not front.exists()
+        run("solve", str(mdp_file), "-o", str(front))
+        capsys.readouterr()
+        assert run("verify", str(mdp_file), str(front), "--cap", "-5") == 2
+        assert capsys.readouterr().err == "error: cap must be an int >= 1, got -5\n"
+
+    def test_bench_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--states", "3", "--actions", "2", "--objectives", "2",
+                   "--seeds", "1", "--cap", "0", "-o", str(out)) == 2
+        assert capsys.readouterr().err == "error: cap must be an int >= 1, got 0\n"
+        assert not out.exists()
+
+
 class TestOracle:
     def test_matches_solve(self, mdp_file, tmp_path):
         a = tmp_path / "a.json"

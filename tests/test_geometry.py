@@ -455,6 +455,18 @@ class TestDominatedBy:
         assert got.tolist() == self.loop(points, cloud, 0.0, 0.0)
         assert 0 < got.sum() < len(points)
 
+    def test_few_cloud_rows_against_many_points(self):
+        """`pprune`'s anchor pass: 4 cloud rows against 70 000 points, in
+        blocks of _BLOCK_ROWS**2 // 4 = 16 384 at the default size."""
+        rng = np.random.default_rng(70)
+        points = rng.integers(0, 4, size=(70_000, 3)) / 4.0
+        cloud = rng.integers(0, 4, size=(4, 3)) / 4.0
+        assert len(points) > 4 * (geometry._BLOCK_ROWS**2 // 4)
+        for tol, slack in ((0.1, 1e-12), (0.25, -0.25)):
+            got = dominated_by(points, cloud, tol, slack)
+            assert 0 < got.sum() < len(points)
+            assert got.tolist() == self.loop(points, cloud, tol, slack)
+
     def test_slack_and_tol_sides(self):
         cloud = np.array([[1.0, 1.0]])
         # Beats the point by 0.5 in one objective, trails it by 1e-13 in

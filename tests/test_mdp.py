@@ -619,6 +619,20 @@ class TestTreeReturns:
         one = self.assert_close_to_lu(m, 3)
         assert tree_returns(m, 3, thread_count=3).tobytes() == one.tobytes()
 
+    def test_default_blocks_of_four_four_and_two_heads(self):
+        """10 000 policies at depth 3: 1 000 per head, so blocks of the
+        default _EVAL_BLOCK hold 4, 4 and then 2 heads."""
+        m = gen_random_mdp(0, 4, 10, 3)
+        assert tree_depth(4, 10) == 3
+        one = self.assert_close_to_lu(m, 3)
+        for thread_count in (2, 3):
+            assert tree_returns(m, 3, thread_count).tobytes() == one.tobytes()
+
+    def test_two_actions_at_depth_twelve(self):
+        m = gen_random_mdp(0, 13, 2, 3)
+        assert tree_depth(13, 2) == 12
+        self.assert_close_to_lu(m, 12)
+
     def test_depth_for_a_full_sweep(self, monkeypatch):
         assert tree_depth(5, 2) == 0
         assert tree_depth(9, 2) == 0

@@ -309,6 +309,29 @@ def test_oracle_and_verify_reject_thread_counts_below_one(value):
         verify_front(m, front, thread_count=value)
 
 
+@pytest.mark.parametrize("cap", [-5, 0, 1.5, float("nan"), True])
+def test_oracle_verify_and_bench_reject_caps_that_are_not_counts(cap, monkeypatch):
+    """A negative cap used to read as "enumeration needs 81 policies, above
+    the cap of -5", and a NaN cap skipped the check, as `A**S > nan` is
+    False. Each is now refused before any work."""
+    m = gen_random_mdp(0, 4, 3, 2)
+    front = search(m)
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the cap check")
+
+    monkeypatch.setattr(oracle, "tree_returns", never)
+    monkeypatch.setattr(oracle, "deterministic_returns", never)
+    monkeypatch.setattr(oracle, "gen_random_mdp", never)
+    match = f"^cap must be an int >= 1, got {re.escape(repr(cap))}$"
+    with pytest.raises(ValueError, match=match):
+        brute_force_front(m, cap=cap)
+    with pytest.raises(ValueError, match=match):
+        verify_front(m, front, cap=cap)
+    with pytest.raises(ValueError, match=match):
+        bench_suite([3], [2], 2, [0], cap=cap)
+
+
 def integer_rewards(seed: int, gamma: float, objectives: int) -> Mdp:
     """A dense S=5, A=3 MDP with rewards in {0, 1, 2}: many returns tie in
     some objective up to rounding, and the policy tree rounds them
@@ -374,6 +397,24 @@ class TestNondominatedPolicies:
     def test_benchmark_size(self):
         """A**S = 65536: the tree at its own depth, in 16 blocks."""
         self.assert_bit_identical(gen_random_mdp(0, 8, 4, 3), thread_count=2)
+
+    # check3's, wide3's and degen's gridworld instance of the benchmark.
+    @pytest.mark.parametrize(
+        "build,kept",
+        [
+            (lambda: gen_random_mdp(0, 8, 4, 3), 86),
+            (lambda: gen_random_mdp(0, 6, 5, 3), 278),
+            (lambda: gen_gridworld(1, 2, 3, 3), 186),
+        ],
+        ids=["check3", "wide3", "degen-grid"],
+    )
+    def test_screen_keeps_as_many_rows_as_pinned(self, build, kept):
+        """How many policies the tree screen leaves to evaluate exactly. A
+        looser screen gives the same front, only slower, so it is pinned."""
+        m = build()
+        depth = mdp_module.tree_depth(m.num_states, m.num_actions)
+        approx = mdp_module.tree_returns(m, depth) * return_scale(m)
+        assert len(geometry.pprune(approx, oracle._tree_margin(m))) == kept
 
     def test_evaluates_only_the_screened_policies(self, monkeypatch):
         m = gen_random_mdp(0, 7, 4, 3)
