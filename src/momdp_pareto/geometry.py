@@ -275,8 +275,9 @@ def pprune(points: np.ndarray, margin: float = 0.0) -> list[int]:
         raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
     rows = np.arange(len(pts))
     if len(pts) > _BLOCK_ROWS:
-        # The sums as one matrix-vector product: a reduction along each
-        # short row costs about 15 times as much on 65 536 rows.
+        # Coordinate sums, here and for the sweep, as one matrix-vector
+        # product: a reduction along each short row costs about 15 times as
+        # much on 65 536 rows.
         with np.errstate(invalid="ignore"):  # inf - inf sums to NaN
             top = (pts @ np.ones(pts.shape[1])).argmax()
         anchors = pts[np.unique([top, *pts.argmax(axis=0)])]
@@ -285,7 +286,7 @@ def pprune(points: np.ndarray, margin: float = 0.0) -> list[int]:
         block = pts[rows]
         return rows[~dominated_by(block, block, margin, -margin)].tolist()
     with np.errstate(invalid="ignore"):
-        rest = rows[np.argsort(-pts[rows].sum(axis=1), kind="stable")]
+        rest = rows[np.argsort(-(pts[rows] @ np.ones(pts.shape[1])), kind="stable")]
     rest_pts = pts[rest]
     kept = []
     while rest.size:
