@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from typing import Any, Callable
 
@@ -37,24 +36,6 @@ EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_ABORT = 3
 EXIT_CAP = 4
-
-
-def _default_threads() -> int:
-    """MOPF_THREADS, or 1 when it is unset; a ValueError naming it when it
-    is not an int >= 1."""
-    value = os.environ.get("MOPF_THREADS", "1")
-    if not value.isdecimal() or int(value) < 1:
-        raise ValueError(f"MOPF_THREADS must be an int >= 1, got {value!r}")
-    return int(value)
-
-
-def _threads(args: argparse.Namespace) -> int:
-    """--threads, else MOPF_THREADS or 1; a ValueError naming --threads when
-    it is below 1."""
-    if args.threads is None:
-        return _default_threads()
-    check_count("--threads", args.threads, 1)
-    return args.threads
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -129,32 +110,28 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    threads = _threads(args)
     config = {
         "command": "solve",
         "input": args.mdp,
         "output": args.output,
         "seed": args.seed,
-        "thread_count": threads,
     }
     mdp, blob = _load(args.mdp, mdp_from_dict)
-    front = search(mdp, SearchConfig(seed=args.seed, thread_count=threads))
+    front = search(mdp, SearchConfig(seed=args.seed))
     write_json(args.output, front_to_dict(front), _meta(config, blob))
     _print_stats_line(front)
     return EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    threads = _threads(args)
     config = {
         "command": "oracle",
         "input": args.mdp,
         "output": args.output,
         "cap": args.cap,
-        "thread_count": threads,
     }
     mdp, blob = _load(args.mdp, mdp_from_dict)
-    front = brute_force_front(mdp, cap=args.cap, thread_count=threads)
+    front = brute_force_front(mdp, cap=args.cap)
     write_json(args.output, front_to_dict(front), _meta(config, blob))
     _print_stats_line(front)
     return EXIT_OK
@@ -183,7 +160,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    threads = _threads(args)
     mdp, _ = _load(args.mdp, mdp_from_dict)
     front, _ = _load(args.front, front_from_dict)
     report = verify_front(
@@ -193,7 +169,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         tol=args.tol,
         seed=args.seed,
         cap=args.cap,
-        thread_count=threads,
     )
     if args.json:
         print(json.dumps(dataclasses.asdict(report), indent=2))
@@ -282,14 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mdp")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None, help="defaults to MOPF_THREADS or 1")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="compute the Pareto front by full enumeration")
     p.add_argument("mdp")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--cap", type=int, default=1_000_000)
-    p.add_argument("--threads", type=int, default=None, help="defaults to MOPF_THREADS or 1")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("compare", help="match two front files vertex by vertex")
@@ -306,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=1_000_000)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--json", action="store_true", help="print a JSON report")
     p.set_defaults(func=cmd_verify)
 

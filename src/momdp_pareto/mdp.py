@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import enum
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -15,13 +14,16 @@ import numpy as np
 #   - a stochastic policy is a row-stochastic float array of shape (S, A)
 #   - value functions have shape (S, D), long-term returns shape (D,)
 
-# Policies per batched evaluation, and per thread of a multi-threaded sweep.
+# Policies per batched evaluation.
 _EVAL_BLOCK = 4096
-# Sweeps of at most this many policies skip the policy tree: below it the
-# tree's per-level overhead costs about what the LU solves it saves (on a
-# 2-vCPU VM, 243 policies took 1.5 ms by LU and 1.6-1.7 ms by the tree, 512
-# took 2.1 ms both ways, and 625 took 2.3 ms by LU and 1.8-1.9 ms by the
-# tree).
+# Sweeps of at most this many policies skip the policy tree; either path
+# gives the same rows bit for bit. 512 sits near the crossover, which moves
+# with A and D (2-vCPU VM, best of 7 x 20 screens, LU against tree): 243
+# policies took 0.45-0.48 against 0.52-0.59 ms at D = 3 and 4, and 256 at
+# (S, A, D) = (4, 4, 3) and (4, 4, 5) 0.38 against 0.44 ms and 0.64 against
+# 1.03 ms, but at (8, 2, 3) 0.60 against 0.59 ms; 512 took 1.11 against
+# 0.70 ms at D = 3, while at D = 5 the two paths were within noise of each
+# other (1.9-2.6 ms each); 729 took 1.08 against 0.60 ms.
 _TREE_MIN_POLICIES = 512
 # Two Q-values within this of a row's maximum tie in `solve_scalarized`.
 _TIE_TOL = 1e-10
@@ -136,6 +138,15 @@ def check_count(name: str, value: int, minimum: int) -> None:
         raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
+def check_one_thread(value: int) -> None:
+    """Raise a ValueError naming thread_count unless value is the int 1.
+    Every sweep runs on the calling thread; `SearchConfig`,
+    `brute_force_front` and `verify_front` keep the keyword only so that
+    callers passing thread_count=1 still run."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value == 1):
+        raise ValueError(f"thread_count must be 1, got {value!r}")
+
+
 def long_term_return(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     """Return the (D,) expected discounted return from the initial distribution.
 
@@ -232,15 +243,6 @@ def neighbors_one(policy: np.ndarray, num_actions: int) -> np.ndarray:
     out = np.repeat(pol[None], len(states), axis=0)
     out[np.arange(len(states)), states] = actions
     return out
-
-
-def hamming_distance(p1: np.ndarray, p2: np.ndarray) -> int:
-    """Number of states where two deterministic policies disagree."""
-    a1 = np.asarray(p1)
-    a2 = np.asarray(p2)
-    if a1.shape != a2.shape:
-        raise ValueError(f"policies have different shapes: {a1.shape} vs {a2.shape}")
-    return int(np.count_nonzero(a1 != a2))
 
 
 def mix_policies(
@@ -374,47 +376,28 @@ def enumerate_deterministic(
     return idx // places % num_actions
 
 
-def deterministic_returns(
-    mdp: Mdp, policies: Sequence[np.ndarray] | np.ndarray, thread_count: int = 1
-) -> np.ndarray:
+def deterministic_returns(mdp: Mdp, policies: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Long-term returns of deterministic policies, one (D,) row per policy.
 
-    Gathers each policy's transition and reward rows, solves the stacked
-    Bellman systems in one call and contracts with mu, so every row equals
-    `long_term_return` of its policy bit for bit. Blocks of 4096 policies
-    are spread over `thread_count` threads; the result does not depend on
-    the thread count.
+    Gathers each block of 4096 policies' transition and reward rows, solves
+    the stacked Bellman systems in one call and contracts with mu, so every
+    row equals `long_term_return` of its policy bit for bit.
 
     Args:
         mdp: the MDP.
         policies: deterministic policies, as an (n, S) array of action
             indices or a sequence of (S,) arrays; n may be 0.
-        thread_count: worker threads; 1 evaluates in the calling thread.
     """
     pols = np.asarray(policies, dtype=np.int64).reshape(-1, mdp.num_states)
     n, S = pols.shape
     out = np.empty((n, mdp.num_objectives))
     rows = np.arange(S)
-
-    def run(start: int) -> None:
+    for start in range(0, n, _EVAL_BLOCK):
         block = pols[start : start + _EVAL_BLOCK]
         lhs = np.eye(S) - mdp.gamma * mdp.P[rows, block]
         values = np.linalg.solve(lhs, mdp.r[rows, block])
         out[start : start + len(block)] = mdp.mu @ values
-
-    _run_blocks(run, range(0, n, _EVAL_BLOCK), thread_count)
     return out
-
-
-def _run_blocks(run: Callable[[int], None], starts: range, thread_count: int) -> None:
-    """Call run(start) for every block start, over thread_count threads when
-    there is more than one block, else in the calling thread."""
-    if thread_count > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=thread_count) as pool:
-            list(pool.map(run, starts))
-    else:
-        for start in starts:
-            run(start)
 
 
 def stochastic_returns(mdp: Mdp, policies: np.ndarray) -> np.ndarray:
@@ -464,7 +447,7 @@ def tree_depth(num_states: int, num_actions: int) -> int:
     return depth
 
 
-def tree_returns(mdp: Mdp, depth: int, thread_count: int = 1) -> np.ndarray:
+def tree_returns(mdp: Mdp, depth: int) -> np.ndarray:
     """Returns of all A**S deterministic policies, rows lexicographic, from
     a rank-one policy tree. Rounding differs from `deterministic_returns`,
     so these rows serve as a screen only.
@@ -480,8 +463,7 @@ def tree_returns(mdp: Mdp, depth: int, thread_count: int = 1) -> np.ndarray:
         V' = V + c (dr + gamma dp.V) / q,
         M' e_t = M e_t + c gamma (dp.M e_t) / q for the later tail states t,
     and likewise for J = mu V and u_t = mu M e_t, in O(S (D + depth)) per
-    child. Heads are taken in blocks of about 4096 policies, spread over
-    `thread_count` threads; the result does not depend on the thread count.
+    child. Heads are taken in blocks of about 4096 policies.
 
     A block holds its columns as x[c, s, i] and their contractions as
     y[c, i], with the policy i innermost, so each tail state takes one
@@ -504,7 +486,7 @@ def tree_returns(mdp: Mdp, depth: int, thread_count: int = 1) -> np.ndarray:
     unit = np.eye(S)[:, list(tail)]
     step = max(1, _EVAL_BLOCK // width)
 
-    def run(start: int) -> None:
+    for start in range(0, heads, step):
         head = enumerate_deterministic(S, A, np.arange(start, min(start + step, heads)) * width)
         lhs = np.eye(S) - gamma * mdp.P[rows, head]
         rhs = np.concatenate(
@@ -536,6 +518,4 @@ def tree_returns(mdp: Mdp, depth: int, thread_count: int = 1) -> np.ndarray:
         digits = (len(head),) + (A,) * depth
         block = out[start * width : (start + len(head)) * width]
         block.reshape(digits + (D,))[...] = y.reshape((D,) + digits[::-1]).T
-
-    _run_blocks(run, range(0, heads, step), thread_count)
     return out

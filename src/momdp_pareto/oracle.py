@@ -28,6 +28,7 @@ from .geometry import (
 from .mdp import (
     Mdp,
     check_count,
+    check_one_thread,
     deterministic_returns,
     enumerate_deterministic,
     gen_random_mdp,
@@ -96,15 +97,12 @@ def _tree_margin(mdp: Mdp) -> float:
     return 2.0**10 * mdp.num_states * 2.0**-52 / (1.0 - mdp.gamma)
 
 
-def _nondominated_policies(
-    mdp: Mdp, thread_count: int = 1, cap: int = 1_000_000
-) -> tuple[np.ndarray, np.ndarray]:
+def _nondominated_policies(mdp: Mdp, cap: int = 1_000_000) -> tuple[np.ndarray, np.ndarray]:
     """The non-dominated deterministic policies of an MDP, as an (n, S)
     array in lexicographic order, and their raw returns.
 
-    A thread_count or cap that is not an int >= 1 raises a ValueError
-    naming it, and A**S above the cap an EnumerationCapError, before any
-    work.
+    A cap that is not an int >= 1 raises a ValueError naming it, and A**S
+    above the cap an EnumerationCapError, before any work.
 
     Every return comes from `deterministic_returns`, so the set, its order
     and its returns are bit for bit those of evaluating all A**S policies
@@ -114,7 +112,6 @@ def _nondominated_policies(
     returns dominate in every objective, and the survivors, decoded from
     their indices, are evaluated and pruned exactly.
     """
-    check_count("thread_count", thread_count, 1)
     check_count("cap", cap, 1)
     S, A = mdp.num_states, mdp.num_actions
     if A**S > cap:
@@ -122,11 +119,11 @@ def _nondominated_policies(
     scale = return_scale(mdp)
     depth = tree_depth(S, A)
     if depth:
-        approx = tree_returns(mdp, depth, thread_count) * scale
+        approx = tree_returns(mdp, depth) * scale
         pols = enumerate_deterministic(S, A, pprune(approx, _tree_margin(mdp)))
     else:
         pols = enumerate_deterministic(S, A)
-    raw = deterministic_returns(mdp, pols, thread_count)
+    raw = deterministic_returns(mdp, pols)
     nd = pprune(raw * scale)
     return pols[nd], raw[nd]
 
@@ -159,14 +156,16 @@ def brute_force_front(mdp: Mdp, cap: int = 1_000_000, thread_count: int = 1) -> 
     Args:
         mdp: the MDP, valid since its construction.
         cap: maximum number of policies to enumerate.
-        thread_count: worker threads for the screen and the evaluation.
+        thread_count: must be 1; every sweep runs on the calling thread.
 
     Raises:
-        ValueError: when thread_count or cap is not an int >= 1, naming it.
+        ValueError: when cap is not an int >= 1 or thread_count is not 1,
+            naming it.
         EnumerationCapError: when A**S exceeds the cap.
     """
+    check_one_thread(thread_count)
     t0 = time.perf_counter()
-    pols, raw = _nondominated_policies(mdp, thread_count, cap)
+    pols, raw = _nondominated_policies(mdp, cap)
     stats = SearchStats(policies_evaluated=mdp.num_actions**mdp.num_states)
     scale = return_scale(mdp)
     scaled = raw * scale
@@ -400,16 +399,17 @@ def verify_front(
 
     Raises:
         ValueError: when samples_per_face or seed is not an int >= 0, tol is
-            NaN, infinite or negative, thread_count or cap is not an int
-            >= 1, or a vertex policy is not one integer action in [0, A) per
-            state (`vertex_policy`) or a vertex return is not D entries; the
-            message names the input, and for a policy the vertex, state and
-            action.
+            NaN, infinite or negative, cap is not an int >= 1,
+            thread_count is not 1, or a vertex policy is not one integer
+            action in [0, A) per state (`vertex_policy`) or a vertex return
+            is not D entries; the message names the input, and for a policy
+            the vertex, state and action.
         EnumerationCapError: when A**S exceeds the cap.
     """
     check_tolerance("tol", tol)
     check_count("seed", seed, 0)
     check_count("samples_per_face", samples_per_face, 0)
+    check_one_thread(thread_count)
     S, A, D = mdp.num_states, mdp.num_actions, mdp.num_objectives
     policies = []
     for v in front.vertices:
@@ -417,7 +417,7 @@ def verify_front(
         if np.shape(v.ret) != (D,):
             raise ValueError(f"vertex {v.id}: return has {np.size(v.ret)} entries, not {D}")
     scale = return_scale(mdp)
-    cloud = _nondominated_policies(mdp, thread_count, cap)[1] * scale
+    cloud = _nondominated_policies(mdp, cap)[1] * scale
 
     rets = np.array([v.ret for v in front.vertices]).reshape(-1, D) * scale
     bad = dominated_by(rets, cloud, tol, _ROUNDING_SLACK)

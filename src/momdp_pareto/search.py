@@ -40,6 +40,7 @@ from .mdp import (
     Mdp,
     check_actions,
     check_count,
+    check_one_thread,
     deterministic_returns,
     long_term_return,
     mix_policies,
@@ -103,9 +104,8 @@ class SearchConfig:
     """Knobs for `search`; `eps_pos` reads the fixed `EPS_POS` as a class
     attribute.
 
-    `thread_count` spreads policy evaluation over threads in blocks of 4096
-    policies; a vertex's S * (A - 1) neighbors rarely fill one block, so in
-    practice search evaluates on one thread. Results never depend on it.
+    Search evaluates on the calling thread, so `thread_count` must be 1; the
+    field stays only so that callers passing thread_count=1 still run.
     """
 
     seed: int = 0
@@ -114,7 +114,7 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         check_count("seed", self.seed, 0)
-        check_count("thread_count", self.thread_count, 1)
+        check_one_thread(self.thread_count)
 
 
 def vertex_policy(vertex: VertexRecord, num_states: int, num_actions: int) -> np.ndarray:
@@ -373,7 +373,7 @@ def explore_vertex(
     keys = _policy_keys(nbrs)
     rets = list(map(ctx.z.get, keys))
     fresh = [i for i, j in enumerate(rets) if j is None]
-    for i, j in zip(fresh, deterministic_returns(ctx.mdp, nbrs[fresh], ctx.config.thread_count)):
+    for i, j in zip(fresh, deterministic_returns(ctx.mdp, nbrs[fresh])):
         ctx.z[keys[i]] = rets[i] = j
     ctx.stats.policies_evaluated += len(fresh)
 
@@ -563,11 +563,14 @@ def policies_on_face(
     Returns:
         The stochastic policy (S, A) and its long-term return (D,).
 
-    A vertex action that is not an integer in [0, A) raises a ValueError
-    naming the vertex, the state and the action (`vertex_policy`), and so
-    does a weight that is NaN, negative or off a sum of 1 (`mix_policies`).
+    A face_id that is not an int in [0, len(front.faces)) raises a
+    ValueError naming it. A vertex action that is not an integer in [0, A)
+    raises a ValueError naming the vertex, the state and the action
+    (`vertex_policy`), and so does a weight that is NaN, negative or off a
+    sum of 1 (`mix_policies`).
     """
-    if not (0 <= face_id < len(front.faces)):
+    check_count("face_id", face_id, 0)
+    if face_id >= len(front.faces):
         raise ValueError(f"face_id {face_id} out of range (front has {len(front.faces)} faces)")
     pols = [
         vertex_policy(front.vertices[vid], mdp.num_states, mdp.num_actions)

@@ -75,6 +75,13 @@ def one_hot_policy(actions, num_actions: int) -> np.ndarray:
     return out
 
 
+def hamming_distance(p1, p2) -> int:
+    """Number of states where two deterministic policies of one length
+    disagree."""
+    assert len(p1) == len(p2)
+    return sum(int(a) != int(b) for a, b in zip(p1, p2))
+
+
 def einsum_return(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     """Long-term return of one policy by the one-hot einsum formula: an (S,)
     policy becomes a one-hot (S, A) matrix, P_pi and r_pi are one einsum

@@ -26,7 +26,6 @@ from momdp_pareto import (
 from momdp_pareto.geometry import convex_hull, incident_facets, mask_ids
 from momdp_pareto.mdp import (
     enumerate_deterministic,
-    hamming_distance,
     mix_policies,
     neighbors_one,
 )
@@ -40,6 +39,7 @@ from helpers import (
     dependent_objective,
     dominated_in_cloud,
     duplicate_action,
+    hamming_distance,
     ridge_points,
     segment_residual,
 )
@@ -342,32 +342,18 @@ def test_c09_ridge_fixture_yields_exactly_the_edge():
           "each holds a dominated point")
 
 
-def test_c10_reruns_are_byte_identical_per_thread_count(corpus, tmp_path):
+def test_c10_reruns_are_byte_identical(corpus, tmp_path):
     instances, _ = corpus
     picks = [instances[0], instances[50]]
     for inst in picks:
-        payloads = {}
-        for threads in (1, 4):
-            blobs = {}
-            for cmd in ("solve", "oracle"):
-                out = tmp_path / f"{cmd}_{inst.seed}_t{threads}.json"
-                args = [cmd, inst.mdp_path, "-o", str(out),
-                        "--threads", str(threads)]
-                assert main(args) == 0
-                first = out.read_bytes()
-                assert main(args) == 0
-                assert out.read_bytes() == first
-                blobs[cmd] = first
-            payloads[threads] = blobs
-        # Across thread counts only the recorded config may differ.
         for cmd in ("solve", "oracle"):
-            a = json.loads(payloads[1][cmd])
-            b = json.loads(payloads[4][cmd])
-            a["meta"].pop("config")
-            b["meta"].pop("config")
-            assert a == b
-    print("\nmeasured: byte-identical reruns for thread counts 1 and 4 on "
-          f"seeds {[p.seed for p in picks]}")
+            out = tmp_path / f"{cmd}_{inst.seed}.json"
+            args = [cmd, inst.mdp_path, "-o", str(out)]
+            assert main(args) == 0
+            first = out.read_bytes()
+            assert main(args) == 0
+            assert out.read_bytes() == first
+    print(f"\nmeasured: byte-identical reruns on seeds {[p.seed for p in picks]}")
 
 
 DEGENERATE_FAMILIES = {

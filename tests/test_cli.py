@@ -16,7 +16,7 @@ from momdp_pareto import (
     gen_random_mdp,
     search,
 )
-from momdp_pareto.cli import _default_threads, main
+from momdp_pareto.cli import main
 from momdp_pareto.serialize import (
     dump_json,
     front_from_dict,
@@ -109,7 +109,7 @@ class TestSolve:
         assert run(command, str(mdp_file), "-o", str(out)) == 0
         config = json.loads(out.read_text())["meta"]["config"]
         assert not [key for key in config if key.startswith("eps")]
-        assert config["command"] == command and config["thread_count"] == 1
+        assert config["command"] == command and "thread_count" not in config
 
 
 class TestBadSeed:
@@ -475,53 +475,6 @@ class TestExport:
         assert run("export", str(front), "--format", "off",
                    "-o", str(tmp_path / "f.off")) == 2
         assert "3 objectives" in capsys.readouterr().err
-
-
-class TestThreadDefaults:
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("MOPF_THREADS", "4")
-        assert _default_threads() == 4
-        monkeypatch.delenv("MOPF_THREADS")
-        assert _default_threads() == 1
-        monkeypatch.setenv("MOPF_THREADS", "junk")
-        with pytest.raises(ValueError, match="MOPF_THREADS must be an int >= 1, got 'junk'"):
-            _default_threads()
-
-    @pytest.mark.parametrize("value", ["0", "-2", "junk", ""])
-    @pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
-    def test_bad_env_exits_2(self, mdp_file, tmp_path, capsys, monkeypatch, command, value):
-        """These used to run on one thread."""
-        front = tmp_path / "front.json"
-        assert run("solve", str(mdp_file), "-o", str(front)) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("MOPF_THREADS", value)
-        out = tmp_path / "out.json"
-        argv = [str(front)] if command == "verify" else ["-o", str(out)]
-        assert run(command, str(mdp_file), *argv) == 2
-        assert capsys.readouterr().err == f"error: MOPF_THREADS must be an int >= 1, got {value!r}\n"
-        assert not out.exists()
-        # --threads takes precedence over the variable.
-        assert run(command, str(mdp_file), *argv, "--threads", "1") in (0, 1)
-
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    @pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
-    def test_below_one_exits_2(self, mdp_file, tmp_path, capsys, command, value):
-        """These used to run on one thread."""
-        front = tmp_path / "front.json"
-        assert run("solve", str(mdp_file), "-o", str(front)) == 0
-        capsys.readouterr()
-        out = tmp_path / "out.json"
-        argv = [str(front)] if command == "verify" else ["-o", str(out)]
-        assert run(command, str(mdp_file), *argv, "--threads", value) == 2
-        assert capsys.readouterr().err == f"error: --threads must be an int >= 1, got {value}\n"
-        assert not out.exists()
-
-    def test_env_recorded_in_output(self, mdp_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("MOPF_THREADS", "2")
-        out = tmp_path / "front.json"
-        run("solve", str(mdp_file), "-o", str(out))
-        data = json.loads(out.read_text())
-        assert data["meta"]["config"]["thread_count"] == 2
 
 
 class TestSerializeRoundTrips:

@@ -18,7 +18,6 @@ from momdp_pareto.mdp import (
     check_actions,
     deterministic_returns,
     enumerate_deterministic,
-    hamming_distance,
     mix_policies,
     neighbors_one,
     solve_scalarized,
@@ -33,6 +32,7 @@ from helpers import (
     dependent_objective,
     duplicate_action,
     einsum_return,
+    hamming_distance,
     iterative_eval,
     make_bandit,
     mc_return,
@@ -366,23 +366,6 @@ class TestNeighbors:
         assert [tuple(p.tolist()) for p in nbrs] == [(0, 0), (2, 0), (1, 1), (1, 2)]
 
 
-class TestHamming:
-    def test_identity(self):
-        p = np.array([0, 1, 2], dtype=np.int64)
-        assert hamming_distance(p, p) == 0
-
-    def test_single_difference(self):
-        assert hamming_distance(np.array([0, 1]), np.array([0, 2])) == 1
-
-    def test_complement(self):
-        a = np.zeros(4, dtype=np.int64)
-        assert hamming_distance(a, 1 - a) == 4
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming_distance(np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64))
-
-
 class TestMixPolicies:
     def test_indicator_weight(self):
         p1 = np.array([0, 1], dtype=np.int64)
@@ -552,12 +535,12 @@ class TestDeterministicReturns:
             assert row.tobytes() == long_term_return(m, pol).tobytes()
 
     @pytest.mark.parametrize("kind", sorted(CASES))
-    def test_thread_count_does_not_change_results(self, kind):
+    def test_blocks_do_not_change_results(self, kind, monkeypatch):
         m = self.CASES[kind]()
         pols = enumerate_deterministic(m.num_states, m.num_actions)
-        one = deterministic_returns(m, pols, thread_count=1)
-        three = deterministic_returns(m, pols, thread_count=3)
-        assert one.tobytes() == three.tobytes()
+        whole = deterministic_returns(m, pols)
+        monkeypatch.setattr(mdp_module, "_EVAL_BLOCK", 7)
+        assert deterministic_returns(m, pols).tobytes() == whole.tobytes()
 
     def test_list_of_policies(self, mdp433):
         pols = list(neighbors_one(np.zeros(4, dtype=np.int64), 3))
@@ -577,10 +560,10 @@ class TestTreeReturns:
     }
 
     @staticmethod
-    def assert_close_to_lu(m, depth, thread_count=1):
+    def assert_close_to_lu(m, depth):
         pols = enumerate_deterministic(m.num_states, m.num_actions)
         want = deterministic_returns(m, pols)
-        got = tree_returns(m, depth, thread_count)
+        got = tree_returns(m, depth)
         assert got.shape == want.shape
         err = np.abs(got - want).max() * return_scale(m)
         assert err <= _tree_margin(m) / 100, (depth, err)
@@ -613,20 +596,17 @@ class TestTreeReturns:
 
     # 729 policies in blocks of 27 (one head each) or of 54 (two heads).
     @pytest.mark.parametrize("block", [27, 60])
-    def test_threads_do_not_change_results(self, block, monkeypatch):
+    def test_blocks_of_whole_heads(self, block, monkeypatch):
         m = gen_random_mdp(3, 6, 3, 3)
         monkeypatch.setattr(mdp_module, "_EVAL_BLOCK", block)
-        one = self.assert_close_to_lu(m, 3)
-        assert tree_returns(m, 3, thread_count=3).tobytes() == one.tobytes()
+        self.assert_close_to_lu(m, 3)
 
     def test_default_blocks_of_four_four_and_two_heads(self):
         """10 000 policies at depth 3: 1 000 per head, so blocks of the
         default _EVAL_BLOCK hold 4, 4 and then 2 heads."""
         m = gen_random_mdp(0, 4, 10, 3)
         assert tree_depth(4, 10) == 3
-        one = self.assert_close_to_lu(m, 3)
-        for thread_count in (2, 3):
-            assert tree_returns(m, 3, thread_count).tobytes() == one.tobytes()
+        self.assert_close_to_lu(m, 3)
 
     def test_two_actions_at_depth_twelve(self):
         m = gen_random_mdp(0, 13, 2, 3)

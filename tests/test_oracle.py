@@ -77,12 +77,6 @@ class TestBruteForce:
         rep = compare_fronts(search(m, SearchConfig(seed=0)), brute_force_front(m))
         assert rep.vertex_match and rep.face_match
 
-    def test_thread_count_does_not_change_front(self, mdp433):
-        a = brute_force_front(mdp433, thread_count=1)
-        b = brute_force_front(mdp433, thread_count=4)
-        assert [tuple(v.ret) for v in a.vertices] == [tuple(v.ret) for v in b.vertices]
-        assert [f.vertex_ids for f in a.faces] == [f.vertex_ids for f in b.faces]
-
 
 @pytest.mark.parametrize(
     "build",
@@ -297,12 +291,13 @@ def test_verify_and_compare_reject_bad_tolerances(value):
         compare_fronts(front, front, tol=value)
 
 
-@pytest.mark.parametrize("value", [0, -2])
-def test_oracle_and_verify_reject_thread_counts_below_one(value):
-    """Both used to run on one thread when given 0 or a negative count."""
+@pytest.mark.parametrize("value", [0, -2, 2, 1.0, True])
+def test_oracle_and_verify_reject_thread_counts_but_one(value):
+    """Every sweep runs on the calling thread, so 1 is the only thread
+    count; 0 and negative counts used to run on one thread too."""
     m = gen_random_mdp(0, 3, 2, 2)
     front = search(m)
-    match = f"^thread_count must be an int >= 1, got {value}$"
+    match = f"^thread_count must be 1, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=match):
         brute_force_front(m, thread_count=value)
     with pytest.raises(ValueError, match=match):
@@ -363,8 +358,8 @@ class TestNondominatedPolicies:
     }
 
     @staticmethod
-    def assert_bit_identical(m, thread_count=1):
-        pols, raw = oracle._nondominated_policies(m, thread_count)
+    def assert_bit_identical(m):
+        pols, raw = oracle._nondominated_policies(m)
         want_pols, want_raw = full_sweep(m)
         assert pols.dtype == np.int64
         assert pols.tobytes() == want_pols.tobytes()
@@ -385,7 +380,6 @@ class TestNondominatedPolicies:
             self.use_tree(monkeypatch, block)
         m = self.CASES[case]()
         self.assert_bit_identical(m)
-        self.assert_bit_identical(m, thread_count=3)
 
     @pytest.mark.parametrize("objectives", [2, 3])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
@@ -396,7 +390,7 @@ class TestNondominatedPolicies:
 
     def test_benchmark_size(self):
         """A**S = 65536: the tree at its own depth, in 16 blocks."""
-        self.assert_bit_identical(gen_random_mdp(0, 8, 4, 3), thread_count=2)
+        self.assert_bit_identical(gen_random_mdp(0, 8, 4, 3))
 
     # check3's, wide3's and degen's gridworld instance of the benchmark.
     @pytest.mark.parametrize(
@@ -425,9 +419,9 @@ class TestNondominatedPolicies:
             calls.append((len(points), margin))
             return prune(points, margin)
 
-        def recording_eval(mdp, policies, thread_count=1):
+        def recording_eval(mdp, policies):
             evaluated.append(len(policies))
-            return evaluate(mdp, policies, thread_count)
+            return evaluate(mdp, policies)
 
         monkeypatch.setattr(oracle, "pprune", recording_prune)
         monkeypatch.setattr(oracle, "deterministic_returns", recording_eval)
@@ -583,10 +577,10 @@ def test_verify_on_non_dominated_cloud_equals_full_scan(build, monkeypatch):
     pruned = [verify_front(m, f, samples_per_face=8) for f in fronts]
     full_scans = []
 
-    def every_policy(mdp, thread_count=1, cap=1_000_000):
+    def every_policy(mdp, cap=1_000_000):
         pols = enumerate_deterministic(mdp.num_states, mdp.num_actions)
         full_scans.append(len(pols))
-        return pols, deterministic_returns(mdp, pols, thread_count)
+        return pols, deterministic_returns(mdp, pols)
 
     monkeypatch.setattr(oracle, "_nondominated_policies", every_policy)
     full = [verify_front(m, f, samples_per_face=8) for f in fronts]

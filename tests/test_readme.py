@@ -44,5 +44,5 @@ def parser_flags() -> set[str]:
 def test_readme_flags_exist():
     """A flag removed from the command line cannot linger in the docs."""
     named = readme_flags()
-    assert {"--threads", "--cap", "--tol", "--gamma", "--states"} <= named
+    assert {"--cap", "--tol", "--gamma", "--states"} <= named
     assert named - parser_flags() == set()

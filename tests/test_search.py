@@ -163,12 +163,6 @@ class TestDeterminism:
             assert np.array_equal(va.ret, vb.ret)
         assert [f.vertex_ids for f in a.faces] == [f.vertex_ids for f in b.faces]
 
-    def test_thread_count_does_not_change_result(self, mdp433):
-        a = search(mdp433, SearchConfig(seed=0, thread_count=1))
-        b = search(mdp433, SearchConfig(seed=0, thread_count=4))
-        assert [tuple(v.policy) for v in a.vertices] == [tuple(v.policy) for v in b.vertices]
-        assert [f.vertex_ids for f in a.faces] == [f.vertex_ids for f in b.faces]
-
     def test_seed_choice_does_not_change_front(self, mdp433):
         a = search(mdp433, SearchConfig(seed=1))
         b = search(mdp433, SearchConfig(seed=99))
@@ -379,6 +373,14 @@ class TestPoliciesOnFace:
         front = search(bandit3, SearchConfig(seed=0))
         with pytest.raises(ValueError):
             policies_on_face(bandit3, front, 5, [1.0])
+
+    @pytest.mark.parametrize("face_id", [1.5, True, -1])
+    def test_face_id_not_a_count_names_it(self, bandit3, face_id):
+        """1.5 used to raise a bare TypeError, True to pick face 1 and -1
+        to say only that it was out of range."""
+        front = search(bandit3, SearchConfig(seed=0))
+        with pytest.raises(ValueError, match=f"^face_id must be an int >= 0, got {face_id!r}$"):
+            policies_on_face(bandit3, front, face_id, [0.5, 0.5])
 
     def test_nan_weights_rejected(self, mdp433):
         """They used to give a return of NaNs."""
@@ -628,6 +630,7 @@ def test_search_config_defaults():
     cfg = SearchConfig()
     assert cfg.seed == 0
     assert cfg.thread_count == 1
+    assert SearchConfig(thread_count=1) == cfg
     assert geometry.EPS_EQUAL == geometry.EPS_GEOM == geometry.EPS_POS == 1e-9
     # The config reads only the positivity threshold, for the benchmark
     # tracer; search reads the geometry's constants directly.
@@ -653,9 +656,10 @@ def test_search_config_rejects_bad_seeds(value):
         SearchConfig(seed=value)
 
 
-@pytest.mark.parametrize("value", [0, -2])
-def test_search_config_rejects_thread_counts_below_one(value):
-    with pytest.raises(ValueError, match=f"^thread_count must be an int >= 1, got {value}$"):
+@pytest.mark.parametrize("value", [0, -2, 2, True])
+def test_search_config_rejects_thread_counts_but_one(value):
+    """Search evaluates on the calling thread, so 1 is the only thread count."""
+    with pytest.raises(ValueError, match=f"^thread_count must be 1, got {value!r}$"):
         SearchConfig(thread_count=value)
 
 
