@@ -78,7 +78,8 @@ def one_hot_policy(actions, num_actions: int) -> np.ndarray:
 def hamming_distance(p1, p2) -> int:
     """Number of states where two deterministic policies of one length
     disagree."""
-    assert len(p1) == len(p2)
+    if len(p1) != len(p2):
+        raise ValueError(f"policies have different lengths: {len(p1)} vs {len(p2)}")
     return sum(int(a) != int(b) for a, b in zip(p1, p2))
 
 

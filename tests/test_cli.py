@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -475,6 +476,45 @@ class TestExport:
         assert run("export", str(front), "--format", "off",
                    "-o", str(tmp_path / "f.off")) == 2
         assert "3 objectives" in capsys.readouterr().err
+
+
+class TestNoThreadKnobs:
+    """Every sweep runs on the calling thread, so no flag or variable sets
+    a thread count."""
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+    def test_no_threads_flag(self, mdp_file, tmp_path, capsys, command):
+        front = tmp_path / "front.json"
+        assert run("solve", str(mdp_file), "-o", str(front)) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = [str(front)] if command == "verify" else ["-o", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            run(command, str(mdp_file), *argv, "--threads", "1")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "junk"])
+    @pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+    def test_threads_variable_is_not_read(self, mdp_file, tmp_path, capsys, monkeypatch, command, value):
+        """MOPF_THREADS=0 or junk used to exit 2; now it changes nothing."""
+        front = tmp_path / "front.json"
+        assert run("solve", str(mdp_file), "-o", str(front)) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = [str(front)] if command == "verify" else ["-o", str(out)]
+        outputs = []
+        for env in (None, value):
+            if env is not None:
+                monkeypatch.setenv("MOPF_THREADS", env)
+            code = run(command, str(mdp_file), *argv)
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            stdout = re.sub(r"wall_time_s=\S+", "", capsys.readouterr().out)
+            outputs.append((code, stdout, written))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
 
 
 class TestSerializeRoundTrips:

@@ -120,19 +120,24 @@ def test_traced_names_kept_only_for_the_tracer():
     }
 
 
-def test_sweeps_run_on_the_calling_thread():
-    """No module imports `concurrent.futures` or reads a `MOPF_` environment
-    variable, and `thread_count` is a parameter only of the three public
-    names that keep it for callers passing 1: `SearchConfig` (a field),
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_sweeps_run_on_the_calling_thread(path):
+    """No module imports `concurrent.futures` or reads a `MOPF_`
+    environment variable."""
+    assert not [m for m, _ in imports(path) if m.split(".")[0] == "concurrent"], path.name
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            assert not node.value.startswith("MOPF_"), (path.name, node.value)
+
+
+def test_thread_count_kept_only_for_callers_passing_one():
+    """`thread_count` is a parameter only of the three public names that
+    keep it for callers passing 1: `SearchConfig` (a field),
     `brute_force_front` and `verify_front`."""
     takers = set()
     for path in MODULES:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        assert not [m for m, _ in imports(path) if m.split(".")[0] == "concurrent"], path.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                assert not node.value.startswith("MOPF_"), (path.name, node.value)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
                 if "thread_count" in [a.arg for a in args]:
                     takers.add(getattr(node, "name", "lambda"))

@@ -366,6 +366,26 @@ class TestNeighbors:
         assert [tuple(p.tolist()) for p in nbrs] == [(0, 0), (2, 0), (1, 1), (1, 2)]
 
 
+class TestHamming:
+    """The helper that the neighbor and acceptance tests count changed
+    states with."""
+
+    def test_identity(self):
+        p = np.array([0, 1, 2], dtype=np.int64)
+        assert hamming_distance(p, p) == 0
+
+    def test_single_difference(self):
+        assert hamming_distance(np.array([0, 1]), np.array([0, 2])) == 1
+
+    def test_complement(self):
+        a = np.zeros(4, dtype=np.int64)
+        assert hamming_distance(a, 1 - a) == 4
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            hamming_distance(np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64))
+
+
 class TestMixPolicies:
     def test_indicator_weight(self):
         p1 = np.array([0, 1], dtype=np.int64)

@@ -77,6 +77,15 @@ class TestBruteForce:
         rep = compare_fronts(search(m, SearchConfig(seed=0)), brute_force_front(m))
         assert rep.vertex_match and rep.face_match
 
+    def test_thread_count_does_not_change_front(self, mdp433):
+        """Callers that still pass thread_count=1 get the default's front
+        and verify report."""
+        a = brute_force_front(mdp433, thread_count=1)
+        b = brute_force_front(mdp433)
+        assert [tuple(v.ret) for v in a.vertices] == [tuple(v.ret) for v in b.vertices]
+        assert [f.vertex_ids for f in a.faces] == [f.vertex_ids for f in b.faces]
+        assert verify_front(mdp433, a, thread_count=1) == verify_front(mdp433, a)
+
 
 @pytest.mark.parametrize(
     "build",

@@ -163,6 +163,13 @@ class TestDeterminism:
             assert np.array_equal(va.ret, vb.ret)
         assert [f.vertex_ids for f in a.faces] == [f.vertex_ids for f in b.faces]
 
+    def test_thread_count_does_not_change_result(self, mdp433):
+        """Callers that still pass thread_count=1 get the default's front."""
+        a = search(mdp433, SearchConfig(seed=0, thread_count=1))
+        b = search(mdp433, SearchConfig(seed=0))
+        assert [tuple(v.policy) for v in a.vertices] == [tuple(v.policy) for v in b.vertices]
+        assert [f.vertex_ids for f in a.faces] == [f.vertex_ids for f in b.faces]
+
     def test_seed_choice_does_not_change_front(self, mdp433):
         a = search(mdp433, SearchConfig(seed=1))
         b = search(mdp433, SearchConfig(seed=99))
@@ -656,10 +663,10 @@ def test_search_config_rejects_bad_seeds(value):
         SearchConfig(seed=value)
 
 
-@pytest.mark.parametrize("value", [0, -2, 2, True])
+@pytest.mark.parametrize("value", [0, -2, 2, 1.0, True])
 def test_search_config_rejects_thread_counts_but_one(value):
     """Search evaluates on the calling thread, so 1 is the only thread count."""
-    with pytest.raises(ValueError, match=f"^thread_count must be 1, got {value!r}$"):
+    with pytest.raises(ValueError, match=f"^thread_count must be 1, got {re.escape(repr(value))}$"):
         SearchConfig(thread_count=value)
 
 
