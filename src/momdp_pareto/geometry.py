@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import threading
 from collections import deque
@@ -21,7 +22,8 @@ class Dominance(enum.Enum):
 
 
 class DegenerateHullError(RuntimeError):
-    """Raised when a point set does not span the full ambient dimension."""
+    """Raised when a point set has no hull: its points all coincide, or
+    Qhull refuses it even closed off below."""
 
 
 class ApexNotVertexError(RuntimeError):
@@ -37,7 +39,7 @@ EPS_POS = 1e-9
 
 
 # Margin of the dual screen. A face is ruled out when some pooled y gives
-# max_i (W y)_i <= eps_pos - _DUAL_SLACK; the margin makes sure that the
+# max_i (W y)_i <= EPS_POS - _DUAL_SLACK; the margin makes sure that the
 # LP, had it been solved, would have failed the face too. Let W hold the
 # face's n unit normals (so |W_ij| <= 1) in D objectives and u = 2**-53.
 # For a and y' on the simplex, weak duality gives
@@ -49,8 +51,8 @@ EPS_POS = 1e-9
 # (n + 1) u from the scaling. The screen's value, max_i (W y)_i with y
 # scaled likewise, is off from y' = y / sum(y) by at most D u and
 # (D + 1) u. So t_star <= value + (n + D + 1) 2**-52, which is below 1e-12
-# while n + D < 4400 (the rounding of eps_pos - 1e-12 adds at most
-# u eps_pos). n is at most the number of facets through one vertex.
+# while n + D < 4400 (the rounding of EPS_POS - 1e-12 adds at most
+# u EPS_POS). n is at most the number of facets through one vertex.
 _DUAL_SLACK = 1e-12
 
 
@@ -61,7 +63,7 @@ class DualPool:
 
     Any y on the simplex bounds the LP over any normals W by weak duality:
     for alpha on the simplex, min_j (alpha W)_j <= alpha W y <= max_i (W y)_i.
-    So a face whose normals give max_i (W y)_i <= eps_pos - _DUAL_SLACK for
+    So a face whose normals give max_i (W y)_i <= EPS_POS - _DUAL_SLACK for
     some pooled y fails without an LP; see `_DUAL_SLACK` for the margin.
     A failed LP's own dual attains its optimum, and faces met later on the
     same hull share normals with it. `ruled_out` counts the faces this pool
@@ -80,13 +82,13 @@ class DualPool:
             y = (y / total)[None, :]
             self.ys = y if self.ys is None else np.vstack([self.ys, y])
 
-    def rules_out(self, normals: np.ndarray, eps_pos: float) -> bool:
+    def rules_out(self, normals: np.ndarray) -> bool:
         """True, and counted, when some pooled y proves that the positivity
-        LP over `normals` has optimum at most eps_pos."""
+        LP over `normals` has optimum at most EPS_POS."""
         if self.ys is None:
             return False
         # Written so that a NaN rules nothing out.
-        if not (normals @ self.ys.T).max(axis=0).min() <= eps_pos - _DUAL_SLACK:
+        if not (normals @ self.ys.T).max(axis=0).min() <= EPS_POS - _DUAL_SLACK:
             return False
         self.ruled_out += 1
         return True
@@ -101,13 +103,19 @@ def mask_ids(mask: int) -> list[int]:
 class LocalHull:
     """Convex hull of a point set with deduplicated facet hyperplanes.
 
+    `points` holds the rows the hull was built on: the n points given to
+    `convex_hull`, followed by D rows below them when it closed them off
+    below (`close_below`). `vertex_ids` lists the given points that are
+    hull vertices, ascending, so every id is below n; the appended rows lie
+    on no Pareto face and start no descent.
+
     Facet k is the plane {x : normals[k] @ x = offsets[k]}, with an outward
     unit normal, and the vertex bitmask `facet_masks[k]`, bit i standing for
-    point i; all three are built once by `convex_hull`, which for an apex
-    builds only the facets through that point. The face descent
-    handles vertex sets as such bitmasks, so intersections, containment and
-    the defining-facet lookup are integer operations and a face's normals
-    are one row selection.
+    row i of `points`, appended rows included; all three are built once by
+    `convex_hull`, which for an apex builds only the facets through that
+    point. The face descent handles vertex sets as such bitmasks, so
+    intersections, containment and the defining-facet lookup are integer
+    operations and a face's normals are one row selection.
 
     `certificates` holds the positivity LP's certificate for each tuple of
     defining facets tested on this hull: the oracle descends from many hull
@@ -373,17 +381,18 @@ def drop_nested_faces(faces: list[FaceRecord]) -> list[FaceRecord]:
     return keep
 
 
-def group_coincident(points: np.ndarray, eps: float) -> list[list[int]]:
-    """Group rows lying within eps (max-norm) of an earlier group's first row.
+def group_coincident(points: np.ndarray) -> list[list[int]]:
+    """Group rows lying within EPS_EQUAL (max-norm) of an earlier group's
+    first row.
 
-    Each row joins the first group whose first row is within eps of it, or
-    opens a new group. Groups come in order of their first rows, and each
-    group lists its rows ascending; the first row represents the group.
-    The groups are `_first_close_rows`' with eps in every column.
+    Each row joins the first group whose first row is within EPS_EQUAL of
+    it, or opens a new group. Groups come in order of their first rows, and
+    each group lists its rows ascending; the first row represents the group.
+    The groups are `_first_close_rows`' with EPS_EQUAL in every column.
     """
     pts = np.asarray(points, dtype=float)
     groups: dict[int, list[int]] = {}
-    for i, f in enumerate(_first_close_rows(pts, np.full(pts.shape[1], eps))):
+    for i, f in enumerate(_first_close_rows(pts, np.full(pts.shape[1], EPS_EQUAL))):
         groups.setdefault(f, []).append(i)
     return list(groups.values())
 
@@ -456,11 +465,15 @@ def close_below(points: np.ndarray) -> np.ndarray:
     return np.vstack([pts, low - spread * np.eye(pts.shape[1])])
 
 
-def convex_hull(
-    points: np.ndarray, eps_geom: float = EPS_GEOM, apex: int | None = None
-) -> LocalHull:
-    """Build the convex hull of a full-dimensional point set, or only the
-    facets through the point `apex`.
+def convex_hull(points: np.ndarray, apex: int | None = None) -> LocalHull:
+    """Build the convex hull of a point set, or only the facets through the
+    point `apex`.
+
+    A set that spans fewer than D dimensions, or has at most D points, is
+    closed off below first (`close_below`), and so is a full-dimensional
+    set that Qhull refuses; the closed set keeps the points' Pareto faces
+    under the same ids. The affine dimension is measured once, on the
+    points as given.
 
     Qhull triangulates non-simplicial facets, so it reports one plane per
     triangle, and each triangle carries its facet's equation bit for bit.
@@ -491,12 +504,16 @@ def convex_hull(
     order; none when the apex is not a hull vertex. Search reads no others.
 
     Args:
-        points: (n, D) array with n >= D + 1 spanning all D dimensions.
-        eps_geom: tolerance for plane dedupe and vertex-on-facet incidence.
+        points: (n, D) array of n >= 1 points.
         apex: a point id, to build only the facets through that point.
 
+    Returns:
+        The hull of the rows it was built on (`LocalHull.points`), whose
+        `vertex_ids` are the points' own ids only.
+
     Raises:
-        DegenerateHullError: when the points span fewer than D dimensions.
+        DegenerateHullError: when all points coincide, or Qhull refuses
+            them even closed off below.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -505,15 +522,21 @@ def convex_hull(
     adim = affine_dimension(pts)
     if adim == 0:
         raise DegenerateHullError("all points coincide (affine dimension 0)")
-    if adim < dim or n < dim + 1:
-        raise DegenerateHullError(f"{n} points span affine dimension {adim} < ambient dimension {dim}")
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise DegenerateHullError(f"hull construction failed: {exc}") from exc
+    hull = None
+    if adim == dim and n > dim:
+        with contextlib.suppress(QhullError):
+            hull = ConvexHull(pts)
+    if hull is None:
+        pts = close_below(pts)
+        try:
+            hull = ConvexHull(pts)
+        except QhullError as exc:
+            raise DegenerateHullError(
+                f"hull construction failed even closed off below: {exc}"
+            ) from exc
 
-    tol = eps_geom * max(1.0, float(np.abs(pts).max()))
-    is_vertex = np.zeros(n, dtype=bool)
+    tol = EPS_GEOM * max(1.0, float(np.abs(pts).max()))
+    is_vertex = np.zeros(len(pts), dtype=bool)
     is_vertex[hull.simplices] = True
 
     # Exact copies go first, by a dict keyed by each row's bytes: on a local
@@ -531,7 +554,7 @@ def convex_hull(
     norms = np.sqrt((raw[:, None] @ raw[:, :, None]).ravel())
     normals = raw / norms[:, None]
     offsets = -eqs[:, -1] / norms
-    kept = _merge_close_planes(normals, offsets, tol, eps_geom)
+    kept = _merge_close_planes(normals, offsets, tol, EPS_GEOM)
     if apex is not None:
         through = is_vertex[apex] & (np.abs(normals @ pts[apex] - offsets) <= tol)
         kept = [k for k in kept if through[k]]
@@ -540,13 +563,13 @@ def convex_hull(
     # Row k of `height` holds every point's height over kept plane k, from
     # one matrix-vector product per plane; a single matrix product would
     # round differently.
-    height = np.array([pts @ w for w in normals]).reshape(len(kept), n) - offsets[:, None]
+    height = np.array([pts @ w for w in normals]).reshape(len(kept), len(pts)) - offsets[:, None]
     on = (np.abs(height) <= tol) & is_vertex
     # Bit i of a facet's mask is byte i // 8, bit i % 8 of its packed row.
     packed = np.packbits(on, axis=1, bitorder="little")
     return LocalHull(
         points=pts,
-        vertex_ids=tuple(np.flatnonzero(is_vertex).tolist()),
+        vertex_ids=tuple(np.flatnonzero(is_vertex[:n]).tolist()),
         ambient_dim=dim,
         facet_masks=tuple(int.from_bytes(row.tobytes(), "little") for row in packed),
         normals=normals,
@@ -806,18 +829,18 @@ def pareto_lp(normals: Sequence[np.ndarray]) -> LpCertificate:
     return LpCertificate(normals=W, alpha=alpha, t_star=t_star, dual=np.asarray(dual, dtype=float))
 
 
-def sign_masks(normals: np.ndarray, eps_pos: float) -> list[int]:
+def sign_masks(normals: np.ndarray) -> list[int]:
     """One integer per row of normals, with bit j set when the row's entry
-    j exceeds eps_pos.
+    j exceeds EPS_POS.
 
     The sign screen: a face whose defining normals' integers OR to fewer
-    than all D bits has an objective with no normal entry above eps_pos.
-    Every convex combination of them is then at most eps_pos in that
-    objective, so the positivity LP optimum cannot exceed eps_pos and the
+    than all D bits has an objective with no normal entry above EPS_POS.
+    Every convex combination of them is then at most EPS_POS in that
+    objective, so the positivity LP optimum cannot exceed EPS_POS and the
     face fails without solving it. All D bits set means only that the LP
     has to decide.
     """
-    return ((normals > eps_pos) @ (1 << np.arange(normals.shape[1]))).tolist()
+    return ((normals > EPS_POS) @ (1 << np.arange(normals.shape[1]))).tolist()
 
 
 def _support_lp(points: np.ndarray, vids: tuple[int, ...]) -> tuple[np.ndarray | None, float]:
@@ -858,12 +881,12 @@ def _support_lp(points: np.ndarray, vids: tuple[int, ...]) -> tuple[np.ndarray |
     return w, float(w.min())
 
 
-def support_faces(points: np.ndarray, apex: int, eps_pos: float) -> list[FaceRecord]:
-    """Pareto faces through the apex of a point set too flat for a hull.
+def support_faces(points: np.ndarray, apex: int) -> list[FaceRecord]:
+    """Pareto faces through the apex of a set of at most D points.
 
     Tests subsets containing the apex directly, descending from the full set
     down to segments: a subset passes when some unit normal with every
-    coordinate above eps_pos is constant on it and puts every other point
+    coordinate above EPS_POS is constant on it and puts every other point
     weakly below it. A passing subset is not split further, and a subset
     inside one that passed is neither tested nor split, as in
     `select_pareto_faces`: subsets leave the queue by falling size, so each
@@ -886,7 +909,7 @@ def support_faces(points: np.ndarray, apex: int, eps_pos: float) -> list[FaceRec
         dim = affine_dimension(points[list(vids)])
         if dim >= 1:
             w, t = _support_lp(points, vids)
-            if w is not None and t > eps_pos:
+            if w is not None and t > EPS_POS:
                 out.append(FaceRecord(tuple(sorted(vids)), dim, w[None, :], np.ones(1), t))
                 continue
         if len(vids) > 2:

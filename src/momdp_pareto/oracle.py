@@ -3,22 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
-import itertools
 import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from .geometry import (
-    EPS_EQUAL,
-    DegenerateHullError,
     FaceRecord,
     affine_dimension,  # unused; the benchmark's tracer binds it on this module
-    close_below,
     convex_hull,
     dominated_by,
     drop_nested_faces,
@@ -136,17 +130,16 @@ def brute_force_front(mdp: Mdp, cap: int = 1_000_000, thread_count: int = 1) -> 
     examined from the hull vertices. Intended as a reference implementation;
     cost grows with A**S.
 
-    Returns too flat for a hull are closed off below (`close_below`); the
-    appended rows, ids n and up, lie on no Pareto face and start no descent.
-    Every other hull vertex starts one (`select_pareto_faces`), whose first
-    step is the sign screen over the vertex's facet normals: a vertex they
-    fail lies on no Pareto face, and its descent returns after that one
-    facet scan. A face's LP input is the set of hull facets containing it,
-    so each descent records exactly the maximal Pareto faces through its
-    apex, and together they leave nothing to merge. But facets too far
-    apart to merge can share vertices within the incidence tolerance, so
-    the faces nested in another (seen at gamma >= 0.9999) are dropped, as
-    search drops them.
+    The hull is one `convex_hull` call, which closes returns too flat for a
+    hull off below. Its `vertex_ids` are returns only, and each starts a
+    descent (`select_pareto_faces`), whose first step is the sign screen
+    over the vertex's facet normals: a vertex they fail lies on no Pareto
+    face, and its descent returns after that one facet scan. A face's LP
+    input is the set of hull facets containing it, so each descent records
+    exactly the maximal Pareto faces through its apex, and together they
+    leave nothing to merge. But facets too far apart to merge can share
+    vertices within the incidence tolerance, so the faces nested in another
+    (seen at gamma >= 0.9999) are dropped, as search drops them.
 
     Above 512 policies, a rank-one policy tree screens all policies first
     and only the few it cannot rule out are evaluated exactly; see
@@ -172,18 +165,12 @@ def brute_force_front(mdp: Mdp, cap: int = 1_000_000, thread_count: int = 1) -> 
 
     # Collapse returns that coincide within EPS_EQUAL; the lexicographically
     # first policy of each group represents it, the rest become co-policies.
-    groups = group_coincident(scaled, EPS_EQUAL)
+    groups = group_coincident(scaled)
     pts = scaled[[g[0] for g in groups]]
-    n = len(groups)
     passing: list[FaceRecord] = []
-    if n > 1:
-        try:
-            hull = convex_hull(pts)
-        except DegenerateHullError:
-            hull = convex_hull(close_below(pts))
+    if len(pts) > 1:
+        hull = convex_hull(pts)
         for apex in hull.vertex_ids:
-            if apex >= n:
-                break
             passing += select_pareto_faces(apex, hull)[0]
         stats.count_face_work(hull)
     # A face passes from each of its corners; keep its first record, then
@@ -261,8 +248,13 @@ def compare_fronts(a: ParetoFront, b: ParetoFront, tol: float = 1e-8) -> Compari
     max_dist = 0.0
     if len(pa) and len(pb):
         # Greedy matching over the pairs within tol, closest first; ties go
-        # to the lower index in a, then in b.
-        dist = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2)
+        # to the lower index in a, then in b. The max-norm distances are
+        # taken one objective at a time, so no (a, b, D) array is built.
+        dist = np.zeros((len(pa), len(pb)))
+        diff = np.empty_like(dist)
+        for col_a, col_b in zip(pa.T, pb.T):
+            np.abs(np.subtract(col_a[:, None], col_b, out=diff), out=diff)
+            np.maximum(dist, diff, out=dist)
         ii, jj = np.nonzero(dist <= tol)
         dd = dist[ii, jj]
         for k in np.lexsort((jj, ii, dd)):
@@ -315,35 +307,10 @@ class VerifyReport:
     dominated_vertices: list[int] = field(default_factory=list)
 
 
-def _compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of `parts` non-negative ints summing to `total`, lexicographic."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _compositions(parts - 1, total - head):
-            yield (head, *tail)
-
-
-@functools.lru_cache(maxsize=128)
-def _weight_grid(k: int, total: int) -> np.ndarray:
-    """The first `total` points of the step-0.25 grid on the k-simplex, in
-    lexicographic order, as a read-only (rows, k) array. Only those points
-    are generated, so the cost does not grow as 5**k."""
-    grid = np.array(list(itertools.islice(_compositions(k, 4), total)), dtype=float)
-    grid = grid.reshape(-1, k) / 4.0
-    grid.flags.writeable = False
-    return grid
-
-
 def _face_weights(k: int, total: int, rng: np.random.Generator) -> np.ndarray:
-    """Barycentric sample weights: a step-0.25 grid topped up with random draws."""
-    grid = _weight_grid(k, total)
-    if len(grid) >= total:
-        return grid
-    extra = rng.dirichlet(np.ones(k), size=total - len(grid))
-    return np.vstack([grid, extra])
+    """`total` barycentric sample weights over k vertices, uniform on the
+    simplex, so that every vertex gets weight in almost every sample."""
+    return rng.dirichlet(np.ones(k), size=total)
 
 
 # Slack on the "at least as good" side of verify's dominance test; see

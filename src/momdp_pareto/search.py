@@ -21,7 +21,6 @@ from .geometry import (
     FaceRecord,
     LocalHull,
     affine_dimension,  # unused; the benchmark's tracer binds it on this module
-    close_below,
     convex_hull,
     dominance,  # unused; the benchmark's tracer binds it on this module
     dominance_masks,
@@ -260,7 +259,7 @@ def select_pareto_faces(apex_id: int, hull: LocalHull) -> tuple[list[FaceRecord]
         ids of all hull vertices lying on at least one passing face.
     """
     incident = incident_facets(hull, apex_id)
-    signs_of = sign_masks(hull.normals[list(incident)], EPS_POS)
+    signs_of = sign_masks(hull.normals[list(incident)])
     every_sign = (1 << hull.ambient_dim) - 1
     if functools.reduce(operator.or_, signs_of, 0) != every_sign:
         return [], []
@@ -290,7 +289,7 @@ def select_pareto_faces(apex_id: int, hull: LocalHull) -> tuple[list[FaceRecord]
             cert = hull.certificates.get(defining)
             if cert is None:
                 normals = hull.normals[list(defining)]
-                if not hull.duals.rules_out(normals, EPS_POS):
+                if not hull.duals.rules_out(normals):
                     cert = hull.certificates[defining] = pareto_lp(normals)
                     # A single normal that passes the sign screen passes
                     # the LP, so a failed LP has a dual.
@@ -315,7 +314,12 @@ def _local_pareto_faces(
     ctx: SearchContext, vertex: VertexRecord, pts: np.ndarray
 ) -> list[FaceRecord]:
     """Pareto faces of the local point cloud (apex first) around one vertex,
-    in local point ids."""
+    in local point ids.
+
+    A cloud of at most D points is tested directly (`support_faces`), with
+    a warning; any larger one goes to one `convex_hull` call, which closes
+    it off below when it is flat.
+    """
     n, D = pts.shape
     if n == 1:
         return []
@@ -324,19 +328,16 @@ def _local_pareto_faces(
             f"vertex {vertex.id}: only {n} local points in {D} objectives; "
             "testing faces directly instead of building a hull"
         )
-        return support_faces(pts, 0, EPS_POS)
-    # A flat set is closed off below (`close_below`), which keeps its Pareto
+        return support_faces(pts, 0)
+    # `convex_hull` closes a flat set off below, which keeps its Pareto
     # faces and ids; no instance has reached a set Qhull refuses even then.
     try:
         hull = convex_hull(pts, apex=0)
-    except DegenerateHullError:
-        try:
-            hull = convex_hull(close_below(pts), apex=0)
-        except DegenerateHullError as exc:
-            raise SearchAbortError(
-                f"vertex {vertex.id} (actions {vertex.policy.tolist()}): Qhull refused "
-                f"its {n} local points in {D} objectives even closed off below"
-            ) from exc
+    except DegenerateHullError as exc:
+        raise SearchAbortError(
+            f"vertex {vertex.id} (actions {vertex.policy.tolist()}): Qhull refused "
+            f"its {n} local points in {D} objectives even closed off below"
+        ) from exc
     try:
         passing, _ = select_pareto_faces(0, hull)
     except ApexNotVertexError as exc:
@@ -395,7 +396,7 @@ def explore_vertex(
     nd = kept[pprune(x[kept])].tolist()
     # Local point 0 is the apex; point k >= 1 is the first of groups[k - 1],
     # the neighbor indices of the kept neighbors with coincident returns.
-    groups = [[nd[i] for i in g] for g in group_coincident(x[nd], EPS_EQUAL)]
+    groups = [[nd[i] for i in g] for g in group_coincident(x[nd])]
     pts = np.vstack([apex_scaled, x[[g[0] for g in groups]]])
     local_faces = _local_pareto_faces(ctx, vertex, pts)
 

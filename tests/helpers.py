@@ -421,21 +421,6 @@ def ridge_points() -> np.ndarray:
     )
 
 
-def product_grid_weights(k: int, total: int, rng: np.random.Generator) -> np.ndarray:
-    """verify's face weights, built from every point of the 5**k product grid:
-    the compositions of 4 in product order, the first `total` of them, topped
-    up with Dirichlet draws."""
-    grid = [
-        np.array(c, dtype=float) / 4.0
-        for c in itertools.product(range(5), repeat=k)
-        if sum(c) == 4
-    ]
-    if len(grid) >= total:
-        return np.array(grid[:total])
-    extra = rng.dirichlet(np.ones(k), size=total - len(grid))
-    return np.vstack([np.array(grid), extra])
-
-
 def apex_facet_ids(hull, apex_id: int) -> list[int]:
     """Indices of the hull facets whose masks hold the apex, by testing
     every mask's bit."""

@@ -14,6 +14,9 @@ from scipy.optimize._highspy import _core as _highs
 
 from momdp_pareto import gen_gridworld, gen_random_mdp, geometry, long_term_return, oracle
 from momdp_pareto.geometry import (
+    EPS_EQUAL,
+    EPS_GEOM,
+    EPS_POS,
     ApexNotVertexError,
     DegenerateHullError,
     Dominance,
@@ -552,41 +555,53 @@ class TestAffineDimension:
 
 
 class TestGroupCoincident:
+    """`group_coincident` groups rows within EPS_EQUAL; the data are scaled
+    so that EPS_EQUAL plays each tolerance under test."""
+
     def test_first_row_represents_its_group(self):
-        # Row 2 is exactly eps from row 0 and joins it; row 5 is within eps
-        # of row 2 but not of row 0, so it opens a group of its own.
+        # In units of EPS_EQUAL / 2, a power-of-two scale: row 2 is exactly
+        # EPS_EQUAL from row 0 and joins it; row 5 is within EPS_EQUAL of
+        # row 2 but not of row 0, so it opens a group of its own.
         pts = np.array(
             [[0.0, 0.0], [1.0, 1.0], [0.5, 0.0], [1.0, 2.0], [0.0, 0.0], [0.75, 0.0]]
-        )
-        assert group_coincident(pts, 0.5) == [[0, 2, 4], [1], [3], [5]]
+        ) * (2 * EPS_EQUAL)
+        assert group_coincident(pts) == [[0, 2, 4], [1], [3], [5]]
 
     def test_zero_eps_groups_exact_duplicates(self):
+        """At tolerance 0 in every column, `group_coincident`'s first-row
+        pass groups exact duplicates only."""
         pts = np.array([[1.0, 2.0], [1.0, 2.0 + 1e-12], [1.0, 2.0]])
-        assert group_coincident(pts, 0.0) == [[0, 2], [1]]
+        assert geometry._first_close_rows(pts, np.zeros(2)) == [0, 1, 0]
+
+    def test_exact_duplicates_group_apart_from_rows_past_eps(self):
+        pts = np.array([[1.0, 2.0], [1.0, 2.0 + 4 * EPS_EQUAL], [1.0, 2.0]])
+        assert group_coincident(pts) == [[0, 2], [1]]
 
     @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.5, 1.0])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_tie_heavy_grid_matches_the_loop(self, eps, dim):
-        """600 rows on a half-step grid: many exact ties, and at eps >= 0.5
-        rows close to a row that is itself in another group."""
-        pts = np.random.default_rng(dim).integers(0, 4, size=(600, dim)) * 0.5
-        assert group_coincident(pts, eps) == loop_group_coincident(pts, eps)
+        """600 rows on a half-step grid, scaled by EPS_EQUAL / eps so that
+        EPS_EQUAL spans eps grid units, or left as they are for an eps below
+        the step: many exact ties, and at eps >= 0.5 rows close to a row
+        that is itself in another group."""
+        scale = EPS_EQUAL / eps if eps >= 0.5 else 1.0
+        pts = np.random.default_rng(dim).integers(0, 4, size=(600, dim)) * 0.5 * scale
+        assert group_coincident(pts) == loop_group_coincident(pts, EPS_EQUAL)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_chains_within_eps_match_the_loop(self, seed):
-        """Each row is within eps of the next, so groups end where a row
-        leaves its first row's reach, whatever the row order."""
-        eps = 1e-9
+        """Each row is within EPS_EQUAL of the next, so groups end where a
+        row leaves its first row's reach, whatever the row order."""
         rng = np.random.default_rng(seed)
-        chain = np.arange(40)[:, None] * 0.6 * eps * np.ones(3)
+        chain = np.arange(40)[:, None] * 0.6 * EPS_EQUAL * np.ones(3)
         pts = np.vstack([chain, chain + 1.0])[rng.permutation(80)]
-        got = group_coincident(pts, eps)
-        assert got == loop_group_coincident(pts, eps)
+        got = group_coincident(pts)
+        assert got == loop_group_coincident(pts, EPS_EQUAL)
         assert 2 < len(got) < 80
 
     def test_nan_rows_stay_alone(self):
-        pts = np.array([[0.0, np.nan], [0.0, 0.0], [0.0, np.nan], [0.0, 0.0]])
-        assert group_coincident(pts, 1.0) == loop_group_coincident(pts, 1.0)
+        pts = np.array([[0.0, np.nan], [0.0, 0.0], [0.0, np.nan], [0.0, 0.0]]) * EPS_EQUAL
+        assert group_coincident(pts) == loop_group_coincident(pts, EPS_EQUAL)
 
 
 def planar_cloud():
@@ -602,7 +617,7 @@ class TestSupportFaces:
     def test_normals_positive_and_supporting(self):
         pts = planar_cloud()
         for apex in range(len(pts)):
-            for face in support_faces(pts, apex, 1e-9):
+            for face in support_faces(pts, apex):
                 assert apex in face.vertex_ids
                 assert face.normals.shape == (1, 3)
                 assert face.alpha.tolist() == [1.0]
@@ -617,7 +632,7 @@ class TestSupportFaces:
     def test_faces_per_apex(self):
         pts = planar_cloud()
         got = {
-            apex: [(f.vertex_ids, f.dim) for f in support_faces(pts, apex, 1e-9)]
+            apex: [(f.vertex_ids, f.dim) for f in support_faces(pts, apex)]
             for apex in range(len(pts))
         }
         assert got == {
@@ -677,8 +692,8 @@ class TestCloseBelow:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_faces_through_point_0_equal_the_direct_tests(self, dim):
-        """On sets of at most D points, all too flat for a hull of their
-        own, the descent on the closed hull finds the faces through point 0
+        """On sets of at most D points, which `convex_hull` closes off
+        below, the descent on the closed hull finds the faces through point 0
         that `support_faces` finds, by vertex set and dimension, each once.
         The direct tests skip every subset of a subset that passed, so they
         record maximal sets only."""
@@ -692,9 +707,10 @@ class TestCloseBelow:
                     pts = np.hstack([pts, pts[:, :2].mean(axis=1, keepdims=True)])
                 else:
                     pts = positive_sphere_points(rng, n, dim)
-                hull = convex_hull(close_below(pts))
+                hull = convex_hull(pts)
+                assert hull.points.tobytes() == close_below(pts).tobytes()
                 got = {(f.vertex_ids, f.dim) for f in select_pareto_faces(0, hull)[0]}
-                direct = [(f.vertex_ids, f.dim) for f in support_faces(pts, 0, 1e-9)]
+                direct = [(f.vertex_ids, f.dim) for f in support_faces(pts, 0)]
                 assert len(direct) == len(got) and got == set(direct)
                 assert all(max(vids) < n for vids, _ in got)
                 compared += 1
@@ -742,13 +758,13 @@ class TestConvexHull:
         assert all(m.bit_count() == 4 for m in hull.facet_masks)
 
     @staticmethod
-    def lifted_cube():
-        """The unit cube with corner (1, 1, 1) lifted by 1e-8 in z: the top
-        square folds into two triangles whose planes differ by about 1e-8."""
+    def lifted_cube(lift=1e-8):
+        """The unit cube with corner (1, 1, 1) lifted by `lift` in z: the top
+        square folds into two triangles whose planes differ by about lift."""
         corners = np.array(
             [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
         )
-        corners[7, 2] += 1e-8
+        corners[7, 2] += lift
         return corners
 
     def test_lifted_cube_keeps_the_fold_at_the_default_tolerance(self):
@@ -759,16 +775,17 @@ class TestConvexHull:
         assert_same_facets(hull, loop_hull_facets(self.lifted_cube()))
 
     def test_plane_dedupe_uses_the_incidence_tolerance(self):
-        """At eps_geom=1e-6 all four top corners lie on both fold planes.
-        The dedupe compared planes to a fixed 1e-9, so it kept both and
-        listed the top square twice; with eps_geom it keeps one."""
-        hull = convex_hull(self.lifted_cube(), eps_geom=1e-6)
+        """Lifted by EPS_GEOM / 100, all four top corners lie on both fold
+        planes. A dedupe on a tolerance finer than the incidence one would
+        keep both planes and list the top square twice; with EPS_GEOM for
+        both it keeps one."""
+        cube = self.lifted_cube(EPS_GEOM / 100)
+        hull = convex_hull(cube)
         assert len(hull.facet_masks) == len(hull.normals) == len(hull.offsets) == 6
         assert len(set(hull.facet_masks)) == 6
         assert all(m.bit_count() == 4 for m in hull.facet_masks)
-        want = loop_hull_facets(self.lifted_cube(), eps_geom=1e-6)
-        assert_same_facets(hull, want)
-        assert_same_facets(hull, unblocked_hull_facets(self.lifted_cube(), eps_geom=1e-6))
+        assert_same_facets(hull, loop_hull_facets(cube, eps_geom=EPS_GEOM))
+        assert_same_facets(hull, unblocked_hull_facets(cube, eps_geom=EPS_GEOM))
 
     def test_all_points_inside_every_facet(self):
         pts = np.random.default_rng(3).normal(size=(30, 3))
@@ -809,14 +826,80 @@ class TestConvexHull:
             top_bits.append(top)
         assert max(top_bits) > 64
 
-    def test_flat_cloud_raises(self):
+    def test_flat_cloud_is_closed_and_coincident_points_raise(self):
+        """A flat square is built closed off below: the hull holds the
+        appended rows and their facet bits, but lists only the square's
+        corners as vertices. Points that all coincide have no hull."""
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0]])
-        with pytest.raises(DegenerateHullError, match="affine dimension 2 < ambient dimension 3"):
-            convex_hull(pts)
+        hull = convex_hull(pts)
+        assert hull.points.tobytes() == close_below(pts).tobytes()
+        assert hull.vertex_ids == (1, 2, 3)
+        assert max(m.bit_length() for m in hull.facet_masks) == 7
+        with pytest.raises(DegenerateHullError, match="all points coincide"):
+            convex_hull(np.ones((3, 3)))
 
     def test_coincident_points_raise(self):
         with pytest.raises(DegenerateHullError):
             convex_hull(np.ones((3, 2)))
+
+
+class TestConvexHullClosing:
+    """`convex_hull` closes a set off below when it is flat, or when Qhull
+    refuses it, and raises only when Qhull refuses the closed set too. The
+    refusals are scripted through `geometry.ConvexHull`."""
+
+    SPREAD = np.array(
+        [[1.0, 1.0, 1.0], [0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0], [0.2, 0.2, 0.2]]
+    )
+    # A hexagon in the plane x + y + z = 1: no point dominates another, and
+    # the whole hexagon is the one Pareto face through point 0.
+    HEXAGON = np.array(
+        [
+            [0.7, 0.3, 0.0],
+            [0.3, 0.7, 0.0],
+            [0.0, 0.7, 0.3],
+            [0.0, 0.3, 0.7],
+            [0.3, 0.0, 0.7],
+            [0.7, 0.0, 0.3],
+        ]
+    )
+
+    @staticmethod
+    def build(monkeypatch, refusals, pts):
+        """`convex_hull(pts, apex=0)` with Qhull refusing its first
+        `refusals` sets; returns the hull and the sets Qhull got."""
+        qhull = geometry.ConvexHull
+        given = []
+
+        def scripted(points):
+            given.append(points)
+            if len(given) <= refusals:
+                raise geometry.QhullError("scripted")
+            return qhull(points)
+
+        monkeypatch.setattr(geometry, "ConvexHull", scripted)
+        return convex_hull(pts, apex=0), given
+
+    def test_qhull_refusal_retried_closed(self, monkeypatch):
+        hull, given = self.build(monkeypatch, 1, self.SPREAD)
+        closed = close_below(self.SPREAD).tobytes()
+        assert given[0] is self.SPREAD and given[1].tobytes() == closed
+        assert hull.points.tobytes() == closed
+        assert max(hull.vertex_ids) < len(self.SPREAD)
+
+    def test_flat_set_closed(self, monkeypatch):
+        hull, given = self.build(monkeypatch, 0, self.HEXAGON)
+        assert [g.tobytes() for g in given] == [close_below(self.HEXAGON).tobytes()]
+        assert hull.vertex_ids == tuple(range(6))
+        faces = select_pareto_faces(0, hull)[0]
+        assert [(f.vertex_ids, f.dim) for f in faces] == [((0, 1, 2, 3, 4, 5), 2)]
+
+    @pytest.mark.parametrize("name,refusals", [("SPREAD", 2), ("HEXAGON", 1)])
+    def test_closed_set_refused(self, monkeypatch, name, refusals):
+        message = "^hull construction failed even closed off below: scripted$"
+        with pytest.raises(DegenerateHullError, match=message) as err:
+            self.build(monkeypatch, refusals, getattr(self, name))
+        assert isinstance(err.value.__cause__, geometry.QhullError)
 
 
 def cube_with_face_centres():
@@ -1137,15 +1220,16 @@ class TestQhullOrientation:
 
     def test_degenerate_benchmark_hulls(self, monkeypatch):
         """Every point set search and the oracle hand to `convex_hull` on
-        the benchmark's dupact and depobj instances. Each one that raises is
-        flat, and the set handed over next is that set closed off below,
-        whose hull builds with outward unit normals. The oracle's returns
-        are planar on three dupact instances; on depobj they and every
-        local set of search span only three of four dimensions."""
+        the benchmark's dupact and depobj instances, once each: no set is
+        followed by itself closed off below. Each set the hull is built
+        closed off below is flat, and every hull has outward unit normals.
+        The oracle's returns are planar on three dupact instances; on depobj
+        they and every local set of search span only three of four
+        dimensions."""
         inputs = []
 
         def recording(points, **kwargs):
-            inputs.append((name, points))
+            inputs.append((name, np.asarray(points)))
             return convex_hull(points, **kwargs)
 
         for module in ("search", "oracle"):
@@ -1158,15 +1242,14 @@ class TestQhullOrientation:
                 importlib.import_module("momdp_pareto.search").search(inst.build())
                 oracle.brute_force_front(inst.build())
         closed = []
-        for (name, pts), (next_name, following) in zip(inputs, inputs[1:] + [(None, None)]):
-            try:
-                hull = convex_hull(pts)
-            except DegenerateHullError:
+        for (name, pts), (_, following) in zip(inputs, inputs[1:] + [(None, None)]):
+            if following is not None:
+                assert following.tobytes() != close_below(pts).tobytes()
+            hull = convex_hull(pts)
+            if len(hull.points) > len(pts):
                 assert affine_dimension(pts, 1e-6) < pts.shape[1]
-                assert next_name == name
-                assert following.tobytes() == close_below(pts).tobytes()
+                assert hull.points.tobytes() == close_below(pts).tobytes()
                 closed.append(name)
-                continue
             assert_outward_unit_normals(hull)
         assert sorted(set(closed)) == [
             "depobj-S5-A3-D4-s1",
@@ -1637,18 +1720,25 @@ class TestSharedHighsSolver:
             assert all(cert == serial[i] for i, cert in got)
 
 
-def screen_verdict(W: np.ndarray, eps_pos: float) -> bool:
+def screen_verdict(W: np.ndarray) -> bool:
     """The sign screen as the descent reads it: the rows' sign masks OR to
     all D bits."""
-    return functools.reduce(operator.or_, sign_masks(W, eps_pos), 0) == (1 << W.shape[1]) - 1
+    return functools.reduce(operator.or_, sign_masks(W), 0) == (1 << W.shape[1]) - 1
 
 
 class TestSignScreen:
     def test_masks_hold_the_entries_above_eps_pos(self):
-        W = np.array([[2e-9, -1.0, 1e-9, 0.5], [0.0, 3.0, np.nan, -2.0]])
-        assert sign_masks(W, 1e-9) == [0b1001, 0b0010]
-        assert all(type(m) is int for m in sign_masks(W, 1e-9))
-        assert sign_masks(np.zeros((0, 3)), 1e-9) == []
+        """An entry counts when it exceeds EPS_POS, not when it equals it."""
+        W = np.array(
+            [
+                [2 * EPS_POS, -1.0, EPS_POS, 0.5],
+                [0.0, 3.0, np.nan, -2.0],
+                [np.nextafter(EPS_POS, -np.inf), np.nextafter(EPS_POS, np.inf), 0.0, 0.0],
+            ]
+        )
+        assert sign_masks(W) == [0b1001, 0b0010, 0b0010]
+        assert all(type(m) is int for m in sign_masks(W))
+        assert sign_masks(np.zeros((0, 3))) == []
 
     def test_verdict_equals_the_column_rule(self):
         rng = np.random.default_rng(12)
@@ -1656,13 +1746,13 @@ class TestSignScreen:
         for _ in range(300):
             n, d = int(rng.integers(1, 9)), int(rng.integers(2, 7))
             W = rng.normal(size=(n, d)) + rng.uniform(-1.5, 0.5)
-            W[rng.random(W.shape) < 0.1] = 1e-9
-            verdicts.add(screen_verdict(W, 1e-9))
-            assert screen_verdict(W, 1e-9) == passes_sign_screen(W, 1e-9)
+            W[rng.random(W.shape) < 0.1] = EPS_POS
+            verdicts.add(screen_verdict(W))
+            assert screen_verdict(W) == passes_sign_screen(W, EPS_POS)
         assert verdicts == {True, False}
 
     def test_nonpositive_column_bounds_lp_optimum(self):
-        eps_pos = 1e-9
+        eps_pos = EPS_POS
         rng = np.random.default_rng(11)
         # The column's largest entry is negative, zero, inside (0, eps_pos)
         # or exactly eps_pos.
@@ -1675,15 +1765,15 @@ class TestSignScreen:
             if tops[trial % 4] is not None:
                 W[int(rng.integers(n)), j] = tops[trial % 4]
             assert not passes_sign_screen(W, eps_pos)
-            assert not screen_verdict(W, eps_pos)
+            assert not screen_verdict(W)
             assert pareto_lp(W).t_star <= eps_pos
 
     def test_positive_entry_in_every_column_passes(self):
-        W = np.array([[1.0, -1.0, 2e-9], [-1.0, 1.0, -3.0]])
-        assert passes_sign_screen(W, 1e-9)
-        assert screen_verdict(W, 1e-9)
+        W = np.array([[1.0, -1.0, 2 * EPS_POS], [-1.0, 1.0, -3.0]])
+        assert passes_sign_screen(W, EPS_POS)
+        assert screen_verdict(W)
         # Passing the screen leaves the verdict to the LP.
-        assert not pareto_lp(W).t_star > 1e-9
+        assert not pareto_lp(W).t_star > EPS_POS
 
 
 def unit_normal_stacks(seed: int, count: int):
@@ -1714,43 +1804,54 @@ class TestDualScreen:
 
     def test_rules_out_only_what_the_lp_fails(self):
         """For each stack, pool its LP's dual (as given, scaled and mixed
-        with random weights) and move eps_pos in single ulps across the
-        screen's cut at max_i (W y)_i + _DUAL_SLACK. Whenever the screen
-        rules the face out, the LP must fail it; the screen must rule out
-        exactly when its value is at most eps_pos - _DUAL_SLACK, and the cut
-        must be met exactly at least once."""
-        ruled = kept = exact = passing = 0
+        with random weights) and add to every normal entry a shift c that
+        moves in single ulps across the one putting the screen's value
+        max_i (W y)_i on its cut EPS_POS - _DUAL_SLACK. The screen must rule
+        out exactly when its value is at most the cut, and whenever it does,
+        the LP over the shifted normals must fail."""
+        cut = EPS_POS - geometry._DUAL_SLACK
+        ruled = kept = 0
         for rng, W in unit_normal_stacks(2, 150):
-            cert = pareto_lp(W)
-            passing += cert.t_star > 0
-            mixed = 0.8 * cert.dual + 0.2 * rng.dirichlet(np.ones(W.shape[1]))
-            for y in (cert.dual, 0.5 * cert.dual, 3.0 * cert.dual, mixed):
+            dual = pareto_lp(W).dual
+            mixed = 0.8 * dual + 0.2 * rng.dirichlet(np.ones(W.shape[1]))
+            for y in (dual, 0.5 * dual, 3.0 * dual, mixed):
                 pool = DualPool()
                 pool.add(y)
-                value = screen_value(pool, W)
-                eps = value + geometry._DUAL_SLACK
+                shift = cut - screen_value(pool, W)
                 for _ in range(4):
-                    eps = np.nextafter(eps, -np.inf)
+                    shift = np.nextafter(shift, -np.inf)
                 outs = []
                 for _ in range(9):
-                    outs.append(pool.rules_out(W, eps))
-                    assert outs[-1] == (value <= eps - geometry._DUAL_SLACK)
-                    exact += value == eps - geometry._DUAL_SLACK
+                    shifted = W + shift
+                    outs.append(pool.rules_out(shifted))
+                    assert outs[-1] == (screen_value(pool, shifted) <= cut)
                     if outs[-1]:
-                        assert not cert.t_star > eps
-                    eps = np.nextafter(eps, np.inf)
+                        assert not pareto_lp(shifted).t_star > EPS_POS
+                    shift = np.nextafter(shift, np.inf)
                 assert pool.ruled_out == sum(outs)
                 ruled += sum(outs)
                 kept += len(outs) - sum(outs)
-        assert ruled > 0 and kept > 0 and exact > 0 and passing > 0
+        assert ruled > 0 and kept > 0
+
+    def test_cut_is_met_exactly(self):
+        """A pooled e_j reads column j of the normals exactly, so the screen
+        rules out a face whose column maximum is the cut
+        EPS_POS - _DUAL_SLACK, and keeps one a single ulp above it."""
+        cut = EPS_POS - geometry._DUAL_SLACK
+        pool = DualPool()
+        pool.add(np.array([0.0, 0.0, 1.0]))
+        for top, out in ((cut, True), (np.nextafter(cut, np.inf), False)):
+            W = np.array([[0.6, -0.8, top], [-0.5, 0.5, top / 2]])
+            assert screen_value(pool, W) == top
+            assert pool.rules_out(W) is out
+        assert pool.ruled_out == 1
 
     def test_duals_straddling_the_cut_at_the_default_threshold(self):
-        """At eps_pos = 1e-9, weights y bisected between a failing LP's dual
-        and a simplex point far above the cut land on either side of
-        eps_pos - _DUAL_SLACK, as close as the products resolve; the screen
+        """Weights y bisected between a failing LP's dual and a simplex
+        point far above the cut land on either side of
+        EPS_POS - _DUAL_SLACK, as close as the products resolve; the screen
         follows its value, and every face it rules out fails its LP."""
-        eps_pos = 1e-9
-        cut = eps_pos - geometry._DUAL_SLACK
+        cut = EPS_POS - geometry._DUAL_SLACK
         straddled = 0
         for rng, W in unit_normal_stacks(3, 300):
             cert = pareto_lp(W)
@@ -1774,9 +1875,9 @@ class TestDualScreen:
                 pool.add(y)
                 value = screen_value(pool, W)
                 assert abs(value - cut) <= 1e-15
-                assert pool.rules_out(W, eps_pos) == (value <= cut)
-                if pool.rules_out(W, eps_pos):
-                    assert not cert.t_star > eps_pos
+                assert pool.rules_out(W) == (value <= cut)
+                if pool.rules_out(W):
+                    assert not cert.t_star > EPS_POS
             straddled += 1
         assert straddled >= 20
 
@@ -1785,13 +1886,15 @@ class TestDualScreen:
         pool.add(np.zeros(3))
         pool.add(np.array([-1.0, 0.0, -2.0]))
         assert pool.ys is None
-        assert not pool.rules_out(-np.eye(3), 1e-9)
+        assert not pool.rules_out(-np.eye(3))
         pool.add(np.array([2.0, -1.0, 6.0]))
         assert pool.ys.tolist() == [[0.25, 0.0, 0.75]]
-        # max_i (W y)_i is 0.75 - 0.25 = 0.5 for W = [[-1, 0, 1], ...].
-        W = np.array([[-1.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
-        assert pool.rules_out(W, 0.5 + geometry._DUAL_SLACK)
-        assert not pool.rules_out(W, 0.5)
+        # max_i (W y)_i is 0.75 * 0.5 - 0.25 * 1.5 = 0 for
+        # W = [[-1.5, -0.5, 0.5], ...], and about 2 EPS_POS once 2 EPS_POS
+        # is added to every entry.
+        W = np.array([[-1.5, -0.5, 0.5], [0.5, -0.5, -1.5]])
+        assert pool.rules_out(W)
+        assert not pool.rules_out(W + 2 * EPS_POS)
         assert pool.ruled_out == 1
 
     def test_each_hull_keeps_its_own_pool(self):
@@ -1807,11 +1910,11 @@ class TestDualScreen:
         assert second.duals.ys is None and second.duals.ruled_out == 0
 
 
-def passes_positivity(normals, eps_pos: float = 1e-9) -> bool:
+def passes_positivity(normals) -> bool:
     """The descent's verdict on a face with these defining normals: the sign
-    screen, then the positivity LP above eps_pos."""
+    screen, then the positivity LP above EPS_POS."""
     W = np.asarray(normals, dtype=float)
-    return screen_verdict(W, eps_pos) and pareto_lp(W).t_star > eps_pos
+    return screen_verdict(W) and pareto_lp(W).t_star > EPS_POS
 
 
 class TestIsParetoFace:
@@ -1820,7 +1923,7 @@ class TestIsParetoFace:
 
     def test_opposing_pair(self):
         W = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]])
-        assert not screen_verdict(W, 1e-9)
+        assert not screen_verdict(W)
         assert not passes_positivity(W)
 
     def test_axis_pair_combines_positive(self):

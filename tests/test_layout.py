@@ -202,7 +202,7 @@ def test_each_tolerance_defined_once():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
     params = tolerance_params(functions)
-    assert {"convex_hull", "group_coincident", "sign_masks", "support_faces"} <= set(params)
+    assert {"dominance", "dominance_masks"} <= set(params)
     assigned, literal = [], []
     for module, walked in nodes.items():
         for node in walked:
@@ -239,6 +239,48 @@ def test_each_tolerance_defined_once():
         ("geometry.py", "EPS_GEOM"),
         ("geometry.py", "EPS_POS"),
     ]
+
+
+def test_public_tolerances_only_in_dominance():
+    """The geometry's one-value tolerances are constants, so the only public
+    functions that take an `eps`/`eps_*` parameter are `dominance` and
+    `dominance_masks`, which search and `dominance` call with different
+    values."""
+    functions = [
+        node
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    public = {name for name in tolerance_params(functions) if not is_private(name)}
+    assert public == {"dominance", "dominance_masks"}
+
+
+def name_of(node: ast.expr) -> str:
+    """The name a call, raise or except clause refers to: `f` or `mod.f`."""
+    return getattr(node, "id", getattr(node, "attr", ""))
+
+
+def test_only_geometry_closes_flat_sets():
+    """`convex_hull` closes flat sets off below itself: only `geometry.py`
+    calls `close_below`, and the one handler of `DegenerateHullError`
+    outside it is search's, which raises `SearchAbortError`."""
+    closers, handlers = set(), []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and name_of(node.func) == "close_below":
+                closers.add(path.name)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if "DegenerateHullError" in map(name_of, caught):
+                    raised = [
+                        name_of(getattr(r.exc, "func", r.exc))
+                        for r in node.body
+                        if isinstance(r, ast.Raise) and r.exc is not None
+                    ]
+                    handlers.append((path.name, raised))
+    assert closers == {"geometry.py"}
+    assert handlers == [("search.py", ["SearchAbortError"])]
 
 
 def test_only_the_mdp_raises_invalid_mdp_error():

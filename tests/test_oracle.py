@@ -34,7 +34,6 @@ from helpers import (
     loop_verify_front,
     make_bandit,
     passes_sign_screen,
-    product_grid_weights,
 )
 from test_golden import INSTANCES as GOLDEN_INSTANCES
 
@@ -130,21 +129,22 @@ def test_oracle_face_dims_on_a_closed_hull_equal_search():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_oracle_closes_off_below_d_plus_one_returns(seed, monkeypatch):
-    """With fewer than D + 1 non-dominated returns the oracle builds its
-    hull on the returns closed off below, with no warning; it used to test
-    faces directly."""
+    """With fewer than D + 1 non-dominated returns the oracle makes one
+    hull build, which closes the returns off below, with no warning; it
+    used to test faces directly."""
     built = []
 
     def recording(points, **kwargs):
-        built.append(len(points))
-        return geometry.convex_hull(points, **kwargs)
+        hull = geometry.convex_hull(points, **kwargs)
+        built.append((len(points), len(hull.points)))
+        return hull
 
     monkeypatch.setattr(oracle, "convex_hull", recording)
     m = gen_random_mdp(seed, 2, 2, 5)
     got = brute_force_front(m)
     n = len(got.vertices)
     assert 1 < n < 6
-    assert built == [n, n + 5]
+    assert built == [(n, n + 5)]
     assert got.stats.warnings == []
     assert compare_fronts(got, search(m)).match
 
@@ -546,6 +546,20 @@ class TestCompareFrontsMatching:
             for tol in (0.0, 0.5, 1.0):
                 assert compare_fronts(a, b, tol) == loop_compare_fronts(a, b, tol)
 
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_random_fronts_of_every_objective_count(self, dim):
+        """The distances are taken one objective at a time; the report is
+        the double loop's, at D = 2 to 6, with near and far pairs."""
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            na, nb = (int(n) for n in rng.integers(1, 30, size=2))
+            base = rng.random(size=(max(na, nb), dim))
+            moved = base[:na] + rng.normal(scale=1e-3, size=(na, dim))
+            a = front_of_returns(moved, faces=[(0, na - 1)])
+            b = front_of_returns(base[:nb], faces=[(0, nb - 1)])
+            for tol in (0.0, 1e-3, 3e-3, 1.0):
+                assert compare_fronts(a, b, tol) == loop_compare_fronts(a, b, tol)
+
     def test_search_against_oracle(self):
         for m in (gen_random_mdp(2, 4, 3, 3), duplicate_action(gen_random_mdp(0, 4, 3, 3))):
             s, o = search(m, SearchConfig(seed=0)), brute_force_front(m)
@@ -816,15 +830,15 @@ class TestStackedVerifyMatchesLoop:
             verify_front(mdp433, front, seed=seed)
 
 
-def test_face_weights_match_product_grid():
-    for k in range(1, 10):
-        for total in (1, 25, 200):
-            rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-            got = _face_weights(k, total, rng)
-            ref = product_grid_weights(k, total, ref_rng)
-            assert got.shape == ref.shape == (total, k)
-            assert got.tobytes() == ref.tobytes()
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+@pytest.mark.parametrize("k", range(1, 13))
+def test_face_weights_weight_every_vertex(k):
+    """Every vertex of a face gets positive weight in some of verify's 25
+    samples: the first 25 points of a step-0.25 grid in lexicographic order
+    put none on vertices 0 to k - 5. The weights lie on the simplex."""
+    weights = _face_weights(k, 25, np.random.default_rng(k))
+    assert weights.shape == (25, k)
+    assert (weights.max(axis=0) > 0).all()
+    assert weights.min() >= 0 and np.abs(weights.sum(axis=1) - 1).max() <= 1e-12
 
 
 class TestBenchSuite:

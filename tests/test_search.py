@@ -955,41 +955,10 @@ def test_policy_keys_are_the_rows_int64_bytes():
 
 
 class TestLocalHullFallbacks:
-    """`_local_pareto_faces` builds the hull first; a set that Qhull refuses
-    is closed off below and built again, and a set refused even then stops
-    the search."""
+    """`_local_pareto_faces` makes one `convex_hull` call, which closes a
+    flat set off below (`TestConvexHullClosing` in test_geometry.py checks
+    the closing); a set Qhull refuses even closed stops the search."""
 
-    def run(self, monkeypatch, failures, pts):
-        """Call `_local_pareto_faces` on points in D=3 with its first
-        `failures` hull builds raising `DegenerateHullError`; returns the
-        warnings, the faces as (vertex ids, dim), the points each hull build
-        got and the points the direct tests got."""
-        module = _search_module()
-        build, direct = module.convex_hull, module.support_faces
-        built, tested = [], []
-
-        def scripted_hull(points, **kwargs):
-            built.append(points)
-            if len(built) <= failures:
-                raise geometry.DegenerateHullError("scripted")
-            return build(points, **kwargs)
-
-        def recording_direct(points, apex, eps_pos):
-            tested.append(points)
-            return direct(points, apex, eps_pos)
-
-        monkeypatch.setattr(module, "convex_hull", scripted_hull)
-        monkeypatch.setattr(module, "support_faces", recording_direct)
-        ctx = make_context(gen_random_mdp(0, 4, 3, 3))
-        vertex = VertexRecord(
-            id=7, policy=np.zeros(4, dtype=np.int64), co_policies=[], ret=np.zeros(3)
-        )
-        faces = module._local_pareto_faces(ctx, vertex, pts)
-        return ctx.stats.warnings, [(f.vertex_ids, f.dim) for f in faces], built, tested
-
-    SPREAD = np.array(
-        [[1.0, 1.0, 1.0], [0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0], [0.2, 0.2, 0.2]]
-    )
     # A hexagon in the plane x + y + z = 1: no point dominates another, and
     # the whole hexagon is the one Pareto face through point 0.
     HEXAGON = np.array(
@@ -1003,24 +972,40 @@ class TestLocalHullFallbacks:
         ]
     )
 
-    def test_qhull_failure_on_full_dimensional_set(self, monkeypatch):
-        warnings, _, built, tested = self.run(monkeypatch, 1, self.SPREAD)
-        assert warnings == [] and tested == []
-        assert built[0] is self.SPREAD
-        assert built[1].tobytes() == geometry.close_below(self.SPREAD).tobytes()
+    def run(self, pts):
+        """Call `_local_pareto_faces` on points in D=3; returns the warnings
+        and the faces as (vertex ids, dim)."""
+        ctx = make_context(gen_random_mdp(0, 4, 3, 3))
+        vertex = VertexRecord(
+            id=7, policy=np.zeros(4, dtype=np.int64), co_policies=[], ret=np.zeros(3)
+        )
+        faces = _search_module()._local_pareto_faces(ctx, vertex, pts)
+        return ctx.stats.warnings, [(f.vertex_ids, f.dim) for f in faces]
 
     def test_flat_set_closed_below(self, monkeypatch):
-        warnings, faces, built, tested = self.run(monkeypatch, 0, self.HEXAGON)
-        assert warnings == [] and tested == []
-        assert len(built) == 2
-        assert built[1].tobytes() == geometry.close_below(self.HEXAGON).tobytes()
+        module = _search_module()
+        build, built = module.convex_hull, []
+
+        def recording(points, **kwargs):
+            built.append(points)
+            return build(points, **kwargs)
+
+        monkeypatch.setattr(module, "convex_hull", recording)
+        warnings, faces = self.run(self.HEXAGON)
+        assert warnings == []
+        assert len(built) == 1 and built[0] is self.HEXAGON
         assert faces == [((0, 1, 2, 3, 4, 5), 2)]
 
     def test_closed_set_refused_too(self, monkeypatch):
-        """No instance reaches this; the error names the vertex and its
-        actions."""
+        """No instance reaches this; Qhull is scripted to refuse every set.
+        The error names the vertex and its actions."""
+
+        def refusing(points):
+            raise geometry.QhullError("scripted")
+
+        monkeypatch.setattr(geometry, "ConvexHull", refusing)
         with pytest.raises(SearchAbortError) as err:
-            self.run(monkeypatch, 2, self.HEXAGON)
+            self.run(self.HEXAGON)
         assert str(err.value) == (
             "vertex 7 (actions [0, 0, 0, 0]): Qhull refused its 6 local points "
             "in 3 objectives even closed off below"
