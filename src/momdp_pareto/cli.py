@@ -17,7 +17,7 @@ from .oracle import (
     compare_fronts,
     verify_front,
 )
-from .search import SearchAbortError, SearchConfig, search
+from .search import SearchAbortError, search
 from .serialize import (
     bench_rows_to_csv,
     dump_json,
@@ -114,10 +114,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "command": "solve",
         "input": args.mdp,
         "output": args.output,
-        "seed": args.seed,
     }
     mdp, blob = _load(args.mdp, mdp_from_dict)
-    front = search(mdp, SearchConfig(seed=args.seed))
+    front = search(mdp)
     write_json(args.output, front_to_dict(front), _meta(config, blob))
     _print_stats_line(front)
     return EXIT_OK
@@ -256,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute the Pareto front by local-hull search")
     p.add_argument("mdp")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="compute the Pareto front by full enumeration")

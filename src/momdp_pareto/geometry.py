@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import enum
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -12,13 +11,6 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
 from scipy.spatial import ConvexHull, QhullError
-
-
-class Dominance(enum.Enum):
-    DOMINATES = "dominates"
-    DOMINATED_BY = "dominated_by"
-    INCOMPARABLE = "incomparable"
-    EQUAL = "equal"
 
 
 class DegenerateHullError(RuntimeError):
@@ -178,48 +170,18 @@ class FaceRecord:
     t_star: float
 
 
-# `dominance`'s relations by the code its array test gives them.
-_DOMINANCE_CODES = (
-    Dominance.EQUAL,
-    Dominance.DOMINATES,
-    Dominance.DOMINATED_BY,
-    Dominance.INCOMPARABLE,
-)
-
-
-def dominance(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> Dominance | list[Dominance]:
-    """Compare points under Pareto dominance with slack eps.
-
-    Points within eps per coordinate are Equal; otherwise u dominates v when
-    it is at least as good everywhere (up to eps) and better than eps
-    somewhere. `u` is one (D,) point, giving one `Dominance`, or an (n, D)
-    stack of points, giving one `Dominance` per row, each compared with the
-    (D,) point `v`.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim not in (1, 2) or v.ndim != 1 or u.shape[-1] != v.shape[0]:
-        raise ValueError(f"points have different shapes: {u.shape} vs {v.shape}")
-    # A row is below v somewhere past eps (2) and above it (1), or both (3,
-    # incomparable), or neither (0, equal: within eps in every coordinate).
-    below, above = dominance_masks(np.atleast_2d(u), v, eps)
-    codes = 2 * below + above
-    rels = [_DOMINANCE_CODES[c] for c in codes.tolist()]
-    return rels if u.ndim == 2 else rels[0]
-
-
-def dominance_masks(points: np.ndarray, v: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def dominance(points: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row of an (n, D) float array, whether it lies below the (D,)
-    point v past eps in some objective, and whether it lies above v past eps
-    in some objective: `dominance`'s two tests, unchecked. A row with only
-    the first is dominated by v, with only the second dominates v, with both
-    is incomparable and with neither is equal to v.
+    point v by more than EPS_EQUAL in some objective, and whether it lies
+    above v by more than EPS_EQUAL in some objective. A row with only the
+    first is dominated by v, with only the second dominates v, with both is
+    incomparable and with neither is equal to v.
 
     Both tests are written so that a NaN, which min and max pass on, sets
     both masks.
     """
     diff = points - v
-    return ~(diff.min(axis=1) >= -eps), ~(diff.max(axis=1) <= eps)
+    return ~(diff.min(axis=1) >= -EPS_EQUAL), ~(diff.max(axis=1) <= EPS_EQUAL)
 
 
 # The row count above which `pprune` runs its anchor pre-pass;

@@ -200,7 +200,8 @@ def solve_scalarized(mdp: Mdp, w: np.ndarray) -> np.ndarray:
 
     Args:
         mdp: a valid MDP.
-        w: strictly positive weight vector of shape (D,).
+        w: finite, strictly positive weight vector of shape (D,); any
+            other raises a ValueError naming `w`.
 
     Returns:
         Int array of shape (S,) with the optimal action per state.
@@ -208,8 +209,8 @@ def solve_scalarized(mdp: Mdp, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (mdp.num_objectives,):
         raise ValueError(f"w must have shape ({mdp.num_objectives},), got {w.shape}")
-    if not np.all(w > 0.0):
-        raise ValueError("scalarization weights must be strictly positive")
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
+        raise ValueError(f"w must be finite and > 0 in every objective, got {w.tolist()}")
     S = mdp.num_states
     r_w = mdp.r @ w  # (S, A)
     policy = _greedy(r_w)
@@ -261,7 +262,9 @@ def mix_policies(
     """
     w = np.asarray(weights, dtype=float)
     if len(policies) == 0 or w.shape != (len(policies),):
-        raise ValueError("need one weight per policy")
+        raise ValueError(
+            f"need one weight per policy: {len(policies)} policies, weights of shape {w.shape}"
+        )
     # Written so that NaN fails each test.
     if not w.min() >= -1e-12:
         raise ValueError(f"mixture weights must be nonnegative, got min {w.min():.3g}")

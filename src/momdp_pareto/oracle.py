@@ -35,7 +35,6 @@ from .mdp import (
 )
 from .search import (
     ParetoFront,
-    SearchConfig,
     SearchStats,
     VertexRecord,
     consolidate_faces,  # unused; the benchmark's tracer binds it on this module
@@ -59,9 +58,15 @@ def check_tolerance(name: str, value: float) -> None:
     """Raise a ValueError naming `name` unless value is a finite number >= 0.
 
     A NaN tolerance makes every comparison false, and a negative one makes
-    points differ from themselves, so neither describes a tolerance.
+    points differ from themselves, so neither describes a tolerance. A bool
+    is not a tolerance either, so True and False are refused too.
     """
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+    if not (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value >= 0
+    ):
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
@@ -473,7 +478,7 @@ def bench_suite(
     rows: list[BenchRow] = []
     for (S, A, seed), mdp in zip(grid, mdps):
         t0 = time.perf_counter()
-        front = search(mdp, SearchConfig(seed=seed))
+        front = search(mdp)
         dt = time.perf_counter() - t0
         rows.append(
             BenchRow(S, A, objectives, seed, "solve", len(front.vertices), len(front.faces), dt)

@@ -22,8 +22,7 @@ from .geometry import (
     LocalHull,
     affine_dimension,  # unused; the benchmark's tracer binds it on this module
     convex_hull,
-    dominance,  # unused; the benchmark's tracer binds it on this module
-    dominance_masks,
+    dominance,
     drop_nested_faces,
     exposed_sets,
     group_coincident,
@@ -100,19 +99,17 @@ class ParetoFront:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for `search`; `eps_pos` reads the fixed `EPS_POS` as a class
-    attribute.
+    """What callers of `search` may still pass; search reads nothing from it.
 
     Search evaluates on the calling thread, so `thread_count` must be 1; the
     field stays only so that callers passing thread_count=1 still run.
+    `eps_pos` reads the fixed `EPS_POS` as a class attribute.
     """
 
-    seed: int = 0
     thread_count: int = 1
     eps_pos: ClassVar[float] = EPS_POS
 
     def __post_init__(self) -> None:
-        check_count("seed", self.seed, 0)
         check_one_thread(self.thread_count)
 
 
@@ -146,20 +143,20 @@ class SearchContext:
     full, so adding a vertex copies the earlier rows only at a doubling.
     `z` caches the return of every policy evaluated, by `_policy_keys`.
     `vertex_of` maps each vertex's own policy, by the same key, to its id;
-    co-policies are left out (see `explore_vertex`).
+    co-policies are left out (see `explore_vertex`). `vertices` lists the
+    vertices in the order they are admitted, which is the order `search`
+    explores them in. `faces` holds each face piece under its sorted
+    vertex ids, so a piece found again from another vertex is kept once.
     """
 
     mdp: Mdp
-    config: SearchConfig
     scale: float
     scaled_rows: np.ndarray
     scaled: np.ndarray = field(init=False)
     z: dict[bytes, np.ndarray] = field(default_factory=dict)
     vertex_of: dict[bytes, int] = field(default_factory=dict)
     vertices: list[VertexRecord] = field(default_factory=list)
-    faces: list[FaceRecord] = field(default_factory=list)
-    face_keys: set[tuple[int, ...]] = field(default_factory=set)
-    queue: deque[int] = field(default_factory=deque)
+    faces: dict[tuple[int, ...], FaceRecord] = field(default_factory=dict)
     stats: SearchStats = field(default_factory=SearchStats)
 
     def __post_init__(self) -> None:
@@ -169,13 +166,9 @@ class SearchContext:
         self.stats.warnings.append(message)
 
 
-def make_context(mdp: Mdp, config: SearchConfig | None = None) -> SearchContext:
-    config = config or SearchConfig()
+def make_context(mdp: Mdp) -> SearchContext:
     return SearchContext(
-        mdp=mdp,
-        config=config,
-        scale=return_scale(mdp),
-        scaled_rows=np.empty((16, mdp.num_objectives)),
+        mdp=mdp, scale=return_scale(mdp), scaled_rows=np.empty((16, mdp.num_objectives))
     )
 
 
@@ -213,7 +206,6 @@ def _add_vertex(
         ctx.scaled_rows = grown
     ctx.scaled_rows[vid] = raw * ctx.scale
     ctx.scaled = ctx.scaled_rows[: vid + 1]
-    ctx.queue.append(vid)
     return vid
 
 
@@ -350,25 +342,20 @@ def _local_pareto_faces(
     return passing
 
 
-def explore_vertex(
-    ctx: SearchContext, vertex: VertexRecord
-) -> tuple[list[FaceRecord], list[VertexRecord]]:
+def explore_vertex(ctx: SearchContext, vertex: VertexRecord) -> None:
     """Expand one vertex: evaluate its one-change neighbors, keep the
     non-dominated ones, and admit the Pareto faces of the local hull.
 
-    The neighbors are split by `dominance_masks`' two masks against the
-    apex, with slack EPS_EQUAL: the ones below it somewhere and above it
+    The neighbors are split by `dominance`'s two masks against the apex,
+    with slack EPS_EQUAL: the ones below it somewhere and above it
     somewhere are incomparable, and go on to `pprune`; the ones below it
     somewhere and above it nowhere are dominated, and dropped. Only the few
     that are below it nowhere are visited one by one, in index order: a
     neighbor also above it nowhere is equal to it, a co-policy of the
     vertex, and one above it somewhere dominates it, which aborts.
 
-    Newly discovered vertices are appended to the context and enqueued exactly
-    once; faces are deduplicated globally by their vertex-id sets.
-
-    Returns:
-        The face records and vertex records added by this call.
+    Newly discovered vertices are appended to `ctx.vertices`, once each;
+    faces are deduplicated globally by their vertex-id sets (`ctx.faces`).
     """
     nbrs = neighbors_one(vertex.policy, ctx.mdp.num_actions)
     keys = _policy_keys(nbrs)
@@ -380,7 +367,7 @@ def explore_vertex(
 
     apex_scaled = ctx.scaled[vertex.id]
     x = np.reshape(rets, (-1, ctx.mdp.num_objectives)) * ctx.scale
-    below, above = dominance_masks(x, apex_scaled, EPS_EQUAL)
+    below, above = dominance(x, apex_scaled)
     for i in np.flatnonzero(~below).tolist():
         if above[i]:
             raise SearchAbortError(
@@ -391,7 +378,7 @@ def explore_vertex(
         _merge_co_policy(vertex, nbrs[i], keys[i])
     kept = np.flatnonzero(below & above)
     if not len(kept):
-        return [], []
+        return
 
     nd = kept[pprune(x[kept])].tolist()
     # Local point 0 is the apex; point k >= 1 is the first of groups[k - 1],
@@ -400,8 +387,6 @@ def explore_vertex(
     pts = np.vstack([apex_scaled, x[[g[0] for g in groups]]])
     local_faces = _local_pareto_faces(ctx, vertex, pts)
 
-    new_faces: list[FaceRecord] = []
-    new_vertices: list[VertexRecord] = []
     lid_to_gid = {0: vertex.id}
     for local in local_faces:
         gids = []
@@ -424,7 +409,6 @@ def explore_vertex(
                     gid = _add_vertex(
                         ctx, nbrs[first], ctx.z[keys[first]], [nbrs[i].copy() for i in members[1:]]
                     )
-                    new_vertices.append(ctx.vertices[gid])
                 else:
                     for i in members:
                         _merge_co_policy(ctx.vertices[gid], nbrs[i], keys[i])
@@ -437,13 +421,8 @@ def explore_vertex(
                 "global vertices; skipped"
             )
             continue
-        if key in ctx.face_keys:
-            continue
-        ctx.face_keys.add(key)
-        rec = FaceRecord(key, local.dim, local.normals, local.alpha, local.t_star)
-        ctx.faces.append(rec)
-        new_faces.append(rec)
-    return new_faces, new_vertices
+        if key not in ctx.faces:
+            ctx.faces[key] = FaceRecord(key, local.dim, local.normals, local.alpha, local.t_star)
 
 
 def consolidate_faces(
@@ -507,13 +486,15 @@ def consolidate_faces(
 def search(mdp: Mdp, config: SearchConfig | None = None) -> ParetoFront:
     """Compute the full Pareto front (vertices and faces) of an MDP.
 
-    One scalarized planner call seeds the traversal; every further vertex is
-    reached through faces of local hulls over one-change neighbor returns, so
-    each queue iteration costs at most S * (A - 1) policy evaluations.
+    One scalarized planner call finds the first vertex; every further vertex
+    is reached through faces of local hulls over one-change neighbor
+    returns, so exploring a vertex costs at most S * (A - 1) policy
+    evaluations. Vertices are explored in the order they are admitted.
 
     Args:
         mdp: the MDP, valid since its construction.
-        config: optional SearchConfig.
+        config: accepted so that callers passing `SearchConfig()` still run;
+            search reads nothing from it.
 
     Returns:
         ParetoFront with vertex records, face records and run statistics.
@@ -522,13 +503,12 @@ def search(mdp: Mdp, config: SearchConfig | None = None) -> ParetoFront:
         SearchAbortError: when a supposed vertex is exposed as dominated or
             interior, or has no local hull; the message names its policies.
     """
-    config = config or SearchConfig()
     t0 = time.perf_counter()
-    ctx = make_context(mdp, config)
-    rng = np.random.default_rng(config.seed)
-    # Strictly positive weights with small random tilts; ties in objective
-    # space are broken generically while every objective keeps real weight.
-    w0 = 1.0 + rng.uniform(1e-6, 1e-2, mdp.num_objectives)
+    ctx = make_context(mdp)
+    # Any strictly positive weight gives a vertex to start from (the front
+    # does not depend on which). Small fixed tilts break ties in objective
+    # space generically while every objective keeps real weight.
+    w0 = 1.0 + np.random.default_rng(0).uniform(1e-6, 1e-2, mdp.num_objectives)
     pol0 = solve_scalarized(mdp, w0)
     ctx.stats.planner_calls += 1
     t1 = time.perf_counter()
@@ -537,11 +517,12 @@ def search(mdp: Mdp, config: SearchConfig | None = None) -> ParetoFront:
     ctx.z[_policy_keys(pol0)[0]] = j0
     ctx.stats.policies_evaluated += 1
     _add_vertex(ctx, pol0, j0, [])
-    while ctx.queue:
-        vid = ctx.queue.popleft()
+    # `explore_vertex` appends the vertices it admits, and the loop reaches
+    # them too.
+    for vertex in ctx.vertices:
         ctx.stats.iterations += 1
-        explore_vertex(ctx, ctx.vertices[vid])
-    faces = consolidate_faces(ctx.faces, ctx.scaled)
+        explore_vertex(ctx, vertex)
+    faces = consolidate_faces(list(ctx.faces.values()), ctx.scaled)
     t2 = time.perf_counter()
     ctx.stats.wall_time["explore"] = t2 - t1
     ctx.stats.wall_time["total"] = t2 - t0

@@ -8,6 +8,7 @@ agreement with the package is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import functools
 import importlib.util
 import itertools
@@ -27,7 +28,6 @@ from momdp_pareto.mdp import (
     mix_policies,
 )
 from momdp_pareto.geometry import (
-    Dominance,
     FaceRecord,
     affine_dimension,
     mask_ids,
@@ -164,6 +164,16 @@ def mc_return(
 
 def strictly_dominates(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> bool:
     return bool(np.all(u >= v - eps) and np.any(u > v + eps))
+
+
+class Dominance(enum.Enum):
+    """The relation of one point u to one point v, as `loop_dominance`
+    names it."""
+
+    DOMINATES = "dominates"
+    DOMINATED_BY = "dominated_by"
+    INCOMPARABLE = "incomparable"
+    EQUAL = "equal"
 
 
 def loop_dominance(u: np.ndarray, v: np.ndarray, eps: float = 0.0) -> Dominance:

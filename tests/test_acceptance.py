@@ -21,7 +21,6 @@ from momdp_pareto import (
     long_term_return,
     search,
     verify_front,
-    SearchConfig,
 )
 from momdp_pareto.geometry import convex_hull, incident_facets, mask_ids
 from momdp_pareto.mdp import (
@@ -210,7 +209,7 @@ def test_c05_local_hull_neighbors_equal_global_hull_neighbors():
         all_pols = list(enumerate_deterministic(3, 3))
         all_keys = [tuple(p.tolist()) for p in all_pols]
         all_returns = np.array([long_term_return(mdp, p) for p in all_pols])
-        front = search(mdp, SearchConfig(seed=0))
+        front = search(mdp)
         for v in front.vertices:
             apex_key = tuple(v.policy.tolist())
             nbr_pols = neighbors_one(v.policy, 3)

@@ -12,7 +12,6 @@ import momdp_pareto
 from momdp_pareto import (
     Mdp,
     SearchAbortError,
-    SearchConfig,
     brute_force_front,
     gen_random_mdp,
     search,
@@ -91,7 +90,7 @@ class TestSolve:
         assert "invalid" in capsys.readouterr().err
 
     def test_abort_exits_3(self, mdp_file, tmp_path, monkeypatch):
-        def boom(mdp, config):
+        def boom(mdp):
             raise SearchAbortError("start vertex inside the hull")
 
         monkeypatch.setattr("momdp_pareto.cli.search", boom)
@@ -110,7 +109,8 @@ class TestSolve:
         assert run(command, str(mdp_file), "-o", str(out)) == 0
         config = json.loads(out.read_text())["meta"]["config"]
         assert not [key for key in config if key.startswith("eps")]
-        assert config["command"] == command and "thread_count" not in config
+        assert config["command"] == command
+        assert "thread_count" not in config and "seed" not in config
 
 
 class TestBadSeed:
@@ -124,9 +124,13 @@ class TestBadSeed:
         assert not out.exists()
 
     def test_solve_and_verify_exit_2(self, mdp_file, tmp_path, capsys):
+        """`solve` has no seed: its start does not change the front, so
+        `--seed` is an unknown option there."""
         front = tmp_path / "front.json"
-        assert run("solve", str(mdp_file), "-o", str(front), "--seed", "-1") == 2
-        assert capsys.readouterr().err == "error: seed must be an int >= 0, got -1\n"
+        with pytest.raises(SystemExit) as err:
+            run("solve", str(mdp_file), "-o", str(front), "--seed", "1")
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not front.exists()
         run("solve", str(mdp_file), "-o", str(front))
         capsys.readouterr()
@@ -527,7 +531,7 @@ class TestSerializeRoundTrips:
         assert again.gamma == m.gamma
 
     def test_front_bit_exact(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         again = front_from_dict(json.loads(json.dumps(front_to_dict(front))))
         assert len(again.vertices) == len(front.vertices)
         for va, vb in zip(again.vertices, front.vertices):
@@ -544,7 +548,7 @@ class TestSerializeRoundTrips:
         assert again.stats.warnings == front.stats.warnings
 
     def test_face_work_counts_not_serialized(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         assert front.stats.lps_solved > 0
         text = dump_json(front_to_dict(front))
         assert front.stats.vertex_scans > 0
@@ -557,7 +561,7 @@ class TestSerializeRoundTrips:
         assert [getattr(again, name) for name in names] == [0, 0, 0]
 
     def test_wall_time_not_serialized(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         payload = front_to_dict(front)
         assert "wall_time" not in json.dumps(payload)
 
@@ -594,7 +598,7 @@ class TestOffFormat:
         assert body[1].split() == ["1", "0", "0"]
 
     def test_faces_triangulated_as_fans(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         body = [
             l for l in front_to_off(front).splitlines() if not l.startswith("#")
         ]
@@ -610,13 +614,13 @@ class TestOffFormat:
 
     def test_wrong_dimension_rejected(self):
         m = gen_random_mdp(0, 3, 3, 2)
-        front = search(m, SearchConfig(seed=0))
+        front = search(m)
         with pytest.raises(ValueError):
             front_to_off(front)
 
 
 def test_front_csv_lists_policies(mdp433):
-    front = search(mdp433, SearchConfig(seed=0))
+    front = search(mdp433)
     lines = [
         l for l in front_to_csv(front).splitlines() if not l.startswith("#")
     ]

@@ -19,14 +19,12 @@ from momdp_pareto.geometry import (
     EPS_POS,
     ApexNotVertexError,
     DegenerateHullError,
-    Dominance,
     DualPool,
     _support_lp,
     affine_dimension,
     close_below,
     convex_hull,
     dominance,
-    dominance_masks,
     dominated_by,
     exposed_sets,
     group_coincident,
@@ -42,6 +40,7 @@ from momdp_pareto.mdp import enumerate_deterministic, tree_depth, tree_returns
 from momdp_pareto.search import return_scale, select_pareto_faces
 
 from helpers import (
+    Dominance,
     all_pairs_pprune,
     apex_facet_ids,
     apex_masks,
@@ -68,33 +67,11 @@ from test_golden import INSTANCES as GOLDEN_INSTANCES
 
 
 class TestDominance:
-    def test_dominates(self):
-        assert dominance(np.array([2.0, 2.0]), np.array([1.0, 2.0])) == Dominance.DOMINATES
+    """`dominance` tells for each row whether it lies below v by more than
+    EPS_EQUAL somewhere, and whether it lies above v by more than EPS_EQUAL
+    somewhere."""
 
-    def test_dominated_by(self):
-        assert dominance(np.array([1.0, 2.0]), np.array([2.0, 2.0])) == Dominance.DOMINATED_BY
-
-    def test_incomparable(self):
-        assert dominance(np.array([2.0, 1.0]), np.array([1.0, 2.0])) == Dominance.INCOMPARABLE
-
-    def test_equal(self):
-        assert dominance(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == Dominance.EQUAL
-
-    def test_eps_blurs_small_gaps(self):
-        u = np.array([1.0, 1.0])
-        v = np.array([1.0 + 1e-12, 1.0 - 1e-12])
-        assert dominance(u, v, eps=1e-9) == Dominance.EQUAL
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dominance(np.zeros(2), np.zeros(3))
-        with pytest.raises(ValueError):
-            dominance(np.zeros((4, 2)), np.zeros(3))
-        with pytest.raises(ValueError):
-            dominance(np.zeros((4, 3)), np.zeros((4, 3)))
-
-    # The relation of a row to v by whether it lies below v somewhere and
-    # above v somewhere (`dominance_masks`).
+    # The relation of a row to v by its two masks.
     BY_MASKS = {
         (False, False): Dominance.EQUAL,
         (False, True): Dominance.DOMINATES,
@@ -102,12 +79,30 @@ class TestDominance:
         (True, True): Dominance.INCOMPARABLE,
     }
 
-    @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.5])
-    def test_stack_matches_row_by_row(self, eps):
-        """Half-step offsets and sub-eps nudges give every relation. Against
-        the origin, rows of -2 eps to 2 eps in steps of eps sit exactly eps
-        away in some coordinates, and rows with a NaN anywhere are
-        incomparable."""
+    def relations(self, points, v):
+        below, above = dominance(np.atleast_2d(np.asarray(points, dtype=float)), np.asarray(v))
+        return [self.BY_MASKS[b, a] for b, a in zip(below.tolist(), above.tolist())]
+
+    def test_dominates(self):
+        assert self.relations([2.0, 2.0], [1.0, 2.0]) == [Dominance.DOMINATES]
+
+    def test_dominated_by(self):
+        assert self.relations([1.0, 2.0], [2.0, 2.0]) == [Dominance.DOMINATED_BY]
+
+    def test_incomparable(self):
+        assert self.relations([2.0, 1.0], [1.0, 2.0]) == [Dominance.INCOMPARABLE]
+
+    def test_equal(self):
+        assert self.relations([1.0, 2.0], [1.0, 2.0]) == [Dominance.EQUAL]
+
+    def test_eps_blurs_small_gaps(self):
+        assert self.relations([1.0, 1.0], [1.0 + 1e-12, 1.0 - 1e-12]) == [Dominance.EQUAL]
+
+    def test_stack_matches_row_by_row(self):
+        """Half-step offsets and sub-EPS_EQUAL nudges give every relation.
+        Against the origin, rows of -2 EPS_EQUAL to 2 EPS_EQUAL in steps of
+        EPS_EQUAL sit exactly EPS_EQUAL away in some coordinates, and rows
+        with a NaN anywhere are incomparable."""
         rng = np.random.default_rng(7)
         v = rng.integers(0, 3, size=4) * 0.5
         u = v + np.vstack(
@@ -117,21 +112,20 @@ class TestDominance:
                 np.zeros((1, 4)),
             ]
         )
-        at_eps = eps * np.array(list(itertools.product([-2.0, -1.0, 0.0, 1.0, 2.0], repeat=4)))
+        steps = itertools.product([-2.0, -1.0, 0.0, 1.0, 2.0], repeat=4)
+        at_eps = EPS_EQUAL * np.array(list(steps))
         with_nan = rng.integers(-2, 3, size=(40, 4)) * 0.5
         with_nan[np.arange(40), rng.integers(0, 4, size=40)] = np.nan
         with_nan[:4, :] = np.nan
         for points, origin in [(u, v), (np.vstack([at_eps, with_nan]), np.zeros(4))]:
-            want = [loop_dominance(row, origin, eps) for row in points]
-            assert dominance(points, origin, eps) == want
-            assert [dominance(row, origin, eps) for row in points] == want
-            below, above = dominance_masks(points, origin, eps)
-            assert [self.BY_MASKS[b, a] for b, a in zip(below.tolist(), above.tolist())] == want
-        assert set(want[: len(at_eps)]) == ({Dominance.EQUAL} if eps == 0.0 else set(Dominance))
+            want = [loop_dominance(row, origin, EPS_EQUAL) for row in points]
+            assert self.relations(points, origin) == want
+        assert set(want[: len(at_eps)]) == set(Dominance)
         assert set(want[len(at_eps) :]) == {Dominance.INCOMPARABLE}
 
     def test_empty_stack(self):
-        assert dominance(np.zeros((0, 3)), np.zeros(3)) == []
+        below, above = dominance(np.zeros((0, 3)), np.zeros(3))
+        assert below.shape == above.shape == (0,)
 
 
 class TestPPrune:
@@ -152,9 +146,7 @@ class TestPPrune:
         pts = np.random.default_rng(7).normal(size=(60, 3))
         kept = set(pprune(pts))
         for i in range(60):
-            dominated = any(
-                dominance(pts[j], pts[i]) == Dominance.DOMINATES for j in kept
-            )
+            dominated = any(loop_dominance(pts[j], pts[i]) is Dominance.DOMINATES for j in kept)
             if i in kept:
                 assert not dominated
             else:

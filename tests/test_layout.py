@@ -92,7 +92,7 @@ def test_no_unused_imports(path):
 
 def test_traced_names_kept_only_for_the_tracer():
     """The traced names that a module imports but never calls by name are
-    exactly the five kept there only for the benchmark's tracer. A refactor
+    exactly the four kept there only for the benchmark's tracer. A refactor
     that stops calling another traced function leaves its layer reading 0
     in a traced run; it fails here instead."""
     uncalled = set()
@@ -115,7 +115,6 @@ def test_traced_names_kept_only_for_the_tracer():
         "oracle.long_term_return",
         "oracle.affine_dimension",
         "oracle.consolidate_faces",
-        "search.dominance",
         "search.affine_dimension",
     }
 
@@ -166,7 +165,7 @@ def is_tolerance(name: str) -> bool:
 
 def nonzero_number(node: ast.expr) -> bool:
     """Whether node is a numeric literal other than 0, signed or not. Zero
-    is an exact comparison (`dominance`'s default), not a tolerance."""
+    is an exact comparison, not a tolerance."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         node = node.operand
     return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value != 0
@@ -202,7 +201,7 @@ def test_each_tolerance_defined_once():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
     params = tolerance_params(functions)
-    assert {"dominance", "dominance_masks"} <= set(params)
+    assert {"_merge_close_planes"} <= set(params)
     assigned, literal = [], []
     for module, walked in nodes.items():
         for node in walked:
@@ -241,11 +240,9 @@ def test_each_tolerance_defined_once():
     ]
 
 
-def test_public_tolerances_only_in_dominance():
-    """The geometry's one-value tolerances are constants, so the only public
-    functions that take an `eps`/`eps_*` parameter are `dominance` and
-    `dominance_masks`, which search and `dominance` call with different
-    values."""
+def test_no_public_function_takes_a_tolerance():
+    """The geometry's tolerances are constants, so no public function takes
+    an `eps`/`eps_*` parameter."""
     functions = [
         node
         for path in MODULES
@@ -253,7 +250,7 @@ def test_public_tolerances_only_in_dominance():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
     public = {name for name in tolerance_params(functions) if not is_private(name)}
-    assert public == {"dominance", "dominance_masks"}
+    assert public == set()
 
 
 def name_of(node: ast.expr) -> str:

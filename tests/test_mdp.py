@@ -344,6 +344,15 @@ class TestSolveScalarized:
         with pytest.raises(ValueError):
             solve_scalarized(m, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_weights_not_finite_and_positive(self, bad):
+        """An infinite weight used to pass and give policy [0 0 0 0]."""
+        w = np.array([bad, 1.0, 1.0])
+        got = re.escape(repr([bad, 1.0, 1.0]))
+        message = rf"^w must be finite and > 0 in every objective, got {got}$"
+        with pytest.raises(ValueError, match=message):
+            solve_scalarized(gen_random_mdp(0, 4, 3, 3), w)
+
 
 class TestNeighbors:
     def test_counts(self):

@@ -8,7 +8,6 @@ import pytest
 from momdp_pareto import (
     EnumerationCapError,
     ParetoFront,
-    SearchConfig,
     brute_force_front,
     compare_fronts,
     gen_gridworld,
@@ -68,12 +67,12 @@ class TestBruteForce:
 
     def test_agrees_with_search_on_random_instance(self):
         m = gen_random_mdp(7, 5, 3, 3)
-        rep = compare_fronts(search(m, SearchConfig(seed=0)), brute_force_front(m))
+        rep = compare_fronts(search(m), brute_force_front(m))
         assert rep.vertex_match and rep.face_match
 
     def test_agrees_with_search_on_gridworld(self):
         m = gen_gridworld(1, 3, 3, 3)
-        rep = compare_fronts(search(m, SearchConfig(seed=0)), brute_force_front(m))
+        rep = compare_fronts(search(m), brute_force_front(m))
         assert rep.vertex_match and rep.face_match
 
     def test_thread_count_does_not_change_front(self, mdp433):
@@ -99,7 +98,7 @@ def test_search_and_oracle_returns_agree_exactly(build):
     # Both evaluate deterministic policies through the same code, so matched
     # vertices carry bit-identical returns.
     m = build()
-    rep = compare_fronts(search(m, SearchConfig(seed=0)), brute_force_front(m))
+    rep = compare_fronts(search(m), brute_force_front(m))
     assert rep.vertex_match
     assert rep.max_vertex_distance == 0.0
 
@@ -290,8 +289,9 @@ def test_oracle_and_search_share_the_nested_face_drop(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9, True, False])
 def test_verify_and_compare_reject_bad_tolerances(value):
+    """True used to run as tol 1.0, and False as 0."""
     m = gen_random_mdp(0, 3, 2, 2)
     front = search(m)
     with pytest.raises(ValueError, match="^tol must be a finite number >= 0, got "):
@@ -461,19 +461,19 @@ def drop_last_vertex(front: ParetoFront) -> ParetoFront:
 
 class TestCompareFronts:
     def test_self_comparison(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         rep = compare_fronts(front, front)
         assert rep.match
         assert rep.max_vertex_distance == 0.0
 
     def test_missing_vertex_detected(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         rep = compare_fronts(drop_last_vertex(front), front)
         assert not rep.vertex_match
         assert len(rep.unmatched_b) == 1
 
     def test_swapping_arguments_swaps_reports(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         smaller = drop_last_vertex(front)
         ab = compare_fronts(smaller, front)
         ba = compare_fronts(front, smaller)
@@ -482,14 +482,14 @@ class TestCompareFronts:
         assert ab.unmatched_a == ba.unmatched_b == []
 
     def test_missing_face_detected(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         trimmed = dataclasses.replace(front, faces=front.faces[:-1])
         rep = compare_fronts(trimmed, front)
         assert rep.vertex_match and not rep.face_match
         assert len(rep.face_diffs["b_only"]) == 1
 
     def test_perturbation_beyond_tolerance_detected(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         moved = dataclasses.replace(
             front,
             vertices=[
@@ -562,7 +562,7 @@ class TestCompareFrontsMatching:
 
     def test_search_against_oracle(self):
         for m in (gen_random_mdp(2, 4, 3, 3), duplicate_action(gen_random_mdp(0, 4, 3, 3))):
-            s, o = search(m, SearchConfig(seed=0)), brute_force_front(m)
+            s, o = search(m), brute_force_front(m)
             for tol in (1e-8, 0.05):
                 assert compare_fronts(s, o, tol) == loop_compare_fronts(s, o, tol)
                 assert compare_fronts(o, s, tol) == loop_compare_fronts(o, s, tol)
@@ -595,7 +595,7 @@ def with_dominated_face(mdp, front: ParetoFront) -> ParetoFront:
 )
 def test_verify_on_non_dominated_cloud_equals_full_scan(build, monkeypatch):
     m = build()
-    front = search(m, SearchConfig(seed=0))
+    front = search(m)
     fronts = [front, with_dominated_face(m, front)]
     pruned = [verify_front(m, f, samples_per_face=8) for f in fronts]
     full_scans = []
@@ -616,7 +616,7 @@ def test_verify_on_non_dominated_cloud_equals_full_scan(build, monkeypatch):
 
 class TestVerifyFront:
     def test_passes_on_searched_front(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         report = verify_front(mdp433, front, samples_per_face=10)
         assert report.passed
         assert report.dominated_vertices == []
@@ -627,7 +627,7 @@ class TestVerifyFront:
             assert check.n_dominated == 0
 
     def test_flags_a_degraded_vertex(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         worse = dataclasses.replace(
             front,
             vertices=[
@@ -716,7 +716,7 @@ class TestStackedVerifyMatchesLoop:
     )
     def test_injected_dominance(self, build):
         m = build()
-        front = with_dominated_face(m, search(m, SearchConfig(seed=0)))
+        front = with_dominated_face(m, search(m))
         report = verify_front(m, front, samples_per_face=8)
         assert_same_report(report, loop_verify_front(m, front, samples_per_face=8))
         assert report.dominated_vertices == [len(front.vertices) - 1]

@@ -22,7 +22,6 @@ from momdp_pareto import (
 )
 from momdp_pareto import geometry, oracle
 from momdp_pareto.geometry import (
-    Dominance,
     affine_dimension,
     convex_hull,
     dominance,
@@ -44,6 +43,7 @@ from momdp_pareto.search import (
 )
 
 from helpers import (
+    Dominance,
     apex_masks,
     benchmark_instances,
     degenerate_instances,
@@ -62,6 +62,17 @@ from helpers import (
 from test_golden import INSTANCES as GOLDEN_INSTANCES
 
 
+# Instances on which search is started at every vertex of its own front.
+START_SOURCES = {
+    "dense-S4-A3-D3": lambda: gen_random_mdp(0, 4, 3, 3),
+    "dense-S4-A4-D5": lambda: gen_random_mdp(0, 4, 4, 5),
+    "dense-S6-A5-D3": lambda: gen_random_mdp(0, 6, 5, 3),
+    "dupact": lambda: duplicate_action(gen_random_mdp(3, 4, 3, 3)),
+    "depobj": lambda: _depobj(1),
+    "grid-2x3": lambda: gen_gridworld(1, 2, 3, 3),
+}
+
+
 def start_at(monkeypatch, arm: int) -> None:
     """Make the planner start `search` at the given arm of a bandit."""
     monkeypatch.setattr(
@@ -71,7 +82,7 @@ def start_at(monkeypatch, arm: int) -> None:
 
 class TestBanditFront:
     def test_two_vertices_one_edge(self, bandit3):
-        front = search(bandit3, SearchConfig(seed=0))
+        front = search(bandit3)
         rets = sorted(tuple(np.round(v.ret, 12)) for v in front.vertices)
         assert rets == [(0.0, 1.0), (1.0, 0.0)]
         assert len(front.faces) == 1
@@ -79,7 +90,7 @@ class TestBanditFront:
         assert front.faces[0].dim == 1
 
     def test_dominated_arm_never_appears(self, bandit3):
-        front = search(bandit3, SearchConfig(seed=0))
+        front = search(bandit3)
         for v in front.vertices:
             assert not np.allclose(v.ret, [0.4, 0.4])
 
@@ -87,14 +98,14 @@ class TestBanditFront:
         fronts = []
         for arm in (0, 1):
             start_at(monkeypatch, arm)
-            fronts.append(search(bandit3, SearchConfig(seed=0)))
+            fronts.append(search(bandit3))
         assert compare_fronts(*fronts).match
 
 
 class TestCollapsedFronts:
     def test_single_objective(self):
         m = gen_random_mdp(2, 3, 3, 1)
-        front = search(m, SearchConfig(seed=0))
+        front = search(m)
         assert len(front.vertices) == 1
         assert front.faces == []
         # The lone vertex is the scalar optimum.
@@ -106,7 +117,7 @@ class TestCollapsedFronts:
     def test_identical_objectives(self):
         base = gen_random_mdp(4, 3, 2, 1)
         m = Mdp(P=base.P, r=np.repeat(base.r, 3, axis=2), gamma=base.gamma, mu=base.mu)
-        front = search(m, SearchConfig(seed=0))
+        front = search(m)
         assert len(front.vertices) == 1
         assert front.faces == []
 
@@ -122,7 +133,7 @@ class TestCollapsedFronts:
 
 class TestOracleAgreement:
     def test_seed0_instance(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         oracle = brute_force_front(mdp433)
         rep = compare_fronts(front, oracle)
         assert rep.vertex_match and rep.face_match
@@ -131,7 +142,7 @@ class TestOracleAgreement:
 
 class TestStats:
     def test_single_planner_call_and_iteration_count(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         assert front.stats.planner_calls == 1
         assert front.stats.iterations == len(front.vertices)
         assert front.stats.policies_evaluated >= len(front.vertices)
@@ -142,7 +153,7 @@ class TestStats:
 class TestScalarizationConsistency:
     def test_positive_weight_optima_lie_on_front(self):
         m = gen_random_mdp(6, 3, 3, 3)
-        front = search(m, SearchConfig(seed=0))
+        front = search(m)
         all_returns = np.array(
             [long_term_return(m, p) for p in enumerate_deterministic(3, 3)]
         )
@@ -155,8 +166,8 @@ class TestScalarizationConsistency:
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, mdp433):
-        a = search(mdp433, SearchConfig(seed=0))
-        b = search(mdp433, SearchConfig(seed=0))
+        a = search(mdp433)
+        b = search(mdp433)
         assert len(a.vertices) == len(b.vertices)
         for va, vb in zip(a.vertices, b.vertices):
             assert np.array_equal(va.policy, vb.policy)
@@ -165,15 +176,26 @@ class TestDeterminism:
 
     def test_thread_count_does_not_change_result(self, mdp433):
         """Callers that still pass thread_count=1 get the default's front."""
-        a = search(mdp433, SearchConfig(seed=0, thread_count=1))
-        b = search(mdp433, SearchConfig(seed=0))
+        a = search(mdp433, SearchConfig(thread_count=1))
+        b = search(mdp433)
         assert [tuple(v.policy) for v in a.vertices] == [tuple(v.policy) for v in b.vertices]
         assert [f.vertex_ids for f in a.faces] == [f.vertex_ids for f in b.faces]
 
-    def test_seed_choice_does_not_change_front(self, mdp433):
-        a = search(mdp433, SearchConfig(seed=1))
-        b = search(mdp433, SearchConfig(seed=99))
-        assert compare_fronts(a, b).match
+    @pytest.mark.parametrize("name", sorted(START_SOURCES))
+    def test_front_does_not_depend_on_the_start(self, name, monkeypatch):
+        """The planner's weight only picks the vertex search starts from.
+        Started at each vertex of its own front in turn, search finds the
+        same front."""
+        mdp = START_SOURCES[name]()
+        front = search(mdp)
+        assert len(front.vertices) > 1
+        for v in front.vertices:
+            monkeypatch.setattr(
+                _search_module(), "solve_scalarized", lambda mdp, w, p=v.policy: p.copy()
+            )
+            again = search(mdp)
+            assert np.array_equal(again.vertices[0].policy, v.policy)
+            assert compare_fronts(again, front).match, v.id
 
 
 class TestAborts:
@@ -181,7 +203,7 @@ class TestAborts:
         m = make_bandit(np.array([[0.0, 0.0], [1.0, 1.0]]))
         start_at(monkeypatch, 0)
         with pytest.raises(SearchAbortError) as err:
-            search(m, SearchConfig(seed=0))
+            search(m)
         assert "dominat" in str(err.value)
 
     def test_first_dominating_neighbor_is_named(self, monkeypatch):
@@ -193,7 +215,7 @@ class TestAborts:
             SearchAbortError,
             match=r"vertex 0 \(actions \[0\]\) is strictly dominated by its neighbor with actions \[3\];",
         ):
-            search(m, SearchConfig(seed=0))
+            search(m)
 
     def test_interior_start_aborts(self, monkeypatch):
         # The first arm sits midway on the segment joining (1,0) and (0,1):
@@ -204,28 +226,29 @@ class TestAborts:
         m = make_bandit(arms)
         start_at(monkeypatch, 0)
         with pytest.raises(SearchAbortError):
-            search(m, SearchConfig(seed=0))
+            search(m)
 
 
 class TestVisitedCache:
     def test_reexploration_evaluates_nothing_new(self, bandit3):
-        ctx = make_context(bandit3, SearchConfig(seed=0))
+        ctx = make_context(bandit3)
         pol = np.array([0], dtype=np.int64)
         ctx.z[_policy_keys(pol)[0]] = long_term_return(bandit3, pol)
         ctx.stats.policies_evaluated += 1
         _add_vertex(ctx, pol, ctx.z[_policy_keys(pol)[0]], [])
         explore_vertex(ctx, ctx.vertices[0])
         count = ctx.stats.policies_evaluated
-        faces, verts = explore_vertex(ctx, ctx.vertices[0])
+        vertices, faces = list(ctx.vertices), list(ctx.faces.items())
+        explore_vertex(ctx, ctx.vertices[0])
         assert ctx.stats.policies_evaluated == count
-        assert faces == [] and verts == []
+        assert ctx.vertices == vertices and list(ctx.faces.items()) == faces
 
 
 class TestFindVertex:
     def test_first_of_two_matches(self, bandit3):
         """Vertices 1 and 2 both lie within EPS_EQUAL of the probe; the
         lookup names the smaller id, as the row-by-row scan does."""
-        ctx = make_context(bandit3, SearchConfig(seed=0))
+        ctx = make_context(bandit3)
         eps = geometry.EPS_EQUAL
         probe = np.array([0.5, 0.25])
         ctx.scaled = np.array(
@@ -238,7 +261,7 @@ class TestFindVertex:
         assert _find_vertex(ctx, probe) is None
 
     def test_random_probes_match_the_scan(self, bandit3):
-        ctx = make_context(bandit3, SearchConfig(seed=0))
+        ctx = make_context(bandit3)
         rng = np.random.default_rng(3)
         ctx.scaled = rng.integers(0, 3, size=(80, 2)) * 1e-9
         for probe in rng.integers(0, 5, size=(200, 2)) * 0.5e-9:
@@ -246,7 +269,7 @@ class TestFindVertex:
             assert _find_vertex(ctx, probe) == want
 
     def test_added_vertices_are_found(self, bandit3):
-        ctx = make_context(bandit3, SearchConfig(seed=0))
+        ctx = make_context(bandit3)
         assert ctx.scaled.shape == (0, 2)
         assert _find_vertex(ctx, np.zeros(2)) is None
         for a in range(3):
@@ -287,9 +310,9 @@ class TestVertexKeys:
                     hits.append(vid)
                 return vid
 
-        def spying_context(mdp, config=None):
+        def spying_context(mdp):
             nonlocal ctx
-            ctx = make_context(mdp, config)
+            ctx = make_context(mdp)
             ctx.vertex_of = SpyKeys()
             return ctx
 
@@ -315,7 +338,7 @@ class TestVertexKeys:
 class TestCoPolicies:
     def test_duplicate_arm_merges(self):
         m = make_bandit(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        front = search(m, SearchConfig(seed=0))
+        front = search(m)
         assert len(front.vertices) == 2
         by_ret = {tuple(np.round(v.ret, 9)): v for v in front.vertices}
         dup = by_ret[(1.0, 0.0)]
@@ -330,7 +353,7 @@ class TestFrontInvariants:
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_faces_reference_vertices_and_cover_them(self, seed):
         m = gen_random_mdp(seed, 4, 3, 3)
-        front = search(m, SearchConfig(seed=0))
+        front = search(m)
         ids = {v.id for v in front.vertices}
         seen = set()
         keys = set()
@@ -343,7 +366,7 @@ class TestFrontInvariants:
             assert seen == ids
 
     def test_no_face_nested_in_another(self, mdp433):
-        front = search(mdp433, SearchConfig(seed=0))
+        front = search(mdp433)
         sets = [set(f.vertex_ids) for f in front.faces]
         for i, a in enumerate(sets):
             for j, b in enumerate(sets):
@@ -353,12 +376,12 @@ class TestFrontInvariants:
 
 class TestPoliciesOnFace:
     def test_indicator_weight_returns_vertex(self, bandit3):
-        front = search(bandit3, SearchConfig(seed=0))
+        front = search(bandit3)
         pol, ret = policies_on_face(bandit3, front, 0, [1.0, 0.0])
         assert np.allclose(ret, front.vertices[0].ret)
 
     def test_edge_midpoint(self, bandit3):
-        front = search(bandit3, SearchConfig(seed=0))
+        front = search(bandit3)
         pol, ret = policies_on_face(bandit3, front, 0, [0.5, 0.5])
         assert np.allclose(pol.sum(axis=1), 1.0)
         mid = 0.5 * (front.vertices[0].ret + front.vertices[1].ret)
@@ -366,7 +389,7 @@ class TestPoliciesOnFace:
 
     def test_face_mixture_not_dominated(self):
         m = gen_random_mdp(3, 4, 3, 3)
-        front = search(m, SearchConfig(seed=0))
+        front = search(m)
         face_id = next(i for i, f in enumerate(front.faces) if f.dim == 2)
         k = len(front.faces[face_id].vertex_ids)
         _, ret = policies_on_face(m, front, face_id, np.full(k, 1.0 / k))
@@ -377,7 +400,7 @@ class TestPoliciesOnFace:
             assert not (np.all(gap >= -1e-9) and np.any(gap > 1e-9))
 
     def test_bad_face_id_rejected(self, bandit3):
-        front = search(bandit3, SearchConfig(seed=0))
+        front = search(bandit3)
         with pytest.raises(ValueError):
             policies_on_face(bandit3, front, 5, [1.0])
 
@@ -385,7 +408,7 @@ class TestPoliciesOnFace:
     def test_face_id_not_a_count_names_it(self, bandit3, face_id):
         """1.5 used to raise a bare TypeError, True to pick face 1 and -1
         to say only that it was out of range."""
-        front = search(bandit3, SearchConfig(seed=0))
+        front = search(bandit3)
         with pytest.raises(ValueError, match=f"^face_id must be an int >= 0, got {face_id!r}$"):
             policies_on_face(bandit3, front, face_id, [0.5, 0.5])
 
@@ -395,6 +418,14 @@ class TestPoliciesOnFace:
         assert len(front.faces[0].vertex_ids) == 2
         with pytest.raises(ValueError, match="^mixture weights must be nonnegative, got min nan$"):
             policies_on_face(mdp433, front, 0, [np.nan, np.nan])
+
+    def test_wrong_weight_count_names_both(self, mdp433):
+        """The message used to name neither the policies nor the weights."""
+        front = search(mdp433)
+        assert len(front.faces[0].vertex_ids) == 2
+        message = r"^need one weight per policy: 2 policies, weights of shape \(3,\)$"
+        with pytest.raises(ValueError, match=message):
+            policies_on_face(mdp433, front, 0, [0.2, 0.3, 0.5])
 
     @pytest.mark.parametrize("action", [-1, 1.5, 7])
     def test_bad_vertex_action_names_it(self, mdp433, action):
@@ -549,7 +580,7 @@ def raw_face_lists():
 
         module.consolidate_faces = capture
         try:
-            search(build(), SearchConfig(seed=0))
+            search(build())
         finally:
             module.consolidate_faces = original
         lists[name] = captured[0]
@@ -635,7 +666,6 @@ class TestConsolidationScreen:
 
 def test_search_config_defaults():
     cfg = SearchConfig()
-    assert cfg.seed == 0
     assert cfg.thread_count == 1
     assert SearchConfig(thread_count=1) == cfg
     assert geometry.EPS_EQUAL == geometry.EPS_GEOM == geometry.EPS_POS == 1e-9
@@ -645,22 +675,14 @@ def test_search_config_defaults():
     assert not hasattr(cfg, "eps_equal") and not hasattr(cfg, "eps_geom")
 
 
-def test_search_config_fields_are_seed_and_thread_count():
+def test_search_config_fields_are_thread_count():
     """The tolerances are fixed: class attributes, not fields, so they are
-    not arguments either."""
-    assert [f.name for f in dataclasses.fields(SearchConfig)] == ["seed", "thread_count"]
-    for name in ("eps_equal", "eps_geom", "eps_pos"):
+    not arguments either. Nor is a seed: the start does not change the
+    front."""
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == ["thread_count"]
+    for name in ("seed", "eps_equal", "eps_geom", "eps_pos"):
         with pytest.raises(TypeError, match=name):
             SearchConfig(**{name: 1e-7})
-
-
-@pytest.mark.parametrize("value", [-1, 1.5, "0", None])
-def test_search_config_rejects_bad_seeds(value):
-    """A negative seed used to raise numpy's "expected non-negative integer",
-    and seed 1.5 a TypeError, both only once `search` ran."""
-    message = rf"^seed must be an int >= 0, got {re.escape(repr(value))}$"
-    with pytest.raises(ValueError, match=message):
-        SearchConfig(seed=value)
 
 
 @pytest.mark.parametrize("value", [0, -2, 2, 1.0, True])
@@ -704,18 +726,15 @@ def local_hulls_d5():
     one-change neighbors, as `explore_vertex` builds them."""
     m = gen_random_mdp(1, 4, 4, 5)
     scale = return_scale(m)
-    front = search(m, SearchConfig(seed=0))
+    front = search(m)
     hulls = []
     for v in front.vertices[:6]:
         apex = v.ret * scale
-        near = [
-            long_term_return(m, p) * scale for p in neighbors_one(v.policy, 4)
-        ]
-        near = [
-            x for x in near if dominance(x, apex, 1e-9) is Dominance.INCOMPARABLE
-        ]
-        near = [near[i] for i in pprune(np.array(near))]
-        hulls.append(convex_hull(np.vstack([apex] + near)))
+        near = np.array([long_term_return(m, p) * scale for p in neighbors_one(v.policy, 4)])
+        below, above = dominance(near, apex)
+        near = near[below & above]
+        near = near[pprune(near)]
+        hulls.append(convex_hull(np.vstack([apex, near])))
     return hulls
 
 
